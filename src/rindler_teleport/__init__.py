@@ -7,8 +7,9 @@ of the vacuum serving as the entanglement resource:
 
 * :mod:`.spectral` - acceleration squeezing spectrum, wavepacket envelopes
   and the four closed-form integrals (i_c, i_s, i_cs, phi_cs).
-* :mod:`.mode_algebra` - affine operator expressions over labelled modes,
-  Gaussian gates, Wick expectation values, region-to-vacuum-family maps.
+* :mod:`.mode_algebra` - affine operator expressions as dense coefficient
+  vectors on mode registers, Gaussian gates, Wick expectation values,
+  region-to-vacuum-family maps.
 * :mod:`.teleportation` - closed-form variance reports for coherent and
   squeezed payloads, plus the single-frequency protocol circuit.
 * :mod:`.oracle` - independent numerical cross-checks: a discretized
@@ -21,6 +22,7 @@ of the vacuum serving as the entanglement resource:
 from .mode_algebra import (
     Chirality,
     ModeLabel,
+    ModeRegister,
     OperatorExpr,
     Sector,
     beam_splitter,
@@ -58,7 +60,6 @@ from .spectral import (
     unruh_cosh_sinh,
 )
 from .teleportation import (
-    ScenarioParams,
     VarianceReport,
     conformal_residual,
     delta_decoherence,
@@ -77,9 +78,9 @@ __all__ = [
     "GridMismatchError",
     "IdentityRow",
     "ModeLabel",
+    "ModeRegister",
     "OperatorExpr",
     "OracleConvergenceError",
-    "ScenarioParams",
     "Sector",
     "SpectralConvergenceError",
     "SpectralIntegrals",

@@ -1,4 +1,4 @@
-"""Affine Gaussian mode algebra over a labelled bosonic vacuum.
+"""Affine Gaussian mode algebra on dense mode registers.
 
 Every operator handled here is an affine combination
 
@@ -9,6 +9,15 @@ displacement ``d``.  Gaussian circuits (displacements, one- and two-mode
 squeezers, beam splitters) map such expressions to each other, so an entire
 protocol can be composed by ordinary arithmetic on :class:`OperatorExpr`
 values, and vacuum expectation values of products follow from Wick pairing.
+
+In the symplectic picture a Gaussian unitary is an affine map on the vector
+of mode operators (Weedbrook et al., RMP 84, 621 (2012), Sec. II), so an
+expression is stored as that vector: the displacement plus two dense complex
+coefficient vectors ``u`` (annihilators) and ``v`` (creators), indexed by an
+immutable, ordered :class:`ModeRegister`.  Expressions on one register
+combine by vector arithmetic; expressions on different registers are first
+spread onto the union of their registers.  The canonical bilinears are dot
+products: [E1, E2] = u1.v2 - v1.u2 and the vacuum pairing <E1 E2> = u1.v2.
 
 Mode labels carry a sector, a chirality (propagation direction) and a
 frequency-bin index:
@@ -41,6 +50,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -50,6 +60,7 @@ from .spectral import unruh_cosh_sinh
 __all__ = [
     "Chirality",
     "ModeLabel",
+    "ModeRegister",
     "OperatorExpr",
     "Sector",
     "annihilator",
@@ -66,8 +77,14 @@ __all__ = [
     "wick_expectation",
 ]
 
-#: Coefficients at or below this magnitude are dropped from term maps.
+#: Coefficients at or below this magnitude count as zero wherever an
+#: expression is read: ``terms``, ``coefficient``, ``modes``, ``sectors`` and
+#: the support checks of the gates, the Wick engine and the region map.
 PRUNE_TOL = 1e-15
+
+#: Coefficient magnitude bound below which arithmetic results need no
+#: finiteness test: sums and scalar products of such vectors cannot overflow.
+_SAFE_PEAK = 1e300
 
 
 class Sector(Enum):
@@ -115,33 +132,251 @@ class ModeLabel:
         return f"{short}_{wing}[{self.bin}]"
 
 
-class OperatorExpr:
-    """Affine operator: displacement + {(label, is_dagger): coefficient} terms.
+# -- mode registers ---------------------------------------------------------
+#
+# A register stores each mode as one int64 key, family << _BIN_BITS | bin
+# offset, with family = 2 * sector index + chirality index.  Sorted keys give
+# every register a canonical order, equal registers equal key arrays, and a
+# union or lookup is a sorted merge or search instead of label hashing.
 
-    Instances are treated as immutable; every operation returns a new
-    expression with exact-zero (below ``PRUNE_TOL``) coefficients removed.
+_SECTORS = tuple(Sector)
+_CHIRALITIES = tuple(Chirality)
+_SECTOR_INDEX = {s: i for i, s in enumerate(_SECTORS)}
+_CHIRALITY_INDEX = {c: i for i, c in enumerate(_CHIRALITIES)}
+_BIN_BITS = 40
+_BIN_OFFSET = 1 << (_BIN_BITS - 1)
+_BIN_MASK = (1 << _BIN_BITS) - 1
+_RINDLER_INDICES = np.array(sorted(_SECTOR_INDEX[s] for s in _RINDLER_SECTORS))
+
+
+def _family(sector: Sector, chirality: Chirality) -> int:
+    return 2 * _SECTOR_INDEX[sector] + _CHIRALITY_INDEX[chirality]
+
+
+def _bin_keys(family: int, bins) -> np.ndarray:
+    bins = np.asarray(bins, dtype=np.int64)
+    if bins.size and (bins.min() < -_BIN_OFFSET or bins.max() >= _BIN_OFFSET):
+        raise ValueError(f"mode bins must lie in [{-_BIN_OFFSET}, {_BIN_OFFSET})")
+    return (np.int64(family) << _BIN_BITS) | (bins + _BIN_OFFSET)
+
+
+def _label_key(label: ModeLabel) -> int:
+    b = label.bin
+    if not -_BIN_OFFSET <= b < _BIN_OFFSET:
+        raise ValueError(f"mode bin of {label!r} outside [{-_BIN_OFFSET}, {_BIN_OFFSET})")
+    return (_family(label.sector, label.chirality) << _BIN_BITS) | (b + _BIN_OFFSET)
+
+
+def _key_label(key: int) -> ModeLabel:
+    family = key >> _BIN_BITS
+    return ModeLabel(
+        _SECTORS[family >> 1], _CHIRALITIES[family & 1], (key & _BIN_MASK) - _BIN_OFFSET
+    )
+
+
+class ModeRegister:
+    """Immutable ordered set of modes that expression vectors are indexed by.
+
+    ``labels`` is the tuple of :class:`ModeLabel` in register order (sorted
+    by sector, chirality, bin), derived on first use from the register's key
+    array; ``slots`` finds the positions of modes by a search of the keys.
     """
 
-    __slots__ = ("displacement", "terms")
+    __slots__ = ("keys", "_labels", "_region")
+
+    def __init__(self, labels: Iterable[ModeLabel] = ()):
+        keys = np.unique(np.fromiter((_label_key(lb) for lb in labels), dtype=np.int64))
+        self._set(keys)
+
+    @classmethod
+    def _from_keys(cls, keys: np.ndarray) -> "ModeRegister":
+        """Register over sorted, unique int64 keys (not checked)."""
+        reg = object.__new__(cls)
+        reg._set(keys)
+        return reg
+
+    def _set(self, keys: np.ndarray) -> None:
+        keys.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "_labels", None)
+        object.__setattr__(self, "_region", ...)  # ... = not derived yet
+
+    def __setattr__(self, name, value):  # immutability guard
+        raise AttributeError("ModeRegister is immutable")
+
+    @classmethod
+    def grid(cls, families: Sequence[tuple[Sector, Chirality]], n_bins: int) -> "ModeRegister":
+        """Every (sector, chirality) family of ``families`` at bins 0..n_bins-1."""
+        bins = np.arange(int(n_bins))
+        keys = [_bin_keys(_family(s, c), bins) for s, c in families]
+        return cls._from_keys(np.unique(np.concatenate(keys)) if keys else np.empty(0, np.int64))
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @property
+    def labels(self) -> tuple[ModeLabel, ...]:
+        if self._labels is None:
+            object.__setattr__(self, "_labels", tuple(_key_label(int(k)) for k in self.keys))
+        return self._labels
+
+    def slots(self, sector: Sector, chirality: Chirality, bins) -> np.ndarray:
+        """Register positions of (sector, chirality, b) for each b in ``bins``."""
+        keys = _bin_keys(_family(sector, chirality), bins)
+        pos = np.searchsorted(self.keys, keys)
+        if not _contains(self.keys, keys, pos):
+            raise KeyError(f"register has no {sector.value}/{chirality.value} mode at some of {bins!r}")
+        return pos
+
+    def annihilators(self) -> tuple["OperatorExpr", ...]:
+        """The annihilation operator of each mode, in register order.
+
+        Each is a dense vector over the whole register, so this suits the
+        small registers of hand-built circuits.
+        """
+        n = len(self)
+        unit = np.zeros((n, 2, n), dtype=complex)
+        unit[np.arange(n), 0, np.arange(n)] = 1.0
+        return tuple(OperatorExpr._new(self, 0j, w, 1.0) for w in unit)
+
+    def chirality_mask(self, chirality: Chirality) -> np.ndarray:
+        """Boolean mask of the register's modes with ``chirality``."""
+        return ((self.keys >> _BIN_BITS) & 1) == _CHIRALITY_INDEX[chirality]
+
+    def _region_mask(self) -> np.ndarray | None:
+        """Mask of the Rindler-sector slots, or None when there are none."""
+        if self._region is ...:
+            mask = np.isin(self.keys >> (_BIN_BITS + 1), _RINDLER_INDICES)
+            object.__setattr__(self, "_region", mask if mask.any() else None)
+        return self._region
+
+    def __repr__(self) -> str:
+        return f"ModeRegister({len(self)} modes)"
+
+
+def _contains(keys: np.ndarray, query: np.ndarray, pos: np.ndarray) -> bool:
+    """Whether sorted ``keys`` hold every ``query`` key (``pos`` from searchsorted)."""
+    if not len(query):
+        return True
+    if not len(keys) or pos.max() >= len(keys):
+        return False
+    return bool(np.array_equal(keys[pos], query))
+
+
+def _merge(r1: ModeRegister, r2: ModeRegister):
+    """The union of two registers, with the slots each one's modes take in it.
+
+    Returns ``(register, slots1, slots2)``; a slot array is None where that
+    input already has the union's layout.  A register holding the other one
+    is reused as the union, so repeated mixing does not grow new registers.
+    """
+    if r1 is r2:
+        return r1, None, None
+    k1, k2 = r1.keys, r2.keys
+    if len(k1) < len(k2):
+        reg, s2, s1 = _merge(r2, r1)
+        return reg, s1, s2
+    pos = np.searchsorted(k1, k2)
+    if _contains(k1, k2, pos):
+        return r1, None, (None if len(k1) == len(k2) else pos)
+    keys = np.union1d(k1, k2)
+    return ModeRegister._from_keys(keys), np.searchsorted(keys, k1), np.searchsorted(keys, k2)
+
+
+def _spread(w: np.ndarray, size: int, slots: np.ndarray | None) -> np.ndarray:
+    if slots is None:
+        return w
+    out = np.zeros((2, size), dtype=complex)
+    out[:, slots] = w
+    return out
+
+
+def _finite_displacement(value) -> complex:
+    d = complex(value)
+    if not cmath.isfinite(d):
+        raise ValueError(f"non-finite displacement {d!r}")
+    return d
+
+
+class OperatorExpr:
+    """Affine operator: displacement + coefficient vectors on a mode register.
+
+    ``register`` is the :class:`ModeRegister` the vectors are indexed by;
+    ``u`` holds the annihilator and ``v`` the creator coefficients, as
+    read-only arrays.  ``terms`` is a read-only view
+    ``{(label, is_dagger): coefficient}`` of the coefficients above
+    ``PRUNE_TOL`` in magnitude; smaller ones count as zero everywhere an
+    expression is read, while the vectors carry them as computed.
+    Instances are immutable; every operation returns a new expression, and
+    no expression holds a non-finite coefficient.  ``_peak`` bounds the
+    coefficient magnitudes from above, so that arithmetic proves its result
+    finite without a pass over the vectors while the bound stays below
+    ``_SAFE_PEAK``; beyond it the entries are tested one by one.
+    """
+
+    __slots__ = ("displacement", "register", "_w", "_peak")
 
     def __init__(
         self,
         displacement: complex = 0.0,
         terms: Mapping[tuple[ModeLabel, bool], complex] | None = None,
     ):
-        d = complex(displacement)
-        if not (math.isfinite(d.real) and math.isfinite(d.imag)):
-            raise ValueError(f"non-finite displacement {d!r}")
-        object.__setattr__(self, "displacement", d)
-        pruned: dict[tuple[ModeLabel, bool], complex] = {}
-        if terms:
-            for key, coeff in terms.items():
-                c = complex(coeff)
-                if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                    raise ValueError(f"non-finite coefficient {c!r} for {key[0]!r}")
-                if abs(c) > PRUNE_TOL:
-                    pruned[key] = c
-        object.__setattr__(self, "terms", pruned)
+        d = _finite_displacement(displacement)
+        kept: dict[tuple[ModeLabel, bool], complex] = {}
+        for (label, dag), coeff in (terms or {}).items():
+            c = complex(coeff)
+            if not cmath.isfinite(c):
+                raise ValueError(f"non-finite coefficient {c!r} for {label!r}")
+            kept[(label, bool(dag))] = c
+        peak = max(map(abs, kept.values()), default=0.0)
+        keys = np.fromiter((_label_key(label) for label, _ in kept), dtype=np.int64, count=len(kept))
+        register = ModeRegister._from_keys(np.unique(keys))
+        w = np.zeros((2, len(register)), dtype=complex)
+        if kept:
+            rows = np.fromiter((dag for _, dag in kept), dtype=np.intp, count=len(kept))
+            w[rows, np.searchsorted(register.keys, keys)] = list(kept.values())
+        _set_slots(self, d, register, w, peak)
+
+    @classmethod
+    def _new(cls, register: ModeRegister, d: complex, w: np.ndarray, peak: float) -> "OperatorExpr":
+        """Expression over finite vectors whose magnitudes ``peak`` bounds (not checked).
+
+        ``w`` is owned by the expression and never written again.
+        """
+        expr = object.__new__(cls)
+        _set_slots(expr, d, register, w, peak)
+        return expr
+
+    @classmethod
+    def _checked(
+        cls, register: ModeRegister, d, w: np.ndarray, bound: float = math.inf
+    ) -> "OperatorExpr":
+        """Expression over a fresh ``(2, len(register))`` array.
+
+        ``bound`` is an upper bound on the magnitudes of ``w`` known from how
+        it was computed; below ``_SAFE_PEAK`` it proves them finite, else
+        they are tested and the bound replaced by their maximum.
+        """
+        d = _finite_displacement(d)
+        if not bound <= _SAFE_PEAK:
+            bound = float(np.abs(w).max()) if w.size else 0.0
+            if not math.isfinite(bound):
+                row, slot = np.argwhere(~np.isfinite(w))[0]
+                raise ValueError(
+                    f"non-finite coefficient {complex(w[row, slot])!r} for {register.labels[slot]!r}"
+                )
+        return cls._new(register, d, w, bound)
+
+    @classmethod
+    def from_vectors(
+        cls, register: ModeRegister, u=0.0, v=0.0, displacement: complex = 0.0
+    ) -> "OperatorExpr":
+        """Expression with annihilator coefficients ``u`` and creator
+        coefficients ``v`` on ``register`` (scalars broadcast)."""
+        w = np.empty((2, len(register)), dtype=complex)
+        w[0] = u
+        w[1] = v
+        return cls._checked(register, displacement, w)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("OperatorExpr is immutable")
@@ -150,19 +385,29 @@ class OperatorExpr:
 
     def __add__(self, other):
         if isinstance(other, OperatorExpr):
-            terms = dict(self.terms)
-            for key, c in other.terms.items():
-                terms[key] = terms.get(key, 0.0) + c
-            return OperatorExpr(self.displacement + other.displacement, terms)
-        return OperatorExpr(self.displacement + complex(other), self.terms)
+            reg, w1, w2 = _align(self, other)
+            return OperatorExpr._checked(
+                reg, self.displacement + other.displacement, w1 + w2, self._peak + other._peak
+            )
+        return OperatorExpr._new(
+            self.register,
+            _finite_displacement(self.displacement + complex(other)),
+            self._w,
+            self._peak,
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-1.0) * (other if isinstance(other, OperatorExpr) else complex(other))
+        if isinstance(other, OperatorExpr):
+            reg, w1, w2 = _align(self, other)
+            return OperatorExpr._checked(
+                reg, self.displacement - other.displacement, w1 - w2, self._peak + other._peak
+            )
+        return self + (-complex(other))
 
     def __rsub__(self, other):
-        return (-1.0) * self + complex(other)
+        return (-self) + complex(other)
 
     def __mul__(self, scalar):
         if isinstance(scalar, OperatorExpr):
@@ -170,39 +415,61 @@ class OperatorExpr:
                 "operator products are not expressions; pass a sequence to wick_expectation"
             )
         s = complex(scalar)
-        return OperatorExpr(
-            self.displacement * s, {k: c * s for k, c in self.terms.items()}
+        return OperatorExpr._checked(
+            self.register, self.displacement * s, self._w * s, self._peak * abs(s)
         )
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self * -1.0
+        return OperatorExpr._new(self.register, -self.displacement, -self._w, self._peak)
 
     def dagger(self) -> "OperatorExpr":
-        """Hermitian adjoint: conjugate coefficients, flip dagger flags."""
-        return OperatorExpr(
-            self.displacement.conjugate(),
-            {
-                (label, not dag): c.conjugate()
-                for (label, dag), c in self.terms.items()
-            },
+        """Hermitian adjoint: swap ``u`` and ``v`` and conjugate them."""
+        return OperatorExpr._new(
+            self.register, self.displacement.conjugate(), self._w[::-1].conj(), self._peak
         )
 
     def centered(self) -> "OperatorExpr":
-        """The fluctuation part: same terms, zero displacement."""
-        return OperatorExpr(0.0, self.terms)
+        """The fluctuation part: same coefficients, zero displacement."""
+        return OperatorExpr._new(self.register, 0j, self._w, self._peak)
 
     # -- inspection -------------------------------------------------------
 
+    @property
+    def u(self) -> np.ndarray:
+        return _read_only(self._w[0])
+
+    @property
+    def v(self) -> np.ndarray:
+        return _read_only(self._w[1])
+
+    def _support(self) -> np.ndarray:
+        return _support(self._w)
+
+    @property
+    def terms(self) -> Mapping[tuple[ModeLabel, bool], complex]:
+        labels = self.register.labels
+        rows, slots = np.nonzero(np.abs(self._w) > PRUNE_TOL)
+        return MappingProxyType(
+            {(labels[s], bool(r)): complex(self._w[r, s]) for r, s in zip(rows, slots)}
+        )
+
     def coefficient(self, label: ModeLabel, dagger: bool = False) -> complex:
-        return self.terms.get((label, dagger), 0.0)
+        key = _label_key(label)
+        pos = int(np.searchsorted(self.register.keys, key))
+        if pos < len(self.register) and self.register.keys[pos] == key:
+            c = complex(self._w[int(dagger), pos])
+            if abs(c) > PRUNE_TOL:
+                return c
+        return 0.0
 
     def modes(self) -> frozenset[ModeLabel]:
-        return frozenset(label for (label, _) in self.terms)
+        return frozenset(_key_label(int(k)) for k in self.register.keys[self._support()])
 
     def sectors(self) -> frozenset[Sector]:
-        return frozenset(label.sector for (label, _) in self.terms)
+        families = np.unique(self.register.keys[self._support()] >> (_BIN_BITS + 1))
+        return frozenset(_SECTORS[i] for i in families)
 
     def __repr__(self) -> str:
         parts = []
@@ -214,6 +481,38 @@ class OperatorExpr:
             op = f"{label!r}" + ("†" if dag else "")
             parts.append(f"({c:.6g})·{op}")
         return "OperatorExpr(" + (" + ".join(parts) if parts else "0") + ")"
+
+
+_SLOT_SETTERS = tuple(
+    getattr(OperatorExpr, name).__set__ for name in ("displacement", "register", "_w", "_peak")
+)
+
+
+def _set_slots(expr: OperatorExpr, d, register, w, peak) -> None:
+    set_d, set_register, set_w, set_peak = _SLOT_SETTERS
+    set_d(expr, d)
+    set_register(expr, register)
+    set_w(expr, w)
+    set_peak(expr, peak)
+
+
+def _support(w: np.ndarray) -> np.ndarray:
+    """Boolean mask of the register slots with a coefficient above ``PRUNE_TOL``."""
+    return (np.abs(w) > PRUNE_TOL).any(axis=0)
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
+def _align(e1: OperatorExpr, e2: OperatorExpr) -> tuple[ModeRegister, np.ndarray, np.ndarray]:
+    """Both expressions' coefficient arrays on one shared register."""
+    reg = e1.register
+    if reg is e2.register:
+        return reg, e1._w, e2._w
+    reg, s1, s2 = _merge(reg, e2.register)
+    return reg, _spread(e1._w, len(reg.keys), s1), _spread(e2._w, len(reg.keys), s2)
 
 
 # -- constructors ---------------------------------------------------------
@@ -236,46 +535,31 @@ def mode(sector: Sector, chirality: Chirality, bin_index: int) -> OperatorExpr:
 
 
 def commutator(e1: OperatorExpr, e2: OperatorExpr) -> complex:
-    """[E1, E2] as a c-number (exact for affine expressions).
-
-    [E1, E2] = sum_m (u1_m v2_m - v1_m u2_m) over shared mode labels.
-    """
-    total = 0.0 + 0.0j
-    for (label, dag), c1 in e1.terms.items():
-        if dag:
-            total -= c1 * e2.terms.get((label, False), 0.0)
-        else:
-            total += c1 * e2.terms.get((label, True), 0.0)
-    return total
+    """[E1, E2] as a c-number (exact for affine expressions): u1.v2 - v1.u2."""
+    _, w1, w2 = _align(e1, e2)
+    return complex(w1[0] @ w2[1] - w1[1] @ w2[0])
 
 
 def pair_contraction(e1: OperatorExpr, e2: OperatorExpr) -> complex:
     """Connected vacuum pairing <F1 F2> of the fluctuation parts.
 
-    Only <a_m a_m^dagger> = 1 survives in the vacuum, so this is
-    sum_m u1_m * v2_m.  Displacements are ignored.
+    Only <a_m a_m^dagger> = 1 survives in the vacuum, so this is u1.v2.
+    Displacements are ignored.
     """
-    total = 0.0 + 0.0j
-    if len(e1.terms) <= len(e2.terms):
-        for (label, dag), c1 in e1.terms.items():
-            if not dag:
-                total += c1 * e2.terms.get((label, True), 0.0)
-    else:
-        for (label, dag), c2 in e2.terms.items():
-            if dag:
-                total += e1.terms.get((label, False), 0.0) * c2
-    return total
+    _, w1, w2 = _align(e1, e2)
+    return complex(w1[0] @ w2[1])
 
 
 def _reject_non_vacuum(product: Iterable[OperatorExpr]) -> None:
     for expr in product:
-        bad = expr.sectors() & _RINDLER_SECTORS
-        if bad:
-            names = ", ".join(sorted(s.value for s in bad))
-            raise ValueError(
-                f"expectation over non-vacuum sectors [{names}]: rewrite with "
-                "rindler_to_unruh before taking vacuum expectation values"
-            )
+        region = expr.register._region_mask()
+        if region is None or not expr._support()[region].any():
+            continue
+        names = ", ".join(sorted(s.value for s in expr.sectors() & _RINDLER_SECTORS))
+        raise ValueError(
+            f"expectation over non-vacuum sectors [{names}]: rewrite with "
+            "rindler_to_unruh before taking vacuum expectation values"
+        )
 
 
 def wick_expectation(product: Sequence[OperatorExpr]) -> complex:
@@ -328,6 +612,12 @@ def displace(expr: OperatorExpr, alpha: complex) -> OperatorExpr:
     return expr + complex(alpha)
 
 
+def _shared_modes(e1: OperatorExpr, e2: OperatorExpr) -> list[ModeLabel]:
+    """Labels on which both expressions have a coefficient above ``PRUNE_TOL``."""
+    reg, w1, w2 = _align(e1, e2)
+    return [_key_label(int(k)) for k in reg.keys[_support(w1) & _support(w2)]]
+
+
 def two_mode_squeeze(
     a1: OperatorExpr, a2: OperatorExpr, r: float, phase: float = 0.0
 ) -> tuple[OperatorExpr, OperatorExpr]:
@@ -339,7 +629,7 @@ def two_mode_squeeze(
     """
     if not math.isfinite(r):
         raise ValueError(f"squeezing strength must be finite, got {r}")
-    shared = a1.modes() & a2.modes()
+    shared = _shared_modes(a1, a2)
     if shared:
         raise ValueError(f"two_mode_squeeze inputs share mode labels: {sorted(map(repr, shared))}")
     ch = math.cosh(r)
@@ -373,6 +663,14 @@ def beam_splitter(
 
 # -- region -> vacuum-family rewriting -------------------------------------
 
+
+def _rule_table(pick) -> np.ndarray:
+    table = np.full(len(_SECTORS), -1, dtype=np.int64)
+    for region, rule in _REGION_RULES.items():
+        table[_SECTOR_INDEX[region]] = pick(rule)
+    return table
+
+
 _REGION_RULES: dict[Sector, tuple[Chirality, Sector, Sector]] = {
     # region: (required chirality, family of the direct term, family of the dagger term)
     Sector.RINDLER_IV: (Chirality.LEFT, Sector.UNRUH_C, Sector.UNRUH_D),
@@ -380,6 +678,10 @@ _REGION_RULES: dict[Sector, tuple[Chirality, Sector, Sector]] = {
     Sector.RINDLER_III: (Chirality.RIGHT, Sector.UNRUH_C, Sector.UNRUH_D),
     Sector.RINDLER_I: (Chirality.RIGHT, Sector.UNRUH_D, Sector.UNRUH_C),
 }
+# The rules as arrays over sector index (-1 outside the four regions).
+_REQUIRED_CHIRALITY = _rule_table(lambda rule: _CHIRALITY_INDEX[rule[0]])
+_DIRECT_SECTOR = _rule_table(lambda rule: _SECTOR_INDEX[rule[1]])
+_PARTNER_SECTOR = _rule_table(lambda rule: _SECTOR_INDEX[rule[2]])
 
 
 def rindler_to_unruh(expr: OperatorExpr, a: float, grid: np.ndarray) -> OperatorExpr:
@@ -390,36 +692,58 @@ def rindler_to_unruh(expr: OperatorExpr, a: float, grid: np.ndarray) -> Operator
     family op)^dagger per the table in the module docstring, with
     (ch, sh) = (cosh, sinh) of the acceleration squeezing parameter at
     acceleration ``a``.  Non-region labels pass through unchanged.
+
+    One vectorized pass over the register: (ch, sh) is evaluated once on
+    the whole grid, and the result lives on the register of the images.
+    Chirality and bin range are checked for every region label carrying a
+    non-zero coefficient.
     """
     freqs = np.asarray(grid, dtype=float)
     if freqs.ndim != 1 or len(freqs) == 0:
         raise ValueError("grid must be a non-empty 1-D array of bin frequencies")
-    acc: dict[tuple[ModeLabel, bool], complex] = {}
+    reg = expr.register
+    region = reg._region_mask()
+    if region is None:
+        return expr
+    keys = reg.keys
+    family = keys >> _BIN_BITS
+    sector = family >> 1
+    chirality = family & 1
+    bins = (keys & _BIN_MASK) - _BIN_OFFSET
+    support = expr._support()
 
-    def _bump(key: tuple[ModeLabel, bool], value: complex) -> None:
-        acc[key] = acc.get(key, 0.0) + value
+    wrong = region & (chirality != _REQUIRED_CHIRALITY[sector])
+    hit = np.flatnonzero(wrong & support)
+    if len(hit):
+        label = _key_label(int(keys[hit[0]]))
+        required = _REGION_RULES[label.sector][0]
+        raise ValueError(
+            f"label {label!r} has chirality {label.chirality.value} but region "
+            f"{label.sector.value} holds {required.value}-movers; no mapping exists"
+        )
+    outside = region & ~wrong & ((bins < 0) | (bins >= len(freqs)))
+    hit = np.flatnonzero(outside & support)
+    if len(hit):
+        label = _key_label(int(keys[hit[0]]))
+        raise ValueError(f"label {label!r} has no grid coefficient (grid holds {len(freqs)} bins)")
 
-    for (label, dag), coeff in expr.terms.items():
-        if label.sector not in _RINDLER_SECTORS:
-            _bump((label, dag), coeff)
-            continue
-        required, direct_family, partner_family = _REGION_RULES[label.sector]
-        if label.chirality is not required:
-            raise ValueError(
-                f"label {label!r} has chirality {label.chirality.value} but region "
-                f"{label.sector.value} holds {required.value}-movers; no mapping exists"
-            )
-        if not (0 <= label.bin < len(freqs)):
-            raise ValueError(
-                f"label {label!r} has no grid coefficient (grid holds {len(freqs)} bins)"
-            )
-        ch, sh = unruh_cosh_sinh(float(freqs[label.bin]), a)
-        direct = ModeLabel(direct_family, label.chirality, label.bin)
-        partner = ModeLabel(partner_family, label.chirality, label.bin)
-        if dag:  # image of b^dagger is the adjoint of the image of b
-            _bump((direct, True), coeff * ch)
-            _bump((partner, False), coeff * sh)
-        else:
-            _bump((direct, False), coeff * ch)
-            _bump((partner, True), coeff * sh)
-    return OperatorExpr(expr.displacement, acc)
+    mapped = region & ~wrong & ~outside
+    passing = ~region
+    ch_grid, sh_grid = unruh_cosh_sinh(freqs, a)
+    b = bins[mapped]
+    ch, sh = ch_grid[b], sh_grid[b]
+    u, v = expr._w[0, mapped], expr._w[1, mapped]
+    low = keys[mapped] & _BIN_MASK
+    direct = ((2 * _DIRECT_SECTOR[sector[mapped]] + chirality[mapped]) << _BIN_BITS) | low
+    partner = ((2 * _PARTNER_SECTOR[sector[mapped]] + chirality[mapped]) << _BIN_BITS) | low
+    # Image of b is ch * direct + sh * partner^dagger; that of b^dagger is its adjoint.
+    all_keys = np.concatenate([keys[passing], direct, partner])
+    all_u = np.concatenate([expr._w[0, passing], u * ch, v * sh])
+    all_v = np.concatenate([expr._w[1, passing], v * ch, u * sh])
+    out_keys, slot = np.unique(all_keys, return_inverse=True)
+    n = len(out_keys)
+    w = np.empty((2, n), dtype=complex)
+    for row, values in ((0, all_u), (1, all_v)):
+        w[row].real = np.bincount(slot, values.real, n)
+        w[row].imag = np.bincount(slot, values.imag, n)
+    return OperatorExpr._checked(ModeRegister._from_keys(out_keys), expr.displacement, w)

@@ -21,9 +21,13 @@ closed-form integrals they validate:
    the next window no longer moves the simulated moments, up to a fixed
    limit on the state's size.
 
-Scaling notes: expressions carry O(N) terms for N bins, variance assembly
-is O(N), and the quartic contractions are O(N) per Wick pairing, so the
-default N = 256..1024 grids stay interactive.  A Fock window of cutoff C
+Scaling notes: the 3N region wires of an N-bin circuit share one mode
+register, and every output operator lives on the register of the 4N
+vacuum-family modes, so each gate, commutator and Wick pairing is a few
+O(N) vector operations and the region-to-family rewrite is one vectorized
+pass.  The commutator audit samples a fixed number of pairs, so building a
+circuit and its LO variance takes a fixed number of such operations: a few
+milliseconds at the default N = 256..1024 grids.  A Fock window of cutoff C
 holds (C + 1)**3 real amplitudes and costs O(C**4) operations.
 """
 
@@ -40,6 +44,7 @@ from scipy.linalg import eigh_tridiagonal
 from .mode_algebra import (
     Chirality,
     ModeLabel,
+    ModeRegister,
     OperatorExpr,
     Sector,
     annihilator,
@@ -103,9 +108,9 @@ class TruncationError(RuntimeError):
 class DiscretizedCircuit:
     """Binned protocol instance plus its composed output algebra.
 
-    ``circuit`` records the ordered gate actions; ``wire_delta`` is the
-    fluctuation change of the wavepacket wire (vacuum-family basis), from
-    which every per-bin output operator follows:
+    ``wire_delta`` is the fluctuation change of the wavepacket wire, on the
+    register of the four vacuum families (c, d) x (left, right) over the
+    grid's bins, from which every per-bin output operator follows:
 
         c_out[i] = c_i + g_i ch_i * wire_delta
         d_out[i] = d_i - g_i sh_i * wire_delta^dagger
@@ -126,9 +131,7 @@ class DiscretizedCircuit:
     g: np.ndarray
     ch: np.ndarray
     sh: np.ndarray
-    circuit: tuple
     wire_delta: OperatorExpr
-    wire_delta_dag: OperatorExpr
     disp_gain: complex
     commutator_audit_max: float
 
@@ -152,14 +155,24 @@ class DiscretizedCircuit:
         """Output operator of left-mover family-d bin ``i`` (LO amplitude alpha)."""
         scale = -float(self.g[i] * self.sh[i])
         shift = scale * (self.disp_gain * (complex(alpha) + self.beta)).conjugate()
-        return annihilator(self.d_label(i)) + self.wire_delta_dag * scale + shift
+        return annihilator(self.d_label(i)) + self.wire_delta.dagger() * scale + shift
 
 
-def _packet_wire(sector: Sector, chirality: Chirality, g: np.ndarray) -> OperatorExpr:
-    return OperatorExpr(
-        0.0,
-        {(ModeLabel(sector, chirality, i), False): float(gi) for i, gi in enumerate(g)},
-    )
+#: The region wires of the protocol: the wavepacket left-mover, and the two
+#: right-mover wires it consumes (amplifier idler and beam-splitter port).
+_WIRE_FAMILIES = (
+    (Sector.RINDLER_IV, Chirality.LEFT),
+    (Sector.RINDLER_III, Chirality.RIGHT),
+    (Sector.RINDLER_I, Chirality.RIGHT),
+)
+
+
+def _packet_wire(
+    register: ModeRegister, sector: Sector, chirality: Chirality, g: np.ndarray
+) -> OperatorExpr:
+    u = np.zeros(len(register))
+    u[register.slots(sector, chirality, np.arange(len(g)))] = g
+    return OperatorExpr.from_vectors(register, u)
 
 
 def _resolve_grid(wp: WavepacketSpec, grid) -> tuple[np.ndarray, float]:
@@ -207,32 +220,22 @@ def _build_circuit(
     g = g / norm
     ch, sh = unruh_cosh_sinh(centers, a)
 
-    # Region wires: the wavepacket left-mover plus the two right-mover wires
-    # the protocol consumes (amplifier idler and beam-splitter port).
-    wire_in = _packet_wire(Sector.RINDLER_IV, Chirality.LEFT, g)
-    idler = _packet_wire(Sector.RINDLER_III, Chirality.RIGHT, g)
-    port = _packet_wire(Sector.RINDLER_I, Chirality.RIGHT, g)
+    # Every region wire lives on one register, so each gate below is a
+    # handful of vector operations.
+    register = ModeRegister.grid(_WIRE_FAMILIES, len(centers))
+    wire_in, idler, port = (_packet_wire(register, s, c, g) for s, c in _WIRE_FAMILIES)
 
-    actions: list[tuple] = []
     wire = wire_in
     if r_s != 0.0:
         wire = single_mode_squeeze(wire, r_s)
-        actions.append(("single_mode_squeeze", float(r_s)))
     # Unit displacement probe: the measured output displacement is then the
     # channel's displacement gain, applied later to the physical alpha+beta.
     wire = displace(wire, 1.0)
-    actions.append(("displace", "alpha+beta"))
     wire, idler_out = two_mode_squeeze(wire, idler, r_channel)
-    actions.append(("two_mode_squeeze", float(r_channel)))
     eta = 1.0 / math.cosh(r_channel) ** 2
     wire, port_out = beam_splitter(wire, port, eta)
-    actions.append(("beam_splitter", eta))
 
     delta_expr = wire - wire_in
-    disp_gain = delta_expr.displacement
-    wire_delta = rindler_to_unruh(delta_expr.centered(), a, centers)
-    wire_delta_dag = wire_delta.dagger()
-
     circ = DiscretizedCircuit(
         scenario=scenario,
         a=float(a),
@@ -246,10 +249,8 @@ def _build_circuit(
         g=g,
         ch=ch,
         sh=sh,
-        circuit=tuple(actions),
-        wire_delta=wire_delta,
-        wire_delta_dag=wire_delta_dag,
-        disp_gain=disp_gain,
+        wire_delta=rindler_to_unruh(delta_expr.centered(), a, centers),
+        disp_gain=delta_expr.displacement,
         commutator_audit_max=0.0,
     )
     circ.commutator_audit_max = _audit_commutators(circ, wire, idler_out, port_out, centers)
@@ -268,10 +269,10 @@ def _comm_scale(e1: OperatorExpr, e2: OperatorExpr) -> float:
     from cancelling products of size ``M**2``; float error must be judged
     relative to that scale, not absolutely (strong-gain branches carry
     cosh(r) ~ 1e6 coefficients whose canonical cancellation is exact only in
-    real arithmetic).
+    real arithmetic).  The scale is the product of the two expressions'
+    coefficient-vector norms.
     """
-    n1 = sum(abs(c) ** 2 for c in e1.terms.values())
-    n2 = sum(abs(c) ** 2 for c in e2.terms.values())
+    n1, n2 = (np.vdot(e.u, e.u).real + np.vdot(e.v, e.v).real for e in (e1, e2))
     return max(1.0, math.sqrt(n1 * n2))
 
 
@@ -296,10 +297,11 @@ def _audit_commutators(
             worst = max(worst, check(e1, e2.dagger(), expected))
     n = circ.n_bins
     sample = sorted({0, n // 2, n - 1})
+    c_out = {i: circ.c_out(i) for i in sample}
+    d_out = {i: circ.d_out(i) for i in sample}
     for i in sample:
         for j in sample:
-            ci, cj = circ.c_out(i), circ.c_out(j)
-            di, dj = circ.d_out(i), circ.d_out(j)
+            ci, cj, di, dj = c_out[i], c_out[j], d_out[i], d_out[j]
             delta_ij = 1.0 if i == j else 0.0
             worst = max(worst, check(ci, cj.dagger(), delta_ij))
             worst = max(worst, check(di, dj.dagger(), delta_ij))
@@ -373,17 +375,18 @@ def _lo_field(circ: DiscretizedCircuit, phi: float) -> tuple[OperatorExpr, float
     lo_c = cmath.exp(1j * phi) * circ.disp_gain * (circ.g * circ.ch)
     lo_d = -cmath.exp(-1j * phi) * circ.disp_gain.conjugate() * (circ.g * circ.sh)
     n0 = float(np.sum(np.abs(lo_c) ** 2) + np.sum(np.abs(lo_d) ** 2))
-    terms: dict[tuple[ModeLabel, bool], complex] = {}
-    for i in range(circ.n_bins):
-        cl, dl = circ.c_label(i), circ.d_label(i)
-        terms[(cl, False)] = lo_c[i].conjugate()
-        terms[(cl, True)] = lo_c[i]
-        terms[(dl, False)] = lo_d[i].conjugate()
-        terms[(dl, True)] = lo_d[i]
-    bare = OperatorExpr(0.0, terms)
+    register = circ.wire_delta.register  # the 4N vacuum-family modes
+    bins = np.arange(circ.n_bins)
+    c_slots = register.slots(Sector.UNRUH_C, Chirality.LEFT, bins)
+    d_slots = register.slots(Sector.UNRUH_D, Chirality.LEFT, bins)
+    bare_u = np.zeros(len(register), dtype=complex)
+    bare_v = np.zeros(len(register), dtype=complex)
+    bare_u[c_slots], bare_v[c_slots] = lo_c.conjugate(), lo_c
+    bare_u[d_slots], bare_v[d_slots] = lo_d.conjugate(), lo_d
+    bare = OperatorExpr.from_vectors(register, bare_u, bare_v)
     u = complex(np.sum(lo_c.conjugate() * circ.g * circ.ch) - np.sum(lo_d * circ.g * circ.sh))
     v = complex(np.sum(lo_c * circ.g * circ.ch) - np.sum(lo_d.conjugate() * circ.g * circ.sh))
-    field = bare + u * circ.wire_delta + v * circ.wire_delta_dag
+    field = bare + u * circ.wire_delta + v * circ.wire_delta.dagger()
     return field, n0
 
 
@@ -397,16 +400,9 @@ def _variance_parts(circ: DiscretizedCircuit, phi: float) -> tuple[float, float]
     families never share a label.
     """
     field, n0 = _lo_field(circ, phi)
-    left_terms = {}
-    right_terms = {}
-    for key, coeff in field.terms.items():
-        (label, _) = key
-        if label.chirality is Chirality.LEFT:
-            left_terms[key] = coeff
-        else:
-            right_terms[key] = coeff
-    f_left = OperatorExpr(0.0, left_terms)
-    f_right = OperatorExpr(0.0, right_terms)
+    left = field.register.chirality_mask(Chirality.LEFT)
+    f_left = OperatorExpr.from_vectors(field.register, field.u * left, field.v * left)
+    f_right = OperatorExpr.from_vectors(field.register, field.u * ~left, field.v * ~left)
     payload = pair_contraction(f_left, f_left).real / n0
     thermal = pair_contraction(f_right, f_right).real / n0
     total_direct = pair_contraction(field, field).real / n0

@@ -211,7 +211,7 @@ def _build_edges(lo: float, hi: float, omega0: float, sigma: float, n_linear: in
     panels cover the Gaussian bulk.
     """
     bulk_lo = omega0 - 8.0 * sigma
-    if lo >= bulk_lo:  # no clipping: plain uniform panels
+    if lo <= bulk_lo:  # no clipping: plain uniform panels
         return np.linspace(lo, hi, n_linear + 1)
     breakpoint_ = min(sigma, 0.25 * hi)
     breakpoint_ = max(breakpoint_, lo * 10.0)

@@ -32,16 +32,16 @@ from dataclasses import dataclass
 
 from .mode_algebra import (
     Chirality,
+    ModeLabel,
+    ModeRegister,
     OperatorExpr,
     Sector,
     beam_splitter,
-    mode,
     two_mode_squeeze,
 )
 from .spectral import WavepacketSpec, spectral_integrals, squeeze_param
 
 __all__ = [
-    "ScenarioParams",
     "VarianceReport",
     "conformal_residual",
     "delta_decoherence",
@@ -50,23 +50,6 @@ __all__ = [
     "narrowband_variance",
     "squeezed_variance",
 ]
-
-
-@dataclass(frozen=True)
-class ScenarioParams:
-    """One protocol configuration.
-
-    ``r_s = 0`` is the coherent-state (displaced) scenario; ``r_s > 0``
-    teleports a squeezed payload and makes the output variance depend on
-    the local-oscillator phase ``phi``.  ``channel_gain_r = inf`` selects
-    the strong-amplification limit the closed forms describe.
-    """
-
-    a: float
-    wavepacket: WavepacketSpec
-    r_s: float = 0.0
-    phi: float = 0.0
-    channel_gain_r: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -172,6 +155,10 @@ def conformal_residual(a: float, wp: WavepacketSpec) -> float:
 
 # -- single-frequency (inertial) protocol circuit --------------------------
 
+#: Input mode a_in and resource vacuum modes v1, v2 of the single-frequency
+#: protocol, on one register so that every gate is a vector operation.
+_INERTIAL_MODES = ModeRegister(ModeLabel(Sector.AUX, Chirality.LEFT, i) for i in range(3))
+
 
 def inertial_teleport_output(r: float, r_omega: float) -> OperatorExpr:
     """Output mode of the single-frequency all-optical teleporter.
@@ -192,9 +179,7 @@ def inertial_teleport_output(r: float, r_omega: float) -> OperatorExpr:
         raise ValueError(f"amplifier gain must be non-negative, got {r}")
     if not math.isfinite(r_omega) or r_omega < 0:
         raise ValueError(f"resource squeezing must be finite and non-negative, got {r_omega}")
-    a_in = mode(Sector.AUX, Chirality.LEFT, 0)
-    v1 = mode(Sector.AUX, Chirality.LEFT, 1)
-    v2 = mode(Sector.AUX, Chirality.LEFT, 2)
+    a_in, v1, v2 = _INERTIAL_MODES.annihilators()
     res_i, res_j = two_mode_squeeze(v1, v2, r_omega)
     if math.isinf(r):
         return a_in + res_i.dagger() - res_j

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from rindler_teleport import (
     Chirality,
     ModeLabel,
+    ModeRegister,
     OperatorExpr,
     Sector,
     beam_splitter,
@@ -28,10 +29,11 @@ from rindler_teleport import (
     unruh_cosh_sinh,
     wick_expectation,
 )
-from rindler_teleport.mode_algebra import pair_contraction
+from rindler_teleport.mode_algebra import PRUNE_TOL, pair_contraction
 
 A_LBL = ModeLabel(Sector.AUX, Chirality.LEFT, 0)
 B_LBL = ModeLabel(Sector.AUX, Chirality.LEFT, 1)
+C_LBL = ModeLabel(Sector.AUX, Chirality.LEFT, 2)
 
 
 def aux(i: int) -> OperatorExpr:
@@ -262,3 +264,101 @@ class TestRegionMap:
         centers = np.array([1.0])
         with pytest.raises(ValueError):
             rindler_to_unruh(mode(Sector.RINDLER_IV, Chirality.LEFT, 3), 1.0, centers)
+
+
+class TestRegisters:
+    """Expressions on different registers meet on the union of the two."""
+
+    def mixed_pair(self):
+        # e1 on {A, B} from a term map, e2 on {B, C} from a register's modes.
+        e1 = OperatorExpr(0.5, {(A_LBL, False): 2.0, (B_LBL, True): 1.0 - 0.5j})
+        b, c = ModeRegister([B_LBL, C_LBL]).annihilators()
+        e2 = 3j * b + 0.25 * b.dagger() - c.dagger() + 1.0
+        return e1, e2
+
+    def test_register_order_and_index(self):
+        reg = ModeRegister([C_LBL, A_LBL, ModeLabel(Sector.UNRUH_C, Chirality.RIGHT, 4)])
+        assert reg.labels == (ModeLabel(Sector.UNRUH_C, Chirality.RIGHT, 4), A_LBL, C_LBL)
+        assert list(reg.slots(Sector.AUX, Chirality.LEFT, [2, 0])) == [2, 1]
+        with pytest.raises(KeyError):
+            reg.slots(Sector.AUX, Chirality.LEFT, [1])
+        with pytest.raises(AttributeError):
+            reg.keys = None
+
+    def test_mixed_sum(self):
+        e1, e2 = self.mixed_pair()
+        total = e1 + e2
+        assert total.register.labels == (A_LBL, B_LBL, C_LBL)
+        assert total.displacement == 1.5
+        assert total.terms == {
+            (A_LBL, False): 2.0,
+            (B_LBL, False): 3j,
+            (B_LBL, True): 1.25 - 0.5j,
+            (C_LBL, True): -1.0,
+        }
+        assert (e1 - e2).terms == {
+            (A_LBL, False): 2.0,
+            (B_LBL, False): -3j,
+            (B_LBL, True): 0.75 - 0.5j,
+            (C_LBL, True): 1.0,
+        }
+        assert e1.register.labels == (A_LBL, B_LBL)  # inputs untouched
+
+    def test_mixed_commutator_and_pairing(self):
+        e1, e2 = self.mixed_pair()
+        # Only B is shared: [e1, e2] = -v1_B u2_B = -(1 - 0.5j) * 3j.
+        assert commutator(e1, e2) == pytest.approx(-1.5 - 3j, abs=1e-15)
+        assert commutator(e2, e1) == pytest.approx(1.5 + 3j, abs=1e-15)
+        assert pair_contraction(e1, e2) == 0.0
+        assert pair_contraction(e2, e1) == pytest.approx(3j * (1.0 - 0.5j), abs=1e-15)
+        assert wick_expectation([e2, e1]) == pytest.approx(0.5 + 1.5 + 3j, abs=1e-15)
+        # <e1 e2 e1 e2>: displacements (0.5, 1, 0.5, 1); the non-zero pairings
+        # are p23 = <e2 e1> = 1.5 + 3j and p24 = <e2 e2> = 3j * 0.25.
+        p23, p24 = 1.5 + 3j, 0.75j
+        expected = 0.5 * 1.0 * 0.5 * 1.0 + 0.5 * 0.5 * p24 + 0.5 * 1.0 * p23
+        assert wick_expectation([e1, e2, e1, e2]) == pytest.approx(expected, abs=1e-14)
+
+    def test_contained_register_is_reused(self):
+        e1, _ = self.mixed_pair()
+        assert (e1 + 2.0 * mode(Sector.AUX, Chirality.LEFT, 0)).register is e1.register
+        assert (mode(Sector.AUX, Chirality.LEFT, 1) + e1).register is e1.register
+
+
+class TestPruning:
+    """Coefficients at or below PRUNE_TOL count as absent wherever read."""
+
+    REGION = ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0)
+
+    @pytest.mark.parametrize("tiny", [1e-16, PRUNE_TOL])
+    def test_tiny_region_coefficient_hidden(self, tiny):
+        e = OperatorExpr(0.0, {(A_LBL, False): 1.0, (self.REGION, True): tiny})
+        assert e.terms == {(A_LBL, False): 1.0}
+        assert e.modes() == frozenset({A_LBL})
+        assert e.sectors() == frozenset({Sector.AUX})
+        assert e.coefficient(self.REGION, dagger=True) == 0.0
+        assert wick_expectation([e, e.dagger()]) == pytest.approx(1.0)
+
+    def test_tiny_region_coefficient_from_arithmetic_hidden(self):
+        b4 = mode(Sector.RINDLER_IV, Chirality.LEFT, 0)
+        hidden = aux(0) + 1e-16 * b4
+        assert hidden.modes() == frozenset({A_LBL})
+        assert wick_expectation([hidden, hidden.dagger()]) == pytest.approx(1.0)
+        visible = aux(0) + 1e-14 * b4
+        assert visible.modes() == frozenset({A_LBL, self.REGION})
+        with pytest.raises(ValueError, match="rindler_iv"):
+            wick_expectation([visible, visible.dagger()])
+
+    def test_shared_label_check_over_non_pruned_support(self):
+        a, b = aux(0), aux(1)
+        out1, out2 = two_mode_squeeze(a + 1e-16 * b, b, 0.5)
+        assert commutator(out1, out2) == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(ValueError, match="share mode labels"):
+            two_mode_squeeze(a + 1e-14 * b, b, 0.5)
+
+    def test_pruned_region_label_skips_region_checks(self):
+        # A wrong-chirality region label carrying only a pruned coefficient
+        # is not mapped and raises nothing, as if absent.
+        wrong = ModeLabel(Sector.RINDLER_IV, Chirality.RIGHT, 0)
+        e = OperatorExpr(0.0, {(A_LBL, False): 1.0, (wrong, False): 1e-16})
+        out = rindler_to_unruh(e, 1.0, np.array([1.0]))
+        assert out.terms == {(A_LBL, False): 1.0}

@@ -67,6 +67,27 @@ class TestCircuitBuild:
         with pytest.raises(ValueError):
             build_displaced_circuit(1.0, wp_standard, 2)
 
+    def test_audit_fires_on_non_canonical_wire(self, monkeypatch, wp_standard):
+        from rindler_teleport import oracle
+
+        honest_splitter = oracle.beam_splitter
+        honest_audit = oracle._audit_commutators
+        seen = []
+
+        def leaky_splitter(a1, a2, eta):
+            out1, out2 = honest_splitter(a1, a2, eta)
+            return 1.01 * out1, out2
+
+        def recorded_audit(*args):
+            seen.append(honest_audit(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(oracle, "beam_splitter", leaky_splitter)
+        monkeypatch.setattr(oracle, "_audit_commutators", recorded_audit)
+        with pytest.raises(OracleConvergenceError, match="broke canonical commutators"):
+            build_displaced_circuit(1.0, wp_standard, 64)
+        assert len(seen) == 1 and seen[0] > 1e-10
+
     def test_refine_doubles(self, wp_standard):
         base = build_displaced_circuit(1.0, wp_standard, 64)
         fine = refine_circuit(base)

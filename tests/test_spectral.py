@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rindler_teleport import (
     SpectralConvergenceError,
+    displaced_variance,
     make_wavepacket,
     spectral_integrals,
     squeeze_param,
@@ -138,3 +139,46 @@ class TestSpectralIntegrals:
         wp = make_wavepacket(1.0, 0.05)
         with pytest.raises(ValueError):
             spectral_integrals(wp, -1.0)
+
+
+def _quad_thermal_parts(omega0: float, sigma: float, a: float) -> tuple[float, float, float]:
+    """(i_c, i_s, i_cs) by adaptive quadrature over the wavepacket's window.
+
+    Integrates in log-frequency, where the 1/omega infrared tail of a
+    clipped window is flat, independently of the package's panels.
+    """
+    from scipy.integrate import quad
+
+    lo = max(1e-12 * omega0, omega0 - 8.0 * sigma)
+    hi = omega0 + 8.0 * sigma
+
+    def integral(f):
+        def integrand(t):
+            w = math.exp(t)
+            return w * math.exp(-((w - omega0) ** 2) / (2.0 * sigma**2)) * f(math.pi * w / a)
+
+        return quad(integrand, math.log(lo), math.log(hi), points=[math.log(omega0)],
+                    limit=500, epsabs=0.0, epsrel=1e-13)[0]
+
+    norm = integral(lambda x: 1.0)
+    i_c = integral(lambda x: 1.0 / -math.expm1(-2.0 * x)) / norm
+    i_s = integral(lambda x: math.exp(-2.0 * x) / -math.expm1(-2.0 * x)) / norm
+    i_cs = integral(lambda x: math.tanh(0.5 * x)) / norm
+    return i_c, i_s, i_cs
+
+
+class TestClippedWavepackets:
+    """Packets wider than omega0/8 reach the infrared cutoff; the geometric
+    ladder of panels below the bulk must resolve their 1/omega tail."""
+
+    @pytest.mark.parametrize(
+        "omega0, sigma, a", [(1.3, 0.4, 1.0), (1.0, 0.5, 1.0), (2.0, 0.5, 0.3), (0.8, 0.2, 5.0)]
+    )
+    def test_displaced_variance_matches_quadrature(self, omega0, sigma, a):
+        wp = make_wavepacket(omega0, sigma)
+        assert wp.window[0] > omega0 - 8.0 * sigma  # clipped
+        i_c, i_s, i_cs = _quad_thermal_parts(omega0, sigma, a)
+        rep = displaced_variance(a, wp)
+        thermal = 2.0 * i_cs * (i_c + i_s)
+        assert rep.thermal_noise == pytest.approx(thermal, rel=1e-12)
+        assert rep.total == pytest.approx(thermal + 1.0, rel=1e-12)
