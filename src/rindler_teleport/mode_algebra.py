@@ -185,8 +185,7 @@ class ModeRegister:
     __slots__ = ("keys", "_labels", "_region")
 
     def __init__(self, labels: Iterable[ModeLabel] = ()):
-        keys = np.unique(np.fromiter((_label_key(lb) for lb in labels), dtype=np.int64))
-        self._set(keys)
+        self._set(_sorted_unique(np.fromiter((_label_key(lb) for lb in labels), dtype=np.int64)))
 
     @classmethod
     def _from_keys(cls, keys: np.ndarray) -> "ModeRegister":
@@ -209,7 +208,7 @@ class ModeRegister:
         """Every (sector, chirality) family of ``families`` at bins 0..n_bins-1."""
         bins = np.arange(int(n_bins))
         keys = [_bin_keys(_family(s, c), bins) for s, c in families]
-        return cls._from_keys(np.unique(np.concatenate(keys)) if keys else np.empty(0, np.int64))
+        return cls._from_keys(_sorted_unique(np.concatenate(keys)) if keys else np.empty(0, np.int64))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -254,6 +253,12 @@ class ModeRegister:
         return f"ModeRegister({len(self)} modes)"
 
 
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys (a plain sort: ``np.unique`` hashes, which is slower here)."""
+    keys = np.sort(keys)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
 def _contains(keys: np.ndarray, query: np.ndarray, pos: np.ndarray) -> bool:
     """Whether sorted ``keys`` hold every ``query`` key (``pos`` from searchsorted)."""
     if not len(query):
@@ -270,16 +275,16 @@ def _merge(r1: ModeRegister, r2: ModeRegister):
     input already has the union's layout.  A register holding the other one
     is reused as the union, so repeated mixing does not grow new registers.
     """
-    if r1 is r2:
-        return r1, None, None
     k1, k2 = r1.keys, r2.keys
+    if r1 is r2 or (len(k1) == len(k2) and np.array_equal(k1, k2)):
+        return r1, None, None
     if len(k1) < len(k2):
         reg, s2, s1 = _merge(r2, r1)
         return reg, s1, s2
     pos = np.searchsorted(k1, k2)
     if _contains(k1, k2, pos):
-        return r1, None, (None if len(k1) == len(k2) else pos)
-    keys = np.union1d(k1, k2)
+        return r1, None, pos
+    keys = _sorted_unique(np.concatenate((k1, k2)))
     return ModeRegister._from_keys(keys), np.searchsorted(keys, k1), np.searchsorted(keys, k2)
 
 
@@ -330,7 +335,7 @@ class OperatorExpr:
             kept[(label, bool(dag))] = c
         peak = max(map(abs, kept.values()), default=0.0)
         keys = np.fromiter((_label_key(label) for label, _ in kept), dtype=np.int64, count=len(kept))
-        register = ModeRegister._from_keys(np.unique(keys))
+        register = ModeRegister._from_keys(_sorted_unique(keys))
         w = np.zeros((2, len(register)), dtype=complex)
         if kept:
             rows = np.fromiter((dag for _, dag in kept), dtype=np.intp, count=len(kept))
