@@ -180,6 +180,7 @@ class ModeRegister:
     ``labels`` is the tuple of :class:`ModeLabel` in register order (sorted
     by sector, chirality, bin), derived on first use from the register's key
     array; ``slots`` finds the positions of modes by a search of the keys.
+    Bins must lie in [-2**39, 2**39).
     """
 
     __slots__ = ("keys", "_labels", "_region")
@@ -208,7 +209,7 @@ class ModeRegister:
         """Every (sector, chirality) family of ``families`` at bins 0..n_bins-1."""
         bins = np.arange(int(n_bins))
         keys = [_bin_keys(_family(s, c), bins) for s, c in families]
-        return cls._from_keys(_sorted_unique(np.concatenate(keys)) if keys else np.empty(0, np.int64))
+        return cls._from_keys(_sorted_unique(np.concatenate([np.empty(0, np.int64), *keys])))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -256,7 +257,7 @@ class ModeRegister:
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """Sorted distinct keys (a plain sort: ``np.unique`` hashes, which is slower here)."""
     keys = np.sort(keys)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys[np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1]))]
 
 
 def _contains(keys: np.ndarray, query: np.ndarray, pos: np.ndarray) -> bool:

@@ -318,6 +318,15 @@ class TestRegisters:
         expected = 0.5 * 1.0 * 0.5 * 1.0 + 0.5 * 0.5 * p24 + 0.5 * 1.0 * p23
         assert wick_expectation([e1, e2, e1, e2]) == pytest.approx(expected, abs=1e-14)
 
+    def test_scalar_only_expressions(self):
+        scalar = OperatorExpr(3.0)
+        assert len(scalar.register) == 0 and not scalar.terms
+        assert len(ModeRegister([])) == 0 and len(ModeRegister.grid([], 4)) == 0
+        assert wick_expectation([scalar, scalar]) == 9.0
+        shifted = scalar + aux(1)
+        assert shifted.displacement == 3.0 and shifted.terms == {(B_LBL, False): 1.0}
+        assert commutator(scalar, aux(1)) == 0.0
+
     def test_contained_register_is_reused(self):
         e1, _ = self.mixed_pair()
         assert (e1 + 2.0 * mode(Sector.AUX, Chirality.LEFT, 0)).register is e1.register
