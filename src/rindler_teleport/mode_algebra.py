@@ -314,10 +314,7 @@ class OperatorExpr:
     ``PRUNE_TOL`` in magnitude; smaller ones count as zero everywhere an
     expression is read, while the vectors carry them as computed.
     Instances are immutable; every operation returns a new expression, and
-    no expression holds a non-finite coefficient.  ``_peak`` bounds the
-    coefficient magnitudes from above, so that arithmetic proves its result
-    finite without a pass over the vectors while the bound stays below
-    ``_SAFE_PEAK``; beyond it the entries are tested one by one.
+    no expression holds a non-finite coefficient.
     """
 
     __slots__ = ("displacement", "register", "_w", "_peak")
@@ -360,8 +357,9 @@ class OperatorExpr:
         """Expression over a fresh ``(2, len(register))`` array.
 
         ``bound`` is an upper bound on the magnitudes of ``w`` known from how
-        it was computed; below ``_SAFE_PEAK`` it proves them finite, else
-        they are tested and the bound replaced by their maximum.
+        it was computed (each expression keeps its own as ``_peak``).  Below
+        ``_SAFE_PEAK`` it proves them finite without a pass over the vectors;
+        otherwise they are tested and the bound replaced by their maximum.
         """
         d = _finite_displacement(d)
         if not bound <= _SAFE_PEAK:
@@ -489,6 +487,9 @@ class OperatorExpr:
         return "OperatorExpr(" + (" + ".join(parts) if parts else "0") + ")"
 
 
+# The slot descriptors' setters write past the immutability guard at a
+# fraction of the cost of object.__setattr__, which the many small
+# expressions of hand-built circuits notice.
 _SLOT_SETTERS = tuple(
     getattr(OperatorExpr, name).__set__ for name in ("displacement", "register", "_w", "_peak")
 )

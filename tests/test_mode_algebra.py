@@ -333,6 +333,28 @@ class TestRegisters:
         assert (mode(Sector.AUX, Chirality.LEFT, 1) + e1).register is e1.register
 
 
+class TestFiniteness:
+    """No expression holds a non-finite coefficient, however it was made."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_arithmetic_rejected(self):
+        big = aux(0) * 1e200  # finite
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            big * 1e200
+        huge = aux(0) * 1e308
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            huge + huge
+        with pytest.raises(ValueError, match="non-finite displacement"):
+            (aux(0) + 1e308) * 1e10
+
+    def test_non_finite_vectors_rejected(self):
+        reg = ModeRegister([A_LBL, B_LBL])
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            OperatorExpr.from_vectors(reg, [1.0, math.nan])
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            OperatorExpr.from_vectors(reg, 0.0, [math.inf, 0.0])
+
+
 class TestPruning:
     """Coefficients at or below PRUNE_TOL count as absent wherever read."""
 
