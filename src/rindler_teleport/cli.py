@@ -8,10 +8,18 @@
   thermal term plus the phase-0 / phase-90 decoherence terms (CSV).
 * ``sweep`` - generic acceleration sweep for one scenario (``displaced``,
   ``squeezed`` or ``inertial``), optionally cross-checked against the
-  discretized-circuit oracle per row.
+  discretized-circuit oracle per row.  The oracle's uniform bins cannot
+  resolve a clipped wavepacket (sigma > omega0/8); its rows keep their
+  deviation but carry the status ``oracle-unresolved``.
 * ``verify`` - dual-path verification suites (closed forms vs mechanical
   Wick evaluation vs truncated-Fock simulation); exit status 0 only if
   every suite meets its tolerance.
+
+Each sweep curve is one closed-form call over the whole acceleration grid
+(see ``spectral.spectral_integrals``), run serially: the work is NumPy
+under one interpreter lock, which a thread pool only slowed.  A row whose
+spectral integrals did not converge is written as NaNs with the status
+``no-convergence``.
 
 All outputs are deterministic for a fixed configuration: floats are
 rendered with ``%.12g``, metadata headers are sorted, nothing timestamps
@@ -28,7 +36,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,7 +53,6 @@ from .oracle import (
     photon_number_variance_lo,
 )
 from .spectral import (
-    SpectralConvergenceError,
     make_wavepacket,
     spectral_integrals,
     squeeze_param,
@@ -102,24 +108,6 @@ class SweepConfig:
 
     def a_grid(self) -> np.ndarray:
         return np.logspace(math.log10(self.a_min), math.log10(self.a_max), self.a_steps)
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    """One sweep lattice point: parameters, variance report, oracle check."""
-
-    a: float
-    omega0: float
-    sigma: float | None
-    r_s: float | None
-    phi: float | None
-    r_omega: float
-    variance_total: float
-    thermal_noise: float
-    qnl_or_decoherence: float
-    purity_product: float
-    oracle_deviation: float | None
-    status: str
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +256,28 @@ def _base_meta(command: str, cfg: SweepConfig) -> dict:
 
 
 def _parallel(func, points: list) -> list:
-    """Evaluate ``func`` over ``points`` concurrently, preserving order."""
-    if len(points) <= 1:
-        return [func(p) for p in points]
-    workers = min(8, os.cpu_count() or 1, len(points))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, points))
+    """``func`` over ``points``, serially and in order.
+
+    ``fig4`` maps its carrier curves through here, and the benchmark's
+    tracer (``perfbench/layers.py``) wraps this name to time them.
+    """
+    return [func(p) for p in points]
+
+
+def _grid_cells(*columns) -> list[list]:
+    """Per-acceleration CSV cells from equal-length closed-form columns.
+
+    Each row holds its values and the status ``ok``, or, where the first
+    column is NaN (the spectral integrals did not converge), NaNs and
+    ``no-convergence``.
+    """
+    rows = []
+    for values in zip(*(c.tolist() for c in columns)):
+        if math.isnan(values[0]):
+            rows.append([math.nan] * len(values) + ["no-convergence"])
+        else:
+            rows.append([*values, "ok"])
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +292,12 @@ def cmd_fig4(cfg: SweepConfig) -> int:
         for w0 in curves
     }
 
-    def evaluate(point):
-        w0, a = point
-        try:
-            rep = displaced_variance(a, packets[w0])
-        except SpectralConvergenceError:
-            return [w0, a, math.nan, math.nan, math.nan, "no-convergence"]
-        return [w0, a, rep.total, rep.thermal_noise, rep.qnl_or_decoherence, "ok"]
+    def curve(w0):
+        rep = displaced_variance(a_grid, packets[w0])
+        cells = _grid_cells(rep.total, rep.thermal_noise, rep.qnl_or_decoherence)
+        return [[w0, a, *row] for a, row in zip(a_grid.tolist(), cells)]
 
-    points = [(w0, float(a)) for w0 in curves for a in a_grid]
-    rows = _parallel(evaluate, points)
+    rows = [row for rows in _parallel(curve, curves) for row in rows]
 
     meta = _base_meta("fig4", cfg)
     meta.update(
@@ -326,17 +326,12 @@ def cmd_fig5(cfg: SweepConfig) -> int:
     wp = make_wavepacket(w0, sigma)
     a_grid = cfg.a_grid()
 
-    def evaluate(a: float):
-        try:
-            ints = spectral_integrals(wp, a)
-        except SpectralConvergenceError:
-            return [a] + [math.nan] * 5 + ["no-convergence"]
-        thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
-        d0 = delta_decoherence(r_s, ints.i_c, 0.0)
-        d90 = delta_decoherence(r_s, ints.i_c, math.pi / 2)
-        return [a, thermal, d0, d90, thermal + d0, thermal + d90, "ok"]
-
-    rows = _parallel(evaluate, [float(a) for a in a_grid])
+    ints = spectral_integrals(wp, a_grid)
+    thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
+    d0 = delta_decoherence(r_s, ints.i_c, 0.0)
+    d90 = delta_decoherence(r_s, ints.i_c, math.pi / 2)
+    cells = _grid_cells(thermal, d0, d90, thermal + d0, thermal + d90)
+    rows = [[a, *row] for a, row in zip(a_grid.tolist(), cells)]
 
     meta = _base_meta("fig5", cfg)
     meta.update({"omega0": w0, "sigma": sigma, "r_s": r_s, "rows": len(rows)})
@@ -355,49 +350,46 @@ def cmd_fig5(cfg: SweepConfig) -> int:
 # sweep: generic acceleration sweep for one scenario
 
 
-def _sweep_row_displaced(cfg: SweepConfig, wp, a: float) -> ResultRow:
-    w0 = wp.omega0
-    r_omega = float(squeeze_param(w0, a))
-    try:
-        rep = displaced_variance(a, wp)
-    except SpectralConvergenceError:
-        return ResultRow(a, w0, wp.sigma, None, None, r_omega, *(math.nan,) * 4, None, "no-convergence")
-    oracle_dev, status = _oracle_deviation(cfg, wp, a, 0.0, None, rep.total)
-    return ResultRow(
-        a, w0, wp.sigma, None, None, r_omega,
-        rep.total, rep.thermal_noise, rep.qnl_or_decoherence, rep.purity_product,
-        oracle_dev, status,
-    )
+def _sweep_rows(cfg: SweepConfig, w0: float) -> list[list]:
+    """CSV rows of one sweep: a closed-form call over the grid, then the
+    oracle per converged row when it is toggled."""
+    a_grid = cfg.a_grid()
+    r_omega = squeeze_param(w0, a_grid)
+    wp = sigma = r_s = phi = None
+    if cfg.scenario == "inertial":
+        excess = 2.0 * np.exp(-2.0 * r_omega)
+        total = 1.0 + excess
+        cells = _grid_cells(total, excess, np.ones_like(total), total * total)
+    else:
+        sigma = cfg.sigma if cfg.sigma is not None else 0.01 * w0
+        wp = make_wavepacket(w0, sigma)
+        if cfg.scenario == "squeezed":
+            r_s = cfg.r_s if cfg.r_s is not None else 0.5
+            phi = cfg.phi if cfg.phi is not None else 0.0
+            rep = squeezed_variance(a_grid, wp, r_s, phi)
+        else:
+            rep = displaced_variance(a_grid, wp)
+        cells = _grid_cells(rep.total, rep.thermal_noise, rep.qnl_or_decoherence, rep.purity_product)
 
-
-def _sweep_row_squeezed(cfg: SweepConfig, wp, r_s: float, phi: float, a: float) -> ResultRow:
-    w0 = wp.omega0
-    r_omega = float(squeeze_param(w0, a))
-    try:
-        rep = squeezed_variance(a, wp, r_s, phi)
-    except SpectralConvergenceError:
-        return ResultRow(a, w0, wp.sigma, r_s, phi, r_omega, *(math.nan,) * 4, None, "no-convergence")
-    oracle_dev, status = _oracle_deviation(cfg, wp, a, r_s, phi, rep.total)
-    return ResultRow(
-        a, w0, wp.sigma, r_s, phi, r_omega,
-        rep.total, rep.thermal_noise, rep.qnl_or_decoherence, rep.purity_product,
-        oracle_dev, status,
-    )
-
-
-def _sweep_row_inertial(w0: float, a: float) -> ResultRow:
-    r_omega = float(squeeze_param(w0, a))
-    excess = 2.0 * math.exp(-2.0 * r_omega)
-    total = 1.0 + excess
-    return ResultRow(
-        a, w0, None, None, None, r_omega, total, excess, 1.0, total * total, None, "ok"
-    )
+    rows = []
+    for a, r, values in zip(a_grid.tolist(), r_omega.tolist(), cells):
+        status = values.pop()
+        deviation = None
+        if wp is not None and status == "ok":
+            deviation, status = _oracle_deviation(cfg, wp, a, r_s or 0.0, phi, values[0])
+        rows.append([a, w0, sigma, r_s, phi, r, *values, deviation, status])
+    return rows
 
 
 def _oracle_deviation(
     cfg: SweepConfig, wp, a: float, r_s: float, phi: float | None, closed_total: float
 ):
-    """Relative |oracle - closed| for one sweep point (None if not toggled)."""
+    """Relative |oracle - closed| for one sweep point and its status.
+
+    (None, ``ok``) when the oracle is not toggled.  A clipped wavepacket's
+    deviation is kept but marked ``oracle-unresolved``: its uniform bins
+    cannot resolve the 1/omega tail the closed form integrates.
+    """
     if not cfg.oracle:
         return None, "ok"
     try:
@@ -408,24 +400,13 @@ def _oracle_deviation(
         rep = photon_number_variance_lo(circ, phi or 0.0)
     except OracleConvergenceError:
         return math.nan, "oracle-no-convergence"
-    return abs(rep.total - closed_total) / abs(closed_total), "ok"
+    status = "oracle-unresolved" if wp.clipped else "ok"
+    return abs(rep.total - closed_total) / abs(closed_total), status
 
 
 def cmd_sweep(cfg: SweepConfig) -> int:
     w0 = cfg.omega0 if cfg.omega0 is not None else 1.0
-    a_values = [float(a) for a in cfg.a_grid()]
-
-    if cfg.scenario == "inertial":
-        rows = _parallel(lambda a: _sweep_row_inertial(w0, a), a_values)
-    else:
-        sigma = cfg.sigma if cfg.sigma is not None else 0.01 * w0
-        wp = make_wavepacket(w0, sigma)
-        if cfg.scenario == "squeezed":
-            r_s = cfg.r_s if cfg.r_s is not None else 0.5
-            phi = cfg.phi if cfg.phi is not None else 0.0
-            rows = _parallel(lambda a: _sweep_row_squeezed(cfg, wp, r_s, phi, a), a_values)
-        else:
-            rows = _parallel(lambda a: _sweep_row_displaced(cfg, wp, a), a_values)
+    rows = _sweep_rows(cfg, w0)
 
     meta = _base_meta("sweep", cfg)
     meta.update(
@@ -451,19 +432,7 @@ def cmd_sweep(cfg: SweepConfig) -> int:
         "oracle_deviation", "status",
     ]
     out = _resolve_out(cfg, f"sweep_{cfg.scenario}.csv")
-    _write_csv(
-        out,
-        meta,
-        header,
-        [
-            [
-                row.a, row.omega0, row.sigma, row.r_s, row.phi, row.r_omega,
-                row.variance_total, row.thermal_noise, row.qnl_or_decoherence,
-                row.purity_product, row.oracle_deviation, row.status,
-            ]
-            for row in rows
-        ],
-    )
+    _write_csv(out, meta, header, rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 

@@ -32,6 +32,9 @@ Conventions
 * All integrals use composite Gauss-Legendre panels, refined (panel
   doubling) until successive values agree to 1e-10 relative, which leaves
   comfortable headroom under the 1e-8 accuracy contract.
+* The acceleration ``a`` may be a scalar or an array everywhere; it must be
+  finite and positive.  ``spectral_integrals`` evaluates a whole 1-D grid of
+  accelerations in one pass, each with its own refinement stop.
 """
 
 from __future__ import annotations
@@ -60,40 +63,60 @@ OMEGA_MIN_FACTOR = 1e-12
 TRUNCATION_WARN_THRESHOLD = 1e-6
 
 _GL_ORDER = 16
+_GL_RULE = leggauss(_GL_ORDER)
+
+#: Panel halvings after the wavepacket's own panels before giving up.
+_MAX_REFINEMENTS = 7
+
+#: Largest (acceleration x node) block evaluated at once: 64 KB per
+#: temporary array, however long the acceleration grid or fine the level.
+#: Larger blocks measured slower and raised the peak resident memory.
+_BLOCK_ELEMENTS = 1 << 13
 
 
 class SpectralConvergenceError(RuntimeError):
     """Raised when panel-doubling refinement fails to stabilize an integral."""
 
 
-def _as_array(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    return arr, (arr.ndim == 0)
+def _frequencies(omega) -> np.ndarray:
+    w = np.asarray(omega, dtype=float)
+    if np.any(w <= 0):
+        raise ValueError("frequencies must be strictly positive")
+    return w
+
+
+def _accelerations(a) -> np.ndarray:
+    """``a`` as a float array, checked finite and positive."""
+    arr = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"acceleration a must be finite, got {a}")
+    if np.any(arr <= 0):
+        raise ValueError(f"acceleration a must be positive, got {a}")
+    return arr
+
+
+def _unwrap(x):
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def squeeze_param(omega, a):
     """Per-frequency squeezing parameter r(omega) = arctanh(e^(-pi omega / a)).
 
-    Accepts scalars or arrays; frequencies must be strictly positive (the
-    parameter diverges at omega = 0) and ``a`` must be positive.
+    Accepts scalars or arrays, broadcast against each other; frequencies
+    must be strictly positive (the parameter diverges at omega = 0) and
+    ``a`` finite and positive.
 
     Evaluated in two stable branches: ``arctanh(e^(-x))`` directly when the
     argument is small (x = pi*omega/a >= ln 2), and the equivalent
     ``-(1/2) ln tanh(x/2)`` otherwise, so both the deep-exponential tail and
     the logarithmic divergence keep full relative precision.
     """
-    w, scalar = _as_array(omega)
-    if a <= 0:
-        raise ValueError(f"acceleration must be positive, got {a}")
-    if np.any(w <= 0):
-        raise ValueError("frequencies must be strictly positive")
-    x = math.pi * w / a
+    x = math.pi * _frequencies(omega) / _accelerations(a)
     u = np.exp(-x)
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = np.arctanh(np.where(u < 0.75, u, 0.0))
         head = -0.5 * np.log(np.tanh(0.5 * x))
-    r = np.where(x >= math.log(2.0), tail, head)
-    return float(r) if scalar else r
+    return _unwrap(np.where(x >= math.log(2.0), tail, head))
 
 
 def unruh_cosh_sinh(omega, a):
@@ -103,18 +126,11 @@ def unruh_cosh_sinh(omega, a):
     x = pi*omega/a, avoiding the catastrophic cancellation of evaluating
     cosh(arctanh(...)) near either limit.
     """
-    w, scalar = _as_array(omega)
-    if a <= 0:
-        raise ValueError(f"acceleration must be positive, got {a}")
-    if np.any(w <= 0):
-        raise ValueError("frequencies must be strictly positive")
-    x = math.pi * w / a
+    x = math.pi * _frequencies(omega) / _accelerations(a)
     inv = 1.0 / (-np.expm1(-2.0 * x))
     ch = np.sqrt(inv)
     sh = np.sqrt(np.exp(-2.0 * x) * inv)
-    if scalar:
-        return float(ch), float(sh)
-    return ch, sh
+    return _unwrap(ch), _unwrap(sh)
 
 
 def unruh_ch_minus_sh(omega, a):
@@ -124,13 +140,8 @@ def unruh_ch_minus_sh(omega, a):
     of each frequency is suppressed; it tends to 1 for omega >> a (inertial
     limit) and to 0 as omega/a -> 0 (noise-dominated limit).
     """
-    w, scalar = _as_array(omega)
-    if a <= 0:
-        raise ValueError(f"acceleration must be positive, got {a}")
-    if np.any(w <= 0):
-        raise ValueError("frequencies must be strictly positive")
-    out = np.sqrt(np.tanh(0.5 * math.pi * w / a))
-    return float(out) if scalar else out
+    w = _frequencies(omega)
+    return _unwrap(np.sqrt(np.tanh(0.5 * math.pi * w / _accelerations(a))))
 
 
 @dataclass(frozen=True)
@@ -183,6 +194,12 @@ class WavepacketSpec:
         w = np.asarray(omega, dtype=float)
         return np.exp(-((w - self.omega0) ** 2) / (4.0 * self.sigma**2))
 
+    @property
+    def clipped(self) -> bool:
+        """True when the infrared cutoff, not omega0 - 8 sigma, bounds the window
+        (roughly sigma > omega0/8); the integrands then carry a 1/omega tail."""
+        return _is_clipped(self.window[0], self.omega0, self.sigma)
+
     def amplitude(self, omega) -> np.ndarray:
         """Normalized amplitude g(omega), zero outside the window."""
         w = np.asarray(omega, dtype=float)
@@ -193,13 +210,17 @@ class WavepacketSpec:
 
 def _panel_nodes(edges: np.ndarray, order: int) -> np.ndarray:
     """Composite Gauss-Legendre (frequency, weight) rows over given edges."""
-    xg, wg = leggauss(order)
+    xg, wg = _GL_RULE if order == _GL_ORDER else leggauss(order)
     lo = edges[:-1, None]
     hi = edges[1:, None]
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo) + half * xg[None, :]).ravel()
     weights = (half * wg[None, :]).ravel()
     return np.column_stack([nodes, weights])
+
+
+def _is_clipped(lo: float, omega0: float, sigma: float) -> bool:
+    return lo > omega0 - 8.0 * sigma
 
 
 def _build_edges(lo: float, hi: float, omega0: float, sigma: float, n_linear: int) -> np.ndarray:
@@ -210,8 +231,7 @@ def _build_edges(lo: float, hi: float, omega0: float, sigma: float, n_linear: in
     a geometric ladder from lo up to ~sigma captures that, and uniform
     panels cover the Gaussian bulk.
     """
-    bulk_lo = omega0 - 8.0 * sigma
-    if lo <= bulk_lo:  # no clipping: plain uniform panels
+    if not _is_clipped(lo, omega0, sigma):
         return np.linspace(lo, hi, n_linear + 1)
     breakpoint_ = min(sigma, 0.25 * hi)
     breakpoint_ = max(breakpoint_, lo * 10.0)
@@ -229,10 +249,10 @@ def make_wavepacket(omega0: float, sigma: float, resolution: int = 256) -> Wavep
     windows may receive extra infrared panels beyond it so that the 1/omega
     tail is resolved decade by decade.
     """
-    if omega0 <= 0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(omega0) and omega0 > 0):
+        raise ValueError(f"omega0 must be finite and positive, got {omega0}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     if resolution < 16:
         raise ValueError(f"resolution must be at least 16, got {resolution}")
 
@@ -268,31 +288,55 @@ def make_wavepacket(omega0: float, sigma: float, resolution: int = 256) -> Wavep
 
 @dataclass(frozen=True)
 class SpectralIntegrals:
-    """The four wavepacket integrals entering the variance closed forms."""
+    """The four wavepacket integrals entering the variance closed forms.
 
-    i_c: float
-    i_s: float
-    i_cs: float
-    phi_cs: float
-    a: float
+    For a scalar ``a`` every field is a number.  For an array ``a`` every
+    field is an array over the accelerations, and the four integrals are NaN
+    on a row that did not stabilize.
+
+    ``level`` is the number of panel halvings after which a row stopped, and
+    ``last_change`` the largest relative change of the four values between
+    that level and the one before it.
+    """
+
+    i_c: float | np.ndarray
+    i_s: float | np.ndarray
+    i_cs: float | np.ndarray
+    phi_cs: float | np.ndarray
+    a: float | np.ndarray
+    level: int | np.ndarray
+    last_change: float | np.ndarray
 
 
-def _integrals_on_edges(edges: np.ndarray, order: int, omega0: float, sigma: float, a: float):
-    grid = _panel_nodes(edges, order)
+def _integrals_on_edges(edges: np.ndarray, wp: WavepacketSpec, accel: np.ndarray) -> np.ndarray:
+    """(len(accel), 4) array of (i_c, i_s, i_cs, phi_cs) on one panel set.
+
+    The nodes, weights, envelope and norm do not depend on the acceleration
+    and are built once.  The integrands are evaluated for blocks of at most
+    ``_BLOCK_ELEMENTS`` (acceleration x node) elements at a time; each row
+    is then summed by its own dot with the strided weight column, so a
+    row's value is the same bits whether ``a`` came alone or in a grid.
+    """
+    grid = _panel_nodes(edges, wp.order)
     w = grid[:, 0]
     q = grid[:, 1]
-    envelope = np.exp(-((w - omega0) ** 2) / (4.0 * sigma**2))
+    envelope = np.exp(-((w - wp.omega0) ** 2) / (4.0 * wp.sigma**2))
     intensity = envelope**2
     norm = q @ intensity
-    x = math.pi * w / a
-    ch2 = 1.0 / (-np.expm1(-2.0 * x))
-    sh2 = np.exp(-2.0 * x) * ch2
-    cms2 = np.tanh(0.5 * x)  # (cosh r - sinh r)^2
-    i_c = (q @ (intensity * ch2)) / norm
-    i_s = (q @ (intensity * sh2)) / norm
-    i_cs = (q @ (intensity * cms2)) / norm
-    phi_cs = (q @ (envelope * np.sqrt(cms2))) / math.sqrt(norm)
-    return np.array([i_c, i_s, i_cs, phi_cs])
+    pw = math.pi * w
+    out = np.empty((accel.size, 4))
+    step = max(1, _BLOCK_ELEMENTS // w.size)
+    for start in range(0, accel.size, step):
+        x = pw / accel[start:start + step, None]
+        ch2 = 1.0 / (-np.expm1(-2.0 * x))
+        sh2 = np.exp(-2.0 * x) * ch2
+        cms2 = np.tanh(0.5 * x)  # (cosh r - sinh r)^2
+        integrands = (intensity * ch2, intensity * sh2, intensity * cms2, envelope * np.sqrt(cms2))
+        for k in range(len(x)):
+            out[start + k] = [q @ f[k] for f in integrands]
+    out[:, :3] /= norm
+    out[:, 3] /= math.sqrt(norm)
+    return out
 
 
 def _split_edges(edges: np.ndarray) -> np.ndarray:
@@ -303,36 +347,64 @@ def _split_edges(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_integrals(wp: WavepacketSpec, a: float, rel_tol: float = 1e-10) -> SpectralIntegrals:
+def spectral_integrals(
+    wp: WavepacketSpec, a: float | np.ndarray, rel_tol: float = 1e-10
+) -> SpectralIntegrals:
     """Evaluate i_c, i_s, i_cs and phi_cs for a wavepacket at acceleration ``a``.
 
     Refines the wavepacket's own panel set by repeated halving until all
     four values are stable to ``rel_tol`` relative between successive
-    levels; raises :class:`SpectralConvergenceError` if seven refinements
-    are not enough.  The intensity is renormalized per level, which keeps
-    the i_c - i_s = 1 identity exact on every grid.
+    levels.  The intensity is renormalized per level, which keeps the
+    i_c - i_s = 1 identity exact on every grid.
+
+    ``a`` is a scalar or a 1-D array of accelerations, each refined until it
+    alone is stable.  For a scalar, :class:`SpectralConvergenceError` is
+    raised if seven refinements are not enough or the identity fails; for an
+    array such a row is NaN instead, with its level and last change kept.
     """
-    if a <= 0:
-        raise ValueError(f"acceleration must be positive, got {a}")
+    accel = _accelerations(a)
+    if accel.ndim > 1:
+        raise ValueError(f"acceleration a must be a scalar or a 1-D array, got shape {accel.shape}")
+    scalar = accel.ndim == 0
+    accel = np.atleast_1d(accel)
+
     edges = np.asarray(wp.panel_edges, dtype=float)
-    values = _integrals_on_edges(edges, wp.order, wp.omega0, wp.sigma, a)
-    for _ in range(7):
-        edges = _split_edges(edges)
-        refined = _integrals_on_edges(edges, wp.order, wp.omega0, wp.sigma, a)
-        scale = np.maximum(np.abs(refined), 1e-300)
-        delta = float(np.max(np.abs(refined - values) / scale))
-        values = refined
-        if delta <= rel_tol:
+    values = _integrals_on_edges(edges, wp, accel)
+    level = np.zeros(accel.size, dtype=int)
+    last_change = np.full(accel.size, math.nan)
+    unsettled = np.arange(accel.size)
+    for refinement in range(1, _MAX_REFINEMENTS + 1):
+        if not unsettled.size:
             break
-    else:
-        raise SpectralConvergenceError(
-            f"spectral integrals did not stabilize to {rel_tol:g} relative "
-            f"(last inter-level change {delta:.3e}) for omega0={wp.omega0}, "
-            f"sigma={wp.sigma}, a={a}"
+        edges = _split_edges(edges)
+        refined = _integrals_on_edges(edges, wp, accel[unsettled])
+        scale = np.maximum(np.abs(refined), 1e-300)
+        change = np.max(np.abs(refined - values[unsettled]) / scale, axis=1)
+        values[unsettled] = refined
+        level[unsettled] = refinement
+        last_change[unsettled] = change
+        unsettled = unsettled[~(change <= rel_tol)]  # a NaN change never settles
+
+    i_c, i_s = values[:, 0], values[:, 1]
+    broken = np.abs(i_c - i_s - 1.0) > 1e-8
+    if scalar:
+        if unsettled.size:
+            raise SpectralConvergenceError(
+                f"spectral integrals did not stabilize to {rel_tol:g} relative "
+                f"(last inter-level change {last_change[0]:.3e}) for omega0={wp.omega0}, "
+                f"sigma={wp.sigma}, a={float(accel[0])}"
+            )
+        if broken[0]:
+            raise SpectralConvergenceError(
+                f"normalization identity violated: i_c - i_s = {float(i_c[0] - i_s[0])!r} "
+                "(expected 1)"
+            )
+        return SpectralIntegrals(
+            *(float(v) for v in values[0]), a=float(accel[0]),
+            level=int(level[0]), last_change=float(last_change[0]),
         )
-    i_c, i_s, i_cs, phi_cs = (float(v) for v in values)
-    if abs(i_c - i_s - 1.0) > 1e-8:
-        raise SpectralConvergenceError(
-            f"normalization identity violated: i_c - i_s = {i_c - i_s!r} (expected 1)"
-        )
-    return SpectralIntegrals(i_c=i_c, i_s=i_s, i_cs=i_cs, phi_cs=phi_cs, a=a)
+    values[unsettled] = math.nan
+    values[broken] = math.nan
+    return SpectralIntegrals(
+        *values.T.copy(), a=accel, level=level, last_change=last_change,
+    )

@@ -30,6 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .mode_algebra import (
     Chirality,
     ModeLabel,
@@ -61,27 +63,32 @@ class VarianceReport:
     ``purity_product`` - the product of the total variances at phi = 0 and
     phi = pi/2 - is >= 1 for any physical state, with equality only for a
     pure Gaussian output.
+
+    A report built from an array of accelerations holds an array in every
+    field, NaN on the rows whose spectral integrals did not converge.
     """
 
-    total: float
-    thermal_noise: float
-    qnl_or_decoherence: float
-    purity_product: float
+    total: float | np.ndarray
+    thermal_noise: float | np.ndarray
+    qnl_or_decoherence: float | np.ndarray
+    purity_product: float | np.ndarray
 
 
-def displaced_variance(a: float, wp: WavepacketSpec) -> VarianceReport:
+def displaced_variance(a: float | np.ndarray, wp: WavepacketSpec) -> VarianceReport:
     """Output variance for a coherent-state payload (phase independent).
 
     total = 2 i_cs (i_c + i_s) + 1; the quantum-noise-limit part is exactly
-    1 because a coherent payload adds no excess left-mover noise.
+    1 because a coherent payload adds no excess left-mover noise.  ``a`` is
+    a scalar or a 1-D array (see :func:`spectral_integrals`).
     """
     ints = spectral_integrals(wp, a)
     thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
     total = thermal + 1.0
+    qnl = 1.0 if np.ndim(thermal) == 0 else np.where(np.isnan(thermal), math.nan, 1.0)
     return VarianceReport(
         total=total,
         thermal_noise=thermal,
-        qnl_or_decoherence=1.0,
+        qnl_or_decoherence=qnl,
         purity_product=total * total,
     )
 
@@ -98,7 +105,7 @@ def narrowband_variance(omega0: float, a: float) -> float:
     return 2.0 + math.exp(-4.0 * r0)
 
 
-def delta_decoherence(r_s: float, i_c: float, phi: float) -> float:
+def delta_decoherence(r_s: float, i_c: float | np.ndarray, phi: float) -> float | np.ndarray:
     """Phase-dependent payload term Delta(phi) for a squeezed payload.
 
     Delta(phi) = cosh 2 r_s
@@ -108,10 +115,11 @@ def delta_decoherence(r_s: float, i_c: float, phi: float) -> float:
     Reduces to the pure squeezed-vacuum variance e^(2 r_s cos-profile) at
     i_c = 1 (inertial limit) and to 1 at r_s = 0; the i_c-growing part is
     the decoherence the acceleration inflicts on the payload itself.
+    ``i_c`` may be an array; NaN entries pass through as NaN.
     """
     if not math.isfinite(r_s) or r_s < 0:
         raise ValueError(f"payload squeezing must be finite and non-negative, got {r_s}")
-    if i_c < 1.0:
+    if np.any(i_c < 1.0):
         raise ValueError(f"i_c must be >= 1 (it is 1 + i_s), got {i_c}")
     c1 = math.cosh(r_s)
     s1 = math.sinh(r_s)
@@ -124,11 +132,14 @@ def delta_decoherence(r_s: float, i_c: float, phi: float) -> float:
     )
 
 
-def squeezed_variance(a: float, wp: WavepacketSpec, r_s: float, phi: float) -> VarianceReport:
+def squeezed_variance(
+    a: float | np.ndarray, wp: WavepacketSpec, r_s: float, phi: float
+) -> VarianceReport:
     """Output variance for a squeezed payload at local-oscillator phase phi.
 
     total(phi) = 2 i_cs (i_c + i_s) + Delta(phi).  The purity product uses
-    the extremal phases 0 and pi/2.
+    the extremal phases 0 and pi/2.  ``a`` is a scalar or a 1-D array (see
+    :func:`spectral_integrals`).
     """
     ints = spectral_integrals(wp, a)
     thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)

@@ -2,11 +2,12 @@
 
 import logging
 import math
+from functools import partial
 
 import pytest
 from conftest import read_report_csv
 
-from rindler_teleport import squeeze_param
+from rindler_teleport import cli, spectral_integrals, squeeze_param, teleportation
 from rindler_teleport.cli import ENV_OUTDIR, main
 
 
@@ -88,6 +89,22 @@ class TestSweep:
             assert total == pytest.approx(float(row[7]) + float(row[8]), rel=1e-9)
             assert float(row[9]) == pytest.approx(total**2, rel=1e-9)
 
+    def test_clipped_oracle_rows_marked_unresolved(self, tmp_path):
+        # sigma > omega0/8: the uniform oracle bins cannot resolve the
+        # infrared tail, so the deviation is kept but not called ok
+        out = tmp_path / "clipped.csv"
+        argv = [
+            "sweep", "--omega0", "1", "--sigma", "0.5", "--oracle", "--bins", "64",
+            "--a-steps", "2", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        _, _, rows = read_report_csv(out)
+        assert len(rows) == 2
+        for row in rows:
+            assert row[11] == "oracle-unresolved"
+            assert float(row[10]) > 0.02
+            assert float(row[6]) == pytest.approx(float(row[7]) + 1.0, rel=1e-12)
+
     def test_squeezed_rows_filled(self, tmp_path):
         out = tmp_path / "sq.csv"
         argv = [
@@ -116,6 +133,37 @@ class TestSweep:
             expected = 1.0 + 2.0 * math.exp(-2.0 * r_omega)
             assert float(row[6]) == pytest.approx(expected, rel=1e-9)
             assert float(row[9]) == pytest.approx(expected**2, rel=1e-9)
+
+
+class TestNoConvergenceRows:
+    """Rows whose spectral integrals never stabilize are written, not raised."""
+
+    @pytest.fixture(autouse=True)
+    def unreachable_tolerance(self, monkeypatch):
+        strict = partial(spectral_integrals, rel_tol=1e-30)
+        monkeypatch.setattr(teleportation, "spectral_integrals", strict)
+        monkeypatch.setattr(cli, "spectral_integrals", strict)
+
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            (["fig4", "--omega0", "1.0"], slice(2, 5)),
+            (["fig5"], slice(1, 6)),
+            (["sweep", "--scenario", "displaced", "--oracle", "--bins", "16"], slice(6, 10)),
+            (["sweep", "--scenario", "squeezed"], slice(6, 10)),
+        ],
+    )
+    def test_rows_written_as_no_convergence(self, tmp_path, argv, values):
+        out = tmp_path / "nc.csv"
+        assert main(argv + ["--a-steps", "3", "--out", str(out)]) == 0
+        _, _, rows = read_report_csv(out)
+        assert len(rows) == 3
+        for row in rows:
+            assert row[-1] == "no-convergence"
+            assert all(cell == "nan" for cell in row[values])
+            if argv[0] == "sweep":
+                assert row[10] == ""  # no oracle run on an unconverged row
+                assert float(row[5]) == pytest.approx(squeeze_param(1.0, float(row[0])), rel=1e-9)
 
 
 class TestConfigFile:

@@ -1,8 +1,10 @@
 """Acceleration squeezing spectrum, wavepacket grids and spectral integrals."""
 
 import math
+from functools import partial
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -105,6 +107,15 @@ class TestWavepacket:
         with pytest.raises(ValueError):
             make_wavepacket(1.0, 0.05, resolution=8)
 
+    @pytest.mark.parametrize(
+        "omega0, sigma, name",
+        [(math.nan, 0.05, "omega0"), (math.inf, 0.05, "omega0"),
+         (1.0, math.nan, "sigma"), (1.0, math.inf, "sigma")],
+    )
+    def test_non_finite_rejected_by_name(self, omega0, sigma, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            make_wavepacket(omega0, sigma)
+
 
 class TestSpectralIntegrals:
     def test_frozen_values(self):
@@ -182,3 +193,163 @@ class TestClippedWavepackets:
         thermal = 2.0 * i_cs * (i_c + i_s)
         assert rep.thermal_noise == pytest.approx(thermal, rel=1e-12)
         assert rep.total == pytest.approx(thermal + 1.0, rel=1e-12)
+
+
+# Each function of the acceleration, reduced to one call with a valid omega.
+_ACCELERATION_FUNCTIONS = {
+    "squeeze_param": partial(squeeze_param, 1.0),
+    "unruh_cosh_sinh": partial(unruh_cosh_sinh, 1.0),
+    "unruh_ch_minus_sh": partial(unruh_ch_minus_sh, 1.0),
+    "spectral_integrals": partial(spectral_integrals, make_wavepacket(1.0, 0.05)),
+}
+
+
+class TestAccelerationInput:
+    @pytest.mark.parametrize("name", sorted(_ACCELERATION_FUNCTIONS))
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_name(self, name, a):
+        with pytest.raises(ValueError, match="acceleration a must be finite"):
+            _ACCELERATION_FUNCTIONS[name](a)
+
+    @pytest.mark.parametrize("name", sorted(_ACCELERATION_FUNCTIONS))
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_array_with_a_bad_entry_rejected_by_name(self, name, bad):
+        with pytest.raises(ValueError, match="acceleration a must be"):
+            _ACCELERATION_FUNCTIONS[name](np.array([0.5, bad, 2.0]))
+
+    @pytest.mark.parametrize("name", ["squeeze_param", "unruh_cosh_sinh", "unruh_ch_minus_sh"])
+    def test_array_matches_scalar_calls(self, name):
+        func = _ACCELERATION_FUNCTIONS[name]
+        a = np.array([0.05, 0.5, 1.0, 7.0, 50.0])
+        got = np.asarray(func(a))
+        expected = np.array([func(float(x)) for x in a]).T
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    def test_frequency_and_acceleration_arrays_broadcast(self):
+        r = squeeze_param(np.array([[0.5], [2.0]]), np.array([1.0, 3.0, 9.0]))
+        assert r.shape == (2, 3)
+        assert r[1, 2] == squeeze_param(2.0, 9.0)
+
+    def test_two_dimensional_acceleration_rejected(self):
+        with pytest.raises(ValueError, match="1-D"):
+            spectral_integrals(make_wavepacket(1.0, 0.05), np.ones((2, 2)))
+
+
+def _reference_integrals(wp, a: float, rel_tol: float = 1e-10):
+    """One acceleration at a time, the loop the array path replaces.
+
+    Returns ((i_c, i_s, i_cs, phi_cs), level), level being the number of
+    panel halvings after which the values stabilized, or None when seven
+    were not enough.
+    """
+    xg, wg = leggauss(wp.order)
+
+    def integrals(edges):
+        lo, hi = edges[:-1, None], edges[1:, None]
+        half = 0.5 * (hi - lo)
+        w = (0.5 * (hi + lo) + half * xg).ravel()
+        q = (half * wg).ravel()
+        envelope = np.exp(-((w - wp.omega0) ** 2) / (4.0 * wp.sigma**2))
+        intensity = envelope**2
+        norm = q @ intensity
+        x = math.pi * w / a
+        ch2 = 1.0 / -np.expm1(-2.0 * x)
+        cms2 = np.tanh(0.5 * x)
+        return np.array([
+            q @ (intensity * ch2) / norm,
+            q @ (intensity * (np.exp(-2.0 * x) * ch2)) / norm,
+            q @ (intensity * cms2) / norm,
+            q @ (envelope * np.sqrt(cms2)) / math.sqrt(norm),
+        ])
+
+    edges = np.asarray(wp.panel_edges)
+    values = integrals(edges)
+    for level in range(1, 8):
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        edges = np.sort(np.concatenate([edges, mids]))
+        refined = integrals(edges)
+        change = np.max(np.abs(refined - values) / np.maximum(np.abs(refined), 1e-300))
+        values = refined
+        if change <= rel_tol:
+            return values, level
+    return values, None
+
+
+# The eight carriers (omega0, sigma) of one benchmark closed-sweep round
+# (seed 1, first round); the fourth is clipped (sigma > omega0/8).
+SWEEP_CARRIERS = [
+    (3.178374086327776, 0.05942022228113641),
+    (3.1671730463252996, 0.10966016136301511),
+    (1.1395210617506022, 0.09530013646853276),
+    (1.1086217441627257, 0.44047444229842797),
+    (2.1665187681647815, 0.12159286470575865),
+    (2.3188334483850896, 0.07838470683811845),
+    (1.2084263369121397, 0.021430185818359048),
+    (0.8330105355621951, 0.06354591207018954),
+]
+
+
+def _sweep_grid(steps: int = 48) -> np.ndarray:
+    return np.logspace(math.log10(0.05), math.log10(50.0), steps)
+
+
+class TestArrayAcceleration:
+    """``spectral_integrals`` over a grid of accelerations: one pass, each
+    row with its own refinement stop."""
+
+    @pytest.mark.parametrize("omega0, sigma", SWEEP_CARRIERS)
+    def test_rows_match_scalar_loop_in_order(self, omega0, sigma):
+        wp = make_wavepacket(omega0, sigma)
+        a = _sweep_grid()
+        ints = spectral_integrals(wp, a)
+        assert np.array_equal(ints.a, a)
+        got = np.column_stack([ints.i_c, ints.i_s, ints.i_cs, ints.phi_cs])
+        for k, ak in enumerate(a):
+            expected, level = _reference_integrals(wp, float(ak))
+            np.testing.assert_allclose(got[k], expected, rtol=1e-14, atol=0)
+            assert ints.level[k] == level
+            single = spectral_integrals(wp, float(ak))
+            assert single.level == level
+            np.testing.assert_allclose(
+                got[k], [single.i_c, single.i_s, single.i_cs, single.phi_cs], rtol=1e-14, atol=0)
+            assert ints.last_change[k] == pytest.approx(single.last_change, rel=1e-12, abs=1e-300)
+            assert ints.last_change[k] <= 1e-10
+
+    def test_sweep_carriers_include_a_clipped_one(self):
+        assert [make_wavepacket(*c).clipped for c in SWEEP_CARRIERS].count(True) == 1
+
+    def test_grid_longer_than_a_block(self):
+        # 600 accelerations x 256 nodes span several evaluation blocks
+        wp = make_wavepacket(1.0, 0.05)
+        a = _sweep_grid(600)
+        ints = spectral_integrals(wp, a)
+        for k in range(0, 600, 37):
+            single = spectral_integrals(wp, float(a[k]))
+            assert ints.i_c[k] == pytest.approx(single.i_c, rel=1e-14)
+            assert ints.phi_cs[k] == pytest.approx(single.phi_cs, rel=1e-14)
+            assert ints.level[k] == single.level
+
+    def test_length_one_array_matches_scalar(self):
+        wp = make_wavepacket(1.0, 0.01)
+        single = spectral_integrals(wp, 1.0)
+        ints = spectral_integrals(wp, np.array([1.0]))
+        for field in ("i_c", "i_s", "i_cs", "phi_cs", "a", "level", "last_change"):
+            value = getattr(ints, field)
+            assert value.shape == (1,)
+            assert value[0] == pytest.approx(getattr(single, field), rel=1e-14)
+
+    def test_unsettled_rows_are_nan_and_scalar_still_raises(self):
+        wp = make_wavepacket(1.0, 0.05)
+        a = np.array([0.1, 1.0, 10.0])
+        ints = spectral_integrals(wp, a, rel_tol=1e-30)
+        for field in ("i_c", "i_s", "i_cs", "phi_cs"):
+            assert np.all(np.isnan(getattr(ints, field)))
+        assert np.all(ints.level == 7)
+        assert np.all(np.isfinite(ints.last_change) & (ints.last_change > 1e-30))
+        with pytest.raises(SpectralConvergenceError, match="did not stabilize"):
+            spectral_integrals(wp, 1.0, rel_tol=1e-30)
+
+    def test_empty_grid(self):
+        ints = spectral_integrals(make_wavepacket(1.0, 0.05), np.array([]))
+        assert ints.i_c.shape == (0,) and ints.level.shape == (0,)

@@ -1,13 +1,16 @@
 """Closed-form variance reports and the single-frequency protocol circuit."""
 
 import math
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rindler_teleport import (
     Chirality,
+    SpectralConvergenceError,
     ModeLabel,
     Sector,
     conformal_residual,
@@ -17,8 +20,10 @@ from rindler_teleport import (
     make_wavepacket,
     narrowband_variance,
     quadrature_variance,
+    spectral_integrals,
     squeeze_param,
     squeezed_variance,
+    teleportation,
 )
 
 A_IN = ModeLabel(Sector.AUX, Chirality.LEFT, 0)
@@ -117,6 +122,49 @@ class TestSqueezedVariance:
         for a in (0.2, 1.0, 5.0):
             assert squeezed_variance(a, wp, 0.5, 0.0).purity_product > 1.0
             assert displaced_variance(a, wp).purity_product > 1.0
+
+
+class TestAccelerationGrid:
+    """The closed forms over an array of accelerations: one report whose
+    fields are arrays, row for row the scalar reports."""
+
+    A = np.array([0.05, 0.3, 1.0, 4.0, 50.0])
+    FIELDS = ("total", "thermal_noise", "qnl_or_decoherence", "purity_product")
+
+    @pytest.mark.parametrize("omega0, sigma", [(1.0, 0.05), (1.1086217441627257, 0.44047444229842797)])
+    @pytest.mark.parametrize("r_s, phi", [(None, None), (0.4, 0.0), (0.4, 1.1)])
+    def test_rows_match_scalar_reports(self, omega0, sigma, r_s, phi):
+        wp = make_wavepacket(omega0, sigma)
+        if r_s is None:
+            report = partial(displaced_variance, wp=wp)
+        else:
+            report = partial(squeezed_variance, wp=wp, r_s=r_s, phi=phi)
+        grid = report(self.A)
+        for k, a in enumerate(self.A):
+            single = report(float(a))
+            for field in self.FIELDS:
+                values = getattr(grid, field)
+                assert values.shape == self.A.shape
+                assert values[k] == pytest.approx(getattr(single, field), rel=1e-14)
+
+    def test_delta_decoherence_passes_nan_rows(self):
+        i_c = np.array([1.0, math.nan, 2.5])
+        d = delta_decoherence(0.5, i_c, 0.3)
+        assert math.isnan(d[1])
+        assert d[0] == delta_decoherence(0.5, 1.0, 0.3)
+        assert d[2] == pytest.approx(delta_decoherence(0.5, 2.5, 0.3), rel=1e-15)
+        with pytest.raises(ValueError, match="i_c must be >= 1"):
+            delta_decoherence(0.5, np.array([1.0, 0.5]), 0.3)
+
+    def test_unsettled_rows_pass_through_as_nan(self, monkeypatch):
+        monkeypatch.setattr(
+            teleportation, "spectral_integrals", partial(spectral_integrals, rel_tol=1e-30))
+        wp = make_wavepacket(1.0, 0.05)
+        for rep in (displaced_variance(self.A, wp), squeezed_variance(self.A, wp, 0.4, 0.2)):
+            for field in self.FIELDS:
+                assert np.all(np.isnan(getattr(rep, field)))
+        with pytest.raises(SpectralConvergenceError):
+            displaced_variance(1.0, wp)
 
 
 class TestConformalResidual:
