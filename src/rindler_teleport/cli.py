@@ -16,16 +16,22 @@
   every suite meets its tolerance.
 
 Each sweep curve is one closed-form call over the whole acceleration grid
-(see ``spectral.spectral_integrals``), run serially: the work is NumPy
-under one interpreter lock, which a thread pool only slowed.  A row whose
-spectral integrals did not converge is written as NaNs with the status
-``no-convergence``.
+(see ``spectral.spectral_integrals``).  A row whose spectral integrals did
+not converge is written as NaNs with the status ``no-convergence``.
+
+Every subcommand takes the same twelve settings, each declared once in
+``_SETTINGS`` as its flag, value parser and help; a ``--config`` file sets
+them with ``key = value`` lines, keyed by the flag without its dashes or by
+the setting's name (``rs`` or ``r_s``).  Flags win over the file.
+``_resolve_config`` then keeps what the subcommand reads, fills its defaults
+and warns about each provided setting it ignores.
 
 All outputs are deterministic for a fixed configuration: floats are
 rendered with ``%.12g``, metadata headers are sorted, nothing timestamps
 itself, and the only sampling (verification bin pairs) is seeded with the
 recorded seed.  Exit codes: 0 success, 1 verification failure, 2 invalid
-input.
+input, including a value the physics rejects (``r_s`` past e^(2 r_s)
+overflow).
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +97,8 @@ MASS_BEARING_FRACTION = 0.05
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Resolved run configuration (defaults < config file < flags)."""
+    """Resolved run configuration (defaults < config file < flags); see
+    ``_resolve_config`` for the per-command defaults."""
 
     scenario: str = "displaced"
     a_min: float = 0.05
@@ -114,27 +121,68 @@ class SweepConfig:
 # configuration plumbing
 
 
-_FIELD_TYPES = {
-    "scenario": str,
-    "a_min": float,
-    "a_max": float,
-    "a_steps": int,
-    "omega0": float,
-    "sigma": float,
-    "r_s": float,
-    "phi": float,
-    "bins": int,
-    "oracle": bool,
-    "out": str,
-    "seed": int,
+def _checked(convert, test, requirement: str):
+    """Value parser: ``convert`` the text, then require ``test`` of the value."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {convert.__name__}, got {text!r}") from None
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value!r}")
+        return value
+
+    return parse
+
+
+_BOOLEAN_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
+    ("0", "false", "no", "off"), False
+)
+
+
+def _boolean(text: str) -> bool:
+    try:
+        return _BOOLEAN_WORDS[text.lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(f"not a boolean: {text!r}") from None
+
+
+_positive = _checked(float, lambda x: 0.0 < x < math.inf, "positive")
+_finite = _checked(float, math.isfinite, "finite")
+
+#: Every setting once: its SweepConfig field, flag, value parser and help.
+#: The flags of all four subcommands, the config-file keys (the field name,
+#: or the flag without its dashes) and the config-file values come from here.
+#: A ``_boolean`` setting is a bare flag; the file takes yes/no words.
+_SETTINGS = {
+    "scenario": (
+        "--scenario",
+        _checked(str, SCENARIOS.__contains__, "one of " + ", ".join(SCENARIOS)),
+        "sweep variant: displaced (default), squeezed or inertial",
+    ),
+    "a_min": ("--a-min", _positive, "smallest acceleration (log grid)"),
+    "a_max": ("--a-max", _finite, "largest acceleration (log grid)"),
+    "a_steps": ("--a-steps", _checked(int, lambda n: n >= 1, ">= 1"), "number of acceleration points"),
+    "omega0": ("--omega0", _positive, "carrier frequency of the wavepacket"),
+    "sigma": ("--sigma", _positive, "wavepacket bandwidth (default 0.01*omega0)"),
+    "r_s": ("--rs", _checked(float, lambda x: 0.0 <= x < math.inf, "non-negative"), "payload squeezing strength"),
+    "phi": ("--phi", _finite, "quadrature phase"),
+    "bins": ("--bins", _checked(int, lambda n: n >= 4, ">= 4"), "frequency bins for the discretized oracle"),
+    "oracle": ("--oracle", _boolean, "cross-check each sweep row against the discretized-circuit oracle"),
+    "out": ("--out", str, f"output path (default: ${ENV_OUTDIR} or the working directory)"),
+    "seed": ("--seed", _checked(int, lambda n: n >= 0, "non-negative"), "seed for any sampled verification lattice"),
 }
 
-_TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
-_FALSE_WORDS = frozenset({"0", "false", "no", "off"})
+_CONFIG_KEYS = {
+    key: name
+    for name, (flag, _, _) in _SETTINGS.items()
+    for key in (name, flag.lstrip("-").replace("-", "_"))
+}
 
 
 def _parse_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
-    """Flat ``key = value`` file; ``#`` comments; keys match flag names."""
+    """Flat ``key = value`` file; ``#`` comments; keys as in ``_CONFIG_KEYS``."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -148,67 +196,63 @@ def _parse_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
             parser.error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        value = value.strip()
-        if key not in _FIELD_TYPES:
+        if key not in _CONFIG_KEYS:
             parser.error(f"{path}:{lineno}: unknown configuration key {key!r}")
-        caster = _FIELD_TYPES[key]
+        name = _CONFIG_KEYS[key]
         try:
-            if caster is bool:
-                lowered = value.lower()
-                if lowered in _TRUE_WORDS:
-                    values[key] = True
-                elif lowered in _FALSE_WORDS:
-                    values[key] = False
-                else:
-                    raise ValueError(f"not a boolean: {value!r}")
-            else:
-                values[key] = caster(value)
-        except ValueError as exc:
+            values[name] = _SETTINGS[name][1](value.strip())
+        except argparse.ArgumentTypeError as exc:
             parser.error(f"{path}:{lineno}: bad value for {key}: {exc}")
     return values
 
 
-def _resolve_config(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> tuple[SweepConfig, frozenset]:
-    """Merge defaults, config file and flags; validate physical ranges.
+#: The settings each command reads besides ``out`` and ``seed``; ``sweep``
+#: by scenario.  A sweep that runs the oracle also reads ``bins``.
+_GRID = ("a_min", "a_max", "a_steps")
+_READS = {
+    "fig4": (*_GRID, "omega0", "sigma"),
+    "fig5": (*_GRID, "omega0", "sigma", "r_s"),
+    "verify": ("bins",),
+    "displaced": ("scenario", *_GRID, "omega0", "sigma", "oracle"),
+    "squeezed": ("scenario", *_GRID, "omega0", "sigma", "r_s", "phi", "oracle"),
+    "inertial": ("scenario", *_GRID, "omega0"),
+}
 
-    Returns the resolved configuration plus the set of keys the user set
-    explicitly (used to warn about scenario-irrelevant fields).
+
+def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> SweepConfig:
+    """Merge defaults, config file and flags into what ``args.command`` reads.
+
+    Each provided setting the command ignores is logged.  Of the payload
+    settings, those the command reads get their defaults - omega0 = 1,
+    sigma = 0.01*omega0, r_s = 0.5, phi = 0 - and the rest are None.
+    ``fig4`` leaves omega0 and sigma unset: it sweeps its own carriers, each
+    with sigma = 0.01*omega0.
     """
-    file_values = _parse_config_file(args.config, parser) if args.config else {}
-    merged = dict(file_values)
-    for key in _FIELD_TYPES:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    provided = frozenset(merged)
+    merged = _parse_config_file(args.config, parser) if args.config else {}
+    merged.update({name: v for name in _SETTINGS if (v := getattr(args, name)) is not None})
     cfg = SweepConfig(**merged)
-
-    if cfg.scenario not in SCENARIOS:
-        parser.error(f"scenario must be one of {', '.join(SCENARIOS)}, got {cfg.scenario!r}")
-    if not (cfg.a_min > 0 and math.isfinite(cfg.a_min)):
-        parser.error(f"--a-min must be positive, got {cfg.a_min}")
-    if not (cfg.a_max >= cfg.a_min and math.isfinite(cfg.a_max)):
+    if cfg.a_max < cfg.a_min:
         parser.error(f"--a-max must be >= --a-min, got {cfg.a_max}")
-    if cfg.a_steps < 1:
-        parser.error(f"--a-steps must be >= 1, got {cfg.a_steps}")
-    if cfg.omega0 is not None and not (cfg.omega0 > 0 and math.isfinite(cfg.omega0)):
-        parser.error(f"--omega0 must be positive, got {cfg.omega0}")
-    if cfg.sigma is not None and not (cfg.sigma > 0 and math.isfinite(cfg.sigma)):
-        parser.error(f"--sigma must be positive, got {cfg.sigma}")
-    if cfg.r_s is not None and not (cfg.r_s >= 0 and math.isfinite(cfg.r_s)):
-        parser.error(f"--rs must be non-negative, got {cfg.r_s}")
-    if cfg.phi is not None and not math.isfinite(cfg.phi):
-        parser.error(f"--phi must be finite, got {cfg.phi}")
-    if cfg.bins < 4:
-        parser.error(f"--bins must be >= 4, got {cfg.bins}")
-    return cfg, provided
 
+    reads = {"out", "seed", *_READS[cfg.scenario if args.command == "sweep" else args.command]}
+    if "oracle" in reads and cfg.oracle:
+        reads.add("bins")
+    for name in sorted(merged.keys() - reads):
+        log.warning("%s ignores the %r setting; continuing without it", args.command, name)
 
-def _warn_ignored(command: str, provided: frozenset, used: frozenset) -> None:
-    for key in sorted(provided - used):
-        log.warning("%s ignores the %r setting; continuing without it", command, key)
+    def pick(name, default):
+        value = getattr(cfg, name)
+        return None if name not in reads else default if value is None else value
+
+    fig4 = args.command == "fig4"
+    omega0 = pick("omega0", None if fig4 else 1.0)
+    return replace(
+        cfg,
+        omega0=omega0,
+        sigma=pick("sigma", None if fig4 or omega0 is None else 0.01 * omega0),
+        r_s=pick("r_s", 0.5),
+        phi=pick("phi", 0.0),
+    )
 
 
 def _resolve_out(cfg: SweepConfig, default_name: str) -> Path:
@@ -234,25 +278,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, meta: dict, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key} = {_fmt(meta[key])}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
-
-
-def _base_meta(command: str, cfg: SweepConfig) -> dict:
-    return {
+def _write_csv(cfg: SweepConfig, command: str, default_name: str, meta: dict, header: list, rows: list) -> int:
+    """Write ``rows`` below the sorted ``# key = value`` lines of the run's
+    grid and ``meta``; report where; exit status 0."""
+    meta = {
         "command": command,
         "version": __version__,
         "seed": cfg.seed,
         "a_min": cfg.a_min,
         "a_max": cfg.a_max,
         "a_steps": cfg.a_steps,
+        "rows": len(rows),
+        **meta,
     }
+    out = _resolve_out(cfg, default_name)
+    with open(out, "w", newline="") as fh:
+        for key in sorted(meta):
+            fh.write(f"# {key} = {_fmt(meta[key])}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(cell) for cell in row])
+    print(f"wrote {len(rows)} rows to {out}")
+    return 0
 
 
 def _parallel(func, points: list) -> list:
@@ -285,12 +333,9 @@ def _grid_cells(*columns) -> list[list]:
 
 
 def cmd_fig4(cfg: SweepConfig) -> int:
-    curves = (cfg.omega0,) if cfg.omega0 is not None else FIG4_OMEGA0_CURVES
+    curves = FIG4_OMEGA0_CURVES if cfg.omega0 is None else (cfg.omega0,)
     a_grid = cfg.a_grid()
-    packets = {
-        w0: make_wavepacket(w0, cfg.sigma if cfg.sigma is not None else 0.01 * w0)
-        for w0 in curves
-    }
+    packets = {w0: make_wavepacket(w0, cfg.sigma if cfg.sigma is not None else 0.01 * w0) for w0 in curves}
 
     def curve(w0):
         rep = displaced_variance(a_grid, packets[w0])
@@ -299,20 +344,12 @@ def cmd_fig4(cfg: SweepConfig) -> int:
 
     rows = [row for rows in _parallel(curve, curves) for row in rows]
 
-    meta = _base_meta("fig4", cfg)
-    meta.update(
-        {
-            "omega0_curves": ",".join("%.12g" % w for w in curves),
-            "sigma_rule": (
-                "%.12g" % cfg.sigma if cfg.sigma is not None else "0.01*omega0"
-            ),
-            "rows": len(rows),
-        }
-    )
-    out = _resolve_out(cfg, FIG4_FILENAME)
-    _write_csv(out, meta, ["omega0", "a", "variance_total", "thermal", "qnl", "status"], rows)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    meta = {
+        "omega0_curves": ",".join("%.12g" % w for w in curves),
+        "sigma_rule": "%.12g" % cfg.sigma if cfg.sigma is not None else "0.01*omega0",
+    }
+    header = ["omega0", "a", "variance_total", "thermal", "qnl", "status"]
+    return _write_csv(cfg, "fig4", FIG4_FILENAME, meta, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -320,53 +357,37 @@ def cmd_fig4(cfg: SweepConfig) -> int:
 
 
 def cmd_fig5(cfg: SweepConfig) -> int:
-    w0 = cfg.omega0 if cfg.omega0 is not None else 1.0
-    sigma = cfg.sigma if cfg.sigma is not None else 0.01 * w0
-    r_s = cfg.r_s if cfg.r_s is not None else 0.5
-    wp = make_wavepacket(w0, sigma)
     a_grid = cfg.a_grid()
-
-    ints = spectral_integrals(wp, a_grid)
+    ints = spectral_integrals(make_wavepacket(cfg.omega0, cfg.sigma), a_grid)
     thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
-    d0 = delta_decoherence(r_s, ints.i_c, 0.0)
-    d90 = delta_decoherence(r_s, ints.i_c, math.pi / 2)
+    d0 = delta_decoherence(cfg.r_s, ints.i_c, 0.0)
+    d90 = delta_decoherence(cfg.r_s, ints.i_c, math.pi / 2)
     cells = _grid_cells(thermal, d0, d90, thermal + d0, thermal + d90)
     rows = [[a, *row] for a, row in zip(a_grid.tolist(), cells)]
 
-    meta = _base_meta("fig5", cfg)
-    meta.update({"omega0": w0, "sigma": sigma, "r_s": r_s, "rows": len(rows)})
-    out = _resolve_out(cfg, FIG5_FILENAME)
-    _write_csv(
-        out,
-        meta,
-        ["a", "thermal", "delta_phi0", "delta_phi90", "total_phi0", "total_phi90", "status"],
-        rows,
-    )
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    meta = {"omega0": cfg.omega0, "sigma": cfg.sigma, "r_s": cfg.r_s}
+    header = ["a", "thermal", "delta_phi0", "delta_phi90", "total_phi0", "total_phi90", "status"]
+    return _write_csv(cfg, "fig5", FIG5_FILENAME, meta, header, rows)
 
 
 # ---------------------------------------------------------------------------
 # sweep: generic acceleration sweep for one scenario
 
 
-def _sweep_rows(cfg: SweepConfig, w0: float) -> list[list]:
+def _sweep_rows(cfg: SweepConfig) -> list[list]:
     """CSV rows of one sweep: a closed-form call over the grid, then the
     oracle per converged row when it is toggled."""
     a_grid = cfg.a_grid()
-    r_omega = squeeze_param(w0, a_grid)
-    wp = sigma = r_s = phi = None
+    r_omega = squeeze_param(cfg.omega0, a_grid)
+    wp = None
     if cfg.scenario == "inertial":
         excess = 2.0 * np.exp(-2.0 * r_omega)
         total = 1.0 + excess
         cells = _grid_cells(total, excess, np.ones_like(total), total * total)
     else:
-        sigma = cfg.sigma if cfg.sigma is not None else 0.01 * w0
-        wp = make_wavepacket(w0, sigma)
+        wp = make_wavepacket(cfg.omega0, cfg.sigma)
         if cfg.scenario == "squeezed":
-            r_s = cfg.r_s if cfg.r_s is not None else 0.5
-            phi = cfg.phi if cfg.phi is not None else 0.0
-            rep = squeezed_variance(a_grid, wp, r_s, phi)
+            rep = squeezed_variance(a_grid, wp, cfg.r_s, cfg.phi)
         else:
             rep = displaced_variance(a_grid, wp)
         cells = _grid_cells(rep.total, rep.thermal_noise, rep.qnl_or_decoherence, rep.purity_product)
@@ -376,14 +397,12 @@ def _sweep_rows(cfg: SweepConfig, w0: float) -> list[list]:
         status = values.pop()
         deviation = None
         if wp is not None and status == "ok":
-            deviation, status = _oracle_deviation(cfg, wp, a, r_s or 0.0, phi, values[0])
-        rows.append([a, w0, sigma, r_s, phi, r, *values, deviation, status])
+            deviation, status = _oracle_deviation(cfg, wp, a, values[0])
+        rows.append([a, cfg.omega0, cfg.sigma, cfg.r_s, cfg.phi, r, *values, deviation, status])
     return rows
 
 
-def _oracle_deviation(
-    cfg: SweepConfig, wp, a: float, r_s: float, phi: float | None, closed_total: float
-):
+def _oracle_deviation(cfg: SweepConfig, wp, a: float, closed_total: float):
     """Relative |oracle - closed| for one sweep point and its status.
 
     (None, ``ok``) when the oracle is not toggled.  A clipped wavepacket's
@@ -393,11 +412,11 @@ def _oracle_deviation(
     if not cfg.oracle:
         return None, "ok"
     try:
-        if r_s == 0.0:
-            circ = build_displaced_circuit(a, wp, cfg.bins)
+        if cfg.r_s:
+            circ = build_squeezed_circuit(a, wp, cfg.bins, r_s=cfg.r_s)
         else:
-            circ = build_squeezed_circuit(a, wp, cfg.bins, r_s=r_s)
-        rep = photon_number_variance_lo(circ, phi or 0.0)
+            circ = build_displaced_circuit(a, wp, cfg.bins)
+        rep = photon_number_variance_lo(circ, cfg.phi or 0.0)
     except OracleConvergenceError:
         return math.nan, "oracle-no-convergence"
     status = "oracle-unresolved" if wp.clipped else "ok"
@@ -405,36 +424,19 @@ def _oracle_deviation(
 
 
 def cmd_sweep(cfg: SweepConfig) -> int:
-    w0 = cfg.omega0 if cfg.omega0 is not None else 1.0
-    rows = _sweep_rows(cfg, w0)
+    rows = _sweep_rows(cfg)
 
-    meta = _base_meta("sweep", cfg)
-    meta.update(
-        {
-            "scenario": cfg.scenario,
-            "omega0": w0,
-            "oracle": cfg.oracle,
-            "rows": len(rows),
-        }
-    )
-    if cfg.scenario != "inertial":
-        meta["sigma"] = cfg.sigma if cfg.sigma is not None else 0.01 * w0
-    if cfg.scenario == "squeezed":
-        meta["r_s"] = cfg.r_s if cfg.r_s is not None else 0.5
-        meta["phi"] = cfg.phi if cfg.phi is not None else 0.0
+    meta = {"scenario": cfg.scenario, "omega0": cfg.omega0, "oracle": cfg.oracle}
+    meta.update({k: v for k in ("sigma", "r_s", "phi") if (v := getattr(cfg, k)) is not None})
     if cfg.oracle:
-        meta["bins"] = cfg.bins
-        meta["channel_gain"] = DEFAULT_CHANNEL_GAIN
+        meta.update(bins=cfg.bins, channel_gain=DEFAULT_CHANNEL_GAIN)
 
     header = [
         "a", "omega0", "sigma", "r_s", "phi", "r_omega",
         "variance_total", "thermal_noise", "qnl_or_decoherence", "purity_product",
         "oracle_deviation", "status",
     ]
-    out = _resolve_out(cfg, f"sweep_{cfg.scenario}.csv")
-    _write_csv(out, meta, header, rows)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    return _write_csv(cfg, "sweep", f"sweep_{cfg.scenario}.csv", meta, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -595,60 +597,28 @@ def cmd_verify(cfg: SweepConfig) -> int:
 # argument parsing and dispatch
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a-min", type=float, dest="a_min", default=None, help="smallest acceleration (log grid)")
-    p.add_argument("--a-max", type=float, dest="a_max", default=None, help="largest acceleration (log grid)")
-    p.add_argument("--a-steps", type=int, dest="a_steps", default=None, help="number of acceleration points")
-    p.add_argument("--omega0", type=float, default=None, help="carrier frequency of the wavepacket")
-    p.add_argument("--sigma", type=float, default=None, help="wavepacket bandwidth (default 0.01*omega0)")
-    p.add_argument("--rs", type=float, dest="r_s", default=None, help="payload squeezing strength")
-    p.add_argument("--phi", type=float, default=None, help="quadrature phase")
-    p.add_argument("--bins", type=int, default=None, help="frequency bins for the discretized oracle")
-    p.add_argument(
-        "--oracle", action="store_const", const=True, default=None,
-        help="cross-check each sweep row against the discretized-circuit oracle",
-    )
-    p.add_argument("--config", default=None, help="flat key = value configuration file (flags win)")
-    p.add_argument("--out", default=None, help=f"output path (default: ${ENV_OUTDIR} or the working directory)")
-    p.add_argument("--seed", type=int, default=None, help="seed for any sampled verification lattice")
-
-
-_COMMAND_USED_KEYS = {
-    "fig4": frozenset({"a_min", "a_max", "a_steps", "omega0", "sigma", "out", "seed"}),
-    "fig5": frozenset({"a_min", "a_max", "a_steps", "omega0", "sigma", "r_s", "out", "seed"}),
-    "verify": frozenset({"bins", "out", "seed"}),
-}
-
-
-def _sweep_used_keys(cfg: SweepConfig) -> frozenset:
-    used = {"scenario", "a_min", "a_max", "a_steps", "omega0", "out", "seed"}
-    if cfg.scenario in ("displaced", "squeezed"):
-        used |= {"sigma", "oracle"}
-        if cfg.oracle:
-            used |= {"bins"}
-    if cfg.scenario == "squeezed":
-        used |= {"r_s", "phi"}
-    return frozenset(used)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    settings = argparse.ArgumentParser(add_help=False)
+    for name, (flag, parse, help_text) in _SETTINGS.items():
+        if parse is _boolean:
+            settings.add_argument(flag, dest=name, action="store_const", const=True, help=help_text)
+        else:
+            settings.add_argument(flag, dest=name, type=parse, help=help_text)
+    settings.add_argument("--config", help="flat key = value configuration file (flags win)")
+
     parser = argparse.ArgumentParser(
         prog="rindler-teleport",
         description="Teleportation-from-acceleration sweeps and verification suites.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fig4 = sub.add_parser("fig4", help="coherent-payload variance vs acceleration (CSV)")
-    p_fig5 = sub.add_parser("fig5", help="squeezed-payload noise decomposition vs acceleration (CSV)")
-    p_sweep = sub.add_parser("sweep", help="generic acceleration sweep for one scenario (CSV)")
-    p_verify = sub.add_parser("verify", help="run the dual-path verification suites")
-    p_sweep.add_argument(
-        "--scenario", choices=SCENARIOS, default=None,
-        help="which protocol variant to sweep (default displaced)",
-    )
-    for p in (p_fig4, p_fig5, p_sweep, p_verify):
-        _add_common_flags(p)
+    for command, help_text in (
+        ("fig4", "coherent-payload variance vs acceleration (CSV)"),
+        ("fig5", "squeezed-payload noise decomposition vs acceleration (CSV)"),
+        ("sweep", "generic acceleration sweep for one scenario (CSV)"),
+        ("verify", "run the dual-path verification suites"),
+    ):
+        sub.add_parser(command, help=help_text, parents=[settings])
     return parser
 
 
@@ -657,21 +627,16 @@ def main(argv=None) -> int:
         logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg, provided = _resolve_config(args, parser)
-
-    command = args.command
-    if command == "sweep":
-        used = _sweep_used_keys(cfg)
-    else:
-        used = _COMMAND_USED_KEYS[command]
-    _warn_ignored(command, provided, used)
+    cfg = _resolve_config(args, parser)
 
     dispatch = {"fig4": cmd_fig4, "fig5": cmd_fig5, "sweep": cmd_sweep, "verify": cmd_verify}
     try:
-        return dispatch[command](cfg)
+        return dispatch[args.command](cfg)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:  # an input the physics rejects, e.g. r_s too large
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -79,7 +79,10 @@ class SpectralConvergenceError(RuntimeError):
 
 
 def _frequencies(omega) -> np.ndarray:
+    """``omega`` as a float array, checked finite and positive."""
     w = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"frequency omega must be finite, got {omega}")
     if np.any(w <= 0):
         raise ValueError("frequencies must be strictly positive")
     return w
@@ -103,8 +106,8 @@ def squeeze_param(omega, a):
     """Per-frequency squeezing parameter r(omega) = arctanh(e^(-pi omega / a)).
 
     Accepts scalars or arrays, broadcast against each other; frequencies
-    must be strictly positive (the parameter diverges at omega = 0) and
-    ``a`` finite and positive.
+    must be finite and strictly positive (the parameter diverges at
+    omega = 0) and ``a`` finite and positive.
 
     Evaluated in two stable branches: ``arctanh(e^(-x))`` directly when the
     argument is small (x = pi*omega/a >= ln 2), and the equivalent

@@ -43,6 +43,9 @@ from .mode_algebra import (
 )
 from .spectral import WavepacketSpec, spectral_integrals, squeeze_param
 
+#: Largest payload squeezing whose e^(2 r_s) is a finite float.
+_MAX_PAYLOAD_SQUEEZING = 0.5 * math.log(np.finfo(float).max)
+
 __all__ = [
     "VarianceReport",
     "conformal_residual",
@@ -116,20 +119,25 @@ def delta_decoherence(r_s: float, i_c: float | np.ndarray, phi: float) -> float 
     i_c = 1 (inertial limit) and to 1 at r_s = 0; the i_c-growing part is
     the decoherence the acceleration inflicts on the payload itself.
     ``i_c`` may be an array; NaN entries pass through as NaN.
+
+    Evaluated without cancellation as Delta = M + (P - M) cos^2 phi, with
+    h = 16 i_c (i_c - 1) sinh^2(r_s/2), the minimum M = e^(-2 r_s) + h e^(-r_s)
+    and the spread P - M = 2 sinh 2 r_s + 2 h sinh r_s, both non-negative.
+    ``r_s`` must leave e^(2 r_s) a finite float.
     """
-    if not math.isfinite(r_s) or r_s < 0:
-        raise ValueError(f"payload squeezing must be finite and non-negative, got {r_s}")
+    if not 0.0 <= r_s <= _MAX_PAYLOAD_SQUEEZING:
+        raise ValueError(
+            f"payload squeezing r_s must lie in [0, {_MAX_PAYLOAD_SQUEEZING:.6g}] "
+            f"(e^(2 r_s) must be finite), got {r_s}"
+        )
     if np.any(i_c < 1.0):
         raise ValueError(f"i_c must be >= 1 (it is 1 + i_s), got {i_c}")
-    c1 = math.cosh(r_s)
-    s1 = math.sinh(r_s)
-    c2 = math.cosh(2.0 * r_s)
-    ii = i_c * (i_c - 1.0)
-    return (
-        c2
-        + 4.0 * ii * (c2 - 2.0 * c1 + 1.0)
-        + 2.0 * s1 * ((2.0 * i_c - 1.0) ** 2 * c1 - 4.0 * ii) * math.cos(2.0 * phi)
-    )
+    half = math.sinh(0.5 * r_s)
+    h = 16.0 * half * half * (i_c * (i_c - 1.0))
+    minimum = math.exp(-2.0 * r_s) + h * math.exp(-r_s)
+    spread = 2.0 * math.sinh(2.0 * r_s) + 2.0 * h * math.sinh(r_s)
+    cos_phi = math.cos(phi)
+    return minimum + spread * (cos_phi * cos_phi)
 
 
 def squeezed_variance(

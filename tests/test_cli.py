@@ -197,6 +197,53 @@ class TestConfigFile:
         assert excinfo.value.code == 2
 
 
+# One case per setting: a command that reads it, and a value (None for a
+# bare flag; ``OUT`` for the output path of the run itself).
+OUT = object()
+_SETTING_CASES = {
+    "--scenario": (["sweep"], "inertial"),
+    "--a-min": (["fig5"], "0.1"),
+    "--a-max": (["fig5"], "20"),
+    "--a-steps": (["fig5"], "4"),
+    "--omega0": (["fig5"], "2"),
+    "--sigma": (["fig5"], "0.03"),
+    "--rs": (["fig5"], "0.3"),
+    "--phi": (["sweep", "--scenario", "squeezed"], "0.4"),
+    "--bins": (["sweep", "--oracle"], "16"),
+    "--oracle": (["sweep", "--bins", "16"], None),
+    "--out": (["fig5"], OUT),
+    "--seed": (["fig5"], "7"),
+}
+
+
+class TestConfigFlagParity:
+    def test_every_setting_has_a_case(self):
+        assert {flag for flag, _, _ in cli._SETTINGS.values()} == set(_SETTING_CASES)
+
+    @pytest.mark.parametrize(
+        "flag, key",
+        [(flag, flag.lstrip("-")) for flag in sorted(_SETTING_CASES)]
+        + [("--a-min", "a_min"), ("--a-max", "a_max"), ("--a-steps", "a_steps"), ("--rs", "r_s")],
+    )
+    def test_config_key_writes_the_same_csv_as_the_flag(self, tmp_path, flag, key):
+        argv, value = _SETTING_CASES[flag]
+        if flag != "--a-steps":
+            argv = argv + ["--a-steps", "2"]
+        by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
+
+        flag_args = [flag] if value is None else [flag, str(by_flag) if value is OUT else value]
+        out_args = [] if value is OUT else ["--out", str(by_flag)]
+        assert main(argv + flag_args + out_args) == 0
+
+        cfg = tmp_path / "run.cfg"
+        file_value = "yes" if value is None else str(by_file) if value is OUT else value
+        cfg.write_text(f"{key} = {file_value}\n")
+        out_args = [] if value is OUT else ["--out", str(by_file)]
+        assert main(argv + ["--config", str(cfg)] + out_args) == 0
+
+        assert by_file.read_bytes() == by_flag.read_bytes()
+
+
 class TestOutputLocation:
     def test_env_outdir_used_for_default_names(self, tmp_path, monkeypatch):
         outdir = tmp_path / "reports"
@@ -223,6 +270,9 @@ class TestParameterValidation:
             ["fig5", "--rs", "-1"],
             ["fig5", "--sigma", "0"],
             ["verify", "--bins", "2"],
+            ["verify", "--seed", "-1"],
+            ["fig5", "--rs", "800"],
+            ["sweep", "--scenario", "squeezed", "--rs", "800"],
         ],
     )
     def test_rejected_with_usage_exit(self, argv):

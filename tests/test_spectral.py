@@ -236,6 +236,22 @@ class TestAccelerationInput:
             spectral_integrals(make_wavepacket(1.0, 0.05), np.ones((2, 2)))
 
 
+# Each function of the frequency, reduced to one call with a valid a.
+_FREQUENCY_FUNCTIONS = {
+    "squeeze_param": partial(squeeze_param, a=1.0),
+    "unruh_cosh_sinh": partial(unruh_cosh_sinh, a=1.0),
+    "unruh_ch_minus_sh": partial(unruh_ch_minus_sh, a=1.0),
+}
+
+
+class TestFrequencyInput:
+    @pytest.mark.parametrize("name", sorted(_FREQUENCY_FUNCTIONS))
+    @pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf, np.array([0.5, math.inf, 2.0])])
+    def test_non_finite_rejected_by_name(self, name, omega):
+        with pytest.raises(ValueError, match="frequency omega must be finite"):
+            _FREQUENCY_FUNCTIONS[name](omega)
+
+
 def _reference_integrals(wp, a: float, rel_tol: float = 1e-10):
     """One acceleration at a time, the loop the array path replaces.
 

@@ -98,6 +98,37 @@ class TestDeltaDecoherence:
         assert d90 - 1e-12 <= dmid <= d0 + 1e-12
 
 
+def _delta_reference(r_s: float, i_c: float, phi: float) -> float:
+    """The docstring's cosh/sinh form of Delta(phi), at 80 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        r, i, p = mpmath.mpf(r_s), mpmath.mpf(i_c), mpmath.mpf(phi)
+        ii = i * (i - 1)
+        c1, s1, c2 = mpmath.cosh(r), mpmath.sinh(r), mpmath.cosh(2 * r)
+        delta = (
+            c2
+            + 4 * ii * (c2 - 2 * c1 + 1)
+            + 2 * s1 * ((2 * i - 1) ** 2 * c1 - 4 * ii) * mpmath.cos(2 * p)
+        )
+        return float(delta)
+
+
+class TestDeltaDecoherencePrecision:
+    @pytest.mark.parametrize("r_s", [0.01, 0.3, 1.0, 5.0, 12.0, 20.0, 30.0])
+    @pytest.mark.parametrize("i_c", [1.0, 1.0 + 1e-9, 1.7, 11.0])
+    @pytest.mark.parametrize("phi", [0.0, 0.9, math.pi / 2, 2.5])
+    def test_matches_high_precision_reference(self, r_s, i_c, phi):
+        assert delta_decoherence(r_s, i_c, phi) == pytest.approx(
+            _delta_reference(r_s, i_c, phi), rel=1e-14, abs=0.0
+        )
+
+    def test_largest_representable_squeezing(self):
+        assert math.isfinite(delta_decoherence(354.0, 1.0, 0.0))
+        for r_s in (355.0, 800.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="r_s"):
+                delta_decoherence(r_s, 1.0, 0.0)
+
+
 class TestSqueezedVariance:
     def test_frozen_report(self):
         wp = make_wavepacket(1.0, 0.05)
