@@ -45,6 +45,7 @@ from .oracle import (
     appendix_expectations,
     build_displaced_circuit,
     build_squeezed_circuit,
+    contraction_table,
     fock_check_inertial,
     photon_number_variance_lo,
     refine_circuit,
@@ -93,6 +94,7 @@ __all__ = [
     "build_squeezed_circuit",
     "commutator",
     "conformal_residual",
+    "contraction_table",
     "delta_decoherence",
     "displace",
     "displaced_variance",

@@ -17,7 +17,9 @@
 
 Each sweep curve is one closed-form call over the whole acceleration grid
 (see ``spectral.spectral_integrals``).  A row whose spectral integrals did
-not converge is written as NaNs with the status ``no-convergence``.
+not converge is written as NaNs with the status ``no-convergence``; a
+converged row holding a value past the float range keeps it, with the
+status ``overflow``.
 
 Every subcommand takes the same twelve settings, each declared once in
 ``_SETTINGS`` as its flag, value parser and help; a ``--config`` file sets
@@ -28,10 +30,10 @@ and warns about each provided setting it ignores.
 
 All outputs are deterministic for a fixed configuration: floats are
 rendered with ``%.12g``, metadata headers are sorted, nothing timestamps
-itself, and the only sampling (verification bin pairs) is seeded with the
-recorded seed.  Exit codes: 0 success, 1 verification failure, 2 invalid
-input, including a value the physics rejects (``r_s`` past e^(2 r_s)
-overflow).
+itself, and nothing is drawn at random (``verify`` checks every
+mass-bearing bin pair; the seed is only recorded).  Exit codes: 0
+success, 1 verification failure, 2 invalid input, including a value the
+physics rejects (``r_s`` past e^(2 r_s) overflow).
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ from .mode_algebra import Chirality, ModeLabel, Sector
 from .oracle import (
     DEFAULT_CHANNEL_GAIN,
     OracleConvergenceError,
-    appendix_expectations,
     build_displaced_circuit,
     build_squeezed_circuit,
+    contraction_table,
     fock_check_inertial,
     photon_number_variance_lo,
 )
@@ -88,8 +90,8 @@ VERIFY_APPENDIX_TOL = 1e-8
 VERIFY_ORACLE_TOL = 1e-11
 VERIFY_FOCK_TOL = 1e-3
 VERIFY_FOCK_POINT = (0.5, 0.5)
-# fraction of the peak envelope weight below which bins are skipped when
-# sampling identity pairs: tail rows scale like g_w*g_y (~1e-7) while the
+# fraction of the peak envelope weight below which bins are left out of the
+# contraction-identity suite: tail rows scale like g_w*g_y (~1e-7) while the
 # N-term Wick sums carry an absolute float-noise floor ~1e-15, leaving no
 # headroom for a relative certificate there.
 MASS_BEARING_FRACTION = 0.05
@@ -171,7 +173,7 @@ _SETTINGS = {
     "bins": ("--bins", _checked(int, lambda n: n >= 4, ">= 4"), "frequency bins for the discretized oracle"),
     "oracle": ("--oracle", _boolean, "cross-check each sweep row against the discretized-circuit oracle"),
     "out": ("--out", str, f"output path (default: ${ENV_OUTDIR} or the working directory)"),
-    "seed": ("--seed", _checked(int, lambda n: n >= 0, "non-negative"), "seed for any sampled verification lattice"),
+    "seed": ("--seed", _checked(int, lambda n: n >= 0, "non-negative"), "recorded in each output"),
 }
 
 _CONFIG_KEYS = {
@@ -248,6 +250,7 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     omega0 = pick("omega0", None if fig4 else 1.0)
     return replace(
         cfg,
+        oracle=cfg.oracle and "oracle" in reads,
         omega0=omega0,
         sigma=pick("sigma", None if fig4 or omega0 is None else 0.01 * omega0),
         r_s=pick("r_s", 0.5),
@@ -315,16 +318,17 @@ def _parallel(func, points: list) -> list:
 def _grid_cells(*columns) -> list[list]:
     """Per-acceleration CSV cells from equal-length closed-form columns.
 
-    Each row holds its values and the status ``ok``, or, where the first
+    Each row holds its values and the status ``ok``; where the first
     column is NaN (the spectral integrals did not converge), NaNs and
-    ``no-convergence``.
+    ``no-convergence``; and where another value is not finite (it overflowed
+    a float), its values and ``overflow``.
     """
     rows = []
     for values in zip(*(c.tolist() for c in columns)):
         if math.isnan(values[0]):
             rows.append([math.nan] * len(values) + ["no-convergence"])
         else:
-            rows.append([*values, "ok"])
+            rows.append([*values, "ok" if all(map(math.isfinite, values)) else "overflow"])
     return rows
 
 
@@ -503,25 +507,22 @@ def _mass_bearing_bins(circ) -> np.ndarray:
 
 def _suite_appendix(cfg: SweepConfig) -> SuiteResult:
     wp = make_wavepacket(1.0, 0.05)
-    rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     worst_name = ""
-    n_pairs = 50
-    for builder, kwargs in (
-        (build_displaced_circuit, {}),
-        (build_squeezed_circuit, {"r_s": 0.4}),
+    n_pairs = 0
+    for circ in (
+        build_displaced_circuit(1.0, wp, cfg.bins),
+        build_squeezed_circuit(1.0, wp, cfg.bins, r_s=0.4),
     ):
-        circ = builder(1.0, wp, cfg.bins, **kwargs)
         bins = _mass_bearing_bins(circ)
-        pairs = rng.choice(bins, size=(n_pairs, 2))
-        for i, j in pairs:
-            rows = appendix_expectations(circ, int(i), int(j), phi=0.3)
-            for name, row in rows.items():
-                if row.rel_deviation > worst:
-                    worst, worst_name = row.rel_deviation, name
+        n_pairs += len(bins) ** 2
+        for name, row in contraction_table(circ, bins, bins, phi=0.3).items():
+            deviation = float(np.max(row.rel_deviation))
+            if deviation > worst or math.isnan(deviation):  # a NaN row fails the suite
+                worst, worst_name = deviation, name
     return SuiteResult(
         "appendix-identities", worst, VERIFY_APPENDIX_TOL,
-        f"2 circuits x {n_pairs} bin pairs x 20 contraction rows at N={cfg.bins}"
+        f"{n_pairs} mass-bearing bin pairs of 2 circuits x 20 contraction rows at N={cfg.bins}"
         + (f"; worst row {worst_name!r}" if worst_name else ""),
     )
 

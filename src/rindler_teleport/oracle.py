@@ -25,16 +25,19 @@ Scaling notes: the 3N region wires of an N-bin circuit share one mode
 register, and every output operator lives on the register of the 4N
 vacuum-family modes, so each gate, commutator and Wick pairing is a few
 O(N) vector operations and the region-to-family rewrite is one vectorized
-pass.  The commutator audit samples a fixed number of pairs, so building a
-circuit and its LO variance takes a fixed number of such operations: a few
-milliseconds at the default N = 256..1024 grids.  A Fock window of cutoff C
-holds (C + 1)**3 real amplitudes and costs O(C**4) operations.
+pass.  Every bin's output is a unit mode plus a multiple of one shared
+fluctuation W, so the commutator audit checks every bin in O(N) and the
+contraction table over M bins costs O(N + M**2): building a circuit and
+its LO variance takes a few milliseconds at the default N = 256..1024
+grids.  A Fock window of cutoff C holds (C + 1)**3 real amplitudes and
+costs O(C**4) operations.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +50,6 @@ from .mode_algebra import (
     ModeRegister,
     OperatorExpr,
     Sector,
-    annihilator,
     beam_splitter,
     commutator,
     displace,
@@ -56,7 +58,6 @@ from .mode_algebra import (
     rindler_to_unruh,
     single_mode_squeeze,
     two_mode_squeeze,
-    wick_expectation,
 )
 from .spectral import WavepacketSpec, unruh_cosh_sinh
 from .teleportation import VarianceReport, inertial_teleport_output
@@ -71,6 +72,7 @@ __all__ = [
     "appendix_expectations",
     "build_displaced_circuit",
     "build_squeezed_circuit",
+    "contraction_table",
     "fock_check_inertial",
     "photon_number_variance_lo",
     "refine_circuit",
@@ -138,24 +140,6 @@ class DiscretizedCircuit:
     @property
     def n_bins(self) -> int:
         return len(self.bins)
-
-    def c_label(self, i: int) -> ModeLabel:
-        return ModeLabel(Sector.UNRUH_C, Chirality.LEFT, int(i))
-
-    def d_label(self, i: int) -> ModeLabel:
-        return ModeLabel(Sector.UNRUH_D, Chirality.LEFT, int(i))
-
-    def c_out(self, i: int, alpha: complex = 0.0) -> OperatorExpr:
-        """Output operator of left-mover family-c bin ``i`` (LO amplitude alpha)."""
-        scale = float(self.g[i] * self.ch[i])
-        shift = scale * self.disp_gain * (complex(alpha) + self.beta)
-        return annihilator(self.c_label(i)) + self.wire_delta * scale + shift
-
-    def d_out(self, i: int, alpha: complex = 0.0) -> OperatorExpr:
-        """Output operator of left-mover family-d bin ``i`` (LO amplitude alpha)."""
-        scale = -float(self.g[i] * self.sh[i])
-        shift = scale * (self.disp_gain * (complex(alpha) + self.beta)).conjugate()
-        return annihilator(self.d_label(i)) + self.wire_delta.dagger() * scale + shift
 
 
 #: The region wires of the protocol: the wavepacket left-mover, and the two
@@ -262,18 +246,75 @@ def _build_circuit(
     return circ
 
 
-def _comm_scale(e1: OperatorExpr, e2: OperatorExpr) -> float:
-    """Magnitude scale of the products entering [e1, e2].
+#: The four centered output operators of a bin, with their mode family
+#: (0 = c, 1 = d), creator flag, and whether they carry W or W† (c + sW,
+#: d + tW† and their adjoints).
+_KINDS = ("c", "c†", "d", "d†")
+_FAMILY = np.array([0, 0, 1, 1])
+_CREATOR = np.array([False, True, False, True])
+_ADJOINT = np.array([0, 1, 1, 0])
 
-    A commutator of expressions with coefficients of size ``M`` is assembled
-    from cancelling products of size ``M**2``; float error must be judged
-    relative to that scale, not absolutely (strong-gain branches carry
-    cosh(r) ~ 1e6 coefficients whose canonical cancellation is exact only in
-    real arithmetic).  The scale is the product of the two expressions'
-    coefficient-vector norms.
+
+class _RankOneOutputs:
+    """Every bin's centered output operators, in rank-one form.
+
+    With W = ``wire_delta``, kind x (an index into ``_KINDS``) of bin i has
+    annihilator vector ``[not creator] 1_x + k[x, i] U[x]`` and creator
+    vector ``[creator] 1_x + k[x, i] V[x]``: the unit vector of its own mode
+    plus k = g ch (c kinds) or -g sh (d kinds) times the vectors (U, V) of W
+    or W†.  A bilinear of kinds x, y at bins i, j is therefore
+
+        kx[i] ky[j] z + ky[j] p[i] + kx[i] q[j] + e δ_ij,
+
+    with z = U[x] . V[y], p and q reads of V[y] and U[x] at the c/d slots,
+    and e from the unit vectors.  :meth:`pairing` and :meth:`commutator`
+    return these terms per kind pair; :func:`_bilinear_at` evaluates them.
     """
-    n1, n2 = (np.vdot(e.u, e.u).real + np.vdot(e.v, e.v).real for e in (e1, e2))
-    return max(1.0, math.sqrt(n1 * n2))
+
+    def __init__(self, circ: DiscretizedCircuit):
+        w = circ.wire_delta
+        bins = np.arange(circ.n_bins)
+        families = (Sector.UNRUH_C, Sector.UNRUH_D)
+        slots = np.stack([w.register.slots(f, Chirality.LEFT, bins) for f in families])
+        # complex k: complex-by-complex products are the fast ones
+        self.k = np.stack([circ.g * circ.ch, -circ.g * circ.sh]).astype(complex)[_FAMILY]
+        # (U, V) is (W.u, W.v) for W and (conj W.v, conj W.u) for W†.
+        wu, wv = w.u, w.v
+        uv, uu, vv = complex(wu @ wv), np.vdot(wu, wu).real, np.vdot(wv, wv).real
+        self.z = np.array([[uv, uu], [vv, uv.conjugate()]])
+        self.u_at = np.stack([wu[slots], wv[slots].conj()])  # (W or W†, family, bin)
+        self.v_at = np.stack([wv[slots], wu[slots].conj()])
+        # |u|^2 + |v|^2 of each output operator, by kind and bin: the unit
+        # vector, its overlap with k U (or k V for a creator), and |k W|^2.
+        own = np.where(_CREATOR[:, None], self.v_at[_ADJOINT, _FAMILY], self.u_at[_ADJOINT, _FAMILY]).real
+        k = self.k.real
+        self.norm = np.sqrt(1.0 + 2.0 * k * own + k**2 * (uu + vv))
+
+    def pairing(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        """Terms (kx, ky, z, p, q, e) of <X_i Y_j> = u . v per kind pair (x[m], y[m])."""
+        annihilator, creator = ~_CREATOR[x], _CREATOR[y]
+        p = annihilator[:, None] * self.v_at[_ADJOINT[y], _FAMILY[x]]
+        q = creator[:, None] * self.u_at[_ADJOINT[x], _FAMILY[y]]
+        e = 1.0 * (annihilator & creator & (_FAMILY[x] == _FAMILY[y]))
+        return self.k[x], self.k[y], self.z[_ADJOINT[x], _ADJOINT[y]], p, q, e
+
+    def commutator(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        """Terms of [X_i, Y_j] = <X_i Y_j> - <Y_j X_i>, as :meth:`pairing`."""
+        kx, ky, z, p, q, e = self.pairing(x, y)
+        _, _, z_r, p_r, q_r, e_r = self.pairing(y, x)
+        return kx, ky, z - z_r, p - q_r, q - p_r, e - e_r
+
+
+def _bilinear_at(terms: tuple, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Values of a bilinear's terms at bin arrays ``i``, ``j`` (equal ndim,
+    broadcast against each other), shaped (kind pair, *bins)."""
+    kx, ky, z, p, q, e = terms
+    kx, ky = kx[:, i], ky[:, j]
+    value = kx * (ky * z.reshape((-1,) + (1,) * i.ndim) + q[:, j])
+    value += ky * p[:, i]
+    if e.any():
+        value[:, np.broadcast_to(i == j, value.shape[1:])] += e[:, None]
+    return value
 
 
 def _audit_commutators(
@@ -283,30 +324,50 @@ def _audit_commutators(
     port_out: OperatorExpr,
     centers: np.ndarray,
 ) -> float:
-    """Max relative deviation of sampled canonical commutators."""
-    worst = 0.0
+    """Max relative deviation of the canonical commutators: every bin's
+    outputs (:func:`_bin_commutator_deviation`), and the three wire outputs
+    pairwise.
 
-    def check(e1: OperatorExpr, e2: OperatorExpr, expected: float) -> float:
-        return abs(commutator(e1, e2) - expected) / _comm_scale(e1, e2)
-
+    A commutator of expressions with coefficients of size ``M`` is assembled
+    from cancelling products of size ``M**2``; float error must be judged
+    relative to that scale, not absolutely (strong-gain branches carry
+    cosh(r) ~ 1e6 coefficients whose canonical cancellation is exact only in
+    real arithmetic).  The scale is the product of the two expressions'
+    coefficient-vector norms, at least 1.
+    """
+    worst = _bin_commutator_deviation(circ)
     outs = [rindler_to_unruh(e, circ.a, centers) for e in (wire, idler_out, port_out)]
-    for i, e1 in enumerate(outs):
-        for j, e2 in enumerate(outs):
-            worst = max(worst, check(e1, e2, 0.0))
-            expected = 1.0 if i == j else 0.0
-            worst = max(worst, check(e1, e2.dagger(), expected))
+    norms = [math.sqrt(np.vdot(e.u, e.u).real + np.vdot(e.v, e.v).real) for e in outs]
+    for (i, e1), (j, e2) in itertools.product(enumerate(outs), repeat=2):
+        scale = max(1.0, norms[i] * norms[j])
+        worst = max(worst, abs(commutator(e1, e2)) / scale)
+        worst = max(worst, abs(commutator(e1, e2.dagger()) - (i == j)) / scale)
+    return worst
+
+
+def _bin_commutator_deviation(circ: DiscretizedCircuit) -> float:
+    """Max relative deviation of the output commutators of every bin.
+
+    Each bin meets itself and the anchor bins {0, N/2, N-1}, both ways
+    round, for c-c†, d-d†, c-d and c-d†: O(N) vector operations on the
+    rank-one form of the outputs (:class:`_RankOneOutputs`).
+    """
+    # Kind pairs c-c†, d-d†, c-d and c-d†, and the last two with the bins
+    # swapped, as [X_j, Y_i] = -[Y_i, X_j] (for c-c† and d-d† that is the
+    # complex conjugate).
+    x, y = np.array([0, 2, 0, 0, 2, 3]), np.array([1, 3, 2, 3, 0, 0])
+    outputs = _RankOneOutputs(circ)
+    # The unit-vector part of a commutator is its canonical value exactly
+    # ([c_i, c_j†] = δ_ij, ...), so the deviation is the rest.
+    kx, ky, z, p, q, _ = outputs.commutator(x, y)
+    rest = (kx, ky, z, p, q, np.zeros(len(x)))
     n = circ.n_bins
-    sample = sorted({0, n // 2, n - 1})
-    c_out = {i: circ.c_out(i) for i in sample}
-    d_out = {i: circ.d_out(i) for i in sample}
-    for i in sample:
-        for j in sample:
-            ci, cj, di, dj = c_out[i], c_out[j], d_out[i], d_out[j]
-            delta_ij = 1.0 if i == j else 0.0
-            worst = max(worst, check(ci, cj.dagger(), delta_ij))
-            worst = max(worst, check(di, dj.dagger(), delta_ij))
-            worst = max(worst, check(ci, dj, 0.0))
-            worst = max(worst, check(ci, dj.dagger(), 0.0))
+    bins = np.arange(n)
+    worst = 0.0
+    for j in (bins, *(np.array([anchor]) for anchor in (0, n // 2, n - 1))):
+        deviation = np.abs(_bilinear_at(rest, bins, j))
+        deviation /= np.maximum(1.0, outputs.norm[x] * outputs.norm[y][:, j])
+        worst = max(worst, float(deviation.max()))
     return worst
 
 
@@ -457,37 +518,39 @@ def photon_number_variance_lo(
 
 @dataclass(frozen=True)
 class IdentityRow:
-    """One contraction identity: mechanical Wick value vs closed form."""
+    """One contraction identity: mechanical Wick value vs closed form
+    (arrays over the bin pairs of a :func:`contraction_table`)."""
 
     name: str
-    numeric: complex
-    closed: complex
-    abs_deviation: float
-    rel_deviation: float
+    numeric: complex | np.ndarray
+    closed: complex | np.ndarray
+    abs_deviation: float | np.ndarray
+    rel_deviation: float | np.ndarray
 
 
-def _row(name: str, numeric: complex, closed: complex) -> IdentityRow:
-    abs_dev = abs(numeric - closed)
-    if abs(closed) > 1e-12:
-        rel = abs_dev / abs(closed)
-    else:
-        rel = 0.0 if abs_dev < 1e-12 else math.inf
+def _row(name: str, numeric: np.ndarray, closed: np.ndarray) -> IdentityRow:
+    abs_dev = np.abs(numeric - closed)
+    rel = np.where(abs_dev < 1e-12, 0.0, math.inf)
+    magnitude = np.abs(closed)
+    np.divide(abs_dev, magnitude, out=rel, where=magnitude > 1e-12)
     return IdentityRow(name, numeric, closed, abs_dev, rel)
 
 
-def appendix_expectations(
+def contraction_table(
     circ: DiscretizedCircuit,
-    omega_bin: int,
-    gamma_bin: int,
+    omega_bins,
+    gamma_bins,
     phi: float = 0.0,
 ) -> dict[str, IdentityRow]:
-    """Contraction table of two output bins: Wick values vs closed forms.
+    """Contraction table of output bin pairs: Wick values vs closed forms.
 
+    Every row is an array over the pairs (omega_bins[k], gamma_bins[l]).
     Sixteen quadratic contractions of the centered output operators plus the
-    four quartic photon-number assembly rows (their |alpha|^2 coefficients,
-    extracted exactly from evaluations at |alpha| = 0, 1, 2 - odd orders
-    vanish by Wick parity).  Closed forms use the discrete bin sums of the
-    same grid, so agreement is limited only by roundoff and by the finite
+    four quartic photon-number assembly rows: the |alpha|^2 coefficients of
+    the connected correlators <n_x(omega) n_z(gamma)> - <n_x><n_z> at LO
+    amplitude alpha = |alpha| e^(i phi), assembled from the pair rows by
+    Wick's theorem.  Closed forms use the discrete bin sums of the same
+    grid, so agreement is limited only by roundoff and by the finite
     channel gain (~1e-12 at the default), not by discretization.
 
     The coherent-payload (r_s = 0) table is the exact reduction of the
@@ -495,17 +558,40 @@ def appendix_expectations(
     to the shared thermal coefficient.
     """
     n = circ.n_bins
-    for b in (omega_bin, gamma_bin):
-        if not (0 <= b < n):
-            raise ValueError(f"bin {b} outside grid of {n} bins")
-    w, y = int(omega_bin), int(gamma_bin)
-    delta_wg = 1.0 if w == y else 0.0
-    g_w, g_y = circ.g[w], circ.g[y]
-    ch_w, ch_y = circ.ch[w], circ.ch[y]
-    sh_w, sh_y = circ.sh[w], circ.sh[y]
-    i_c = float(np.sum(circ.g**2 * circ.ch**2))
-    i_s = float(np.sum(circ.g**2 * circ.sh**2))
-    i_cs = float(np.sum(circ.g**2 * (circ.ch - circ.sh) ** 2))
+    w, y = (np.asarray(b, dtype=np.intp).reshape(-1) for b in (omega_bins, gamma_bins))
+    every = np.concatenate([w, y])
+    outside = every[(every < 0) | (every >= n)]
+    if len(outside):
+        raise ValueError(f"bin {outside[0]} outside grid of {n} bins")
+    w, y = w[:, None], y[None, :]
+
+    first, second = np.divmod(np.arange(len(_KINDS) ** 2), len(_KINDS))
+    table = _bilinear_at(_RankOneOutputs(circ).pairing(first, second), w, y)
+    pair = {f"{_KINDS[a]} {_KINDS[b]}": row for a, b, row in zip(first, second, table)}
+
+    # Quartic assembly: with x = x~ + D (D the LO shift at |alpha| = 1), the
+    # |alpha|^2 part of the connected <x_w† x_w z_y† z_y> is the covariance
+    # of the linear terms conj(D_w) x~_w + D_w x~_w† and the same for z_y.
+    gain = circ.disp_gain
+    shift = {
+        "c": gain * circ.g * circ.ch * cmath.exp(1j * phi),
+        "d": -(gain * circ.g * circ.sh).conjugate() * cmath.exp(-1j * phi),
+    }
+
+    def quartic(a: str, b: str) -> np.ndarray:
+        dw, dy = shift[a][w], shift[b][y]
+        return (
+            dw.conjugate() * dy.conjugate() * pair[f"{a} {b}"]
+            + dw.conjugate() * dy * pair[f"{a} {b}†"]
+            + dw * dy.conjugate() * pair[f"{a}† {b}"]
+            + dw * dy * pair[f"{a}† {b}†"]
+        )
+
+    delta_wg = (w == y).astype(float)
+    g, ch, sh = circ.g, circ.ch, circ.sh
+    i_c = float(np.sum(g**2 * ch**2))
+    i_s = float(np.sum(g**2 * sh**2))
+    i_cs = float(np.sum(g**2 * (ch - sh) ** 2))
     cs = math.cosh(circ.r_s)
     ss = math.sinh(circ.r_s)
 
@@ -517,105 +603,57 @@ def appendix_expectations(
     psi_dd = ss * ((cs - 1.0) * (i_c + i_s) - 1.0)
     gamma_cd = (cs - 1.0) * ss * (i_c + i_s)
 
-    c_w = circ.c_out(w).centered()
-    c_y = circ.c_out(y).centered()
-    d_w = circ.d_out(w).centered()
-    d_y = circ.d_out(y).centered()
-    cd_w, cd_y = c_w.dagger(), c_y.dagger()
-    dd_w, dd_y = d_w.dagger(), d_y.dagger()
+    A_cc = g[w] * g[y] * ch[w] * ch[y]
+    A_dd = g[w] * g[y] * sh[w] * sh[y]
+    A_cd = g[w] * g[y] * ch[w] * sh[y]
+    A_dc = g[w] * g[y] * sh[w] * ch[y]
 
-    A_cc = g_w * g_y * ch_w * ch_y
-    A_dd = g_w * g_y * sh_w * sh_y
-    A_cd = g_w * g_y * ch_w * sh_y
-    A_dc = g_w * g_y * sh_w * ch_y
-
-    def pair(e1, e2):
-        return wick_expectation([e1, e2])
-
-    rows = [
-        ("c c", pair(c_w, c_y), A_cc * psi_cc),
-        ("c† c†", pair(cd_w, cd_y), A_cc * psi_cc),
-        ("c c†", pair(c_w, cd_y), delta_wg + A_cc * phib_cc),
-        ("c† c", pair(cd_w, c_y), A_cc * phi_cc),
-        ("d d", pair(d_w, d_y), A_dd * psi_dd),
-        ("d† d†", pair(dd_w, dd_y), A_dd * psi_dd),
-        ("d d†", pair(d_w, dd_y), delta_wg + A_dd * phib_dd),
-        ("d† d", pair(dd_w, d_y), A_dd * phi_dd),
-        ("c d", pair(c_w, d_y), -A_cd * (phib_cc - (cs - 1.0))),
-        ("c† d†", pair(cd_w, dd_y), -A_cd * (phib_dd + (cs - 1.0))),
-        ("d c", pair(d_w, c_y), -A_dc * (phib_dd + (cs - 1.0))),
-        ("d† c†", pair(dd_w, cd_y), -A_dc * (phib_cc - (cs - 1.0))),
-        ("c d†", pair(c_w, dd_y), -A_cd * gamma_cd),
-        ("c† d", pair(cd_w, d_y), -A_cd * gamma_cd),
-        ("d c†", pair(d_w, cd_y), -A_dc * gamma_cd),
-        ("d† c", pair(dd_w, c_y), -A_dc * gamma_cd),
-    ]
-
-    # Quartic photon-number assembly: the |alpha|^2 coefficient of the
-    # connected correlator <n_x(omega) n_z(gamma)> - <n_x><n_z> for the four
-    # family combinations.  The probe amplitude alpha is the ONLY displacement
-    # here (the signal beta is held at zero), so the connected value is
-    # exactly quadratic in |alpha| (the quartic piece cancels against the
-    # product of means and odd orders vanish by Wick parity); three
-    # evaluations pin the coefficient.
     cos2 = math.cos(2.0 * phi)
-    gain = circ.disp_gain
-
-    def with_alpha(centered: OperatorExpr, lo_coeff: complex, alpha: complex) -> OperatorExpr:
-        return centered + lo_coeff * alpha
-
-    def quartic(make_ops) -> complex:
-        values = []
-        for m in (0.0, 1.0, 2.0):
-            alpha = m * cmath.exp(1j * phi)
-            ops = make_ops(alpha)
-            full = wick_expectation(ops)
-            mean_w = wick_expectation(ops[:2])
-            mean_y = wick_expectation(ops[2:])
-            values.append(full - mean_w * mean_y)
-        f0, f1, f2 = values
-        return (16.0 * (f1 - f0) - (f2 - f0)) / 12.0
-
-    lo_cw = gain * g_w * ch_w
-    lo_cy = gain * g_y * ch_y
-    lo_dw = -(gain * g_w * sh_w).conjugate()
-    lo_dy = -(gain * g_y * sh_y).conjugate()
-
-    def num_cc(alpha):
-        cw = with_alpha(c_w, lo_cw, alpha)
-        cy = with_alpha(c_y, lo_cy, alpha)
-        return [cw.dagger(), cw, cy.dagger(), cy]
-
-    def num_dd(alpha):
-        dw = with_alpha(d_w, lo_dw, alpha.conjugate())
-        dy = with_alpha(d_y, lo_dy, alpha.conjugate())
-        return [dw.dagger(), dw, dy.dagger(), dy]
-
-    def num_cd(alpha):
-        cw = with_alpha(c_w, lo_cw, alpha)
-        dy = with_alpha(d_y, lo_dy, alpha.conjugate())
-        return [cw.dagger(), cw, dy.dagger(), dy]
-
-    def num_dc(alpha):
-        dw = with_alpha(d_w, lo_dw, alpha.conjugate())
-        cy = with_alpha(c_y, lo_cy, alpha)
-        return [dw.dagger(), dw, cy.dagger(), cy]
-
-    q_cc = delta_wg * A_cc + A_cc**2 * (phi_cc + phib_cc + 2.0 * cos2 * psi_cc)
-    q_dd = delta_wg * A_dd + A_dd**2 * (phi_dd + phib_dd + 2.0 * cos2 * psi_dd)
     cross = phib_cc + phib_dd + 2.0 * cos2 * gamma_cd
-    q_cd = A_cd**2 * cross
-    q_dc = A_dc**2 * cross
+    closed = {
+        "c c": A_cc * psi_cc,
+        "c† c†": A_cc * psi_cc,
+        "c c†": delta_wg + A_cc * phib_cc,
+        "c† c": A_cc * phi_cc,
+        "d d": A_dd * psi_dd,
+        "d† d†": A_dd * psi_dd,
+        "d d†": delta_wg + A_dd * phib_dd,
+        "d† d": A_dd * phi_dd,
+        "c d": -A_cd * (phib_cc - (cs - 1.0)),
+        "c† d†": -A_cd * (phib_dd + (cs - 1.0)),
+        "d c": -A_dc * (phib_dd + (cs - 1.0)),
+        "d† c†": -A_dc * (phib_cc - (cs - 1.0)),
+        "c d†": -A_cd * gamma_cd,
+        "c† d": -A_cd * gamma_cd,
+        "d c†": -A_dc * gamma_cd,
+        "d† c": -A_dc * gamma_cd,
+    }
+    rows = {name: _row(name, pair[name], value) for name, value in closed.items()}
+    for a, b, value in (
+        ("c", "c", delta_wg * A_cc + A_cc**2 * (phi_cc + phib_cc + 2.0 * cos2 * psi_cc)),
+        ("d", "d", delta_wg * A_dd + A_dd**2 * (phi_dd + phib_dd + 2.0 * cos2 * psi_dd)),
+        ("c", "d", A_cd**2 * cross),
+        ("d", "c", A_dc**2 * cross),
+    ):
+        name = f"n_{a} n_{b} |α|²"
+        rows[name] = _row(name, quartic(a, b), value)
+    return rows
 
-    rows.extend(
-        [
-            ("n_c n_c |α|²", quartic(num_cc), q_cc),
-            ("n_d n_d |α|²", quartic(num_dd), q_dd),
-            ("n_c n_d |α|²", quartic(num_cd), q_cd),
-            ("n_d n_c |α|²", quartic(num_dc), q_dc),
-        ]
-    )
-    return {name: _row(name, complex(numeric), complex(closed)) for name, numeric, closed in rows}
+
+def appendix_expectations(
+    circ: DiscretizedCircuit,
+    omega_bin: int,
+    gamma_bin: int,
+    phi: float = 0.0,
+) -> dict[str, IdentityRow]:
+    """The :func:`contraction_table` of one bin pair, as scalars."""
+    table = contraction_table(circ, [omega_bin], [gamma_bin], phi)
+    return {
+        name: IdentityRow(
+            name, row.numeric.item(), row.closed.item(), row.abs_deviation.item(), row.rel_deviation.item()
+        )
+        for name, row in table.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,40 @@ class TestSweep:
             assert float(row[6]) == pytest.approx(expected, rel=1e-9)
             assert float(row[9]) == pytest.approx(expected**2, rel=1e-9)
 
+    def test_inertial_metadata_records_no_oracle(self, tmp_path):
+        plain, asked = tmp_path / "plain.csv", tmp_path / "asked.csv"
+        argv = ["sweep", "--scenario", "inertial", "--a-steps", "3"]
+        assert main(argv + ["--out", str(plain)]) == 0
+        assert main(argv + ["--oracle", "--bins", "64", "--out", str(asked)]) == 0
+        meta, _, _ = read_report_csv(asked)
+        assert meta["oracle"] == "false"
+        assert "bins" not in meta and "channel_gain" not in meta
+        assert asked.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestOverflowRows:
+    """A converged row holding a value past the float range is not ``ok``."""
+
+    def test_fig5_near_the_squeezing_bound(self, tmp_path):
+        out = tmp_path / "big.csv"
+        assert main(["fig5", "--rs", "354", "--a-steps", "3", "--out", str(out)]) == 0
+        _, _, rows = read_report_csv(out)
+        assert [row[-1] for row in rows] == ["ok", "ok", "overflow"]
+        assert float(rows[2][0]) == 50.0
+        assert float(rows[2][1]) == pytest.approx(1.0, abs=1e-2)  # thermal stays finite
+        assert all(cell == "inf" for cell in rows[2][2:6])
+
+    def test_sweep_rows_with_an_overflowed_cell(self, tmp_path):
+        out = tmp_path / "big.csv"
+        argv = ["sweep", "--scenario", "squeezed", "--rs", "354", "--a-steps", "3", "--oracle"]
+        assert main(argv + ["--bins", "16", "--out", str(out)]) == 0
+        _, _, rows = read_report_csv(out)
+        for row in rows:
+            assert row[-1] == "overflow"
+            assert row[9] == "inf"  # purity_product
+            assert row[10] == ""  # no oracle run on an overflowed row
+
 
 class TestNoConvergenceRows:
     """Rows whose spectral integrals never stabilize are written, not raised."""
@@ -291,6 +325,19 @@ class TestVerify:
         assert "result: PASS (5/5 suites)" in report
         assert report.count("\nPASS ") == 5
         assert capsys.readouterr().out.count("result: PASS") == 2
+
+    def test_appendix_suite_checks_every_mass_bearing_pair(self, tmp_path):
+        out = tmp_path / "r.txt"
+        assert main(["verify", "--bins", "32", "--seed", "5", "--out", str(out)]) == 0
+        report = out.read_text()
+        line = next(ln for ln in report.splitlines() if "appendix-identities" in ln)
+        wp = cli.make_wavepacket(1.0, 0.05)
+        pairs = sum(
+            len(cli._mass_bearing_bins(build(1.0, wp, 32, **kw))) ** 2
+            for build, kw in ((cli.build_displaced_circuit, {}), (cli.build_squeezed_circuit, {"r_s": 0.4}))
+        )
+        assert f"- {pairs} mass-bearing bin pairs of 2 circuits" in line
+        assert "seed = 5" in report
 
     def test_coarse_grid_fails_with_named_breach(self, tmp_path):
         out = tmp_path / "coarse.txt"

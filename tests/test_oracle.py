@@ -8,19 +8,26 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from rindler_teleport import (
+    Chirality,
     GridMismatchError,
+    ModeLabel,
+    OperatorExpr,
     OracleConvergenceError,
+    Sector,
     TruncationError,
     appendix_expectations,
     build_displaced_circuit,
     build_squeezed_circuit,
+    contraction_table,
     displaced_variance,
     fock_check_inertial,
     make_wavepacket,
     photon_number_variance_lo,
     refine_circuit,
     squeezed_variance,
+    wick_expectation,
 )
+from rindler_teleport.mode_algebra import annihilator
 from rindler_teleport.oracle import DEFAULT_CHANNEL_GAIN
 
 
@@ -86,6 +93,36 @@ class TestCircuitBuild:
         monkeypatch.setattr(oracle, "_audit_commutators", recorded_audit)
         with pytest.raises(OracleConvergenceError, match="broke canonical commutators"):
             build_displaced_circuit(1.0, wp_standard, 64)
+        assert len(seen) == 1 and seen[0] > 1e-10
+
+    def test_audit_fires_on_a_single_non_anchor_bin(self, monkeypatch, wp_standard):
+        # Scale W.u at the c-slot of bin 20 of 64 by 1 + 1e-5; the anchor
+        # bins are 0, 32 and 63.  [c_20, c_20†] moves by about 1e-8, while
+        # the change of [W, W†] moves the anchors' commutators by about
+        # 2e-11, under the 1e-10 bound.
+        from rindler_teleport import oracle
+
+        honest_map = oracle.rindler_to_unruh
+        honest_audit = oracle._audit_commutators
+        calls, seen = [], []
+
+        def leaky_map(expr, a, grid):
+            out = honest_map(expr, a, grid)
+            calls.append(expr)
+            if len(calls) > 1:  # only wire_delta, the first rewrite of a build
+                return out
+            u = out.u.copy()
+            u[out.register.slots(Sector.UNRUH_C, Chirality.LEFT, [20])] *= 1.0 + 1e-5
+            return OperatorExpr.from_vectors(out.register, u, out.v, out.displacement)
+
+        def recorded_audit(*args):
+            seen.append(honest_audit(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(oracle, "rindler_to_unruh", leaky_map)
+        monkeypatch.setattr(oracle, "_audit_commutators", recorded_audit)
+        with pytest.raises(OracleConvergenceError, match="broke canonical commutators"):
+            build_squeezed_circuit(1.0, wp_standard, 64, r_s=0.4)
         assert len(seen) == 1 and seen[0] > 1e-10
 
     def test_refine_doubles(self, wp_standard):
@@ -174,6 +211,56 @@ class TestContractionTable:
     def test_bin_validation(self, circ_displaced):
         with pytest.raises(ValueError):
             appendix_expectations(circ_displaced, 0, 256)
+        with pytest.raises(ValueError):
+            contraction_table(circ_displaced, [3, -1], [5])
+
+    @pytest.mark.parametrize("fixture", ["circ_displaced", "circ_squeezed"])
+    def test_table_matches_wick_expectation(self, fixture, request):
+        # The batched table against the general Wick engine on operators
+        # built from the documented output form, diagonal pairs included.
+        circ = request.getfixturevalue(fixture)
+        bins, phi = [90, 128, 140], 0.3
+        table = contraction_table(circ, bins, bins, phi=phi)
+        alpha = np.exp(1j * phi)
+        for k, w in enumerate(bins):
+            for m, y in enumerate(bins):
+                ops_w, ops_y = _centered_outputs(circ, w, alpha), _centered_outputs(circ, y, alpha)
+                for a in ("c", "c†", "d", "d†"):
+                    for b in ("c", "c†", "d", "d†"):
+                        direct = wick_expectation([ops_w[a][0], ops_y[b][0]])
+                        assert table[f"{a} {b}"].numeric[k, m] == pytest.approx(direct, rel=0, abs=1e-14)
+                for a in ("c", "d"):
+                    for b in ("c", "d"):
+                        direct = _quartic_by_extraction(ops_w[a], ops_y[b])
+                        numeric = table[f"n_{a} n_{b} |α|²"].numeric[k, m]
+                        assert numeric == pytest.approx(direct, rel=1e-12, abs=1e-15)
+                one_pair = appendix_expectations(circ, w, y, phi=phi)
+                for name, row in one_pair.items():
+                    assert row.numeric == table[name].numeric[k, m]
+                    assert row.rel_deviation == table[name].rel_deviation[k, m]
+
+
+def _centered_outputs(circ, i, alpha):
+    """Output kind -> (centered operator of bin i, its LO shift at alpha):
+    c_out = c + g ch W and d_out = d - g sh W†, as DiscretizedCircuit states."""
+    c = annihilator(ModeLabel(Sector.UNRUH_C, Chirality.LEFT, i)) + circ.wire_delta * circ.g[i] * circ.ch[i]
+    d = annihilator(ModeLabel(Sector.UNRUH_D, Chirality.LEFT, i)) - circ.wire_delta.dagger() * circ.g[i] * circ.sh[i]
+    c_shift = circ.g[i] * circ.ch[i] * circ.disp_gain * alpha
+    d_shift = -circ.g[i] * circ.sh[i] * (circ.disp_gain * alpha).conjugate()
+    return {"c": (c, c_shift), "c†": (c.dagger(),), "d": (d, d_shift), "d†": (d.dagger(),)}
+
+
+def _quartic_by_extraction(x, z):
+    """|alpha|^2 coefficient of <n_x n_z> - <n_x><n_z> from evaluations at
+    |alpha| = 0, 1, 2 (odd orders vanish by Wick parity, and the combination
+    also cancels an |alpha|^4 term)."""
+    values = []
+    for m in (0.0, 1.0, 2.0):
+        xm, zm = x[0] + m * x[1], z[0] + m * z[1]
+        ops = [xm.dagger(), xm, zm.dagger(), zm]
+        values.append(wick_expectation(ops) - wick_expectation(ops[:2]) * wick_expectation(ops[2:]))
+    f0, f1, f2 = values
+    return (16.0 * (f1 - f0) - (f2 - f0)) / 12.0
 
 
 class TestFockProtocolCheck:
