@@ -691,7 +691,9 @@ _DIRECT_SECTOR = _rule_table(lambda rule: _SECTOR_INDEX[rule[1]])
 _PARTNER_SECTOR = _rule_table(lambda rule: _SECTOR_INDEX[rule[2]])
 
 
-def rindler_to_unruh(expr: OperatorExpr, a: float, grid: np.ndarray) -> OperatorExpr:
+def rindler_to_unruh(
+    expr: OperatorExpr | Sequence[OperatorExpr], a: float, grid: np.ndarray
+) -> OperatorExpr | tuple[OperatorExpr, ...]:
     """Rewrite region-mode labels into the vacuum-annihilating families.
 
     ``grid`` maps bin indices to frequencies; each region annihilator of
@@ -700,57 +702,100 @@ def rindler_to_unruh(expr: OperatorExpr, a: float, grid: np.ndarray) -> Operator
     (ch, sh) = (cosh, sinh) of the acceleration squeezing parameter at
     acceleration ``a``.  Non-region labels pass through unchanged.
 
-    One vectorized pass over the register: (ch, sh) is evaluated once on
-    the whole grid, and the result lives on the register of the images.
+    ``expr`` is one :class:`OperatorExpr`, or a sequence of expressions on
+    one register, rewritten together into a tuple on one register of
+    images; expressions on different registers are a :class:`ValueError`.
+    Each result is bit for bit what rewriting its expression alone gives.
+
+    One vectorized pass over the register for the whole sequence: (ch, sh)
+    is evaluated once on the whole grid, and the image keys are sorted and
+    each image slot's source terms found once; each expression then takes
+    three gathers onto its own image vectors.
     Chirality and bin range are checked for every region label carrying a
-    non-zero coefficient.
+    non-zero coefficient in any of the expressions.
     """
+    if isinstance(expr, OperatorExpr):
+        return _rewrite_regions((expr,), a, grid)[0]
+    return _rewrite_regions(tuple(expr), a, grid)
+
+
+def _rewrite_regions(
+    exprs: tuple[OperatorExpr, ...], a: float, grid: np.ndarray
+) -> tuple[OperatorExpr, ...]:
     freqs = np.asarray(grid, dtype=float)
     if freqs.ndim != 1 or len(freqs) == 0:
         raise ValueError("grid must be a non-empty 1-D array of bin frequencies")
-    reg = expr.register
+    if not exprs:
+        return ()
+    reg = exprs[0].register
+    for k, e in enumerate(exprs):
+        if e.register is not reg and not np.array_equal(e.register.keys, reg.keys):
+            raise ValueError(
+                f"rindler_to_unruh rewrites expressions on one register; expression {k} "
+                f"is on {e.register!r}, expression 0 on {reg!r}"
+            )
     region = reg._region_mask()
     if region is None:
-        return expr
+        return exprs
     keys = reg.keys
     family = keys >> _BIN_BITS
     sector = family >> 1
     chirality = family & 1
     bins = (keys & _BIN_MASK) - _BIN_OFFSET
-    support = expr._support()
-
     wrong = region & (chirality != _REQUIRED_CHIRALITY[sector])
-    hit = np.flatnonzero(wrong & support)
-    if len(hit):
-        label = _key_label(int(keys[hit[0]]))
-        required = _REGION_RULES[label.sector][0]
-        raise ValueError(
-            f"label {label!r} has chirality {label.chirality.value} but region "
-            f"{label.sector.value} holds {required.value}-movers; no mapping exists"
-        )
     outside = region & ~wrong & ((bins < 0) | (bins >= len(freqs)))
-    hit = np.flatnonzero(outside & support)
-    if len(hit):
-        label = _key_label(int(keys[hit[0]]))
-        raise ValueError(f"label {label!r} has no grid coefficient (grid holds {len(freqs)} bins)")
+    if (wrong | outside).any():
+        support = np.logical_or.reduce([e._support() for e in exprs])
+        hit = np.flatnonzero(wrong & support)
+        if len(hit):
+            label = _key_label(int(keys[hit[0]]))
+            required = _REGION_RULES[label.sector][0]
+            raise ValueError(
+                f"label {label!r} has chirality {label.chirality.value} but region "
+                f"{label.sector.value} holds {required.value}-movers; no mapping exists"
+            )
+        hit = np.flatnonzero(outside & support)
+        if len(hit):
+            label = _key_label(int(keys[hit[0]]))
+            raise ValueError(f"label {label!r} has no grid coefficient (grid holds {len(freqs)} bins)")
 
-    mapped = region & ~wrong & ~outside
-    passing = ~region
+    passing = np.flatnonzero(~region)
+    mapped = np.flatnonzero(region & ~wrong & ~outside)
     ch_grid, sh_grid = unruh_cosh_sinh(freqs, a)
     b = bins[mapped]
     ch, sh = ch_grid[b], sh_grid[b]
-    u, v = expr._w[0, mapped], expr._w[1, mapped]
     low = keys[mapped] & _BIN_MASK
     direct = ((2 * _DIRECT_SECTOR[sector[mapped]] + chirality[mapped]) << _BIN_BITS) | low
     partner = ((2 * _PARTNER_SECTOR[sector[mapped]] + chirality[mapped]) << _BIN_BITS) | low
-    # Image of b is ch * direct + sh * partner^dagger; that of b^dagger is its adjoint.
-    all_keys = np.concatenate([keys[passing], direct, partner])
-    all_u = np.concatenate([expr._w[0, passing], u * ch, v * sh])
-    all_v = np.concatenate([expr._w[1, passing], v * ch, u * sh])
-    out_keys, slot = np.unique(all_keys, return_inverse=True)
+    image_keys = np.concatenate([keys[passing], direct, partner])
+    out_keys = _sorted_unique(image_keys)
     n = len(out_keys)
-    w = np.empty((2, n), dtype=complex)
-    for row, values in ((0, all_u), (1, all_v)):
-        w[row].real = np.bincount(slot, values.real, n)
-        w[row].imag = np.bincount(slot, values.imag, n)
-    return OperatorExpr._checked(ModeRegister._from_keys(out_keys), expr.displacement, w)
+    # Image of b is ch * direct + sh * partner^dagger; that of b^dagger is its
+    # adjoint.  ``terms`` holds an expression's passing, direct and partner
+    # terms, then a zero column.  Every image slot takes at most one term of
+    # each group; gathering the groups in that order onto zeros adds them as
+    # a sequential scatter does, a missing term reading the zero.
+    m, n_pass = len(mapped), len(passing)
+    slot = np.searchsorted(out_keys, image_keys)
+    source = np.full((3, n), n_pass + 2 * m)
+    bounds = (0, n_pass, n_pass + m, n_pass + 2 * m)
+    for group in range(3):
+        lo, hi = bounds[group], bounds[group + 1]
+        source[group, slot[lo:hi]] = np.arange(lo, hi)
+    # Each coefficient is at most one passing one, or ch + sh times a mapped one.
+    gain = 1.0 + np.max(ch, initial=0.0) + np.max(sh, initial=0.0)
+    out_reg = ModeRegister._from_keys(out_keys)
+    terms = np.empty((2, n_pass + 2 * m + 1), dtype=complex)
+    terms[:, -1] = 0.0
+    gathered = np.empty((2, n), dtype=complex)
+    results = []
+    for e in exprs:
+        x = e._w[:, mapped]
+        terms[:, :n_pass] = e._w[:, passing]
+        np.multiply(x, ch, out=terms[:, n_pass : n_pass + m])
+        np.multiply(x[::-1], sh, out=terms[:, n_pass + m : -1])
+        w = np.zeros((2, n), dtype=complex)
+        for group in source:  # indices in range: "clip" spares a copy of ``out``
+            w += terms.take(group, axis=1, out=gathered, mode="clip")
+        results.append(OperatorExpr._checked(out_reg, e.displacement, w, e._peak * gain))
+    return tuple(results)

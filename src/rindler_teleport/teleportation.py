@@ -135,7 +135,8 @@ def delta_decoherence(r_s: float, i_c: float | np.ndarray, phi: float) -> float 
     half = math.sinh(0.5 * r_s)
     h = 16.0 * half * half * (i_c * (i_c - 1.0))
     minimum = math.exp(-2.0 * r_s) + h * math.exp(-r_s)
-    spread = 2.0 * math.sinh(2.0 * r_s) + 2.0 * h * math.sinh(r_s)
+    with np.errstate(over="ignore"):  # an overflowed row carries status ``overflow``
+        spread = 2.0 * math.sinh(2.0 * r_s) + 2.0 * h * math.sinh(r_s)
     cos_phi = math.cos(phi)
     return minimum + spread * (cos_phi * cos_phi)
 
@@ -154,11 +155,13 @@ def squeezed_variance(
     dec = delta_decoherence(r_s, ints.i_c, phi)
     v0 = thermal + delta_decoherence(r_s, ints.i_c, 0.0)
     v90 = thermal + delta_decoherence(r_s, ints.i_c, 0.5 * math.pi)
+    with np.errstate(over="ignore"):  # as in delta_decoherence
+        purity_product = v0 * v90
     return VarianceReport(
         total=thermal + dec,
         thermal_noise=thermal,
         qnl_or_decoherence=dec,
-        purity_product=v0 * v90,
+        purity_product=purity_product,
     )
 
 

@@ -145,7 +145,6 @@ class TestSweep:
         assert asked.read_bytes() == plain.read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestOverflowRows:
     """A converged row holding a value past the float range is not ``ok``."""
 
@@ -167,6 +166,20 @@ class TestOverflowRows:
             assert row[-1] == "overflow"
             assert row[9] == "inf"  # purity_product
             assert row[10] == ""  # no oracle run on an overflowed row
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowWarnings:
+    """An overflowed row is reported by its status, not by a NumPy warning."""
+
+    @pytest.mark.parametrize("command", [["fig5"], ["sweep", "--scenario", "squeezed"]])
+    def test_overflow_rows_raise_no_warning(self, command, tmp_path):
+        out = tmp_path / "big.csv"
+        assert main(command + ["--rs", "354", "--a-steps", "3", "--out", str(out)]) == 0
+        _, header, rows = read_report_csv(out)
+        assert header[0] == "a"
+        (row,) = [row for row in rows if float(row[0]) == 50.0]
+        assert row[-1] == "overflow"
 
 
 class TestNoConvergenceRows:

@@ -266,6 +266,108 @@ class TestRegionMap:
             rindler_to_unruh(mode(Sector.RINDLER_IV, Chirality.LEFT, 3), 1.0, centers)
 
 
+class TestRegionMapSequence:
+    """``rindler_to_unruh`` over a sequence of expressions on one register."""
+
+    CENTERS = np.array([0.8, 0.95, 1.1, 1.3])
+
+    def register(self):
+        # Every region family, plus two pass-through modes; c_L[1] is also
+        # the image of b4_L[1] and b2_L[1], so passing and mapped terms add.
+        labels = [
+            ModeLabel(sector, wing, b)
+            for sector, wing in (
+                (Sector.RINDLER_IV, Chirality.LEFT),
+                (Sector.RINDLER_II, Chirality.LEFT),
+                (Sector.RINDLER_III, Chirality.RIGHT),
+                (Sector.RINDLER_I, Chirality.RIGHT),
+            )
+            for b in range(4)
+        ]
+        labels += [A_LBL, ModeLabel(Sector.UNRUH_C, Chirality.LEFT, 1)]
+        return ModeRegister(labels)
+
+    def mixed_exprs(self, register):
+        rng = np.random.default_rng(3)
+        n = len(register)
+
+        def draw():
+            return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+        region_only = OperatorExpr.from_vectors(register, draw() * ~self.passing_mask(register), 0.0, 0.5)
+        mixed = OperatorExpr.from_vectors(register, draw(), draw(), -1.0 + 2.0j)
+        annihilators = register.annihilators()
+        passing_only = annihilators[register.labels.index(A_LBL)] * (0.3 - 0.1j) + 4.0
+        return [region_only, mixed, mixed.dagger(), passing_only, region_only.dagger() * 2.5]
+
+    @staticmethod
+    def passing_mask(register):
+        return np.array([lb.sector in (Sector.AUX, Sector.UNRUH_C) for lb in register.labels])
+
+    def test_matches_one_at_a_time_bit_for_bit(self):
+        exprs = self.mixed_exprs(self.register())
+        together = rindler_to_unruh(exprs, 0.7, self.CENTERS)
+        assert isinstance(together, tuple) and len(together) == len(exprs)
+        for expr, out in zip(exprs, together):
+            alone = rindler_to_unruh(expr, 0.7, self.CENTERS)
+            assert out.register.keys.tobytes() == alone.register.keys.tobytes()
+            assert out.u.tobytes() == alone.u.tobytes()
+            assert out.v.tobytes() == alone.v.tobytes()
+            assert complex(out.displacement) == complex(alone.displacement)
+        assert len({id(out.register) for out in together}) == 1
+
+    def test_matches_the_region_table(self):
+        # b_IV = ch c_L + sh d_L†, b_II = ch d_L + sh c_L† (and the right-movers
+        # alike), term by term against the rewritten coefficient vectors.
+        register = self.register()
+        expr = self.mixed_exprs(register)[1]
+        out = rindler_to_unruh([expr], 0.7, self.CENTERS)[0]
+        ch, sh = unruh_cosh_sinh(self.CENTERS, 0.7)
+        images = {
+            Sector.RINDLER_IV: (Sector.UNRUH_C, Sector.UNRUH_D),
+            Sector.RINDLER_II: (Sector.UNRUH_D, Sector.UNRUH_C),
+            Sector.RINDLER_III: (Sector.UNRUH_C, Sector.UNRUH_D),
+            Sector.RINDLER_I: (Sector.UNRUH_D, Sector.UNRUH_C),
+        }
+        expected = {}
+        for (label, dag), c in expr.terms.items():
+            if label.sector not in images:
+                expected[(label, dag)] = expected.get((label, dag), 0) + c
+                continue
+            direct, partner = images[label.sector]
+            b = label.bin
+            for sector, dagger, weight in ((direct, dag, ch[b]), (partner, not dag, sh[b])):
+                key = (ModeLabel(sector, label.chirality, b), dagger)
+                expected[key] = expected.get(key, 0) + weight * c
+        assert set(out.terms) == set(expected)
+        for key, value in expected.items():
+            assert out.terms[key] == pytest.approx(value, rel=1e-14, abs=1e-15)
+        assert out.displacement == expr.displacement
+
+    def test_empty_and_region_free_sequences(self):
+        assert rindler_to_unruh([], 1.0, self.CENTERS) == ()
+        plain = [aux(0), aux(0).dagger()]
+        out = rindler_to_unruh(plain, 1.0, self.CENTERS)
+        assert out[0] is plain[0] and out[1] is plain[1]
+
+    def test_different_registers_raise(self):
+        b4 = mode(Sector.RINDLER_IV, Chirality.LEFT, 0)
+        b3 = mode(Sector.RINDLER_III, Chirality.RIGHT, 0)
+        with pytest.raises(ValueError, match="on one register; expression 1"):
+            rindler_to_unruh([b4, b3], 1.0, self.CENTERS)
+
+    def test_label_checks_cover_every_expression(self):
+        register = ModeRegister(
+            [ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0), ModeLabel(Sector.RINDLER_IV, Chirality.RIGHT, 0)]
+        )
+        good, wrong = register.annihilators()
+        with pytest.raises(ValueError, match="no mapping exists"):
+            rindler_to_unruh([good, 2.0 * good, wrong], 1.0, self.CENTERS)
+        # An unsupported wrong-chirality slot is dropped, as in a single call.
+        (out,) = rindler_to_unruh([good], 1.0, self.CENTERS)
+        assert out.register.keys.tobytes() == rindler_to_unruh(good, 1.0, self.CENTERS).register.keys.tobytes()
+
+
 class TestRegisters:
     """Expressions on different registers meet on the union of the two."""
 

@@ -1,5 +1,7 @@
 """Discretized-circuit oracle and truncated-Fock protocol verification."""
 
+import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -27,7 +29,7 @@ from rindler_teleport import (
     squeezed_variance,
     wick_expectation,
 )
-from rindler_teleport.mode_algebra import annihilator
+from rindler_teleport.mode_algebra import annihilator, pair_contraction
 from rindler_teleport.oracle import DEFAULT_CHANNEL_GAIN
 
 
@@ -106,14 +108,15 @@ class TestCircuitBuild:
         honest_audit = oracle._audit_commutators
         calls, seen = [], []
 
-        def leaky_map(expr, a, grid):
-            out = honest_map(expr, a, grid)
-            calls.append(expr)
-            if len(calls) > 1:  # only wire_delta, the first rewrite of a build
-                return out
-            u = out.u.copy()
-            u[out.register.slots(Sector.UNRUH_C, Chirality.LEFT, [20])] *= 1.0 + 1e-5
-            return OperatorExpr.from_vectors(out.register, u, out.v, out.displacement)
+        def leaky_map(exprs, a, grid):
+            # The build rewrites wire_delta and the three wire outputs in
+            # one call; the fault goes into element 0, wire_delta, only.
+            wire_delta, *outputs = honest_map(exprs, a, grid)
+            calls.append(exprs)
+            u = wire_delta.u.copy()
+            u[wire_delta.register.slots(Sector.UNRUH_C, Chirality.LEFT, [20])] *= 1.0 + 1e-5
+            leaky = OperatorExpr.from_vectors(wire_delta.register, u, wire_delta.v, wire_delta.displacement)
+            return (leaky, *outputs)
 
         def recorded_audit(*args):
             seen.append(honest_audit(*args))
@@ -124,6 +127,7 @@ class TestCircuitBuild:
         with pytest.raises(OracleConvergenceError, match="broke canonical commutators"):
             build_squeezed_circuit(1.0, wp_standard, 64, r_s=0.4)
         assert len(seen) == 1 and seen[0] > 1e-10
+        assert len(calls) == 1  # one rewrite per build
 
     def test_refine_doubles(self, wp_standard):
         base = build_displaced_circuit(1.0, wp_standard, 64)
@@ -154,6 +158,75 @@ class TestVarianceAgainstClosedForms:
         assert rep.total == pytest.approx(
             rep.thermal_noise + rep.qnl_or_decoherence, rel=1e-12
         )
+
+    @staticmethod
+    def reference_parts(circ, phi):
+        """(thermal, payload, total) from the LO field assembled at phi.
+
+        F = sum_i conj(l_i) fluct_i + h.c. over the c and d outputs, with
+        fluct = c_i + g ch W and d_i - g sh W†, and l the LO shifts; the
+        variance is <F F> over sum |l|^2, split by propagation direction.
+        """
+        w = circ.wire_delta
+        register = w.register
+        bins = np.arange(circ.n_bins)
+        k_c, k_d = circ.g * circ.ch, -circ.g * circ.sh
+        lo_c = np.exp(1j * phi) * circ.disp_gain * k_c
+        lo_d = np.exp(-1j * phi) * np.conj(circ.disp_gain) * k_d
+        c_slots = register.slots(Sector.UNRUH_C, Chirality.LEFT, bins)
+        d_slots = register.slots(Sector.UNRUH_D, Chirality.LEFT, bins)
+        field = 0.0 * w
+        for i in range(circ.n_bins):
+            unit_c = np.zeros(len(register), dtype=complex)
+            unit_c[c_slots[i]] = 1.0
+            c_i = OperatorExpr.from_vectors(register, unit_c) + k_c[i] * w
+            unit_d = np.zeros(len(register), dtype=complex)
+            unit_d[d_slots[i]] = 1.0
+            d_i = OperatorExpr.from_vectors(register, unit_d) + k_d[i] * w.dagger()
+            term = np.conj(lo_c[i]) * c_i + np.conj(lo_d[i]) * d_i
+            field = field + term + term.dagger()
+        n0 = np.sum(np.abs(lo_c) ** 2) + np.sum(np.abs(lo_d) ** 2)
+        left = register.chirality_mask(Chirality.LEFT)
+
+        def part(mask):
+            masked = OperatorExpr.from_vectors(register, field.u * mask, field.v * mask)
+            return pair_contraction(masked, masked).real / n0
+
+        return part(~left), part(left), pair_contraction(field, field).real / n0
+
+    @pytest.mark.parametrize(
+        "fixture, offset", [("circ_displaced", 0.0), ("circ_squeezed", 0.0), ("circ_squeezed", 0.7)]
+    )
+    def test_matches_the_assembled_lo_field(self, fixture, offset, request):
+        # A displacement gain of phase ``offset`` turns the LO by that much, so
+        # the squeezed payload's axes leave phases 0 and pi/2 and the X-Y
+        # cross term of the phase form is exercised.
+        base = request.getfixturevalue(fixture)
+        circ = dataclasses.replace(base, disp_gain=base.disp_gain * cmath.exp(1j * offset))
+        ends = [sum(self.reference_parts(circ, phi)[:2]) for phi in (0.0, 0.5 * math.pi)]
+        for phi in (0.3, 1.1, 2.6):
+            rep = photon_number_variance_lo(circ, phi)
+            thermal, payload, total = self.reference_parts(circ, phi)
+            assert total == pytest.approx(thermal + payload, rel=1e-14)
+            assert rep.thermal_noise == pytest.approx(thermal, rel=1e-14)
+            assert rep.qnl_or_decoherence == pytest.approx(payload, rel=1e-14)
+            assert rep.total == pytest.approx(total, rel=1e-14)
+            assert rep.purity_product == pytest.approx(ends[0] * ends[1], rel=1e-14)
+            turned = photon_number_variance_lo(base, phi + offset)
+            assert rep.total == pytest.approx(turned.total, rel=1e-13)
+
+    def test_broken_split_raises(self, monkeypatch, circ_squeezed):
+        from rindler_teleport import oracle
+
+        honest_parts = oracle._lo_parts
+
+        def broken_parts(circ):
+            moments, n0 = honest_parts(circ)
+            return moments * np.array([[1.0 + 1e-6], [1.0], [1.0]]), n0  # right-movers off by 1e-6
+
+        monkeypatch.setattr(oracle, "_lo_parts", broken_parts)
+        with pytest.raises(OracleConvergenceError, match="variance split lost additivity"):
+            photon_number_variance_lo(circ_squeezed, 0.3)
 
     def test_refinement_check_passes(self, wp_standard):
         circ = build_displaced_circuit(1.0, wp_standard, 64)
