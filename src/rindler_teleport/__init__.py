@@ -48,7 +48,6 @@ from .oracle import (
     contraction_table,
     fock_check_inertial,
     photon_number_variance_lo,
-    refine_circuit,
 )
 from .spectral import (
     SpectralConvergenceError,
@@ -105,7 +104,6 @@ __all__ = [
     "narrowband_variance",
     "photon_number_variance_lo",
     "quadrature_variance",
-    "refine_circuit",
     "rindler_to_unruh",
     "single_mode_squeeze",
     "spectral_integrals",

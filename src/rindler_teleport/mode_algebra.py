@@ -626,13 +626,13 @@ def _shared_modes(e1: OperatorExpr, e2: OperatorExpr) -> list[ModeLabel]:
 
 
 def two_mode_squeeze(
-    a1: OperatorExpr, a2: OperatorExpr, r: float, phase: float = 0.0
+    a1: OperatorExpr, a2: OperatorExpr, r: float
 ) -> tuple[OperatorExpr, OperatorExpr]:
-    """Two-mode squeezer: a1 -> ch a1 + e^(i phase) sh a2^dagger, and symmetrically.
+    """Two-mode squeezer: a1 -> ch a1 + sh a2^dagger, and symmetrically.
 
     ``r`` is the squeezing strength (our amplifier/EPR convention is the
-    real + sign at phase = 0).  The two inputs must not share any mode
-    label - squeezing a wire against itself is not a two-mode operation.
+    real + sign).  The two inputs must not share any mode label - squeezing
+    a wire against itself is not a two-mode operation.
     """
     if not math.isfinite(r):
         raise ValueError(f"squeezing strength must be finite, got {r}")
@@ -640,7 +640,7 @@ def two_mode_squeeze(
     if shared:
         raise ValueError(f"two_mode_squeeze inputs share mode labels: {sorted(map(repr, shared))}")
     ch = math.cosh(r)
-    sh = math.sinh(r) * cmath.exp(1j * phase)
+    sh = math.sinh(r)
     out1 = ch * a1 + sh * a2.dagger()
     out2 = ch * a2 + sh * a1.dagger()
     return out1, out2

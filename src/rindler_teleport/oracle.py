@@ -3,13 +3,14 @@
 Two cross-check routes live here, both deliberately avoiding the
 closed-form integrals they validate:
 
-1. A *discretized circuit*: the wavepacket is binned onto a uniform
-   frequency grid, every region wire becomes an explicit sum of labelled
-   modes, and the protocol is composed gate by gate with the affine mode
-   algebra (at large finite amplifier gain - the strong-amplification limit
-   is never substituted analytically).  Output statistics then follow from
-   mechanical Wick pairing: the local-oscillator-referenced quadrature
-   variance, and the full table of quadratic/quartic mode contractions.
+1. A *discretized circuit*: the wavepacket is binned onto a given number
+   of uniform frequency bins, every region wire becomes an explicit sum of
+   labelled modes, and the protocol is composed gate by gate with the
+   affine mode algebra (at large finite amplifier gain - the
+   strong-amplification limit is never substituted analytically).  Output
+   statistics then follow from mechanical Wick pairing: the
+   local-oscillator-referenced quadrature variance, and the full table of
+   quadratic/quartic mode contractions.
 
 2. A *truncated-Fock simulation* of the single-frequency protocol: three
    oscillators in a hard photon-number cutoff, with displacement and
@@ -28,8 +29,9 @@ O(N) vector operations.  A build rewrites the wire's change and the three
 wire outputs into the vacuum families in one vectorized pass, and the LO
 variance forms the field's quadrature covariance once and reads every
 phase it reports from it.  Every bin's output is a unit mode plus a
-multiple of one shared fluctuation W, so the commutator audit checks every
-bin in O(N) and the contraction table over M bins costs O(N + M**2).  A
+multiple of one shared fluctuation W; the build holds that rank-one form
+once, so the commutator audit checks every bin in O(N) and the
+contraction table over M bins costs O(N + M**2).  A
 squeezed build plus its LO variance takes about 1, 1.5 and 4 to 5 ms of
 CPU at N = 32, 256 and 1024 (best of 30 on a shared 2-CPU Xeon, CPython
 3.11.7, NumPy 2.4.6), of which the LO variance is 0.1 to 0.3 ms.  A Fock
@@ -78,7 +80,6 @@ __all__ = [
     "contraction_table",
     "fock_check_inertial",
     "photon_number_variance_lo",
-    "refine_circuit",
 ]
 
 #: Default "infinite" amplifier gain: tanh(14) = 1 - 2.8e-12, far below every
@@ -109,7 +110,7 @@ class TruncationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DiscretizedCircuit:
     """Binned protocol instance plus its composed output algebra.
 
@@ -120,15 +121,17 @@ class DiscretizedCircuit:
         c_out[i] = c_i + g_i ch_i * wire_delta
         d_out[i] = d_i - g_i sh_i * wire_delta^dagger
 
-    ``disp_gain`` is the mechanically measured displacement transmission of
-    the channel (1 up to rounding, by the gain/transmissivity matching).
+    ``outputs`` is that layout in rank-one form (:class:`_RankOneOutputs`),
+    built once per circuit and read by the audit, the LO variance and the
+    contraction table.  ``disp_gain`` is the mechanically measured
+    displacement transmission of the channel for a unit input displacement
+    (1 up to rounding, by the gain/transmissivity matching).
     """
 
     scenario: str
     a: float
     wavepacket: WavepacketSpec
     r_s: float
-    beta: complex
     r_channel: float
     bins: np.ndarray
     g: np.ndarray
@@ -136,6 +139,7 @@ class DiscretizedCircuit:
     sh: np.ndarray
     wire_delta: OperatorExpr
     disp_gain: complex
+    outputs: _RankOneOutputs
     commutator_audit_max: float
 
     @property
@@ -160,28 +164,13 @@ def _packet_wire(
     return OperatorExpr.from_vectors(register, u)
 
 
-def _resolve_grid(wp: WavepacketSpec, grid) -> tuple[np.ndarray, float]:
+def _bin_centers(wp: WavepacketSpec, grid) -> tuple[np.ndarray, float]:
+    """Centers and width of ``grid`` uniform bins across the wavepacket window."""
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 4:
+        raise GridMismatchError(f"grid must be a bin count of at least 4, got {grid!r}")
     lo, hi = wp.window
-    if np.isscalar(grid):
-        n = int(grid)
-        if n < 4:
-            raise GridMismatchError(f"need at least 4 bins, got {n}")
-        delta = (hi - lo) / n
-        centers = lo + (np.arange(n) + 0.5) * delta
-        return centers, delta
-    centers = np.asarray(grid, dtype=float)
-    if centers.ndim != 1 or len(centers) < 4:
-        raise GridMismatchError("explicit grid must be a 1-D array of at least 4 bin centers")
-    spacing = np.diff(centers)
-    delta = float(spacing[0])
-    if delta <= 0 or not np.allclose(spacing, delta, rtol=1e-9, atol=0.0):
-        raise GridMismatchError("explicit grid must be uniformly increasing")
-    if abs(centers[0] - 0.5 * delta - lo) > delta or abs(centers[-1] + 0.5 * delta - hi) > delta:
-        raise GridMismatchError(
-            f"grid [{centers[0]:g}, {centers[-1]:g}] does not cover the wavepacket "
-            f"window [{lo:g}, {hi:g}]"
-        )
-    return centers, delta
+    delta = (hi - lo) / grid
+    return lo + (np.arange(grid) + 0.5) * delta, delta
 
 
 def _build_circuit(
@@ -190,14 +179,13 @@ def _build_circuit(
     wp: WavepacketSpec,
     grid,
     r_s: float,
-    beta: complex,
     r_channel: float,
 ) -> DiscretizedCircuit:
     if a <= 0:
         raise ValueError(f"acceleration must be positive, got {a}")
     if not math.isfinite(r_channel) or r_channel <= 0:
         raise ValueError(f"channel gain must be finite and positive, got {r_channel}")
-    centers, delta = _resolve_grid(wp, grid)
+    centers, delta = _bin_centers(wp, grid)
     g = wp.amplitude(centers) * math.sqrt(delta)
     norm = float(np.linalg.norm(g))
     if norm <= 0:
@@ -213,23 +201,29 @@ def _build_circuit(
     wire = wire_in
     if r_s != 0.0:
         wire = single_mode_squeeze(wire, r_s)
-    # Unit displacement probe: the measured output displacement is then the
-    # channel's displacement gain, applied later to the physical alpha+beta.
+    # Unit displacement probe: the measured output displacement is the
+    # channel's displacement gain.
     wire = displace(wire, 1.0)
     wire, idler_out = two_mode_squeeze(wire, idler, r_channel)
     wire, port_out = beam_splitter(wire, port, 1.0 / math.cosh(r_channel) ** 2)
 
     # One rewrite of the wire's change and the three wire outputs the audit checks.
     delta_expr = wire - wire_in
-    wire_delta, *outputs = rindler_to_unruh(
+    wire_delta, *wire_outputs = rindler_to_unruh(
         (delta_expr.centered(), wire, idler_out, port_out), a, centers
     )
-    circ = DiscretizedCircuit(
+    outputs = _RankOneOutputs(wire_delta, g * ch, g * sh)
+    audit_max = _audit_commutators(outputs, *wire_outputs)
+    if not audit_max <= _COMMUTATOR_TOL:  # a NaN deviation fails too
+        raise OracleConvergenceError(
+            f"gate composition broke canonical commutators by "
+            f"{audit_max:.3e} (> {_COMMUTATOR_TOL:g})"
+        )
+    return DiscretizedCircuit(
         scenario=scenario,
         a=float(a),
         wavepacket=wp,
         r_s=float(r_s),
-        beta=complex(beta),
         r_channel=float(r_channel),
         bins=centers,
         g=g,
@@ -237,15 +231,9 @@ def _build_circuit(
         sh=sh,
         wire_delta=wire_delta,
         disp_gain=delta_expr.displacement,
-        commutator_audit_max=0.0,
+        outputs=outputs,
+        commutator_audit_max=audit_max,
     )
-    circ.commutator_audit_max = _audit_commutators(circ, *outputs)
-    if circ.commutator_audit_max > _COMMUTATOR_TOL:
-        raise OracleConvergenceError(
-            f"gate composition broke canonical commutators by "
-            f"{circ.commutator_audit_max:.3e} (> {_COMMUTATOR_TOL:g})"
-        )
-    return circ
 
 
 #: The four centered output operators of a bin, with their mode family
@@ -273,19 +261,20 @@ class _RankOneOutputs:
     return these terms per kind pair; :func:`_bilinear_at` evaluates them.
     """
 
-    def __init__(self, circ: DiscretizedCircuit):
-        w = circ.wire_delta
-        bins = np.arange(circ.n_bins)
+    def __init__(self, wire_delta: OperatorExpr, g_ch: np.ndarray, g_sh: np.ndarray):
+        w = wire_delta
+        bins = np.arange(len(g_ch))
         families = (Sector.UNRUH_C, Sector.UNRUH_D)
-        slots = np.stack([w.register.slots(f, Chirality.LEFT, bins) for f in families])
+        # register slots of the c and d modes, by family and bin
+        self.slots = np.stack([w.register.slots(f, Chirality.LEFT, bins) for f in families])
         # complex k: complex-by-complex products are the fast ones
-        self.k = np.stack([circ.g * circ.ch, -circ.g * circ.sh]).astype(complex)[_FAMILY]
+        self.k = np.stack([g_ch, -g_sh]).astype(complex)[_FAMILY]
         # (U, V) is (W.u, W.v) for W and (conj W.v, conj W.u) for W†.
         wu, wv = w.u, w.v
         uv, uu, vv = complex(wu @ wv), np.vdot(wu, wu).real, np.vdot(wv, wv).real
         self.z = np.array([[uv, uu], [vv, uv.conjugate()]])
-        self.u_at = np.stack([wu[slots], wv[slots].conj()])  # (W or W†, family, bin)
-        self.v_at = np.stack([wv[slots], wu[slots].conj()])
+        self.u_at = np.stack([wu[self.slots], wv[self.slots].conj()])  # (W or W†, family, bin)
+        self.v_at = np.stack([wv[self.slots], wu[self.slots].conj()])
         # |u|^2 + |v|^2 of each output operator, by kind and bin: the unit
         # vector, its overlap with k U (or k V for a creator), and |k W|^2.
         own = np.where(_CREATOR[:, None], self.v_at[_ADJOINT, _FAMILY], self.u_at[_ADJOINT, _FAMILY]).real
@@ -320,7 +309,7 @@ def _bilinear_at(terms: tuple, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def _audit_commutators(
-    circ: DiscretizedCircuit,
+    outputs: _RankOneOutputs,
     wire: OperatorExpr,
     idler_out: OperatorExpr,
     port_out: OperatorExpr,
@@ -334,89 +323,75 @@ def _audit_commutators(
     relative to that scale, not absolutely (strong-gain branches carry
     cosh(r) ~ 1e6 coefficients whose canonical cancellation is exact only in
     real arithmetic).  The scale is the product of the two expressions'
-    coefficient-vector norms, at least 1.
+    coefficient-vector norms, at least 1.  Any NaN deviation makes the
+    result NaN.
     """
-    worst = _bin_commutator_deviation(circ)
+    deviations = [_bin_commutator_deviation(outputs)]
     outs = (wire, idler_out, port_out)
     norms = [math.sqrt(np.vdot(e.u, e.u).real + np.vdot(e.v, e.v).real) for e in outs]
     for (i, e1), (j, e2) in itertools.product(enumerate(outs), repeat=2):
         scale = max(1.0, norms[i] * norms[j])
-        worst = max(worst, abs(commutator(e1, e2)) / scale)
-        worst = max(worst, abs(commutator(e1, e2.dagger()) - (i == j)) / scale)
-    return worst
+        deviations.append(abs(commutator(e1, e2)) / scale)
+        deviations.append(abs(commutator(e1, e2.dagger()) - (i == j)) / scale)
+    return float(np.max(deviations))
 
 
-def _bin_commutator_deviation(circ: DiscretizedCircuit) -> float:
+def _bin_commutator_deviation(outputs: _RankOneOutputs) -> float:
     """Max relative deviation of the output commutators of every bin.
 
     Each bin meets itself and the anchor bins {0, N/2, N-1}, both ways
     round, for c-c†, d-d†, c-d and c-d†: O(N) vector operations on the
-    rank-one form of the outputs (:class:`_RankOneOutputs`).
+    rank-one form of the outputs.  Any NaN deviation makes the result NaN.
     """
     # Kind pairs c-c†, d-d†, c-d and c-d†, and the last two with the bins
     # swapped, as [X_j, Y_i] = -[Y_i, X_j] (for c-c† and d-d† that is the
     # complex conjugate).
     x, y = np.array([0, 2, 0, 0, 2, 3]), np.array([1, 3, 2, 3, 0, 0])
-    outputs = _RankOneOutputs(circ)
     # The unit-vector part of a commutator is its canonical value exactly
     # ([c_i, c_j†] = δ_ij, ...), so the deviation is the rest.
     kx, ky, z, p, q, _ = outputs.commutator(x, y)
     rest = (kx, ky, z, p, q, np.zeros(len(x)))
-    n = circ.n_bins
+    n = outputs.k.shape[1]
     bins = np.arange(n)
-    worst = 0.0
+    deviations = []
     for j in (bins, *(np.array([anchor]) for anchor in (0, n // 2, n - 1))):
         deviation = np.abs(_bilinear_at(rest, bins, j))
         deviation /= np.maximum(1.0, outputs.norm[x] * outputs.norm[y][:, j])
-        worst = max(worst, float(deviation.max()))
-    return worst
+        deviations.append(deviation.max())
+    return float(np.max(deviations))
 
 
 def build_displaced_circuit(
     a: float,
     wp: WavepacketSpec,
-    grid,
+    grid: int,
     *,
-    beta: complex = 0.0,
     r_channel: float = DEFAULT_CHANNEL_GAIN,
 ) -> DiscretizedCircuit:
     """Discretize the coherent-payload protocol on ``grid`` bins.
 
-    ``grid`` is a bin count or an explicit uniform bin-center array covering
-    the wavepacket window.  Quantitative agreement with the continuum closed
-    forms needs N >= 64 (callers may go coarser deliberately, e.g. to
-    demonstrate discretization failure; the algebraic identity table is
-    exact at any N).
+    ``grid`` is the number of uniform bins across the wavepacket window, an
+    integer of at least 4; anything else is a :class:`GridMismatchError`.
+    Quantitative agreement with the continuum closed forms needs N >= 64
+    (callers may go coarser deliberately, e.g. to demonstrate
+    discretization failure; the algebraic identity table is exact at any N).
     """
-    return _build_circuit("displaced", a, wp, grid, 0.0, beta, r_channel)
+    return _build_circuit("displaced", a, wp, grid, 0.0, r_channel)
 
 
 def build_squeezed_circuit(
     a: float,
     wp: WavepacketSpec,
-    grid,
+    grid: int,
     *,
     r_s: float,
-    beta: complex = 0.0,
     r_channel: float = DEFAULT_CHANNEL_GAIN,
 ) -> DiscretizedCircuit:
-    """Discretize the squeezed-payload protocol (payload squeezing ``r_s``)."""
+    """Discretize the squeezed-payload protocol (payload squeezing ``r_s``)
+    on ``grid`` bins, as :func:`build_displaced_circuit`."""
     if not math.isfinite(r_s) or r_s < 0:
         raise ValueError(f"payload squeezing must be finite and non-negative, got {r_s}")
-    return _build_circuit("squeezed", a, wp, grid, r_s, beta, r_channel)
-
-
-def refine_circuit(circ: DiscretizedCircuit) -> DiscretizedCircuit:
-    """Rebuild the same protocol on a doubled (2N) grid."""
-    return _build_circuit(
-        circ.scenario,
-        circ.a,
-        circ.wavepacket,
-        2 * circ.n_bins,
-        circ.r_s,
-        circ.beta,
-        circ.r_channel,
-    )
+    return _build_circuit("squeezed", a, wp, grid, r_s, r_channel)
 
 
 # ---------------------------------------------------------------------------
@@ -446,23 +421,22 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, float]:
     Returns (<X^2>, <Y^2>, <XY + YX>/2) of the right-movers, the left-movers
     and the whole field, as rows in that order, and n0.
     """
-    k_c, k_d = circ.g * circ.ch, circ.g * circ.sh
+    out = circ.outputs
+    k_c, k_d = out.k[0], out.k[2]  # g ch and -g sh
     lo_c = circ.disp_gain * k_c  # l of the c outputs is e^(i phi) lo_c,
-    lo_d = -circ.disp_gain.conjugate() * k_d  # that of the d outputs e^(-i phi) lo_d
+    lo_d = circ.disp_gain.conjugate() * k_d  # that of the d outputs e^(-i phi) lo_d
     n0 = float(np.sum(np.abs(lo_c) ** 2) + np.sum(np.abs(lo_d) ** 2))
     w = circ.wire_delta
-    register = w.register  # the 4N vacuum-family modes
-    bins = np.arange(circ.n_bins)
     # P = sum_i conj(lo_c_i) c_out[i] + lo_d_i d_out[i]^dagger, centered.
-    weight = complex(np.sum(lo_c.conjugate() * k_c) - np.sum(lo_d * k_d))
+    weight = complex(np.sum(lo_c.conjugate() * k_c) + np.sum(lo_d * k_d))
     pu, pv = weight * w.u, weight * w.v
-    pu[register.slots(Sector.UNRUH_C, Chirality.LEFT, bins)] += lo_c.conjugate()
-    pv[register.slots(Sector.UNRUH_D, Chirality.LEFT, bins)] += lo_d
+    pu[out.slots[0]] += lo_c.conjugate()
+    pv[out.slots[1]] += lo_d
     # X and Y are Hermitian with annihilator vectors x = P.u + conj(P.v) and
     # -i y, y = P.u - conj(P.v), so <X^2> = |x|^2, <Y^2> = |y|^2 and
     # <XY + YX>/2 = Im(conj(x) . y).
     x, y = pu + pv.conj(), pu - pv.conj()
-    left = register.chirality_mask(Chirality.LEFT)
+    left = w.register.chirality_mask(Chirality.LEFT)
     moments = np.empty((3, 3))
     for k, part in enumerate((~left, left, slice(None))):
         xp, yp = x[part], y[part]
@@ -477,54 +451,36 @@ def _variance_at(parts: tuple[np.ndarray, float], phi: float) -> tuple[float, fl
     through the horizon-straddling resource, so their contribution is the
     thermal noise; left-movers carry the payload (quantum-noise limit or
     squeezed-payload decoherence).  The parts add exactly - the two mode
-    families never share a label - which is checked against the whole field.
+    families never share a label - which is checked against the whole field
+    (a NaN or infinite part fails the check).
     """
     moments, n0 = parts
     c, s = math.cos(phi), math.sin(phi)
     thermal, payload, total = moments @ np.array([c * c, s * s, 2.0 * c * s]) / n0
-    if abs(total - (payload + thermal)) > 1e-9 * max(1.0, abs(total)):
+    if not abs(total - (payload + thermal)) <= 1e-9 * max(1.0, abs(total)):
         raise OracleConvergenceError(
             f"variance split lost additivity: {total!r} != {payload!r} + {thermal!r}"
         )
     return float(thermal), float(payload)
 
 
-def photon_number_variance_lo(
-    circ: DiscretizedCircuit,
-    phi: float = 0.0,
-    *,
-    refine_tol: float | None = None,
-) -> VarianceReport:
+def photon_number_variance_lo(circ: DiscretizedCircuit, phi: float = 0.0) -> VarianceReport:
     """Homodyne variance of the teleported output at LO phase ``phi``.
 
     Computed entirely from Wick pairs of the composed circuit; no continuum
     integral enters.  The LO field is decomposed once (:func:`_lo_parts`)
     and evaluated at ``phi`` and at the purity product's phases 0 and pi/2.
-    With ``refine_tol`` set, the circuit is rebuilt on a doubled grid and an
-    :class:`OracleConvergenceError` reports any relative total-variance
-    shift above the tolerance (discretization non-convergence).
     """
     parts = _lo_parts(circ)
     thermal, payload = _variance_at(parts, phi)
     t0, p0 = _variance_at(parts, 0.0)
     t90, p90 = _variance_at(parts, 0.5 * math.pi)
-    report = VarianceReport(
+    return VarianceReport(
         total=thermal + payload,
         thermal_noise=thermal,
         qnl_or_decoherence=payload,
         purity_product=(t0 + p0) * (t90 + p90),
     )
-    if refine_tol is not None:
-        finer = refine_circuit(circ)
-        ft, fp = _variance_at(_lo_parts(finer), phi)
-        shift = abs((ft + fp) - report.total) / max(abs(report.total), 1e-300)
-        if shift > refine_tol:
-            raise OracleConvergenceError(
-                f"variance not converged in bin count: N={circ.n_bins} gives "
-                f"{report.total!r}, N={finer.n_bins} gives {ft + fp!r} "
-                f"(relative shift {shift:.3e} > {refine_tol:g})"
-            )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -582,16 +538,17 @@ def contraction_table(
     w, y = w[:, None], y[None, :]
 
     first, second = np.divmod(np.arange(len(_KINDS) ** 2), len(_KINDS))
-    table = _bilinear_at(_RankOneOutputs(circ).pairing(first, second), w, y)
+    table = _bilinear_at(circ.outputs.pairing(first, second), w, y)
     pair = {f"{_KINDS[a]} {_KINDS[b]}": row for a, b, row in zip(first, second, table)}
 
     # Quartic assembly: with x = x~ + D (D the LO shift at |alpha| = 1), the
     # |alpha|^2 part of the connected <x_w† x_w z_y† z_y> is the covariance
     # of the linear terms conj(D_w) x~_w + D_w x~_w† and the same for z_y.
-    gain = circ.disp_gain
+    # D is disp_gain k for c and its conjugate's for d, turned by the LO phase.
+    gain, k = circ.disp_gain, circ.outputs.k
     shift = {
-        "c": gain * circ.g * circ.ch * cmath.exp(1j * phi),
-        "d": -(gain * circ.g * circ.sh).conjugate() * cmath.exp(-1j * phi),
+        "c": gain * k[0] * cmath.exp(1j * phi),
+        "d": gain.conjugate() * k[2] * cmath.exp(-1j * phi),
     }
 
     def quartic(a: str, b: str) -> np.ndarray:
@@ -873,7 +830,9 @@ def fock_check_inertial(
     chosen.  The state may hold at most 64**3 amplitudes, ``(cutoff + 1)**3``,
     so the cutoff is at most 63: a larger explicit cutoff is a
     :class:`ValueError`, and an adaptive window that reaches the limit
-    unsettled fails the report.
+    unsettled fails the report.  A non-integer cutoff, and a NaN or
+    infinite ``beta``, ``phi`` or ``tol``, each raise a :class:`ValueError`
+    that names the input.
     With ``strict`` a failed report raises :class:`TruncationError` (the
     report rides on the exception); pass ``strict=False`` to inspect failing
     reports.  Parameters are capped at 1.5.
@@ -882,15 +841,22 @@ def fock_check_inertial(
         raise ValueError(
             f"squeezing parameters must lie in [0, {_MAX_FOCK_PARAM}], got r={r}, r_omega={r_omega}"
         )
-    if cutoff is not None and not (_MIN_FOCK_CUTOFF <= int(cutoff) <= _MAX_FOCK_CUTOFF):
-        raise ValueError(
-            f"cutoff must lie in [{_MIN_FOCK_CUTOFF}, {_MAX_FOCK_CUTOFF}] "
-            f"(at most {_MAX_FOCK_DIM} amplitudes), got {cutoff}"
-        )
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-
+    if cutoff is not None:
+        if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)):
+            raise ValueError(f"cutoff must be an integer photon number, got {cutoff!r}")
+        if not (_MIN_FOCK_CUTOFF <= cutoff <= _MAX_FOCK_CUTOFF):
+            raise ValueError(
+                f"cutoff must lie in [{_MIN_FOCK_CUTOFF}, {_MAX_FOCK_CUTOFF}] "
+                f"(at most {_MAX_FOCK_DIM} amplitudes), got {cutoff}"
+            )
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     beta = complex(beta)
+    if not cmath.isfinite(beta):
+        raise ValueError(f"displacement beta must be finite, got {beta}")
+    if not math.isfinite(phi):
+        raise ValueError(f"LO phase phi must be finite, got {phi}")
+
     if cutoff is None:
         cutoff, measured, lost_mass, settled = _settled_window(r, r_omega, beta, phi, tol)
     else:

@@ -62,8 +62,10 @@ OMEGA_MIN_FACTOR = 1e-12
 #: Intensity mass removed by truncation above which the wavepacket is flagged.
 TRUNCATION_WARN_THRESHOLD = 1e-6
 
-_GL_ORDER = 16
-_GL_RULE = leggauss(_GL_ORDER)
+#: Gauss-Legendre rule of every panel, and the number of uniform panels
+#: across the wavepacket's Gaussian bulk.
+_GL_RULE = leggauss(16)
+_LINEAR_PANELS = 16
 
 #: Panel halvings after the wavepacket's own panels before giving up.
 _MAX_REFINEMENTS = 7
@@ -169,9 +171,9 @@ class WavepacketSpec:
     truncation_warning:
         True when truncated_mass exceeds 1e-6; integral values then depend
         on the infrared cutoff.
-    panel_edges, order:
-        Composite Gauss-Legendre structure, kept so integrators can rebuild
-        refined versions of the same grid.
+    panel_edges:
+        Edges of the composite Gauss-Legendre panels, kept so integrators
+        can rebuild refined versions of the same grid.
     """
 
     omega0: float
@@ -182,7 +184,6 @@ class WavepacketSpec:
     truncated_mass: float
     truncation_warning: bool
     panel_edges: tuple[float, ...]
-    order: int
 
     @property
     def nodes(self) -> np.ndarray:
@@ -211,9 +212,9 @@ class WavepacketSpec:
         return np.where(mask, self.norm_const * self.envelope(w), 0.0)
 
 
-def _panel_nodes(edges: np.ndarray, order: int) -> np.ndarray:
+def _panel_nodes(edges: np.ndarray) -> np.ndarray:
     """Composite Gauss-Legendre (frequency, weight) rows over given edges."""
-    xg, wg = _GL_RULE if order == _GL_ORDER else leggauss(order)
+    xg, wg = _GL_RULE
     lo = edges[:-1, None]
     hi = edges[1:, None]
     half = 0.5 * (hi - lo)
@@ -226,7 +227,7 @@ def _is_clipped(lo: float, omega0: float, sigma: float) -> bool:
     return lo > omega0 - 8.0 * sigma
 
 
-def _build_edges(lo: float, hi: float, omega0: float, sigma: float, n_linear: int) -> np.ndarray:
+def _build_edges(lo: float, hi: float, omega0: float, sigma: float) -> np.ndarray:
     """Panel edges: geometric grading into a clipped infrared tail, else uniform.
 
     When the window is clipped at the infrared cutoff the integrands behave
@@ -235,35 +236,32 @@ def _build_edges(lo: float, hi: float, omega0: float, sigma: float, n_linear: in
     panels cover the Gaussian bulk.
     """
     if not _is_clipped(lo, omega0, sigma):
-        return np.linspace(lo, hi, n_linear + 1)
+        return np.linspace(lo, hi, _LINEAR_PANELS + 1)
     breakpoint_ = min(sigma, 0.25 * hi)
     breakpoint_ = max(breakpoint_, lo * 10.0)
     decades = math.log10(breakpoint_ / lo)
     n_log = max(8, int(math.ceil(1.5 * decades)))
     log_edges = np.geomspace(lo, breakpoint_, n_log + 1)
-    lin_edges = np.linspace(breakpoint_, hi, max(n_linear, 6) + 1)
+    lin_edges = np.linspace(breakpoint_, hi, _LINEAR_PANELS + 1)
     return np.concatenate([log_edges[:-1], lin_edges])
 
 
-def make_wavepacket(omega0: float, sigma: float, resolution: int = 256) -> WavepacketSpec:
+def make_wavepacket(omega0: float, sigma: float) -> WavepacketSpec:
     """Build a truncated Gaussian wavepacket and its quadrature grid.
 
-    ``resolution`` is the quadrature-node budget (minimum 16); clipped
-    windows may receive extra infrared panels beyond it so that the 1/omega
-    tail is resolved decade by decade.
+    The grid is 16 uniform 16-node Gauss-Legendre panels; a clipped window
+    also receives infrared panels so that the 1/omega tail is resolved
+    decade by decade.
     """
     if not (math.isfinite(omega0) and omega0 > 0):
         raise ValueError(f"omega0 must be finite and positive, got {omega0}")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    if resolution < 16:
-        raise ValueError(f"resolution must be at least 16, got {resolution}")
 
     lo = max(OMEGA_MIN_FACTOR * omega0, omega0 - 8.0 * sigma)
     hi = omega0 + 8.0 * sigma
-    n_linear = max(2, resolution // _GL_ORDER)
-    edges = _build_edges(lo, hi, omega0, sigma, n_linear)
-    grid = _panel_nodes(edges, _GL_ORDER)
+    edges = _build_edges(lo, hi, omega0, sigma)
+    grid = _panel_nodes(edges)
 
     intensity = np.exp(-((grid[:, 0] - omega0) ** 2) / (2.0 * sigma**2))
     norm = float(grid[:, 1] @ intensity)
@@ -285,7 +283,6 @@ def make_wavepacket(omega0: float, sigma: float, resolution: int = 256) -> Wavep
         truncated_mass=truncated_mass,
         truncation_warning=truncated_mass > TRUNCATION_WARN_THRESHOLD,
         panel_edges=tuple(float(e) for e in edges),
-        order=_GL_ORDER,
     )
 
 
@@ -320,7 +317,7 @@ def _integrals_on_edges(edges: np.ndarray, wp: WavepacketSpec, accel: np.ndarray
     is then summed by its own dot with the strided weight column, so a
     row's value is the same bits whether ``a`` came alone or in a grid.
     """
-    grid = _panel_nodes(edges, wp.order)
+    grid = _panel_nodes(edges)
     w = grid[:, 0]
     q = grid[:, 1]
     envelope = np.exp(-((w - wp.omega0) ** 2) / (4.0 * wp.sigma**2))

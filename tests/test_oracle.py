@@ -25,7 +25,6 @@ from rindler_teleport import (
     fock_check_inertial,
     make_wavepacket,
     photon_number_variance_lo,
-    refine_circuit,
     squeezed_variance,
     wick_expectation,
 )
@@ -50,31 +49,52 @@ class TestCircuitBuild:
         # discrete unit norm of the packet
         assert float(np.sum(circ_displaced.g**2)) == pytest.approx(1.0, rel=1e-12)
 
-    def test_explicit_grid_matches_bin_count(self, wp_standard):
-        by_count = build_displaced_circuit(1.0, wp_standard, 64)
-        lo, hi = wp_standard.window
-        delta = (hi - lo) / 64
-        centers = lo + delta * (np.arange(64) + 0.5)
-        by_array = build_displaced_circuit(1.0, wp_standard, centers)
-        assert by_array.n_bins == 64
-        assert np.allclose(by_array.g, by_count.g, rtol=1e-12)
-
-    def test_nonuniform_grid_rejected(self, wp_standard):
-        lo, hi = wp_standard.window
-        centers = np.linspace(lo, hi, 64) ** 1.01
-        with pytest.raises(GridMismatchError):
-            build_displaced_circuit(1.0, wp_standard, centers)
-
-    def test_partial_coverage_rejected(self, wp_standard):
-        lo, hi = wp_standard.window
-        mid = 0.5 * (lo + hi)
-        centers = np.linspace(lo, mid, 32)
-        with pytest.raises(GridMismatchError):
-            build_displaced_circuit(1.0, wp_standard, centers)
-
     def test_too_few_bins_rejected(self, wp_standard):
         with pytest.raises(ValueError):
             build_displaced_circuit(1.0, wp_standard, 2)
+
+    @pytest.mark.parametrize("grid", [64.7, "16", True, np.linspace(0.7, 1.3, 16)], ids=repr)
+    def test_grid_must_be_a_bin_count(self, wp_standard, grid):
+        with pytest.raises(GridMismatchError, match="bin count"):
+            build_displaced_circuit(1.0, wp_standard, grid)
+
+    def test_numpy_integer_bin_count(self, wp_standard):
+        circ = build_displaced_circuit(1.0, wp_standard, np.int64(8))
+        assert circ.n_bins == 8
+        assert circ.commutator_audit_max <= 1e-10
+
+    def test_circuit_is_frozen(self, circ_displaced):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            circ_displaced.commutator_audit_max = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            circ_displaced.disp_gain = 2.0
+
+    def test_one_rank_one_view_per_circuit(self, monkeypatch, wp_standard):
+        # The build makes the rank-one output view once; the LO variance and
+        # the contraction table read it from the circuit.
+        from rindler_teleport import oracle
+
+        made = []
+
+        class CountedOutputs(oracle._RankOneOutputs):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(oracle, "_RankOneOutputs", CountedOutputs)
+        circ = build_squeezed_circuit(1.0, wp_standard, 64, r_s=0.4)
+        assert len(made) == 1 and circ.outputs.__class__ is CountedOutputs
+        photon_number_variance_lo(circ, 0.3)
+        contraction_table(circ, [10, 30], [20, 40], phi=0.3)
+        appendix_expectations(circ, 30, 32)
+        assert len(made) == 1
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_payload_squeezing_raises(self, wp_standard):
+        # At r_s = 400 the squeezed wire overflows and the audit's
+        # commutators come out NaN; the audit must not read that as zero.
+        with pytest.raises(OracleConvergenceError, match="broke canonical commutators"):
+            build_squeezed_circuit(1.0, wp_standard, 32, r_s=400.0)
 
     def test_audit_fires_on_non_canonical_wire(self, monkeypatch, wp_standard):
         from rindler_teleport import oracle
@@ -128,12 +148,6 @@ class TestCircuitBuild:
             build_squeezed_circuit(1.0, wp_standard, 64, r_s=0.4)
         assert len(seen) == 1 and seen[0] > 1e-10
         assert len(calls) == 1  # one rewrite per build
-
-    def test_refine_doubles(self, wp_standard):
-        base = build_displaced_circuit(1.0, wp_standard, 64)
-        fine = refine_circuit(base)
-        assert fine.n_bins == 128
-        assert fine.a == base.a and fine.r_s == base.r_s
 
 
 class TestVarianceAgainstClosedForms:
@@ -228,16 +242,20 @@ class TestVarianceAgainstClosedForms:
         with pytest.raises(OracleConvergenceError, match="variance split lost additivity"):
             photon_number_variance_lo(circ_squeezed, 0.3)
 
-    def test_refinement_check_passes(self, wp_standard):
-        circ = build_displaced_circuit(1.0, wp_standard, 64)
-        rep = photon_number_variance_lo(circ, refine_tol=1e-6)
-        assert rep.total > 2.0
+    def test_nan_split_raises(self, monkeypatch, circ_squeezed):
+        from rindler_teleport import oracle
 
-    def test_refinement_check_can_fail(self, wp_standard):
-        # 8 bins across the packet leaves a ~7e-5 gap to the doubled grid
-        circ = build_displaced_circuit(1.0, wp_standard, 8)
-        with pytest.raises(OracleConvergenceError):
-            photon_number_variance_lo(circ, refine_tol=1e-6)
+        honest_parts = oracle._lo_parts
+
+        def nan_parts(circ):
+            moments, n0 = honest_parts(circ)
+            moments = moments.copy()
+            moments[0, 0] = math.nan  # right-movers' <X^2>
+            return moments, n0
+
+        monkeypatch.setattr(oracle, "_lo_parts", nan_parts)
+        with pytest.raises(OracleConvergenceError, match="variance split lost additivity"):
+            photon_number_variance_lo(circ_squeezed, 0.3)
 
 
 class TestContractionTable:
@@ -367,6 +385,28 @@ class TestFockProtocolCheck:
         report = excinfo.value.report
         assert report.max_deviation == pytest.approx(3.2145e-02, rel=1e-2)
         assert report.lost_mass > 1e-2
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"tol": math.nan}, "tolerance"),
+            ({"tol": math.inf}, "tolerance"),
+            ({"beta": math.nan}, "beta"),
+            ({"beta": complex(0.2, math.inf)}, "beta"),
+            ({"phi": math.inf}, "phi"),
+            ({"phi": math.nan}, "phi"),
+            ({"cutoff": 12.7}, "cutoff"),
+            ({"cutoff": True}, "cutoff"),
+        ],
+        ids=repr,
+    )
+    def test_bad_inputs_named(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            fock_check_inertial(0.5, 0.5, strict=False, **kwargs)
+
+    def test_numpy_integer_cutoff(self):
+        rep = fock_check_inertial(0.5, 0.5, np.int64(12), strict=False)
+        assert rep.cutoff == 12 and rep.passed
 
     def test_parameter_domain(self):
         with pytest.raises(ValueError):

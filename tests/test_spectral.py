@@ -104,8 +104,6 @@ class TestWavepacket:
             make_wavepacket(-1.0, 0.05)
         with pytest.raises(ValueError):
             make_wavepacket(1.0, 0.0)
-        with pytest.raises(ValueError):
-            make_wavepacket(1.0, 0.05, resolution=8)
 
     @pytest.mark.parametrize(
         "omega0, sigma, name",
@@ -259,7 +257,7 @@ def _reference_integrals(wp, a: float, rel_tol: float = 1e-10):
     panel halvings after which the values stabilized, or None when seven
     were not enough.
     """
-    xg, wg = leggauss(wp.order)
+    xg, wg = leggauss(16)
 
     def integrals(edges):
         lo, hi = edges[:-1, None], edges[1:, None]
