@@ -54,7 +54,6 @@ from .mode_algebra import Chirality, ModeLabel, Sector
 from .oracle import (
     DEFAULT_CHANNEL_GAIN,
     OracleConvergenceError,
-    build_displaced_circuit,
     build_squeezed_circuit,
     contraction_table,
     fock_check_inertial,
@@ -390,10 +389,7 @@ def _sweep_rows(cfg: SweepConfig) -> list[list]:
         cells = _grid_cells(total, excess, np.ones_like(total), total * total)
     else:
         wp = make_wavepacket(cfg.omega0, cfg.sigma)
-        if cfg.scenario == "squeezed":
-            rep = squeezed_variance(a_grid, wp, cfg.r_s, cfg.phi)
-        else:
-            rep = displaced_variance(a_grid, wp)
+        rep = squeezed_variance(a_grid, wp, cfg.r_s or 0.0, cfg.phi or 0.0)
         cells = _grid_cells(rep.total, rep.thermal_noise, rep.qnl_or_decoherence, rep.purity_product)
 
     rows = []
@@ -416,10 +412,7 @@ def _oracle_deviation(cfg: SweepConfig, wp, a: float, closed_total: float):
     if not cfg.oracle:
         return None, "ok"
     try:
-        if cfg.r_s:
-            circ = build_squeezed_circuit(a, wp, cfg.bins, r_s=cfg.r_s)
-        else:
-            circ = build_displaced_circuit(a, wp, cfg.bins)
+        circ = build_squeezed_circuit(a, wp, cfg.bins, r_s=cfg.r_s or 0.0)
         rep = photon_number_variance_lo(circ, cfg.phi or 0.0)
     except OracleConvergenceError:
         return math.nan, "oracle-no-convergence"
@@ -510,10 +503,8 @@ def _suite_appendix(cfg: SweepConfig) -> SuiteResult:
     worst = 0.0
     worst_name = ""
     n_pairs = 0
-    for circ in (
-        build_displaced_circuit(1.0, wp, cfg.bins),
-        build_squeezed_circuit(1.0, wp, cfg.bins, r_s=0.4),
-    ):
+    for r_s in (0.0, 0.4):
+        circ = build_squeezed_circuit(1.0, wp, cfg.bins, r_s=r_s)
         bins = _mass_bearing_bins(circ)
         n_pairs += len(bins) ** 2
         for name, row in contraction_table(circ, bins, bins, phi=0.3).items():
@@ -530,19 +521,15 @@ def _suite_appendix(cfg: SweepConfig) -> SuiteResult:
 def _suite_oracle_agreement(cfg: SweepConfig) -> SuiteResult:
     wp = make_wavepacket(1.0, 0.05)
     worst = 0.0
-    lattice = [(a, r_s) for a in (0.3, 1.0, 3.0) for r_s in (0.0, 0.4)]
-    for a, r_s in lattice:
-        if r_s == 0.0:
-            circ = build_displaced_circuit(a, wp, cfg.bins)
-            closed = displaced_variance(a, wp)
-            rep = photon_number_variance_lo(circ)
+    # The coherent payload (r_s = 0) is phase independent: one phase suffices.
+    payloads = ((0.0, (0.0,)), (0.4, (0.0, math.pi / 2)))
+    lattice = [(a, r_s, phases) for a in (0.3, 1.0, 3.0) for r_s, phases in payloads]
+    for a, r_s, phases in lattice:
+        circ = build_squeezed_circuit(a, wp, cfg.bins, r_s=r_s)
+        for phi in phases:
+            closed = squeezed_variance(a, wp, r_s, phi)
+            rep = photon_number_variance_lo(circ, phi)
             worst = max(worst, abs(rep.total - closed.total) / closed.total)
-        else:
-            circ = build_squeezed_circuit(a, wp, cfg.bins, r_s=r_s)
-            for phi in (0.0, math.pi / 2):
-                closed = squeezed_variance(a, wp, r_s, phi)
-                rep = photon_number_variance_lo(circ, phi)
-                worst = max(worst, abs(rep.total - closed.total) / closed.total)
     return SuiteResult(
         "oracle-vs-closed-form", worst, VERIFY_ORACLE_TOL,
         f"{len(lattice)} lattice points at N={cfg.bins} "

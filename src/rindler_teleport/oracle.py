@@ -31,10 +31,7 @@ variance forms the field's quadrature covariance once and reads every
 phase it reports from it.  Every bin's output is a unit mode plus a
 multiple of one shared fluctuation W; the build holds that rank-one form
 once, so the commutator audit checks every bin in O(N) and the
-contraction table over M bins costs O(N + M**2).  A
-squeezed build plus its LO variance takes about 1, 1.5 and 4 to 5 ms of
-CPU at N = 32, 256 and 1024 (best of 30 on a shared 2-CPU Xeon, CPython
-3.11.7, NumPy 2.4.6), of which the LO variance is 0.1 to 0.3 ms.  A Fock
+contraction table over M bins costs O(N + M**2).  A Fock
 window of cutoff C holds (C + 1)**3 real amplitudes and costs O(C**4)
 operations.
 """
@@ -88,6 +85,8 @@ DEFAULT_CHANNEL_GAIN = 14.0
 
 _COMMUTATOR_TOL = 1e-10
 
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 
 class GridMismatchError(ValueError):
     """Grid and wavepacket do not describe the same frequency window."""
@@ -128,7 +127,6 @@ class DiscretizedCircuit:
     (1 up to rounding, by the gain/transmissivity matching).
     """
 
-    scenario: str
     a: float
     wavepacket: WavepacketSpec
     r_s: float
@@ -173,14 +171,7 @@ def _bin_centers(wp: WavepacketSpec, grid) -> tuple[np.ndarray, float]:
     return lo + (np.arange(grid) + 0.5) * delta, delta
 
 
-def _build_circuit(
-    scenario: str,
-    a: float,
-    wp: WavepacketSpec,
-    grid,
-    r_s: float,
-    r_channel: float,
-) -> DiscretizedCircuit:
+def _build_circuit(a: float, wp: WavepacketSpec, grid, r_s: float, r_channel: float) -> DiscretizedCircuit:
     if a <= 0:
         raise ValueError(f"acceleration must be positive, got {a}")
     if not math.isfinite(r_channel) or r_channel <= 0:
@@ -192,6 +183,13 @@ def _build_circuit(
         raise GridMismatchError("wavepacket amplitude vanishes on every grid bin")
     g = g / norm
     ch, sh = unruh_cosh_sinh(centers, a)
+    weight = float(np.sum(g * g * (ch * ch + sh * sh)))  # i_c + i_s of the grid
+    max_r_s = 0.5 * (_LOG_FLOAT_MAX + math.log(2.0 / weight)) - math.log(math.sinh(r_channel))
+    if r_s > max_r_s:
+        raise ValueError(
+            f"payload squeezing r_s must be at most {max_r_s:.6g} at channel gain {r_channel:g} "
+            f"on this grid (the audited output norms must be finite floats), got {r_s}"
+        )
 
     # Every region wire lives on one register, so each gate below is a
     # handful of vector operations.
@@ -220,7 +218,6 @@ def _build_circuit(
             f"{audit_max:.3e} (> {_COMMUTATOR_TOL:g})"
         )
     return DiscretizedCircuit(
-        scenario=scenario,
         a=float(a),
         wavepacket=wp,
         r_s=float(r_s),
@@ -376,7 +373,7 @@ def build_displaced_circuit(
     (callers may go coarser deliberately, e.g. to demonstrate
     discretization failure; the algebraic identity table is exact at any N).
     """
-    return _build_circuit("displaced", a, wp, grid, 0.0, r_channel)
+    return _build_circuit(a, wp, grid, 0.0, r_channel)
 
 
 def build_squeezed_circuit(
@@ -388,10 +385,22 @@ def build_squeezed_circuit(
     r_channel: float = DEFAULT_CHANNEL_GAIN,
 ) -> DiscretizedCircuit:
     """Discretize the squeezed-payload protocol (payload squeezing ``r_s``)
-    on ``grid`` bins, as :func:`build_displaced_circuit`."""
+    on ``grid`` bins, as :func:`build_displaced_circuit`; at ``r_s = 0``
+    it is that coherent-payload circuit.
+
+    ``r_s`` is bounded by the float range: the commutator audit forms the
+    norms |u|^2 + |v|^2 of the amplifier-idler and beam-splitter-port
+    outputs, about (i_c + i_s) sinh^2(r_channel) cosh(2 r_s) with i_c + i_s =
+    sum g^2 (ch^2 + sh^2) over the grid.  As cosh(2 r_s) ~ e^(2 r_s)/2, they
+    stay below the largest float f_max for r_s <= ln(2 f_max / (i_c + i_s))/2
+    - ln sinh(r_channel): 341.93 at the default gain for a << omega0, 339.05
+    at a = 1000 (omega0 = 1, sigma = 0.01).  A larger ``r_s`` is a
+    :class:`ValueError` that names it.  Below a gain of about 3 the LO
+    variance overflows first, as an :class:`OracleConvergenceError`.
+    """
     if not math.isfinite(r_s) or r_s < 0:
         raise ValueError(f"payload squeezing must be finite and non-negative, got {r_s}")
-    return _build_circuit("squeezed", a, wp, grid, r_s, r_channel)
+    return _build_circuit(a, wp, grid, r_s, r_channel)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,9 @@ _LINEAR_PANELS = 16
 #: Panel halvings after the wavepacket's own panels before giving up.
 _MAX_REFINEMENTS = 7
 
+#: Relative change between successive levels at which a value is settled.
+_SETTLE_REL_TOL = 1e-10
+
 #: Largest (acceleration x node) block evaluated at once: 64 KB per
 #: temporary array, however long the acceleration grid or fine the level.
 #: Larger blocks measured slower and raised the peak resident memory.
@@ -347,15 +350,13 @@ def _split_edges(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_integrals(
-    wp: WavepacketSpec, a: float | np.ndarray, rel_tol: float = 1e-10
-) -> SpectralIntegrals:
+def spectral_integrals(wp: WavepacketSpec, a: float | np.ndarray) -> SpectralIntegrals:
     """Evaluate i_c, i_s, i_cs and phi_cs for a wavepacket at acceleration ``a``.
 
     Refines the wavepacket's own panel set by repeated halving until all
-    four values are stable to ``rel_tol`` relative between successive
-    levels.  The intensity is renormalized per level, which keeps the
-    i_c - i_s = 1 identity exact on every grid.
+    four values are stable to ``_SETTLE_REL_TOL`` (1e-10) relative between
+    successive levels.  The intensity is renormalized per level, which keeps
+    the i_c - i_s = 1 identity exact on every grid.
 
     ``a`` is a scalar or a 1-D array of accelerations, each refined until it
     alone is stable.  For a scalar, :class:`SpectralConvergenceError` is
@@ -383,14 +384,14 @@ def spectral_integrals(
         values[unsettled] = refined
         level[unsettled] = refinement
         last_change[unsettled] = change
-        unsettled = unsettled[~(change <= rel_tol)]  # a NaN change never settles
+        unsettled = unsettled[~(change <= _SETTLE_REL_TOL)]  # a NaN change never settles
 
     i_c, i_s = values[:, 0], values[:, 1]
     broken = np.abs(i_c - i_s - 1.0) > 1e-8
     if scalar:
         if unsettled.size:
             raise SpectralConvergenceError(
-                f"spectral integrals did not stabilize to {rel_tol:g} relative "
+                f"spectral integrals did not stabilize to {_SETTLE_REL_TOL:g} relative "
                 f"(last inter-level change {last_change[0]:.3e}) for omega0={wp.omega0}, "
                 f"sigma={wp.sigma}, a={float(accel[0])}"
             )

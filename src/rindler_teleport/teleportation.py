@@ -15,10 +15,11 @@ exactly into
 
 where the thermal term 2 * i_cs * (i_c + i_s) collects the contributions of
 the modes on the far side of the horizon, and the second term is the
-quantum-noise limit 1 for a coherent-state payload or the phase-dependent
-decoherence function Delta(phi) for a squeezed payload.  Input states are
-pure, so any variance product above 1 diagnoses decoherence inherited from
-the acceleration.
+phase-dependent decoherence function Delta(phi) of a squeezed payload.  A
+coherent-state payload is the r_s = 0 member of that family, where
+Delta(phi) = 1 is the quantum-noise limit.  Input states are pure, so any
+variance product above 1 diagnoses decoherence inherited from the
+acceleration.
 
 All formulas here are strong-amplification limits; the discretized circuit
 oracle cross-checks them at large finite gain.  Quadrature convention:
@@ -80,20 +81,11 @@ class VarianceReport:
 def displaced_variance(a: float | np.ndarray, wp: WavepacketSpec) -> VarianceReport:
     """Output variance for a coherent-state payload (phase independent).
 
-    total = 2 i_cs (i_c + i_s) + 1; the quantum-noise-limit part is exactly
-    1 because a coherent payload adds no excess left-mover noise.  ``a`` is
-    a scalar or a 1-D array (see :func:`spectral_integrals`).
+    The r_s = 0 report of :func:`squeezed_variance`: Delta = 1, so total =
+    2 i_cs (i_c + i_s) + 1 at every phase.  ``a`` is a scalar or a 1-D array
+    (see :func:`spectral_integrals`).
     """
-    ints = spectral_integrals(wp, a)
-    thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
-    total = thermal + 1.0
-    qnl = 1.0 if np.ndim(thermal) == 0 else np.where(np.isnan(thermal), math.nan, 1.0)
-    return VarianceReport(
-        total=total,
-        thermal_noise=thermal,
-        qnl_or_decoherence=qnl,
-        purity_product=total * total,
-    )
+    return _payload_report(a, wp, 0.0, 0.0)
 
 
 def narrowband_variance(omega0: float, a: float) -> float:
@@ -150,6 +142,11 @@ def squeezed_variance(
     the extremal phases 0 and pi/2.  ``a`` is a scalar or a 1-D array (see
     :func:`spectral_integrals`).
     """
+    return _payload_report(a, wp, r_s, phi)
+
+
+def _payload_report(a: float | np.ndarray, wp: WavepacketSpec, r_s: float, phi: float) -> VarianceReport:
+    """Body of both reports; neither public name calls the other, as the benchmark traces both."""
     ints = spectral_integrals(wp, a)
     thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
     dec = delta_decoherence(r_s, ints.i_c, phi)

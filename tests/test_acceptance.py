@@ -136,7 +136,7 @@ def test_criterion_5_contraction_identities(circ_displaced, circ_squeezed):
             for name, row in rows.items():
                 if row.rel_deviation > worst:
                     worst = row.rel_deviation
-                    worst_where = f"{circ.scenario} bins ({i},{j}) row {name!r}"
+                    worst_where = f"r_s={circ.r_s} bins ({i},{j}) row {name!r}"
     assert worst <= 1e-8, f"worst relative deviation {worst:.3e} at {worst_where}"
 
 

@@ -2,12 +2,11 @@
 
 import logging
 import math
-from functools import partial
 
 import pytest
 from conftest import read_report_csv
 
-from rindler_teleport import cli, spectral_integrals, squeeze_param, teleportation
+from rindler_teleport import build_displaced_circuit, cli, spectral, squeeze_param
 from rindler_teleport.cli import ENV_OUTDIR, main
 
 
@@ -187,9 +186,7 @@ class TestNoConvergenceRows:
 
     @pytest.fixture(autouse=True)
     def unreachable_tolerance(self, monkeypatch):
-        strict = partial(spectral_integrals, rel_tol=1e-30)
-        monkeypatch.setattr(teleportation, "spectral_integrals", strict)
-        monkeypatch.setattr(cli, "spectral_integrals", strict)
+        monkeypatch.setattr(spectral, "_SETTLE_REL_TOL", 1e-30)
 
     @pytest.mark.parametrize(
         "argv, values",
@@ -347,7 +344,7 @@ class TestVerify:
         wp = cli.make_wavepacket(1.0, 0.05)
         pairs = sum(
             len(cli._mass_bearing_bins(build(1.0, wp, 32, **kw))) ** 2
-            for build, kw in ((cli.build_displaced_circuit, {}), (cli.build_squeezed_circuit, {"r_s": 0.4}))
+            for build, kw in ((build_displaced_circuit, {}), (cli.build_squeezed_circuit, {"r_s": 0.4}))
         )
         assert f"- {pairs} mass-bearing bin pairs of 2 circuits" in line
         assert "seed = 5" in report

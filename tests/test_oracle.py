@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,11 +91,56 @@ class TestCircuitBuild:
         assert len(made) == 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_payload_squeezing_raises(self, wp_standard):
-        # At r_s = 400 the squeezed wire overflows and the audit's
-        # commutators come out NaN; the audit must not read that as zero.
-        with pytest.raises(OracleConvergenceError, match="broke canonical commutators"):
-            build_squeezed_circuit(1.0, wp_standard, 32, r_s=400.0)
+    def test_overflowing_payload_squeezing_raises(self, monkeypatch, wp_standard):
+        # A wire whose squared coefficients pass the float range makes the
+        # audit's commutators NaN; the audit must not read that as zero.
+        # The r_s bound keeps a real build from getting there, so the
+        # overflow is injected.
+        from rindler_teleport import oracle
+
+        honest_splitter = oracle.beam_splitter
+
+        def overflowing_splitter(a1, a2, eta):
+            out1, out2 = honest_splitter(a1, a2, eta)
+            return 1e300 * out1, out2
+
+        monkeypatch.setattr(oracle, "beam_splitter", overflowing_splitter)
+        with pytest.raises(OracleConvergenceError, match="broke canonical commutators by nan"):
+            build_squeezed_circuit(1.0, wp_standard, 32, r_s=0.4)
+
+    @pytest.mark.parametrize("bins", [32, 1024])
+    def test_payload_squeezing_bound(self, wp_standard, bins):
+        # The audited output norms are about (i_c + i_s) sinh^2(r_channel)
+        # cosh(2 r_s); just below the bound that keeps them finite, the build
+        # and its LO variance run clean, and past it r_s is named.
+        ref = build_displaced_circuit(1.0, wp_standard, bins)
+        weight = float(np.sum(ref.g**2 * (ref.ch**2 + ref.sh**2)))
+        bound = (
+            0.5 * (math.log(np.finfo(float).max) + math.log(2.0 / weight))
+            - math.log(math.sinh(DEFAULT_CHANNEL_GAIN))
+        )
+        assert bound == pytest.approx(341.93, abs=0.005)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            circ = build_squeezed_circuit(1.0, wp_standard, bins, r_s=bound - 1e-6)
+            for phi in (0.0, 0.5 * math.pi):
+                assert math.isfinite(photon_number_variance_lo(circ, phi).total)
+        for r_s in (bound + 1e-6, 350.0, 400.0):
+            with pytest.raises(ValueError, match="payload squeezing r_s must be at most"):
+                build_squeezed_circuit(1.0, wp_standard, bins, r_s=r_s)
+
+    def test_displaced_circuit_is_squeezed_at_zero_squeezing(self, wp_standard):
+        # One payload path: the coherent circuit is the r_s = 0 squeezed one.
+        disp = build_displaced_circuit(1.0, wp_standard, 32)
+        sq = build_squeezed_circuit(1.0, wp_standard, 32, r_s=0.0)
+        assert disp.commutator_audit_max == sq.commutator_audit_max
+        for phi in (0.0, 0.9):
+            assert photon_number_variance_lo(disp, phi) == photon_number_variance_lo(sq, phi)
+        bins = np.arange(32)
+        table = contraction_table(sq, bins, bins, phi=0.3)
+        for name, row in contraction_table(disp, bins, bins, phi=0.3).items():
+            for field in ("numeric", "closed", "abs_deviation", "rel_deviation"):
+                assert np.array_equal(getattr(row, field), getattr(table[name], field))
 
     def test_audit_fires_on_non_canonical_wire(self, monkeypatch, wp_standard):
         from rindler_teleport import oracle

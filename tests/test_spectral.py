@@ -13,6 +13,7 @@ from rindler_teleport import (
     SpectralConvergenceError,
     displaced_variance,
     make_wavepacket,
+    spectral,
     spectral_integrals,
     squeeze_param,
     unruh_ch_minus_sh,
@@ -139,10 +140,11 @@ class TestSpectralIntegrals:
         ints = spectral_integrals(make_wavepacket(omega0, rel_sigma * omega0), a)
         assert ints.i_c - ints.i_s == pytest.approx(1.0, abs=1e-8)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_SETTLE_REL_TOL", 1e-30)
         wp = make_wavepacket(1.0, 0.05)
         with pytest.raises(SpectralConvergenceError):
-            spectral_integrals(wp, 1.0, rel_tol=1e-30)
+            spectral_integrals(wp, 1.0)
 
     def test_invalid_acceleration(self):
         wp = make_wavepacket(1.0, 0.05)
@@ -353,16 +355,17 @@ class TestArrayAcceleration:
             assert value.shape == (1,)
             assert value[0] == pytest.approx(getattr(single, field), rel=1e-14)
 
-    def test_unsettled_rows_are_nan_and_scalar_still_raises(self):
+    def test_unsettled_rows_are_nan_and_scalar_still_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_SETTLE_REL_TOL", 1e-30)
         wp = make_wavepacket(1.0, 0.05)
         a = np.array([0.1, 1.0, 10.0])
-        ints = spectral_integrals(wp, a, rel_tol=1e-30)
+        ints = spectral_integrals(wp, a)
         for field in ("i_c", "i_s", "i_cs", "phi_cs"):
             assert np.all(np.isnan(getattr(ints, field)))
         assert np.all(ints.level == 7)
         assert np.all(np.isfinite(ints.last_change) & (ints.last_change > 1e-30))
         with pytest.raises(SpectralConvergenceError, match="did not stabilize"):
-            spectral_integrals(wp, 1.0, rel_tol=1e-30)
+            spectral_integrals(wp, 1.0)
 
     def test_empty_grid(self):
         ints = spectral_integrals(make_wavepacket(1.0, 0.05), np.array([]))

@@ -20,10 +20,9 @@ from rindler_teleport import (
     make_wavepacket,
     narrowband_variance,
     quadrature_variance,
-    spectral_integrals,
+    spectral,
     squeeze_param,
     squeezed_variance,
-    teleportation,
 )
 
 A_IN = ModeLabel(Sector.AUX, Chirality.LEFT, 0)
@@ -178,6 +177,24 @@ class TestAccelerationGrid:
                 assert values.shape == self.A.shape
                 assert values[k] == pytest.approx(getattr(single, field), rel=1e-14)
 
+    @pytest.mark.parametrize("omega0, sigma", [(1.0, 0.05), (1.1086217441627257, 0.44047444229842797)])
+    @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2])
+    @pytest.mark.parametrize("converged", [True, False])
+    def test_displaced_is_squeezed_at_zero_squeezing(self, monkeypatch, omega0, sigma, phi, converged):
+        # One payload path: the coherent report is the r_s = 0 squeezed one,
+        # bit for bit and type for type, on scalars and on grids (all rows
+        # NaN when nothing converges).
+        if not converged:
+            monkeypatch.setattr(spectral, "_SETTLE_REL_TOL", 1e-30)
+        wp = make_wavepacket(omega0, sigma)
+        for a in [self.A, *map(float, self.A)] if converged else [self.A]:
+            disp, sq = displaced_variance(a, wp), squeezed_variance(a, wp, 0.0, phi)
+            for field in self.FIELDS:
+                d, s = getattr(disp, field), getattr(sq, field)
+                assert type(d) is type(s)
+                assert np.asarray(d).dtype == np.asarray(s).dtype
+                assert np.asarray(d).tobytes() == np.asarray(s).tobytes()
+
     def test_delta_decoherence_passes_nan_rows(self):
         i_c = np.array([1.0, math.nan, 2.5])
         d = delta_decoherence(0.5, i_c, 0.3)
@@ -188,8 +205,7 @@ class TestAccelerationGrid:
             delta_decoherence(0.5, np.array([1.0, 0.5]), 0.3)
 
     def test_unsettled_rows_pass_through_as_nan(self, monkeypatch):
-        monkeypatch.setattr(
-            teleportation, "spectral_integrals", partial(spectral_integrals, rel_tol=1e-30))
+        monkeypatch.setattr(spectral, "_SETTLE_REL_TOL", 1e-30)
         wp = make_wavepacket(1.0, 0.05)
         for rep in (displaced_variance(self.A, wp), squeezed_variance(self.A, wp, 0.4, 0.2)):
             for field in self.FIELDS:
