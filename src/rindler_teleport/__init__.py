@@ -63,6 +63,7 @@ from .teleportation import (
     VarianceReport,
     conformal_residual,
     delta_decoherence,
+    delta_extremes,
     displaced_variance,
     inertial_teleport_output,
     narrowband_variance,
@@ -95,6 +96,7 @@ __all__ = [
     "conformal_residual",
     "contraction_table",
     "delta_decoherence",
+    "delta_extremes",
     "displace",
     "displaced_variance",
     "fock_check_inertial",

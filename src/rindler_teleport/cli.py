@@ -33,7 +33,8 @@ rendered with ``%.12g``, metadata headers are sorted, nothing timestamps
 itself, and nothing is drawn at random (``verify`` checks every
 mass-bearing bin pair; the seed is only recorded).  Exit codes: 0
 success, 1 verification failure, 2 invalid input, including a value the
-physics rejects (``r_s`` past e^(2 r_s) overflow).
+physics rejects (``r_s`` past e^(2 r_s) overflow, or an oracle build past
+its own r_s bound, see ``oracle.build_squeezed_circuit``).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from .spectral import (
     squeeze_param,
 )
 from .teleportation import (
-    delta_decoherence,
+    delta_extremes,
     displaced_variance,
     inertial_teleport_output,
     squeezed_variance,
@@ -363,8 +364,7 @@ def cmd_fig5(cfg: SweepConfig) -> int:
     a_grid = cfg.a_grid()
     ints = spectral_integrals(make_wavepacket(cfg.omega0, cfg.sigma), a_grid)
     thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
-    d0 = delta_decoherence(cfg.r_s, ints.i_c, 0.0)
-    d90 = delta_decoherence(cfg.r_s, ints.i_c, math.pi / 2)
+    d0, d90 = delta_extremes(cfg.r_s, ints.i_c)
     cells = _grid_cells(thermal, d0, d90, thermal + d0, thermal + d90)
     rows = [[a, *row] for a, row in zip(a_grid.tolist(), cells)]
 

@@ -6,8 +6,9 @@ closed-form integrals they validate:
 1. A *discretized circuit*: the wavepacket is binned onto a given number
    of uniform frequency bins, every region wire becomes an explicit sum of
    labelled modes, and the protocol is composed gate by gate with the
-   affine mode algebra (at large finite amplifier gain - the
-   strong-amplification limit is never substituted analytically).  Output
+   affine mode algebra at the one finite amplifier gain
+   ``DEFAULT_CHANNEL_GAIN`` (the strong-amplification limit is never
+   substituted analytically).  Output
    statistics then follow from mechanical Wick pairing: the
    local-oscillator-referenced quadrature variance, and the full table of
    quadratic/quartic mode contractions.
@@ -113,9 +114,11 @@ class TruncationError(RuntimeError):
 class DiscretizedCircuit:
     """Binned protocol instance plus its composed output algebra.
 
-    ``wire_delta`` is the fluctuation change of the wavepacket wire, on the
-    register of the four vacuum families (c, d) x (left, right) over the
-    grid's bins, from which every per-bin output operator follows:
+    ``g``, ``ch`` and ``sh`` are the normalized wavepacket amplitude and
+    the Unruh cosh r, sinh r at the bin centers.  ``wire_delta`` is the
+    fluctuation change of the wavepacket wire, on the register of the four
+    vacuum families (c, d) x (left, right) over the bins, from which every
+    per-bin output operator follows:
 
         c_out[i] = c_i + g_i ch_i * wire_delta
         d_out[i] = d_i - g_i sh_i * wire_delta^dagger
@@ -127,11 +130,7 @@ class DiscretizedCircuit:
     (1 up to rounding, by the gain/transmissivity matching).
     """
 
-    a: float
-    wavepacket: WavepacketSpec
     r_s: float
-    r_channel: float
-    bins: np.ndarray
     g: np.ndarray
     ch: np.ndarray
     sh: np.ndarray
@@ -142,7 +141,7 @@ class DiscretizedCircuit:
 
     @property
     def n_bins(self) -> int:
-        return len(self.bins)
+        return len(self.g)
 
 
 #: The region wires of the protocol: the wavepacket left-mover, and the two
@@ -171,11 +170,9 @@ def _bin_centers(wp: WavepacketSpec, grid) -> tuple[np.ndarray, float]:
     return lo + (np.arange(grid) + 0.5) * delta, delta
 
 
-def _build_circuit(a: float, wp: WavepacketSpec, grid, r_s: float, r_channel: float) -> DiscretizedCircuit:
+def _build_circuit(a: float, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircuit:
     if a <= 0:
         raise ValueError(f"acceleration must be positive, got {a}")
-    if not math.isfinite(r_channel) or r_channel <= 0:
-        raise ValueError(f"channel gain must be finite and positive, got {r_channel}")
     centers, delta = _bin_centers(wp, grid)
     g = wp.amplitude(centers) * math.sqrt(delta)
     norm = float(np.linalg.norm(g))
@@ -184,10 +181,10 @@ def _build_circuit(a: float, wp: WavepacketSpec, grid, r_s: float, r_channel: fl
     g = g / norm
     ch, sh = unruh_cosh_sinh(centers, a)
     weight = float(np.sum(g * g * (ch * ch + sh * sh)))  # i_c + i_s of the grid
-    max_r_s = 0.5 * (_LOG_FLOAT_MAX + math.log(2.0 / weight)) - math.log(math.sinh(r_channel))
+    max_r_s = 0.5 * (_LOG_FLOAT_MAX + math.log(2.0 / weight)) - math.log(math.sinh(DEFAULT_CHANNEL_GAIN))
     if r_s > max_r_s:
         raise ValueError(
-            f"payload squeezing r_s must be at most {max_r_s:.6g} at channel gain {r_channel:g} "
+            f"payload squeezing r_s must be at most {max_r_s:.6g} at channel gain {DEFAULT_CHANNEL_GAIN:g} "
             f"on this grid (the audited output norms must be finite floats), got {r_s}"
         )
 
@@ -196,14 +193,11 @@ def _build_circuit(a: float, wp: WavepacketSpec, grid, r_s: float, r_channel: fl
     register = ModeRegister.grid(_WIRE_FAMILIES, len(centers))
     wire_in, idler, port = (_packet_wire(register, s, c, g) for s, c in _WIRE_FAMILIES)
 
-    wire = wire_in
-    if r_s != 0.0:
-        wire = single_mode_squeeze(wire, r_s)
     # Unit displacement probe: the measured output displacement is the
     # channel's displacement gain.
-    wire = displace(wire, 1.0)
-    wire, idler_out = two_mode_squeeze(wire, idler, r_channel)
-    wire, port_out = beam_splitter(wire, port, 1.0 / math.cosh(r_channel) ** 2)
+    wire = displace(single_mode_squeeze(wire_in, r_s), 1.0)
+    wire, idler_out = two_mode_squeeze(wire, idler, DEFAULT_CHANNEL_GAIN)
+    wire, port_out = beam_splitter(wire, port, 1.0 / math.cosh(DEFAULT_CHANNEL_GAIN) ** 2)
 
     # One rewrite of the wire's change and the three wire outputs the audit checks.
     delta_expr = wire - wire_in
@@ -218,11 +212,7 @@ def _build_circuit(a: float, wp: WavepacketSpec, grid, r_s: float, r_channel: fl
             f"{audit_max:.3e} (> {_COMMUTATOR_TOL:g})"
         )
     return DiscretizedCircuit(
-        a=float(a),
-        wavepacket=wp,
         r_s=float(r_s),
-        r_channel=float(r_channel),
-        bins=centers,
         g=g,
         ch=ch,
         sh=sh,
@@ -358,13 +348,7 @@ def _bin_commutator_deviation(outputs: _RankOneOutputs) -> float:
     return float(np.max(deviations))
 
 
-def build_displaced_circuit(
-    a: float,
-    wp: WavepacketSpec,
-    grid: int,
-    *,
-    r_channel: float = DEFAULT_CHANNEL_GAIN,
-) -> DiscretizedCircuit:
+def build_displaced_circuit(a: float, wp: WavepacketSpec, grid: int) -> DiscretizedCircuit:
     """Discretize the coherent-payload protocol on ``grid`` bins.
 
     ``grid`` is the number of uniform bins across the wavepacket window, an
@@ -373,7 +357,7 @@ def build_displaced_circuit(
     (callers may go coarser deliberately, e.g. to demonstrate
     discretization failure; the algebraic identity table is exact at any N).
     """
-    return _build_circuit(a, wp, grid, 0.0, r_channel)
+    return _build_circuit(a, wp, grid, 0.0)
 
 
 def build_squeezed_circuit(
@@ -382,7 +366,6 @@ def build_squeezed_circuit(
     grid: int,
     *,
     r_s: float,
-    r_channel: float = DEFAULT_CHANNEL_GAIN,
 ) -> DiscretizedCircuit:
     """Discretize the squeezed-payload protocol (payload squeezing ``r_s``)
     on ``grid`` bins, as :func:`build_displaced_circuit`; at ``r_s = 0``
@@ -390,17 +373,16 @@ def build_squeezed_circuit(
 
     ``r_s`` is bounded by the float range: the commutator audit forms the
     norms |u|^2 + |v|^2 of the amplifier-idler and beam-splitter-port
-    outputs, about (i_c + i_s) sinh^2(r_channel) cosh(2 r_s) with i_c + i_s =
-    sum g^2 (ch^2 + sh^2) over the grid.  As cosh(2 r_s) ~ e^(2 r_s)/2, they
-    stay below the largest float f_max for r_s <= ln(2 f_max / (i_c + i_s))/2
-    - ln sinh(r_channel): 341.93 at the default gain for a << omega0, 339.05
-    at a = 1000 (omega0 = 1, sigma = 0.01).  A larger ``r_s`` is a
-    :class:`ValueError` that names it.  Below a gain of about 3 the LO
-    variance overflows first, as an :class:`OracleConvergenceError`.
+    outputs, about (i_c + i_s) sinh^2(14) cosh(2 r_s) at the channel gain
+    14, with i_c + i_s = sum g^2 (ch^2 + sh^2) over the grid.  As
+    cosh(2 r_s) ~ e^(2 r_s)/2, they stay below the largest float f_max for
+    r_s <= ln(2 f_max / (i_c + i_s))/2 - ln sinh 14: 341.93 for a << omega0,
+    339.05 at a = 1000 (omega0 = 1, sigma = 0.01).  A larger ``r_s`` is a
+    :class:`ValueError` that names it.
     """
     if not math.isfinite(r_s) or r_s < 0:
         raise ValueError(f"payload squeezing must be finite and non-negative, got {r_s}")
-    return _build_circuit(a, wp, grid, r_s, r_channel)
+    return _build_circuit(a, wp, grid, r_s)
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +435,9 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, float]:
     return moments, n0
 
 
-def _variance_at(parts: tuple[np.ndarray, float], phi: float) -> tuple[float, float]:
-    """(far-side thermal part, payload part) of the output variance at phi.
+def _variance_at(parts: tuple[np.ndarray, float], c: float, s: float) -> tuple[float, float]:
+    """(far-side thermal part, payload part) of the output variance at the
+    LO phase phi with (cos phi, sin phi) = (c, s).
 
     The split is by propagation direction: right-mover modes only ever enter
     through the horizon-straddling resource, so their contribution is the
@@ -464,7 +447,6 @@ def _variance_at(parts: tuple[np.ndarray, float], phi: float) -> tuple[float, fl
     (a NaN or infinite part fails the check).
     """
     moments, n0 = parts
-    c, s = math.cos(phi), math.sin(phi)
     thermal, payload, total = moments @ np.array([c * c, s * s, 2.0 * c * s]) / n0
     if not abs(total - (payload + thermal)) <= 1e-9 * max(1.0, abs(total)):
         raise OracleConvergenceError(
@@ -478,12 +460,13 @@ def photon_number_variance_lo(circ: DiscretizedCircuit, phi: float = 0.0) -> Var
 
     Computed entirely from Wick pairs of the composed circuit; no continuum
     integral enters.  The LO field is decomposed once (:func:`_lo_parts`)
-    and evaluated at ``phi`` and at the purity product's phases 0 and pi/2.
+    and evaluated at ``phi`` and at the purity product's phases 0 and pi/2,
+    the latter at exactly (cos, sin) = (1, 0) and (0, 1).
     """
     parts = _lo_parts(circ)
-    thermal, payload = _variance_at(parts, phi)
-    t0, p0 = _variance_at(parts, 0.0)
-    t90, p90 = _variance_at(parts, 0.5 * math.pi)
+    thermal, payload = _variance_at(parts, math.cos(phi), math.sin(phi))
+    t0, p0 = _variance_at(parts, 1.0, 0.0)
+    t90, p90 = _variance_at(parts, 0.0, 1.0)
     return VarianceReport(
         total=thermal + payload,
         thermal_noise=thermal,

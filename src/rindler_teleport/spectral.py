@@ -154,47 +154,36 @@ def unruh_ch_minus_sh(omega, a):
 
 @dataclass(frozen=True)
 class WavepacketSpec:
-    """Truncated Gaussian wavepacket with its quadrature grid.
+    """Truncated Gaussian wavepacket with its quadrature panels.
 
     Fields
     ------
     omega0, sigma:
         Center frequency and intensity-profile standard deviation.
-    grid:
-        (n, 2) array of ordered (frequency, weight) quadrature nodes on the
-        truncation window; weights integrate plain functions of omega.
     window:
         (lo, hi) truncation interval, lo = max(1e-12*omega0, omega0 - 8 sigma),
         hi = omega0 + 8 sigma.
     norm_const:
         C such that g(omega) = C exp(-(omega-omega0)^2/(4 sigma^2)) has unit
-        intensity integral_window |g|^2 = 1 on this grid.
+        intensity integral_window |g|^2 = 1 on the panels' quadrature.
     truncated_mass:
         Intensity mass of the untruncated Gaussian lying below the window.
     truncation_warning:
         True when truncated_mass exceeds 1e-6; integral values then depend
         on the infrared cutoff.
     panel_edges:
-        Edges of the composite Gauss-Legendre panels, kept so integrators
-        can rebuild refined versions of the same grid.
+        Edges of the composite 16-node Gauss-Legendre panels on the window,
+        the wavepacket's one quadrature description: integrators build
+        their nodes, and refined versions of them, from these edges.
     """
 
     omega0: float
     sigma: float
-    grid: np.ndarray
     window: tuple[float, float]
     norm_const: float
     truncated_mass: float
     truncation_warning: bool
     panel_edges: tuple[float, ...]
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.grid[:, 0]
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self.grid[:, 1]
 
     def envelope(self, omega) -> np.ndarray:
         """Unnormalized amplitude envelope exp(-(omega-omega0)^2/(4 sigma^2))."""
@@ -250,11 +239,11 @@ def _build_edges(lo: float, hi: float, omega0: float, sigma: float) -> np.ndarra
 
 
 def make_wavepacket(omega0: float, sigma: float) -> WavepacketSpec:
-    """Build a truncated Gaussian wavepacket and its quadrature grid.
+    """Build a truncated Gaussian wavepacket and its quadrature panels.
 
-    The grid is 16 uniform 16-node Gauss-Legendre panels; a clipped window
-    also receives infrared panels so that the 1/omega tail is resolved
-    decade by decade.
+    Its quadrature is 16 uniform 16-node Gauss-Legendre panels; a clipped
+    window also receives infrared panels so that the 1/omega tail is
+    resolved decade by decade.
     """
     if not (math.isfinite(omega0) and omega0 > 0):
         raise ValueError(f"omega0 must be finite and positive, got {omega0}")
@@ -264,10 +253,10 @@ def make_wavepacket(omega0: float, sigma: float) -> WavepacketSpec:
     lo = max(OMEGA_MIN_FACTOR * omega0, omega0 - 8.0 * sigma)
     hi = omega0 + 8.0 * sigma
     edges = _build_edges(lo, hi, omega0, sigma)
-    grid = _panel_nodes(edges)
+    nodes = _panel_nodes(edges)
 
-    intensity = np.exp(-((grid[:, 0] - omega0) ** 2) / (2.0 * sigma**2))
-    norm = float(grid[:, 1] @ intensity)
+    intensity = np.exp(-((nodes[:, 0] - omega0) ** 2) / (2.0 * sigma**2))
+    norm = float(nodes[:, 1] @ intensity)
     if norm <= 0 or not math.isfinite(norm):
         raise SpectralConvergenceError(
             f"degenerate wavepacket normalization (norm={norm}) for omega0={omega0}, sigma={sigma}"
@@ -280,7 +269,6 @@ def make_wavepacket(omega0: float, sigma: float) -> WavepacketSpec:
     return WavepacketSpec(
         omega0=float(omega0),
         sigma=float(sigma),
-        grid=grid,
         window=(lo, hi),
         norm_const=norm**-0.5,
         truncated_mass=truncated_mass,

@@ -51,6 +51,7 @@ __all__ = [
     "VarianceReport",
     "conformal_residual",
     "delta_decoherence",
+    "delta_extremes",
     "displaced_variance",
     "inertial_teleport_output",
     "narrowband_variance",
@@ -117,6 +118,20 @@ def delta_decoherence(r_s: float, i_c: float | np.ndarray, phi: float) -> float 
     and the spread P - M = 2 sinh 2 r_s + 2 h sinh r_s, both non-negative.
     ``r_s`` must leave e^(2 r_s) a finite float.
     """
+    minimum, spread = _delta_terms(r_s, i_c)
+    cos_phi = math.cos(phi)
+    return minimum + spread * (cos_phi * cos_phi)
+
+
+def delta_extremes(r_s: float, i_c: float | np.ndarray) -> tuple:
+    """(Delta(0), Delta(pi/2)) = (P, M), the extremes of :func:`delta_decoherence`;
+    M exactly, where a float pi/2 would add cos^2(pi/2) (P - M) = 3.7e-33 (P - M)."""
+    minimum, spread = _delta_terms(r_s, i_c)
+    return minimum + spread, minimum
+
+
+def _delta_terms(r_s: float, i_c: float | np.ndarray) -> tuple:
+    """(M, P - M) of :func:`delta_decoherence`."""
     if not 0.0 <= r_s <= _MAX_PAYLOAD_SQUEEZING:
         raise ValueError(
             f"payload squeezing r_s must lie in [0, {_MAX_PAYLOAD_SQUEEZING:.6g}] "
@@ -129,8 +144,7 @@ def delta_decoherence(r_s: float, i_c: float | np.ndarray, phi: float) -> float 
     minimum = math.exp(-2.0 * r_s) + h * math.exp(-r_s)
     with np.errstate(over="ignore"):  # an overflowed row carries status ``overflow``
         spread = 2.0 * math.sinh(2.0 * r_s) + 2.0 * h * math.sinh(r_s)
-    cos_phi = math.cos(phi)
-    return minimum + spread * (cos_phi * cos_phi)
+    return minimum, spread
 
 
 def squeezed_variance(
@@ -139,8 +153,8 @@ def squeezed_variance(
     """Output variance for a squeezed payload at local-oscillator phase phi.
 
     total(phi) = 2 i_cs (i_c + i_s) + Delta(phi).  The purity product uses
-    the extremal phases 0 and pi/2.  ``a`` is a scalar or a 1-D array (see
-    :func:`spectral_integrals`).
+    the extremal phases 0 and pi/2 (:func:`delta_extremes`).  ``a`` is a
+    scalar or a 1-D array (see :func:`spectral_integrals`).
     """
     return _payload_report(a, wp, r_s, phi)
 
@@ -150,10 +164,9 @@ def _payload_report(a: float | np.ndarray, wp: WavepacketSpec, r_s: float, phi: 
     ints = spectral_integrals(wp, a)
     thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
     dec = delta_decoherence(r_s, ints.i_c, phi)
-    v0 = thermal + delta_decoherence(r_s, ints.i_c, 0.0)
-    v90 = thermal + delta_decoherence(r_s, ints.i_c, 0.5 * math.pi)
+    d0, d90 = delta_extremes(r_s, ints.i_c)
     with np.errstate(over="ignore"):  # as in delta_decoherence
-        purity_product = v0 * v90
+        purity_product = (thermal + d0) * (thermal + d90)
     return VarianceReport(
         total=thermal + dec,
         thermal_noise=thermal,

@@ -154,17 +154,39 @@ class TestOverflowRows:
         assert [row[-1] for row in rows] == ["ok", "ok", "overflow"]
         assert float(rows[2][0]) == 50.0
         assert float(rows[2][1]) == pytest.approx(1.0, abs=1e-2)  # thermal stays finite
-        assert all(cell == "inf" for cell in rows[2][2:6])
+        # phi = 0 overflows; the minimum at phi = pi/2 stays finite
+        assert rows[2][2] == rows[2][4] == "inf"
+        assert math.isfinite(float(rows[2][3])) and math.isfinite(float(rows[2][5]))
 
     def test_sweep_rows_with_an_overflowed_cell(self, tmp_path):
+        # Delta(0) overflows once i_c (i_c - 1) passes about 1.5: a >~ 8 at omega0 = 1.
         out = tmp_path / "big.csv"
         argv = ["sweep", "--scenario", "squeezed", "--rs", "354", "--a-steps", "3", "--oracle"]
-        assert main(argv + ["--bins", "16", "--out", str(out)]) == 0
+        assert main(argv + ["--a-min", "10", "--bins", "16", "--out", str(out)]) == 0
         _, _, rows = read_report_csv(out)
         for row in rows:
             assert row[-1] == "overflow"
             assert row[9] == "inf"  # purity_product
             assert row[10] == ""  # no oracle run on an overflowed row
+
+    def test_fig5_minimum_is_exact(self, tmp_path):
+        # Delta(pi/2) is the minimum M ~ e^(-2 r_s), with no cos(pi/2) leak
+        # of the e^(2 r_s) spread.
+        out = tmp_path / "rs40.csv"
+        assert main(["fig5", "--rs", "40", "--a-steps", "5", "--out", str(out)]) == 0
+        _, _, rows = read_report_csv(out)
+        assert float(rows[0][0]) == 0.05
+        assert float(rows[0][3]) < 1e-30
+
+    def test_oracle_past_its_squeezing_bound_exits_2(self, tmp_path, capsys):
+        # Rows that stay finite run the oracle, whose build names r_s past its
+        # own bound (about 341.93) below the closed forms' 354.9.
+        argv = ["sweep", "--scenario", "squeezed", "--oracle", "--rs", "345"]
+        argv += ["--bins", "16", "--a-steps", "3"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--out", str(tmp_path / "rejected.csv")])
+        assert excinfo.value.code == 2
+        assert "payload squeezing r_s must be at most" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error")

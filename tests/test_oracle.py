@@ -12,6 +12,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from rindler_teleport import (
     Chirality,
+    DiscretizedCircuit,
     GridMismatchError,
     ModeLabel,
     OperatorExpr,
@@ -63,6 +64,12 @@ class TestCircuitBuild:
         circ = build_displaced_circuit(1.0, wp_standard, np.int64(8))
         assert circ.n_bins == 8
         assert circ.commutator_audit_max <= 1e-10
+
+    def test_circuit_record_fields(self):
+        names = [f.name for f in dataclasses.fields(DiscretizedCircuit)]
+        assert names == [
+            "r_s", "g", "ch", "sh", "wire_delta", "disp_gain", "outputs", "commutator_audit_max",
+        ]
 
     def test_circuit_is_frozen(self, circ_displaced):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -274,6 +281,17 @@ class TestVarianceAgainstClosedForms:
             assert rep.purity_product == pytest.approx(ends[0] * ends[1], rel=1e-14)
             turned = photon_number_variance_lo(base, phi + offset)
             assert rep.total == pytest.approx(turned.total, rel=1e-13)
+
+    @pytest.mark.parametrize("r_s", [0.4, 40.0])
+    def test_purity_product_reads_the_extremal_columns(self, wp_standard, r_s):
+        # V(0) and V(pi/2) are the field's <X^2> and <Y^2> over n0: at r_s = 40
+        # a float pi/2 would leak cos^2(pi/2) <X^2> ~ 200 n0 into V(pi/2).
+        from rindler_teleport import oracle
+
+        circ = build_squeezed_circuit(1.0, wp_standard, 64, r_s=r_s)
+        moments, n0 = oracle._lo_parts(circ)
+        expected = moments[2, 0] * moments[2, 1] / n0**2
+        assert photon_number_variance_lo(circ).purity_product == pytest.approx(expected, rel=1e-12)
 
     def test_broken_split_raises(self, monkeypatch, circ_squeezed):
         from rindler_teleport import oracle

@@ -80,19 +80,30 @@ class TestUnruhFactors:
             assert cms == pytest.approx(ch - sh, rel=1e-9)
 
 
+def _panel_quadrature(wp):
+    """(nodes, weights) of 16-node Gauss-Legendre rules on ``wp.panel_edges``."""
+    xg, wg = leggauss(16)
+    edges = np.asarray(wp.panel_edges)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return (0.5 * (hi + lo) + half * xg).ravel(), (half * wg).ravel()
+
+
 class TestWavepacket:
     def test_basic_fields(self):
         wp = make_wavepacket(1.0, 0.05)
         assert wp.omega0 == 1.0
         assert wp.sigma == 0.05
         assert not wp.truncation_warning
-        assert wp.nodes.ndim == 1
-        assert wp.nodes.size == wp.weights.size
-        assert np.all(np.diff(wp.nodes) > 0)
+        assert wp.panel_edges[0] == wp.window[0] and wp.panel_edges[-1] == wp.window[1]
+        nodes, weights = _panel_quadrature(wp)
+        assert nodes.size == weights.size
+        assert np.all(np.diff(nodes) > 0)
 
     def test_normalization(self):
         wp = make_wavepacket(1.0, 0.05)
-        mass = float(wp.weights @ wp.amplitude(wp.nodes) ** 2)
+        nodes, weights = _panel_quadrature(wp)
+        mass = float(weights @ wp.amplitude(nodes) ** 2)
         assert mass == pytest.approx(1.0, rel=1e-10)
 
     def test_truncation_flag_near_origin(self):

@@ -15,6 +15,7 @@ from rindler_teleport import (
     Sector,
     conformal_residual,
     delta_decoherence,
+    delta_extremes,
     displaced_variance,
     inertial_teleport_output,
     make_wavepacket,
@@ -121,6 +122,21 @@ class TestDeltaDecoherencePrecision:
             _delta_reference(r_s, i_c, phi), rel=1e-14, abs=0.0
         )
 
+    @pytest.mark.parametrize("r_s", [0.0, 0.5, 40.0, 354.0])
+    @pytest.mark.parametrize("i_c", [1.0, 1.7, np.array([1.0, 1.7, math.nan])])
+    def test_extremes(self, r_s, i_c):
+        # Delta(0) is the phi = 0 value bit for bit; Delta(pi/2) is the minimum,
+        # at no point above the float-pi/2 value.
+        d0, d90 = delta_extremes(r_s, i_c)
+        np.testing.assert_array_equal(d0, delta_decoherence(r_s, i_c, 0.0))
+        assert not np.any(d90 > delta_decoherence(r_s, i_c, math.pi / 2))
+
+    def test_inertial_extremes_are_exact(self):
+        # At i_c = 1 the payload is a squeezed vacuum: (e^(2 r_s), e^(-2 r_s)).
+        d0, d90 = delta_extremes(40.0, 1.0)
+        assert d0 == pytest.approx(math.exp(80.0), rel=1e-14)
+        assert d90 == pytest.approx(math.exp(-80.0), rel=1e-14)
+
     def test_largest_representable_squeezing(self):
         assert math.isfinite(delta_decoherence(354.0, 1.0, 0.0))
         for r_s in (355.0, 800.0, math.inf, math.nan):
@@ -146,6 +162,16 @@ class TestSqueezedVariance:
         assert sq.total == pytest.approx(disp.total, rel=1e-12)
         assert sq.thermal_noise == pytest.approx(disp.thermal_noise, rel=1e-12)
         assert sq.purity_product == pytest.approx(disp.purity_product, rel=1e-12)
+
+    def test_purity_product_of_the_extremes(self):
+        wp = make_wavepacket(1.0, 0.05)
+        rep = squeezed_variance(1.0, wp, 40.0, 0.0)
+        d0, d90 = delta_extremes(40.0, spectral.spectral_integrals(wp, 1.0).i_c)
+        assert d90 == pytest.approx(0.00788013, rel=1e-6)
+        assert rep.purity_product == pytest.approx(
+            (rep.thermal_noise + d0) * (rep.thermal_noise + d90), rel=1e-12
+        )
+        assert rep.purity_product == pytest.approx(1.0317e35, rel=1e-4)
 
     def test_purity_not_pure(self):
         wp = make_wavepacket(1.0, 0.05)
