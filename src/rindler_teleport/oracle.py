@@ -18,10 +18,10 @@ closed-form integrals they validate:
    two-mode-squeeze gates applied through their exact normal-ordered
    factorizations (so the only approximation is the projection onto the
    retained Fock window, whose lost mass is reported) and the beam splitter
-   exponentiated exactly in the truncated space, one block of conserved
-   n0 + n2 at a time.  By default the window sizes itself: it grows until
-   the next window no longer moves the simulated moments, up to a fixed
-   limit on the state's size.
+   exponentiated exactly in the truncated space, on every block of conserved
+   n0 + n2 in one stacked product.  By default the window sizes itself: it
+   grows until the next window no longer moves the simulated moments, up to
+   a fixed limit on the state's size.
 
 Scaling notes: the 3N region wires of an N-bin circuit share one mode
 register, and every output operator lives on the register of the 4N
@@ -34,7 +34,8 @@ multiple of one shared fluctuation W; the build holds that rank-one form
 once, so the commutator audit checks every bin in O(N) and the
 contraction table over M bins costs O(N + M**2).  A Fock
 window of cutoff C holds (C + 1)**3 real amplitudes and costs O(C**4)
-operations.
+operations in a few stacked matrix products, with no Python loop over
+photon numbers.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .mode_algebra import (
     Chirality,
@@ -665,19 +665,82 @@ class FockCheckReport:
     passed: bool
 
 
-@functools.lru_cache(maxsize=4096)
-def _beam_splitter_modes(s: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem of the beam splitter's coupling on block s = n0 + n2.
+def _view(base: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
+    """A view of ``base`` (C-contiguous) with element offset and strides; bounds-checked."""
+    size = base.itemsize
+    return np.ndarray(shape, base.dtype, base, offset * size, tuple(s * size for s in strides))
 
-    The block holds n0 = lo..hi, and the coupling T is real symmetric
-    tridiagonal with entries sqrt((n0 + 1)(s - n0)).  It does not depend on
-    the beam splitter's angle, so windows of later checks reuse it.
+
+@dataclass(frozen=True)
+class _WindowTables:
+    """Photon-number tables of one window size, and its beam splitter's modes.
+
+    Indices: d = n0 - n1 >= 0 labels an amplifier sector and k, v, w, u photon
+    numbers inside it; t = (n0 + n2) mod m labels a beam-splitter block.
     """
-    n0 = np.arange(lo, hi)
-    evals, evecs = eigh_tridiagonal(np.zeros(hi - lo + 1), np.sqrt((n0 + 1.0) * (s - n0)))
-    evals.flags.writeable = False
-    evecs.flags.writeable = False
-    return evals, evecs
+
+    gap: np.ndarray  # [v, w]: v - w, and 0 above the diagonal
+    inv_gap_fact: np.ndarray  # [v, w]: 1 / (v - w)!, and 0 above the diagonal
+    exponent: np.ndarray  # [d, w]: d + 2w + 1
+    root: np.ndarray  # [d, k]: sqrt((d + k)! k!)
+    signed_inv_root2: np.ndarray  # [d, w]: (-1)^w / ((d + w)! w!)
+    column: np.ndarray  # [u]: sqrt(u!) (-1)^u
+    mirror_sign: np.ndarray  # [d + m - 1]: (-1)^max(-d, 0), for d in -(m - 1)..m - 1
+    unwrapped: np.ndarray  # [t, n0, 1]: t >= n0
+    modes: np.ndarray  # [t, even n0, j]: left singular vectors P_t of Y_t
+    sigma: np.ndarray  # [t, j]: singular values of Y_t
+    diagonal: np.ndarray  # [t, j]: Y_t[j, j]
+    subdiagonal: np.ndarray  # [t, j]: Y_t[j + 1, j]
+
+
+@functools.lru_cache(maxsize=16)
+def _window_tables(cutoff: int) -> _WindowTables:
+    """The tables of an m = cutoff + 1 window; later windows of its size reuse them.
+
+    Block t of the beam splitter joins the conserved sums s = t (rows
+    n0 <= t) and s = t + m (rows n0 > t).  On it the generator a0† a2 - a2† a0
+    is the real antisymmetric tridiagonal G_t with
+    G_t[p + 1, p] = -G_t[p, p + 1] = sqrt((p + 1) ((t - p) mod m)), which is 0
+    at p = t, between the two sums.  G_t couples even n0 only to odd n0, as
+    G_t = [[0, Y_t], [-Y_t^T, 0]] on (even, odd) rows; the reduced SVD
+    Y_t = P_t diag(sigma_t) Q_t^T gives its eigenvalues ±i sigma_t.  Only
+    P_t and sigma_t are kept.
+    """
+    m = cutoff + 1
+    n = np.arange(m)
+    sqrt_fact = np.sqrt(np.arange(2 * m - 1.0))
+    sqrt_fact[0] = 1.0
+    np.cumprod(sqrt_fact, out=sqrt_fact)  # sqrt(k!), k < 2m - 1
+    gap = np.subtract.outer(n, n).clip(0)
+    inv_gap_fact = np.tril(1.0 / sqrt_fact[gap] ** 2)
+    alternate = np.where(n % 2, -1.0, 1.0)
+    root = _view(sqrt_fact, 0, (m, m), (1, 1)) * sqrt_fact[:m]
+    mirror_sign = np.ones(2 * m - 1)
+    mirror_sign[m - 2 :: -2] = -1.0
+    coupling = np.sqrt(n[1:] * (np.subtract.outer(n, n[:-1]) % m))  # [t, p]: G_t[p + 1, p]
+    diagonal, subdiagonal = -coupling[:, ::2], coupling[:, 1::2]  # G_t[2j, 2j + 1], G_t[2j + 2, 2j + 1]
+    odd = m // 2
+    y = np.zeros((m, m - odd, odd))
+    np.einsum("tii->ti", y[:, :odd])[...] = diagonal
+    np.einsum("tii->ti", y[:, 1:, : m - odd - 1])[...] = subdiagonal
+    modes, sigma, _ = np.linalg.svd(y, full_matrices=False)
+    tables = _WindowTables(
+        gap=gap,
+        inv_gap_fact=inv_gap_fact,
+        exponent=n[:, None] + 2 * n + 1,
+        root=root,
+        signed_inv_root2=alternate / root**2,
+        column=sqrt_fact[:m] * alternate,
+        mirror_sign=mirror_sign,
+        unwrapped=np.greater_equal.outer(n, n)[:, :, None],
+        modes=modes,
+        sigma=sigma,
+        diagonal=diagonal,
+        subdiagonal=subdiagonal,
+    )
+    for array in vars(tables).values():
+        array.flags.writeable = False
+    return tables
 
 
 def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float, ...]:
@@ -690,60 +753,83 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
     Each gate conserves Q = n0 - n1 + n2, and only the first displacement
     fills the Q-sectors.  The squeezers meet the vacuum or single Fock
     states of their modes, so the state before the beam splitter is written
-    directly from the amplifier's window matrix elements; the beam splitter
-    then acts block by block.
+    directly from the amplifier's window matrix elements, every sector
+    d = n0 - n1 in one stacked product.  The beam splitter conserves n1 and
+    s = n0 + n2; the state is held as m = cutoff + 1 matrices, one per
+    t = s mod m with rows n0 and columns n1, and each is multiplied by the
+    exact exponential of the truncated generator on its two sums at once.
     """
     m = cutoff + 1
+    tables = _window_tables(cutoff)
     n = np.arange(m)
-    sqrt_n = np.sqrt(n)
-    # D(b)|0>: the series of e^(b a†) on the vacuum, times e^(-b²/2).
-    coherent = math.exp(-0.5 * b * b) * np.cumprod(np.r_[1.0, b / sqrt_n[1:]])
-    # Resource squeezer on the vacuum of modes 1, 2: sech(r_w) tanh(r_w)^k |k, k>.
-    pair = np.tanh(r_omega) ** n / math.cosh(r_omega)
-    amp = np.outer(coherent, pair)  # amplitude of |j, k, k> in (n0, n1, n2)
 
     # Amplifier on modes 0, 1: S(r) = exp(L a†b†) sech^(n_a + n_b + 1) exp(-L a b)
-    # with L = tanh r.  Sector d = |n0 - n1| holds |d + w, w> (or its mirror),
-    # w < m - d; the raising factor takes w to v >= w with weight
-    # R[v, w] = L^(v-w)/(v-w)! sqrt((d+v)! v! / ((d+w)! w!)) and the lowering
-    # factor is R at -L, transposed.  Input |d+u, u> carries n2 = u, its
-    # mirror |u, d+u> carries n2 = d+u.
-    sqrt_fact = np.cumprod(np.r_[1.0, sqrt_n[1:]])
-    gap = np.subtract.outer(n, n).clip(0)
-    series = np.tril(np.tanh(r) ** gap / sqrt_fact[gap] ** 2)  # L^(v-w) / (v-w)!
-    alternate = np.where(n % 2, -1.0, 1.0)
-    psi = np.zeros((m, m, m))  # (n0, n1, n2)
-    for d in range(m):
-        k = n[: m - d]
-        root = sqrt_fact[d + k] * sqrt_fact[k]
-        raising = series[: m - d, : m - d] * np.outer(root, 1.0 / root)
-        weight = alternate[: m - d] * (1.0 / math.cosh(r)) ** (d + 2 * k + 1)
-        sector = (raising * weight) @ raising.T * alternate[: m - d]  # [v, u]
-        np.einsum("iij->ij", psi[d:, : m - d, : m - d])[...] = sector * np.diagonal(amp, -d)
-        if d:
-            np.einsum("iij->ij", psi[: m - d, d:, d:])[...] = sector * np.diagonal(amp, d)
+    # with L = tanh r keeps d = n0 - n1.  For d >= 0, with E[v, w] =
+    # L^(v-w)/(v-w)! and rho[k] = sqrt((d+k)! k!), its element from |d+u, u>
+    # to |d+v, v> (and from |u, d+u> to |v, d+v>) is
+    # rho[v] rho[u] (-1)^u sum_w E[v, w] x[w] E[u, w], x[w] = (-1)^w sech^(d+2w+1) / rho[w]².
+    # Sector d is padded to m rows and columns; entries with v or u >= m - d
+    # lie outside the window, stay finite and are never read.
+    series = math.tanh(r) ** tables.gap * tables.inv_gap_fact  # E[v, w]
+    x = (1.0 / math.cosh(r)) ** tables.exponent * tables.signed_inv_root2  # [d, w]
+    left = series * x[:, None, :]
+    left *= tables.root[:, :, None]  # [d, v, w]
+
+    # The state by signed sector k = n0 - n1 + m - 1, over (n1, n2): sector d
+    # at (v, u) for k >= m - 1; below, the mirror of sector m - 1 - k, shifted
+    # by it along both axes.
+    signed = np.empty((2 * m - 1, m, m))
+    np.matmul(left, series.T, out=signed[m - 1 :])
+    del left
+    signed[: m - 1] = _view(signed, (m - 1) * m * m, (m, m, m), (m * m - m - 1, m, 1))[:0:-1]
+    # Times coherent[n0 - n1 + n2] pair[n2] rho[u] (-1)^u, u = n2 - max(n1 - n0, 0),
+    # where coherent[j] sqrt(j!) = e^(-b²/2) b^j inside the window.
+    powers = np.zeros(3 * m - 2)
+    powers[m - 1 : 2 * m - 1] = math.exp(-0.5 * b * b) * b**n
+    pair = np.tanh(r_omega) ** n / math.cosh(r_omega)  # resource squeezer: sech(r_w) tanh(r_w)^k |k, k>
+    factor = _view(powers, 0, (2 * m - 1, m), (1, 1)) * (pair * tables.column)
+    factor *= tables.mirror_sign[:, None]
+    signed *= factor[:, None, :]
+
+    # Block t, row n0, column n1 holds psi[n0, n1, (t - n0) mod m]: views of
+    # signed at n2 = t - n0 and at t - n0 + m, each right on one side of t = n0.
+    block_strides = (1, m * m - 1, m - m * m)
+    state = np.where(
+        tables.unwrapped,
+        _view(signed, (m - 1) * m * m, (m, m, m), block_strides),
+        _view(signed, (m - 1) * m * m + m, (m, m, m), block_strides),
+    )
+    del signed
 
     if r > 0:
-        # exp(theta (a0† a2 - a2† a0)) on block s is D^-1 exp(i theta T) D with
-        # D = diag(i^n0): entry (p, q) is i^(q-p) times the cosine part of
-        # exp(i theta T) at even q - p, i^(q-p+1) times its sine part at odd.
+        # exp(theta G_t) on (even, odd) rows, with W = P^T Y = diag(sigma) Q^T:
+        # [[1 + P c P^T, P s W], [-W^T s P^T, 1 + W^T (c / sigma²) W]] where
+        # c = cos(theta sigma) - 1 and s = sin(theta sigma) / sigma.
         theta = -math.acos(1.0 / math.cosh(r))  # transmissivity sech² r
-        signs = np.where((1 - np.subtract.outer(n, n)) // 2 % 2, -1.0, 1.0)
-        flipped = psi[:, :, ::-1]
-        for s in range(1, 2 * cutoff):
-            lo, hi = max(0, s - cutoff), min(s, cutoff)
-            evals, evecs = _beam_splitter_modes(s, lo, hi)
-            phase = theta * evals
-            size = hi - lo + 1
-            block = signs[:size, :size] * ((evecs * (np.cos(phase) + np.sin(phase))) @ evecs.T)
-            # Rows n0 = lo..hi of the block; Q = s - n1 lies in 0..cutoff, so
-            # only n1 = lo..hi is populated.
-            rows = np.einsum("iji->ij", flipped[lo : hi + 1, :, cutoff - s + lo :][:, :, :size])
-            rows[:, lo : hi + 1] = block @ rows[:, lo : hi + 1]
+        p, sigma = tables.modes, tables.sigma
+        half = 0.5 * theta * sigma
+        sinc = np.ones_like(half)
+        np.divide(np.sin(half), half, out=sinc, where=half != 0.0)  # sin(half) / half
+        w = p[:, : sigma.shape[1]] * tables.diagonal[:, :, None]  # W^T = Y^T P, Y bidiagonal
+        w[:, : p.shape[1] - 1] += p[:, 1:] * tables.subdiagonal[:, :, None]
+        rotation = np.empty((m, m, m))
+        rotation[:, ::2, ::2] = (p * (-2.0 * np.sin(half) ** 2)[:, None, :]) @ p.transpose(0, 2, 1)
+        rotation[:, 1::2, 1::2] = w @ (w.transpose(0, 2, 1) * (-0.5 * (theta * sinc) ** 2)[:, :, None])
+        rotation[:, ::2, 1::2] = (p * (theta * sinc * np.cos(half))[:, None, :]) @ w.transpose(0, 2, 1)
+        rotation[:, 1::2, ::2] = -rotation[:, ::2, 1::2].transpose(0, 2, 1)
+        np.einsum("tii->ti", rotation)[...] += 1.0
+        state = rotation @ state
 
-    pop = np.einsum("ijk,ijk->i", psi, psi)
-    a1 = np.einsum("ijk,ijk->i", psi[:-1], psi[1:]) @ sqrt_n[1:]
-    a2 = np.einsum("ijk,ijk->i", psi[:-2], psi[2:]) @ (sqrt_n[1:-1] * sqrt_n[2:])
+    def overlap(k: int) -> np.ndarray:
+        # sum over (n1, n2) of psi[n0] psi[n0 + k]; n0 + k sits in block t + k (mod m)
+        return np.einsum("tpq,tpq->p", state[:-k, :-k], state[k:, k:]) + np.einsum(
+            "tpq,tpq->p", state[-k:, :-k], state[:k, k:]
+        )
+
+    sqrt_n = np.sqrt(n)
+    pop = np.einsum("tpq,tpq->p", state, state)
+    a1 = overlap(1) @ sqrt_n[1:]
+    a2 = overlap(2) @ (sqrt_n[1:-1] * sqrt_n[2:])
     norm2 = float(pop.sum())
     lowered = float(n @ pop)
     return norm2, float(a1), float(a2), lowered, lowered + norm2 - m * float(pop[-1])

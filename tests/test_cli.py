@@ -2,10 +2,15 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import read_report_csv
 
+import rindler_teleport
 from rindler_teleport import build_displaced_circuit, cli, spectral, squeeze_param
 from rindler_teleport.cli import ENV_OUTDIR, main
 
@@ -384,3 +389,16 @@ def test_version_flag(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert "rindler-teleport" in capsys.readouterr().out
+
+
+def test_import_loads_no_scipy():
+    # SciPy is a test dependency only: a fresh interpreter that imports the
+    # package and its CLI must not load it.
+    src = str(Path(rindler_teleport.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, rindler_teleport, rindler_teleport.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -505,6 +505,24 @@ class TestFockProtocolCheck:
         assert report.cutoff == 63
         assert not report.passed
 
+    @pytest.mark.parametrize(
+        "r, r_omega, cutoff",
+        [
+            (0.5, 0.0, 12),
+            (0.5, 0.5, 12),
+            (0.3, 1.0, 16),
+            (0.8, 0.6, 20),
+            (1.0, 0.0, 25),
+            (1.0, 0.8, 38),
+            (1.0, 1.0, 58),
+        ],
+    )
+    def test_default_window_on_acceptance_lattice(self, r, r_omega, cutoff):
+        # The windows README lists for the acceptance lattice; (1.5, 1.5)
+        # reaching cutoff 63 unsettled is pinned above.
+        rep = fock_check_inertial(r, r_omega)
+        assert rep.cutoff == cutoff
+
     def test_lost_mass_shrinks_as_window_grows(self):
         reports = [
             fock_check_inertial(0.9, 0.7, cutoff=c, beta=0.3 - 0.2j, phi=1.1, strict=False)
@@ -513,7 +531,7 @@ class TestFockProtocolCheck:
         lost = [rep.lost_mass for rep in reports]
         assert all(later <= earlier for earlier, later in zip(lost, lost[1:]))
 
-    @pytest.mark.parametrize("cutoff", [6, 8])
+    @pytest.mark.parametrize("cutoff", [6, 8, 12])
     @pytest.mark.parametrize(
         "r, r_omega, beta, phi",
         [
