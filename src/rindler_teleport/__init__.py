@@ -7,8 +7,8 @@ of the vacuum serving as the entanglement resource:
 
 * :mod:`.spectral` - acceleration squeezing spectrum, wavepacket envelopes
   and the four closed-form integrals (i_c, i_s, i_cs, phi_cs).
-* :mod:`.mode_algebra` - affine operator expressions as dense coefficient
-  vectors on mode registers, Gaussian gates, Wick expectation values,
+* :mod:`.mode_algebra` - affine operator expressions as dense quadrature
+  coefficient vectors on mode registers, Gaussian gates, Wick expectation values,
   region-to-vacuum-family maps.
 * :mod:`.teleportation` - closed-form variance reports for coherent and
   squeezed payloads, plus the single-frequency protocol circuit.
@@ -61,7 +61,6 @@ from .spectral import (
 )
 from .teleportation import (
     VarianceReport,
-    conformal_residual,
     delta_decoherence,
     delta_extremes,
     displaced_variance,
@@ -93,7 +92,6 @@ __all__ = [
     "build_displaced_circuit",
     "build_squeezed_circuit",
     "commutator",
-    "conformal_residual",
     "contraction_table",
     "delta_decoherence",
     "delta_extremes",

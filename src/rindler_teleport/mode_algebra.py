@@ -10,14 +10,18 @@ squeezers, beam splitters) map such expressions to each other, so an entire
 protocol can be composed by ordinary arithmetic on :class:`OperatorExpr`
 values, and vacuum expectation values of products follow from Wick pairing.
 
-In the symplectic picture a Gaussian unitary is an affine map on the vector
-of mode operators (Weedbrook et al., RMP 84, 621 (2012), Sec. II), so an
-expression is stored as that vector: the displacement plus two dense complex
-coefficient vectors ``u`` (annihilators) and ``v`` (creators), indexed by an
-immutable, ordered :class:`ModeRegister`.  Expressions on one register
+In the symplectic picture a Gaussian unitary is an affine map on the
+quadratures X_m = a_m + a_m^dagger and P_m = -i (a_m - a_m^dagger)
+(Weedbrook et al., RMP 84, 621 (2012), Sec. II), so an expression is stored
+as E = d + sum_m (alpha_m X_m + beta_m P_m): one complex ``(2, n)`` array of
+rows (alpha, beta), indexed by an immutable, ordered :class:`ModeRegister`;
+then u = alpha - i beta and v = alpha + i beta.  Expressions on one register
 combine by vector arithmetic; expressions on different registers are first
-spread onto the union of their registers.  The canonical bilinears are dot
-products: [E1, E2] = u1.v2 - v1.u2 and the vacuum pairing <E1 E2> = u1.v2.
+spread onto the union of their registers.  The adjoint conjugates the rows,
+[E1, E2] = 2i (alpha1.beta2 - beta1.alpha2), the vacuum pairing is
+<E1 E2> = alpha1.alpha2 + beta1.beta2 + i (alpha1.beta2 - beta1.alpha2), and
+a squeezer scales real parts by e^r_s and imaginary parts by e^(-r_s), so a
+squeezed quadrature keeps its relative precision at any squeezing.
 
 Mode labels carry a sector, a chirality (propagation direction) and a
 frequency-bin index:
@@ -50,7 +54,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -66,7 +69,6 @@ __all__ = [
     "annihilator",
     "beam_splitter",
     "commutator",
-    "creator",
     "displace",
     "mode",
     "pair_contraction",
@@ -78,8 +80,8 @@ __all__ = [
 ]
 
 #: Coefficients at or below this magnitude count as zero wherever an
-#: expression is read: ``terms``, ``coefficient``, ``modes``, ``sectors`` and
-#: the support checks of the gates, the Wick engine and the region map.
+#: expression is read: ``coefficient``, and the support checks (on the stored
+#: X and P coefficients) of the gates, the Wick engine and the region map.
 PRUNE_TOL = 1e-15
 
 #: Coefficient magnitude bound below which arithmetic results need no
@@ -114,9 +116,6 @@ class ModeLabel:
     sector: Sector
     chirality: Chirality
     bin: int
-
-    def _key(self):
-        return (self.sector.value, self.chirality.value, self.bin)
 
     def __repr__(self) -> str:  # compact: c_L[3], b4_R[0], aux[1]
         short = {
@@ -236,8 +235,8 @@ class ModeRegister:
         """
         n = len(self)
         unit = np.zeros((n, 2, n), dtype=complex)
-        unit[np.arange(n), 0, np.arange(n)] = 1.0
-        return tuple(OperatorExpr._new(self, 0j, w, 1.0) for w in unit)
+        unit[np.arange(n), :, np.arange(n)] = (0.5, 0.5j)  # a = (X + iP)/2
+        return tuple(OperatorExpr._new(self, 0j, w, 0.5) for w in unit)
 
     def chirality_mask(self, chirality: Chirality) -> np.ndarray:
         """Boolean mask of the register's modes with ``chirality``."""
@@ -297,6 +296,20 @@ def _spread(w: np.ndarray, size: int, slots: np.ndarray | None) -> np.ndarray:
     return out
 
 
+#: (alpha, beta) = ((u + v)/2, i (u - v)/2) from ladder coefficients (u, v); the
+#: halves are exact, so finite ones give finite sums.
+_LADDER_TO_QUADRATURES = np.array([[0.5, 0.5], [0.5j, -0.5j]])
+
+
+def _max_magnitude(register: ModeRegister, w: np.ndarray) -> float:
+    """Largest magnitude in ``w``; a non-finite entry is a ValueError naming its mode."""
+    peak = float(np.abs(w).max()) if w.size else 0.0
+    if not math.isfinite(peak):
+        row, slot = np.argwhere(~np.isfinite(w))[0]
+        raise ValueError(f"non-finite coefficient {complex(w[row, slot])!r} for {register.labels[slot]!r}")
+    return peak
+
+
 def _finite_displacement(value) -> complex:
     d = complex(value)
     if not cmath.isfinite(d):
@@ -305,14 +318,15 @@ def _finite_displacement(value) -> complex:
 
 
 class OperatorExpr:
-    """Affine operator: displacement + coefficient vectors on a mode register.
+    """Affine operator: displacement + X and P coefficients on a mode register.
 
-    ``register`` is the :class:`ModeRegister` the vectors are indexed by;
-    ``u`` holds the annihilator and ``v`` the creator coefficients, as
-    read-only arrays.  ``terms`` is a read-only view
-    ``{(label, is_dagger): coefficient}`` of the coefficients above
-    ``PRUNE_TOL`` in magnitude; smaller ones count as zero everywhere an
-    expression is read, while the vectors carry them as computed.
+    ``register`` is the :class:`ModeRegister` the coefficients are indexed
+    by; ``u`` (annihilator) and ``v`` (creator coefficients) are read-only
+    arrays derived from them on each read.  The constructors take ladder
+    coefficients: ``{(label, is_dagger): coefficient}`` here, or the vectors
+    of :meth:`from_vectors`.  Stored coefficients at or below ``PRUNE_TOL``
+    count as zero everywhere an expression is read, while the vectors carry
+    them as computed.
     Instances are immutable; every operation returns a new expression, and
     no expression holds a non-finite coefficient.
     """
@@ -320,25 +334,18 @@ class OperatorExpr:
     __slots__ = ("displacement", "register", "_w", "_peak")
 
     def __init__(
-        self,
-        displacement: complex = 0.0,
-        terms: Mapping[tuple[ModeLabel, bool], complex] | None = None,
+        self, displacement: complex = 0.0, terms: Mapping[tuple[ModeLabel, bool], complex] | None = None
     ):
         d = _finite_displacement(displacement)
-        kept: dict[tuple[ModeLabel, bool], complex] = {}
-        for (label, dag), coeff in (terms or {}).items():
-            c = complex(coeff)
-            if not cmath.isfinite(c):
-                raise ValueError(f"non-finite coefficient {c!r} for {label!r}")
-            kept[(label, bool(dag))] = c
-        peak = max(map(abs, kept.values()), default=0.0)
+        kept = {(label, bool(dag)): complex(c) for (label, dag), c in (terms or {}).items()}
         keys = np.fromiter((_label_key(label) for label, _ in kept), dtype=np.int64, count=len(kept))
         register = ModeRegister._from_keys(_sorted_unique(keys))
-        w = np.zeros((2, len(register)), dtype=complex)
+        uv = np.zeros((2, len(register)), dtype=complex)
         if kept:
             rows = np.fromiter((dag for _, dag in kept), dtype=np.intp, count=len(kept))
-            w[rows, np.searchsorted(register.keys, keys)] = list(kept.values())
-        _set_slots(self, d, register, w, peak)
+            uv[rows, np.searchsorted(register.keys, keys)] = list(kept.values())
+        peak = _max_magnitude(register, uv)
+        _set_slots(self, d, register, _LADDER_TO_QUADRATURES @ uv, peak)
 
     @classmethod
     def _new(cls, register: ModeRegister, d: complex, w: np.ndarray, peak: float) -> "OperatorExpr":
@@ -363,12 +370,7 @@ class OperatorExpr:
         """
         d = _finite_displacement(d)
         if not bound <= _SAFE_PEAK:
-            bound = float(np.abs(w).max()) if w.size else 0.0
-            if not math.isfinite(bound):
-                row, slot = np.argwhere(~np.isfinite(w))[0]
-                raise ValueError(
-                    f"non-finite coefficient {complex(w[row, slot])!r} for {register.labels[slot]!r}"
-                )
+            bound = _max_magnitude(register, w)
         return cls._new(register, d, w, bound)
 
     @classmethod
@@ -377,10 +379,11 @@ class OperatorExpr:
     ) -> "OperatorExpr":
         """Expression with annihilator coefficients ``u`` and creator
         coefficients ``v`` on ``register`` (scalars broadcast)."""
-        w = np.empty((2, len(register)), dtype=complex)
-        w[0] = u
-        w[1] = v
-        return cls._checked(register, displacement, w)
+        uv = np.empty((2, len(register)), dtype=complex)
+        uv[0] = u
+        uv[1] = v
+        peak = _max_magnitude(register, uv)
+        return cls._new(register, _finite_displacement(displacement), _LADDER_TO_QUADRATURES @ uv, peak)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("OperatorExpr is immutable")
@@ -429,10 +432,8 @@ class OperatorExpr:
         return OperatorExpr._new(self.register, -self.displacement, -self._w, self._peak)
 
     def dagger(self) -> "OperatorExpr":
-        """Hermitian adjoint: swap ``u`` and ``v`` and conjugate them."""
-        return OperatorExpr._new(
-            self.register, self.displacement.conjugate(), self._w[::-1].conj(), self._peak
-        )
+        """Hermitian adjoint: X and P are Hermitian, so conjugate every coefficient."""
+        return OperatorExpr._new(self.register, self.displacement.conjugate(), self._w.conj(), self._peak)
 
     def centered(self) -> "OperatorExpr":
         """The fluctuation part: same coefficients, zero displacement."""
@@ -442,48 +443,35 @@ class OperatorExpr:
 
     @property
     def u(self) -> np.ndarray:
-        return _read_only(self._w[0])
+        """Annihilator coefficients alpha - i beta."""
+        return _read_only(self._w[0] - 1j * self._w[1])
 
     @property
     def v(self) -> np.ndarray:
-        return _read_only(self._w[1])
+        """Creator coefficients alpha + i beta."""
+        return _read_only(self._w[0] + 1j * self._w[1])
 
     def _support(self) -> np.ndarray:
         return _support(self._w)
 
-    @property
-    def terms(self) -> Mapping[tuple[ModeLabel, bool], complex]:
-        labels = self.register.labels
-        rows, slots = np.nonzero(np.abs(self._w) > PRUNE_TOL)
-        return MappingProxyType(
-            {(labels[s], bool(r)): complex(self._w[r, s]) for r, s in zip(rows, slots)}
-        )
-
     def coefficient(self, label: ModeLabel, dagger: bool = False) -> complex:
+        """The annihilator (or, with ``dagger``, creator) coefficient of ``label``."""
         key = _label_key(label)
         pos = int(np.searchsorted(self.register.keys, key))
         if pos < len(self.register) and self.register.keys[pos] == key:
-            c = complex(self._w[int(dagger), pos])
+            alpha, beta = self._w[:, pos]
+            c = complex(alpha + (1j if dagger else -1j) * beta)
             if abs(c) > PRUNE_TOL:
                 return c
         return 0.0
 
-    def modes(self) -> frozenset[ModeLabel]:
-        return frozenset(_key_label(int(k)) for k in self.register.keys[self._support()])
-
-    def sectors(self) -> frozenset[Sector]:
-        families = np.unique(self.register.keys[self._support()] >> (_BIN_BITS + 1))
-        return frozenset(_SECTORS[i] for i in families)
-
     def __repr__(self) -> str:
-        parts = []
-        if self.displacement != 0:
-            parts.append(f"{self.displacement:.6g}")
-        for (label, dag), c in sorted(
-            self.terms.items(), key=lambda kv: (kv[0][0]._key(), kv[0][1])
-        ):
-            op = f"{label!r}" + ("†" if dag else "")
-            parts.append(f"({c:.6g})·{op}")
+        parts = [f"{self.displacement:.6g}"] if self.displacement != 0 else []
+        labels, u, v = self.register.labels, self.u, self.v
+        for slot in np.flatnonzero(self._support()):
+            for c, mark in ((u[slot], ""), (v[slot], "†")):
+                if abs(c) > PRUNE_TOL:
+                    parts.append(f"({c:.6g})·{labels[slot]!r}{mark}")
         return "OperatorExpr(" + (" + ".join(parts) if parts else "0") + ")"
 
 
@@ -529,10 +517,6 @@ def annihilator(label: ModeLabel) -> OperatorExpr:
     return OperatorExpr(0.0, {(label, False): 1.0})
 
 
-def creator(label: ModeLabel) -> OperatorExpr:
-    return OperatorExpr(0.0, {(label, True): 1.0})
-
-
 def mode(sector: Sector, chirality: Chirality, bin_index: int) -> OperatorExpr:
     """Annihilation operator of the mode (sector, chirality, bin_index)."""
     return annihilator(ModeLabel(sector, chirality, bin_index))
@@ -542,19 +526,22 @@ def mode(sector: Sector, chirality: Chirality, bin_index: int) -> OperatorExpr:
 
 
 def commutator(e1: OperatorExpr, e2: OperatorExpr) -> complex:
-    """[E1, E2] as a c-number (exact for affine expressions): u1.v2 - v1.u2."""
+    """[E1, E2] as a c-number (exact for affine expressions):
+    2i (alpha1.beta2 - beta1.alpha2), from [X_m, P_m] = 2i."""
     _, w1, w2 = _align(e1, e2)
-    return complex(w1[0] @ w2[1] - w1[1] @ w2[0])
+    return complex(2j * (w1[0] @ w2[1] - w1[1] @ w2[0]))
 
 
 def pair_contraction(e1: OperatorExpr, e2: OperatorExpr) -> complex:
     """Connected vacuum pairing <F1 F2> of the fluctuation parts.
 
-    Only <a_m a_m^dagger> = 1 survives in the vacuum, so this is u1.v2.
+    With <X X> = <P P> = 1 and <X P> = -<P X> = i in the vacuum this is
+    alpha1.alpha2 + beta1.beta2 + i (alpha1.beta2 - beta1.alpha2).
     Displacements are ignored.
     """
     _, w1, w2 = _align(e1, e2)
-    return complex(w1[0] @ w2[1])
+    (aa, ab), (ba, bb) = (w1 @ w2.T).tolist()
+    return aa + bb + 1j * (ab - ba)
 
 
 def _reject_non_vacuum(product: Iterable[OperatorExpr]) -> None:
@@ -562,7 +549,8 @@ def _reject_non_vacuum(product: Iterable[OperatorExpr]) -> None:
         region = expr.register._region_mask()
         if region is None or not expr._support()[region].any():
             continue
-        names = ", ".join(sorted(s.value for s in expr.sectors() & _RINDLER_SECTORS))
+        families = expr.register.keys[expr._support() & region] >> (_BIN_BITS + 1)
+        names = ", ".join(sorted({_SECTORS[i].value for i in families}))
         raise ValueError(
             f"expectation over non-vacuum sectors [{names}]: rewrite with "
             "rindler_to_unruh before taking vacuum expectation values"
@@ -619,12 +607,6 @@ def displace(expr: OperatorExpr, alpha: complex) -> OperatorExpr:
     return expr + complex(alpha)
 
 
-def _shared_modes(e1: OperatorExpr, e2: OperatorExpr) -> list[ModeLabel]:
-    """Labels on which both expressions have a coefficient above ``PRUNE_TOL``."""
-    reg, w1, w2 = _align(e1, e2)
-    return [_key_label(int(k)) for k in reg.keys[_support(w1) & _support(w2)]]
-
-
 def two_mode_squeeze(
     a1: OperatorExpr, a2: OperatorExpr, r: float
 ) -> tuple[OperatorExpr, OperatorExpr]:
@@ -636,9 +618,11 @@ def two_mode_squeeze(
     """
     if not math.isfinite(r):
         raise ValueError(f"squeezing strength must be finite, got {r}")
-    shared = _shared_modes(a1, a2)
-    if shared:
-        raise ValueError(f"two_mode_squeeze inputs share mode labels: {sorted(map(repr, shared))}")
+    reg, w1, w2 = _align(a1, a2)
+    shared = reg.keys[_support(w1) & _support(w2)]  # both above PRUNE_TOL
+    if len(shared):
+        labels = sorted(repr(_key_label(int(k))) for k in shared)
+        raise ValueError(f"two_mode_squeeze inputs share mode labels: {labels}")
     ch = math.cosh(r)
     sh = math.sinh(r)
     out1 = ch * a1 + sh * a2.dagger()
@@ -647,10 +631,16 @@ def two_mode_squeeze(
 
 
 def single_mode_squeeze(a: OperatorExpr, r_s: float) -> OperatorExpr:
-    """Single-mode squeezer: a -> ch a + sh a^dagger (X(0) stretched by e^r_s)."""
+    """Single-mode squeezer: a -> ch a + sh a^dagger (X(0) stretched by e^r_s),
+    exactly: real parts times e^r_s and imaginary parts times e^(-r_s)."""
     if not math.isfinite(r_s):
         raise ValueError(f"squeezing strength must be finite, got {r_s}")
-    return math.cosh(r_s) * a + math.sinh(r_s) * a.dagger()
+    stretch, squeeze = math.exp(r_s), math.exp(-r_s)
+    w = np.empty_like(a._w)
+    np.multiply(a._w.real, stretch, out=w.real)
+    np.multiply(a._w.imag, squeeze, out=w.imag)
+    d = complex(a.displacement.real * stretch, a.displacement.imag * squeeze)
+    return OperatorExpr._checked(a.register, d, w, a._peak * max(stretch, squeeze))
 
 
 def beam_splitter(
@@ -770,11 +760,12 @@ def _rewrite_regions(
     image_keys = np.concatenate([keys[passing], direct, partner])
     out_keys = _sorted_unique(image_keys)
     n = len(out_keys)
-    # Image of b is ch * direct + sh * partner^dagger; that of b^dagger is its
-    # adjoint.  ``terms`` holds an expression's passing, direct and partner
-    # terms, then a zero column.  Every image slot takes at most one term of
-    # each group; gathering the groups in that order onto zeros adds them as
-    # a sequential scatter does, a missing term reading the zero.
+    # Image of X_b is ch X_direct + sh X_partner, that of P_b is
+    # ch P_direct - sh P_partner.  ``terms`` holds an expression's passing,
+    # direct and partner terms, then a zero column.  Every image slot takes
+    # at most one term of each group; gathering the groups in that order
+    # onto zeros adds them as a sequential scatter does, a missing term
+    # reading the zero.
     m, n_pass = len(mapped), len(passing)
     slot = np.searchsorted(out_keys, image_keys)
     source = np.full((3, n), n_pass + 2 * m)
@@ -788,12 +779,13 @@ def _rewrite_regions(
     terms = np.empty((2, n_pass + 2 * m + 1), dtype=complex)
     terms[:, -1] = 0.0
     gathered = np.empty((2, n), dtype=complex)
+    partner_weight = sh * np.array([[1.0], [-1.0]])  # on the partner's X and P
     results = []
     for e in exprs:
         x = e._w[:, mapped]
         terms[:, :n_pass] = e._w[:, passing]
         np.multiply(x, ch, out=terms[:, n_pass : n_pass + m])
-        np.multiply(x[::-1], sh, out=terms[:, n_pass + m : -1])
+        np.multiply(x, partner_weight, out=terms[:, n_pass + m : -1])
         w = np.zeros((2, n), dtype=complex)
         for group in source:  # indices in range: "clip" spares a copy of ``out``
             w += terms.take(group, axis=1, out=gathered, mode="clip")

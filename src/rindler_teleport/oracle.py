@@ -55,7 +55,6 @@ from .mode_algebra import (
     OperatorExpr,
     Sector,
     beam_splitter,
-    commutator,
     displace,
     quadrature_variance,
     rindler_to_unruh,
@@ -85,6 +84,9 @@ __all__ = [
 DEFAULT_CHANNEL_GAIN = 14.0
 
 _COMMUTATOR_TOL = 1e-10
+
+#: Floor of a rounding bound: a zero one means exactly vanishing products.
+_TINY = np.finfo(float).tiny
 
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
@@ -181,11 +183,11 @@ def _build_circuit(a: float, wp: WavepacketSpec, grid, r_s: float) -> Discretize
     g = g / norm
     ch, sh = unruh_cosh_sinh(centers, a)
     weight = float(np.sum(g * g * (ch * ch + sh * sh)))  # i_c + i_s of the grid
-    max_r_s = 0.5 * (_LOG_FLOAT_MAX + math.log(2.0 / weight)) - math.log(math.sinh(DEFAULT_CHANNEL_GAIN))
+    max_r_s = 0.5 * (_LOG_FLOAT_MAX - 3.0 * math.log(weight))
     if r_s > max_r_s:
         raise ValueError(
-            f"payload squeezing r_s must be at most {max_r_s:.6g} at channel gain {DEFAULT_CHANNEL_GAIN:g} "
-            f"on this grid (the audited output norms must be finite floats), got {r_s}"
+            f"payload squeezing r_s must be at most {max_r_s:.6g} on this grid "
+            f"(the LO variance's quadrature moments must be finite floats), got {r_s}"
         )
 
     # Every region wire lives on one register, so each gate below is a
@@ -246,6 +248,11 @@ class _RankOneOutputs:
     with z = U[x] . V[y], p and q reads of V[y] and U[x] at the c/d slots,
     and e from the unit vectors.  :meth:`pairing` and :meth:`commutator`
     return these terms per kind pair; :func:`_bilinear_at` evaluates them.
+    The commutator's z is formed from W's X and P coefficients (alpha, beta).
+    ``size[x, i] size[y, j]`` bounds the rounding bound of [X_i, Y_j] less
+    its exact unit part, |kx| |ky| Z + |ky| m_x[i] + |kx| m_y[j] with
+    Z = 4 |alpha| . |beta| and m = |alpha| + |beta| at the operator's slot:
+    size = |k| sqrt(Z) + m / sqrt(Z).
     """
 
     def __init__(self, wire_delta: OperatorExpr, g_ch: np.ndarray, g_sh: np.ndarray):
@@ -256,17 +263,24 @@ class _RankOneOutputs:
         self.slots = np.stack([w.register.slots(f, Chirality.LEFT, bins) for f in families])
         # complex k: complex-by-complex products are the fast ones
         self.k = np.stack([g_ch, -g_sh]).astype(complex)[_FAMILY]
-        # (U, V) is (W.u, W.v) for W and (conj W.v, conj W.u) for W†.
-        wu, wv = w.u, w.v
-        uv, uu, vv = complex(wu @ wv), np.vdot(wu, wu).real, np.vdot(wv, wv).real
-        self.z = np.array([[uv, uu], [vv, uv.conjugate()]])
-        self.u_at = np.stack([wu[self.slots], wv[self.slots].conj()])  # (W or W†, family, bin)
-        self.v_at = np.stack([wv[self.slots], wu[self.slots].conj()])
-        # |u|^2 + |v|^2 of each output operator, by kind and bin: the unit
-        # vector, its overlap with k U (or k V for a creator), and |k W|^2.
-        own = np.where(_CREATOR[:, None], self.v_at[_ADJOINT, _FAMILY], self.u_at[_ADJOINT, _FAMILY]).real
-        k = self.k.real
-        self.norm = np.sqrt(1.0 + 2.0 * k * own + k**2 * (uu + vv))
+        # (U, V) is (W.u, W.v) for W and (conj W.v, conj W.u) for W†.  With
+        # c = alpha . conj(beta), U.V = alpha.alpha + beta.beta and
+        # |U|^2, |V|^2 = |alpha|^2 + |beta|^2 -+ 2 Im c.
+        alpha, beta = w._w
+        c = complex(np.vdot(beta, alpha))
+        norms = np.vdot(alpha, alpha).real + np.vdot(beta, beta).real
+        uv = complex(alpha @ alpha + beta @ beta)
+        self.z = np.array([[uv, norms - 2.0 * c.imag], [norms + 2.0 * c.imag, uv.conjugate()]])
+        a_at, b_at = alpha[self.slots], beta[self.slots]
+        u_at, v_at = a_at - 1j * b_at, a_at + 1j * b_at
+        self.u_at = np.stack([u_at, v_at.conj()])  # (W or W†, family, bin)
+        self.v_at = np.stack([v_at, u_at.conj()])
+        # [W, W†] = -[W†, W] = -4 Im c, not |U|^2 - |V|^2; [W, W] = [W†, W†] = 0.
+        self.z_commutator = np.array([[0.0, -4.0 * c.imag], [4.0 * c.imag, 0.0]])
+        m_alpha, m_beta = np.abs(alpha), np.abs(beta)
+        root_z = math.sqrt(max(4.0 * float(m_alpha @ m_beta), _TINY))
+        own = (m_alpha + m_beta)[self.slots][_FAMILY]  # (kind, bin)
+        self.size = np.maximum(np.abs(self.k) * root_z + own / root_z, _TINY)
 
     def pairing(self, x: np.ndarray, y: np.ndarray) -> tuple:
         """Terms (kx, ky, z, p, q, e) of <X_i Y_j> = u . v per kind pair (x[m], y[m])."""
@@ -278,9 +292,9 @@ class _RankOneOutputs:
 
     def commutator(self, x: np.ndarray, y: np.ndarray) -> tuple:
         """Terms of [X_i, Y_j] = <X_i Y_j> - <Y_j X_i>, as :meth:`pairing`."""
-        kx, ky, z, p, q, e = self.pairing(x, y)
-        _, _, z_r, p_r, q_r, e_r = self.pairing(y, x)
-        return kx, ky, z - z_r, p - q_r, q - p_r, e - e_r
+        kx, ky, _, p, q, e = self.pairing(x, y)
+        _, _, _, p_r, q_r, e_r = self.pairing(y, x)
+        return kx, ky, self.z_commutator[_ADJOINT[x], _ADJOINT[y]], p - q_r, q - p_r, e - e_r
 
 
 def _bilinear_at(terms: tuple, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -305,21 +319,23 @@ def _audit_commutators(
     outputs (:func:`_bin_commutator_deviation`), and the three wire outputs,
     already rewritten into the vacuum families, pairwise.
 
-    A commutator of expressions with coefficients of size ``M`` is assembled
-    from cancelling products of size ``M**2``; float error must be judged
-    relative to that scale, not absolutely (strong-gain branches carry
-    cosh(r) ~ 1e6 coefficients whose canonical cancellation is exact only in
-    real arithmetic).  The scale is the product of the two expressions'
-    coefficient-vector norms, at least 1.  Any NaN deviation makes the
-    result NaN.
+    A commutator 2i (alpha1 . beta2 - beta1 . alpha2) is assembled from
+    cancelling products (strong-gain branches carry cosh(r) ~ 1e6
+    coefficients), so float error is judged relative to the elementwise
+    rounding bound 2 (|alpha1| . |beta2| + |beta1| . |alpha2|), which a
+    squeezer leaves of order one: it shrinks one quadrature by e^(-r_s) as it
+    stretches the other by e^(r_s).  The wire outputs share one register, so
+    [E_i, E_j^dagger] reads E_j's rows conjugated by ``vdot``.  Any NaN
+    deviation makes the result NaN.
     """
     deviations = [_bin_commutator_deviation(outputs)]
-    outs = (wire, idler_out, port_out)
-    norms = [math.sqrt(np.vdot(e.u, e.u).real + np.vdot(e.v, e.v).real) for e in outs]
-    for (i, e1), (j, e2) in itertools.product(enumerate(outs), repeat=2):
-        scale = max(1.0, norms[i] * norms[j])
-        deviations.append(abs(commutator(e1, e2)) / scale)
-        deviations.append(abs(commutator(e1, e2.dagger()) - (i == j)) / scale)
+    outs = [e._w for e in (wire, idler_out, port_out)]
+    magnitudes = [np.abs(w) for w in outs]
+    for (i, (a1, b1)), (j, (a2, b2)) in itertools.product(enumerate(outs), repeat=2):
+        (m1a, m1b), (m2a, m2b) = magnitudes[i], magnitudes[j]
+        scale = max(2.0 * float(m1a @ m2b + m1b @ m2a), _TINY)
+        deviations.append(abs(2j * (a1 @ b2 - b1 @ a2)) / scale)
+        deviations.append(abs(2j * (np.vdot(b2, a1) - np.vdot(a2, b1)) - (i == j)) / scale)
     return float(np.max(deviations))
 
 
@@ -328,7 +344,9 @@ def _bin_commutator_deviation(outputs: _RankOneOutputs) -> float:
 
     Each bin meets itself and the anchor bins {0, N/2, N-1}, both ways
     round, for c-c†, d-d†, c-d and c-d†: O(N) vector operations on the
-    rank-one form of the outputs.  Any NaN deviation makes the result NaN.
+    rank-one form of the outputs, each judged relative to its bound
+    ``size[x, i] size[y, j]`` (:class:`_RankOneOutputs`).  Any NaN deviation
+    makes the result NaN.
     """
     # Kind pairs c-c†, d-d†, c-d and c-d†, and the last two with the bins
     # swapped, as [X_j, Y_i] = -[Y_i, X_j] (for c-c† and d-d† that is the
@@ -343,7 +361,7 @@ def _bin_commutator_deviation(outputs: _RankOneOutputs) -> float:
     deviations = []
     for j in (bins, *(np.array([anchor]) for anchor in (0, n // 2, n - 1))):
         deviation = np.abs(_bilinear_at(rest, bins, j))
-        deviation /= np.maximum(1.0, outputs.norm[x] * outputs.norm[y][:, j])
+        deviation /= outputs.size[x] * outputs.size[y][:, j]
         deviations.append(deviation.max())
     return float(np.max(deviations))
 
@@ -371,13 +389,12 @@ def build_squeezed_circuit(
     on ``grid`` bins, as :func:`build_displaced_circuit`; at ``r_s = 0``
     it is that coherent-payload circuit.
 
-    ``r_s`` is bounded by the float range: the commutator audit forms the
-    norms |u|^2 + |v|^2 of the amplifier-idler and beam-splitter-port
-    outputs, about (i_c + i_s) sinh^2(14) cosh(2 r_s) at the channel gain
-    14, with i_c + i_s = sum g^2 (ch^2 + sh^2) over the grid.  As
-    cosh(2 r_s) ~ e^(2 r_s)/2, they stay below the largest float f_max for
-    r_s <= ln(2 f_max / (i_c + i_s))/2 - ln sinh 14: 341.93 for a << omega0,
-    339.05 at a = 1000 (omega0 = 1, sigma = 0.01).  A larger ``r_s`` is a
+    ``r_s`` is bounded by the float range: the LO variance forms the
+    stretched quadrature's second moment <X^2> = n0 V(0), about
+    (i_c + i_s)^3 e^(2 r_s) with i_c + i_s = sum g^2 (ch^2 + sh^2) over the
+    grid, which stays below the largest float f_max for
+    r_s <= (ln f_max - 3 ln(i_c + i_s))/2: 354.89 for a << omega0, 346.25 at
+    a = 1000 (omega0 = 1, sigma = 0.01).  A larger ``r_s`` is a
     :class:`ValueError` that names it.
     """
     if not math.isfinite(r_s) or r_s < 0:
@@ -408,7 +425,8 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, float]:
     A = (<X^2> + <Y^2>)/2 and B = (<X^2> - <Y^2>)/4 + i <XY + YX>/4.  The
     covariance is evaluated instead of A and B: a strongly squeezed
     quadrature is A - 2|B|, a cancellation that multiplies the rounding
-    error by about e^(4 r_s).
+    error by about e^(4 r_s).  X and Y are twice the real and imaginary parts
+    of the field P's quadrature coefficients, so a squeezed Y keeps its precision.
     Returns (<X^2>, <Y^2>, <XY + YX>/2) of the right-movers, the left-movers
     and the whole field, as rows in that order, and n0.
     """
@@ -418,21 +436,22 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, float]:
     lo_d = circ.disp_gain.conjugate() * k_d  # that of the d outputs e^(-i phi) lo_d
     n0 = float(np.sum(np.abs(lo_c) ** 2) + np.sum(np.abs(lo_d) ** 2))
     w = circ.wire_delta
-    # P = sum_i conj(lo_c_i) c_out[i] + lo_d_i d_out[i]^dagger, centered.
+    # P = sum_i conj(lo_c_i) c_out[i] + lo_d_i d_out[i]^dagger, centered, in
+    # quadrature coefficients: c = (X + iP)/2 and d^dagger = (X - iP)/2.
     weight = complex(np.sum(lo_c.conjugate() * k_c) + np.sum(lo_d * k_d))
-    pu, pv = weight * w.u, weight * w.v
-    pu[out.slots[0]] += lo_c.conjugate()
-    pv[out.slots[1]] += lo_d
-    # X and Y are Hermitian with annihilator vectors x = P.u + conj(P.v) and
-    # -i y, y = P.u - conj(P.v), so <X^2> = |x|^2, <Y^2> = |y|^2 and
-    # <XY + YX>/2 = Im(conj(x) . y).
-    x, y = pu + pv.conj(), pu - pv.conj()
+    alpha, beta = weight * w._w[0], weight * w._w[1]
+    alpha[out.slots[0]] += 0.5 * lo_c.conjugate()
+    beta[out.slots[0]] += 0.5j * lo_c.conjugate()
+    alpha[out.slots[1]] += 0.5 * lo_d
+    beta[out.slots[1]] -= 0.5j * lo_d
+    # X and Y are Hermitian with coefficients x = 2 Re and y = 2 Im of P's:
+    # <X^2> = x.x, <Y^2> = y.y and <XY + YX>/2 = x.y over both rows.
+    xa, xb, ya, yb = alpha.real, beta.real, alpha.imag, beta.imag
+    per_slot = np.stack([xa * xa + xb * xb, ya * ya + yb * yb, xa * ya + xb * yb])
     left = w.register.chirality_mask(Chirality.LEFT)
-    moments = np.empty((3, 3))
-    for k, part in enumerate((~left, left, slice(None))):
-        xp, yp = x[part], y[part]
-        moments[k] = np.vdot(xp, xp).real, np.vdot(yp, yp).real, np.vdot(xp, yp).imag
-    return moments, n0
+    parts = np.empty((len(alpha), 3))
+    parts[:, 0], parts[:, 1], parts[:, 2] = ~left, left, 1.0  # right, left, whole
+    return 4.0 * (per_slot @ parts).T, n0
 
 
 def _variance_at(parts: tuple[np.ndarray, float], c: float, s: float) -> tuple[float, float]:

@@ -49,7 +49,6 @@ _MAX_PAYLOAD_SQUEEZING = 0.5 * math.log(np.finfo(float).max)
 
 __all__ = [
     "VarianceReport",
-    "conformal_residual",
     "delta_decoherence",
     "delta_extremes",
     "displaced_variance",
@@ -173,16 +172,6 @@ def _payload_report(a: float | np.ndarray, wp: WavepacketSpec, r_s: float, phi: 
         qnl_or_decoherence=dec,
         purity_product=purity_product,
     )
-
-
-def conformal_residual(a: float, wp: WavepacketSpec) -> float:
-    """Amplitude-weighted noise-gain integral phi_cs = integral g (ch - sh).
-
-    Measures how far the wavepacket is from the perfectly teleported
-    (inertial, phi_cs -> 1) regime; it controls the residual coherent
-    amplitude the protocol preserves.
-    """
-    return spectral_integrals(wp, a).phi_cs
 
 
 # -- single-frequency (inertial) protocol circuit --------------------------

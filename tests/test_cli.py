@@ -183,15 +183,17 @@ class TestOverflowRows:
         assert float(rows[0][0]) == 0.05
         assert float(rows[0][3]) < 1e-30
 
-    def test_oracle_past_its_squeezing_bound_exits_2(self, tmp_path, capsys):
-        # Rows that stay finite run the oracle, whose build names r_s past its
-        # own bound (about 341.93) below the closed forms' 354.9.
-        argv = ["sweep", "--scenario", "squeezed", "--oracle", "--rs", "345"]
+    def test_oracle_runs_on_every_finite_row_near_the_float_range(self, tmp_path):
+        # The oracle's own r_s bound, (ln f_max - 3 ln(i_c + i_s))/2, lies
+        # past the r_s at which a row's closed-form purity product overflows,
+        # so the oracle runs on every finite row and never refuses r_s there.
+        out = tmp_path / "near.csv"
+        argv = ["sweep", "--scenario", "squeezed", "--oracle", "--rs", "354.5"]
         argv += ["--bins", "16", "--a-steps", "3"]
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["--out", str(tmp_path / "rejected.csv")])
-        assert excinfo.value.code == 2
-        assert "payload squeezing r_s must be at most" in capsys.readouterr().err
+        assert main(argv + ["--out", str(out)]) == 0
+        _, _, rows = read_report_csv(out)
+        assert [row[-1] for row in rows] == ["ok", "ok", "overflow"]
+        assert all(float(row[10]) < 1e-10 for row in rows[:2])  # oracle_deviation
 
 
 @pytest.mark.filterwarnings("error")

@@ -23,10 +23,12 @@ from rindler_teleport import (
     build_displaced_circuit,
     build_squeezed_circuit,
     contraction_table,
+    delta_extremes,
     displaced_variance,
     fock_check_inertial,
     make_wavepacket,
     photon_number_variance_lo,
+    spectral_integrals,
     squeezed_variance,
     wick_expectation,
 )
@@ -117,22 +119,19 @@ class TestCircuitBuild:
 
     @pytest.mark.parametrize("bins", [32, 1024])
     def test_payload_squeezing_bound(self, wp_standard, bins):
-        # The audited output norms are about (i_c + i_s) sinh^2(r_channel)
-        # cosh(2 r_s); just below the bound that keeps them finite, the build
-        # and its LO variance run clean, and past it r_s is named.
+        # The LO variance's stretched-quadrature moment is about
+        # (i_c + i_s)^3 e^(2 r_s); just below the bound that keeps it finite,
+        # the build and its LO variance run clean, and past it r_s is named.
         ref = build_displaced_circuit(1.0, wp_standard, bins)
         weight = float(np.sum(ref.g**2 * (ref.ch**2 + ref.sh**2)))
-        bound = (
-            0.5 * (math.log(np.finfo(float).max) + math.log(2.0 / weight))
-            - math.log(math.sinh(DEFAULT_CHANNEL_GAIN))
-        )
-        assert bound == pytest.approx(341.93, abs=0.005)
+        bound = 0.5 * (math.log(np.finfo(float).max) - 3.0 * math.log(weight))
+        assert bound == pytest.approx(354.885, abs=0.005)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             circ = build_squeezed_circuit(1.0, wp_standard, bins, r_s=bound - 1e-6)
             for phi in (0.0, 0.5 * math.pi):
                 assert math.isfinite(photon_number_variance_lo(circ, phi).total)
-        for r_s in (bound + 1e-6, 350.0, 400.0):
+        for r_s in (bound + 1e-6, 360.0, 400.0):
             with pytest.raises(ValueError, match="payload squeezing r_s must be at most"):
                 build_squeezed_circuit(1.0, wp_standard, bins, r_s=r_s)
 
@@ -169,6 +168,26 @@ class TestCircuitBuild:
         with pytest.raises(OracleConvergenceError, match="broke canonical commutators"):
             build_displaced_circuit(1.0, wp_standard, 64)
         assert len(seen) == 1 and seen[0] > 1e-10
+
+    @pytest.mark.parametrize("r_s", [0.0, 0.4, 10.0, 40.0, 100.0, 300.0])
+    def test_audit_is_tight_at_any_squeezing(self, wp_standard, r_s):
+        # Each commutator is judged against its elementwise rounding bound,
+        # which a squeezer leaves of order one, so the audit reads rounding
+        # error at every r_s instead of vanishing as e^(-2 r_s).
+        circ = build_squeezed_circuit(1.0, wp_standard, 256, r_s=r_s)
+        assert 1e-18 < circ.commutator_audit_max <= 1e-14
+
+    def test_audit_fires_on_a_squeezed_quadrature_fault(self, monkeypatch, wp_standard):
+        # A squeezer whose P coefficient is 1% too large breaks [a, a†] by 1%
+        # in the squeezed quadrature only, at e^(-r_s) of the stretched one.
+        from rindler_teleport import oracle
+
+        def faulty_squeeze(a, r):
+            return 0.5 * math.exp(r) * (a + a.dagger()) + 0.505 * math.exp(-r) * (a - a.dagger())
+
+        monkeypatch.setattr(oracle, "single_mode_squeeze", faulty_squeeze)
+        with pytest.raises(OracleConvergenceError, match="broke canonical commutators"):
+            build_squeezed_circuit(1.0, wp_standard, 64, r_s=40.0)
 
     def test_audit_fires_on_a_single_non_anchor_bin(self, monkeypatch, wp_standard):
         # Scale W.u at the c-slot of bin 20 of 64 by 1 + 1e-5; the anchor
@@ -219,6 +238,22 @@ class TestVarianceAgainstClosedForms:
             assert rep.qnl_or_decoherence == pytest.approx(
                 closed.qnl_or_decoherence, rel=1e-8
             )
+
+    @pytest.mark.parametrize("r_s", [10.0, 20.0, 30.0, 40.0, 100.0, 300.0])
+    def test_squeezed_quadrature_keeps_its_precision(self, wp_standard, r_s):
+        # V(pi/2) at exactly (cos, sin) = (0, 1) is thermal + M, M the
+        # minimum of Delta; the squeezer scales the X and P coefficients, so
+        # no ch - sh cancellation eats it.  V(0) is thermal + P.
+        from rindler_teleport import oracle
+
+        circ = build_squeezed_circuit(1.0, wp_standard, 256, r_s=r_s)
+        parts = oracle._lo_parts(circ)
+        ints = spectral_integrals(wp_standard, 1.0)
+        thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
+        d0, d90 = delta_extremes(r_s, ints.i_c)
+        for (c, s), closed in (((0.0, 1.0), thermal + d90), ((1.0, 0.0), thermal + d0)):
+            oracle_value = sum(oracle._variance_at(parts, c, s))
+            assert oracle_value == pytest.approx(closed, rel=1e-11 if s else 1e-14)
 
     def test_components_additive(self, circ_squeezed):
         rep = photon_number_variance_lo(circ_squeezed, 0.3)

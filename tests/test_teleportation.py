@@ -13,7 +13,6 @@ from rindler_teleport import (
     SpectralConvergenceError,
     ModeLabel,
     Sector,
-    conformal_residual,
     delta_decoherence,
     delta_extremes,
     displaced_variance,
@@ -238,12 +237,6 @@ class TestAccelerationGrid:
                 assert np.all(np.isnan(getattr(rep, field)))
         with pytest.raises(SpectralConvergenceError):
             displaced_variance(1.0, wp)
-
-
-class TestConformalResidual:
-    def test_frozen_value(self):
-        wp = make_wavepacket(1.0, 0.01)
-        assert conformal_residual(1.0, wp) == pytest.approx(0.2144188022339703, rel=1e-10)
 
 
 class TestInertialProtocol:
