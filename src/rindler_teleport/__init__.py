@@ -24,6 +24,7 @@ from .mode_algebra import (
     ModeLabel,
     ModeRegister,
     OperatorExpr,
+    OperatorRows,
     Sector,
     beam_splitter,
     commutator,
@@ -80,6 +81,7 @@ __all__ = [
     "ModeLabel",
     "ModeRegister",
     "OperatorExpr",
+    "OperatorRows",
     "OracleConvergenceError",
     "Sector",
     "SpectralConvergenceError",

@@ -8,8 +8,9 @@
   thermal term plus the phase-0 / phase-90 decoherence terms (CSV).
 * ``sweep`` - generic acceleration sweep for one scenario (``displaced``,
   ``squeezed`` or ``inertial``), optionally cross-checked against the
-  discretized-circuit oracle per row.  The oracle's uniform bins cannot
-  resolve a clipped wavepacket (sigma > omega0/8); its rows keep their
+  discretized-circuit oracle: one circuit over the converged rows'
+  accelerations, one circuit row per sweep row.  The oracle's uniform bins
+  cannot resolve a clipped wavepacket (sigma > omega0/8); its rows keep their
   deviation but carry the status ``oracle-unresolved``.
 * ``verify`` - dual-path verification suites (closed forms vs mechanical
   Wick evaluation vs truncated-Fock simulation); exit status 0 only if
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import logging
 import math
 import os
@@ -54,7 +56,6 @@ from . import __version__
 from .mode_algebra import Chirality, ModeLabel, Sector
 from .oracle import (
     DEFAULT_CHANNEL_GAIN,
-    OracleConvergenceError,
     build_squeezed_circuit,
     contraction_table,
     fock_check_inertial,
@@ -90,6 +91,11 @@ VERIFY_APPENDIX_TOL = 1e-8
 VERIFY_ORACLE_TOL = 1e-11
 VERIFY_FOCK_TOL = 1e-3
 VERIFY_FOCK_POINT = (0.5, 0.5)
+# the oracle suites' lattice: every acceleration is a row of one circuit per
+# payload (r_s, with the LO phases read); the appendix suite reads a = 1.
+# The coherent payload (r_s = 0) is phase independent: one phase suffices.
+VERIFY_ACCELERATIONS = (0.3, 1.0, 3.0)
+VERIFY_PAYLOADS = ((0.0, (0.0,)), (0.4, (0.0, math.pi / 2)))
 # fraction of the peak envelope weight below which bins are left out of the
 # contraction-identity suite: tail rows scale like g_w*g_y (~1e-7) while the
 # N-term Wick sums carry an absolute float-noise floor ~1e-15, leaving no
@@ -378,8 +384,8 @@ def cmd_fig5(cfg: SweepConfig) -> int:
 
 
 def _sweep_rows(cfg: SweepConfig) -> list[list]:
-    """CSV rows of one sweep: a closed-form call over the grid, then the
-    oracle per converged row when it is toggled."""
+    """CSV rows of one sweep: a closed-form call over the grid, then, when
+    it is toggled, one oracle call over the converged rows."""
     a_grid = cfg.a_grid()
     r_omega = squeeze_param(cfg.omega0, a_grid)
     wp = None
@@ -392,32 +398,36 @@ def _sweep_rows(cfg: SweepConfig) -> list[list]:
         rep = squeezed_variance(a_grid, wp, cfg.r_s or 0.0, cfg.phi or 0.0)
         cells = _grid_cells(rep.total, rep.thermal_noise, rep.qnl_or_decoherence, rep.purity_product)
 
-    rows = []
-    for a, r, values in zip(a_grid.tolist(), r_omega.tolist(), cells):
-        status = values.pop()
-        deviation = None
-        if wp is not None and status == "ok":
-            deviation, status = _oracle_deviation(cfg, wp, a, values[0])
-        rows.append([a, cfg.omega0, cfg.sigma, cfg.r_s, cfg.phi, r, *values, deviation, status])
-    return rows
+    statuses = [values.pop() for values in cells]
+    deviations = [None] * len(cells)
+    if wp is not None and cfg.oracle:
+        ok = [k for k, status in enumerate(statuses) if status == "ok"]
+        if ok:
+            checked = _oracle_deviations(cfg, wp, a_grid[ok], np.array([cells[k][0] for k in ok]))
+            for k, (deviation, status) in zip(ok, checked):
+                deviations[k], statuses[k] = deviation, status
+    return [
+        [a, cfg.omega0, cfg.sigma, cfg.r_s, cfg.phi, r, *values, deviation, status]
+        for a, r, values, deviation, status in zip(
+            a_grid.tolist(), r_omega.tolist(), cells, deviations, statuses
+        )
+    ]
 
 
-def _oracle_deviation(cfg: SweepConfig, wp, a: float, closed_total: float):
-    """Relative |oracle - closed| for one sweep point and its status.
+def _oracle_deviations(cfg: SweepConfig, wp, a: np.ndarray, closed_total: np.ndarray) -> list[tuple]:
+    """(relative |oracle - closed|, status) per sweep row, from one circuit
+    built over the rows' accelerations.
 
-    (None, ``ok``) when the oracle is not toggled.  A clipped wavepacket's
-    deviation is kept but marked ``oracle-unresolved``: its uniform bins
-    cannot resolve the 1/omega tail the closed form integrates.
+    A row whose circuit failed a consistency check is NaN with the status
+    ``oracle-no-convergence``.  A clipped wavepacket's deviation is kept but
+    marked ``oracle-unresolved``: its uniform bins cannot resolve the
+    1/omega tail the closed form integrates.
     """
-    if not cfg.oracle:
-        return None, "ok"
-    try:
-        circ = build_squeezed_circuit(a, wp, cfg.bins, r_s=cfg.r_s or 0.0)
-        rep = photon_number_variance_lo(circ, cfg.phi or 0.0)
-    except OracleConvergenceError:
-        return math.nan, "oracle-no-convergence"
-    status = "oracle-unresolved" if wp.clipped else "ok"
-    return abs(rep.total - closed_total) / abs(closed_total), status
+    circ = build_squeezed_circuit(a, wp, cfg.bins, r_s=cfg.r_s or 0.0)
+    total = photon_number_variance_lo(circ, cfg.phi or 0.0).total
+    deviation = np.abs(total - closed_total) / np.abs(closed_total)
+    resolved = "oracle-unresolved" if wp.clipped else "ok"
+    return [(d, "oracle-no-convergence" if math.isnan(d) else resolved) for d in deviation.tolist()]
 
 
 def cmd_sweep(cfg: SweepConfig) -> int:
@@ -460,14 +470,15 @@ class SuiteResult:
 
 
 def _suite_spectral() -> SuiteResult:
-    worst = 0.0
-    lattice = [(a, w0, sig) for a in (0.1, 1.0, 10.0) for (w0, sig) in ((1.0, 0.05), (1.0, 0.01), (2.0, 0.1))]
-    for a, w0, sig in lattice:
-        ints = spectral_integrals(make_wavepacket(w0, sig), a)
-        worst = max(worst, abs(ints.i_c - ints.i_s - 1.0))
+    accelerations = np.array((0.1, 1.0, 10.0))
+    packets = ((1.0, 0.05), (1.0, 0.01), (2.0, 0.1))
+    residuals = []
+    for w0, sig in packets:
+        ints = spectral_integrals(make_wavepacket(w0, sig), accelerations)
+        residuals.append(np.abs(ints.i_c - ints.i_s - 1.0))  # NaN on an unsettled row
     return SuiteResult(
-        "spectral-identity", worst, VERIFY_SPECTRAL_TOL,
-        f"|i_c - i_s - 1| over {len(lattice)} spectra",
+        "spectral-identity", float(np.max(residuals)), VERIFY_SPECTRAL_TOL,
+        f"|i_c - i_s - 1| over {len(packets) * len(accelerations)} spectra",
     )
 
 
@@ -475,21 +486,20 @@ def _suite_inertial_coefficients() -> SuiteResult:
     label_in = ModeLabel(Sector.AUX, Chirality.LEFT, 0)
     label_v1 = ModeLabel(Sector.AUX, Chirality.LEFT, 1)
     label_v2 = ModeLabel(Sector.AUX, Chirality.LEFT, 2)
-    worst = 0.0
+    deviations = []
     points = [(2.0, 0.7), (0.9, 0.0), (math.inf, 0.3)]
     for r, r_w in points:
         out = inertial_teleport_output(r, r_w)
         t = 1.0 if math.isinf(r) else math.tanh(r)
         residual = math.exp(-r_w)
-        worst = max(
-            worst,
+        deviations += [
             abs(out.coefficient(label_in) - 1.0),
             abs(out.coefficient(label_v1, dagger=True) - t * residual),
             abs(out.coefficient(label_v2) + t * residual),
             abs(out.coefficient(label_v1, dagger=True) / t - residual),
-        )
+        ]
     return SuiteResult(
-        "inertial-coefficients", worst, VERIFY_COEFF_TOL,
+        "inertial-coefficients", float(np.max(deviations)), VERIFY_COEFF_TOL,
         f"protocol coefficients and residual factor at {len(points)} gain points",
     )
 
@@ -498,17 +508,17 @@ def _mass_bearing_bins(circ) -> np.ndarray:
     return np.flatnonzero(circ.g >= MASS_BEARING_FRACTION * circ.g.max())
 
 
-def _suite_appendix(cfg: SweepConfig) -> SuiteResult:
-    wp = make_wavepacket(1.0, 0.05)
+def _suite_appendix(cfg: SweepConfig, circuit) -> SuiteResult:
+    row = VERIFY_ACCELERATIONS.index(1.0)
     worst = 0.0
     worst_name = ""
     n_pairs = 0
-    for r_s in (0.0, 0.4):
-        circ = build_squeezed_circuit(1.0, wp, cfg.bins, r_s=r_s)
+    for r_s, _ in VERIFY_PAYLOADS:
+        circ = circuit(r_s)[row]
         bins = _mass_bearing_bins(circ)
         n_pairs += len(bins) ** 2
-        for name, row in contraction_table(circ, bins, bins, phi=0.3).items():
-            deviation = float(np.max(row.rel_deviation))
+        for name, table_row in contraction_table(circ, bins, bins, phi=0.3).items():
+            deviation = float(np.max(table_row.rel_deviation))
             if deviation > worst or math.isnan(deviation):  # a NaN row fails the suite
                 worst, worst_name = deviation, name
     return SuiteResult(
@@ -518,21 +528,18 @@ def _suite_appendix(cfg: SweepConfig) -> SuiteResult:
     )
 
 
-def _suite_oracle_agreement(cfg: SweepConfig) -> SuiteResult:
-    wp = make_wavepacket(1.0, 0.05)
-    worst = 0.0
-    # The coherent payload (r_s = 0) is phase independent: one phase suffices.
-    payloads = ((0.0, (0.0,)), (0.4, (0.0, math.pi / 2)))
-    lattice = [(a, r_s, phases) for a in (0.3, 1.0, 3.0) for r_s, phases in payloads]
-    for a, r_s, phases in lattice:
-        circ = build_squeezed_circuit(a, wp, cfg.bins, r_s=r_s)
+def _suite_oracle_agreement(cfg: SweepConfig, wp, circuit) -> SuiteResult:
+    accelerations = np.array(VERIFY_ACCELERATIONS)
+    deviations = []
+    for r_s, phases in VERIFY_PAYLOADS:
+        circ = circuit(r_s)
         for phi in phases:
-            closed = squeezed_variance(a, wp, r_s, phi)
+            closed = squeezed_variance(accelerations, wp, r_s, phi).total
             rep = photon_number_variance_lo(circ, phi)
-            worst = max(worst, abs(rep.total - closed.total) / closed.total)
+            deviations.append(np.abs(rep.total - closed) / closed)  # NaN on a failed row
     return SuiteResult(
-        "oracle-vs-closed-form", worst, VERIFY_ORACLE_TOL,
-        f"{len(lattice)} lattice points at N={cfg.bins} "
+        "oracle-vs-closed-form", float(np.max(deviations)), VERIFY_ORACLE_TOL,
+        f"{len(accelerations) * len(VERIFY_PAYLOADS)} lattice points at N={cfg.bins} "
         "(tolerance sits at the discretization floor: coarse grids breach it)",
     )
 
@@ -548,12 +555,19 @@ def _suite_fock() -> SuiteResult:
 
 
 def cmd_verify(cfg: SweepConfig) -> int:
+    wp = make_wavepacket(1.0, 0.05)
+    # One circuit per payload over VERIFY_ACCELERATIONS, shared by the
+    # appendix and oracle suites and built on first use: a build that raises
+    # is retried, and fails, in each suite that reads it.
+    circuit = functools.cache(
+        lambda r_s: build_squeezed_circuit(np.array(VERIFY_ACCELERATIONS), wp, cfg.bins, r_s=r_s)
+    )
     suites = []
     for runner in (
         _suite_spectral,
         _suite_inertial_coefficients,
-        lambda: _suite_appendix(cfg),
-        lambda: _suite_oracle_agreement(cfg),
+        lambda: _suite_appendix(cfg, circuit),
+        lambda: _suite_oracle_agreement(cfg, wp, circuit),
         _suite_fock,
     ):
         try:

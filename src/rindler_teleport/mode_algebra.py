@@ -65,6 +65,7 @@ __all__ = [
     "ModeLabel",
     "ModeRegister",
     "OperatorExpr",
+    "OperatorRows",
     "Sector",
     "annihilator",
     "beam_splitter",
@@ -145,7 +146,7 @@ _CHIRALITY_INDEX = {c: i for i, c in enumerate(_CHIRALITIES)}
 _BIN_BITS = 40
 _BIN_OFFSET = 1 << (_BIN_BITS - 1)
 _BIN_MASK = (1 << _BIN_BITS) - 1
-_RINDLER_INDICES = np.array(sorted(_SECTOR_INDEX[s] for s in _RINDLER_SECTORS))
+_IS_RINDLER = np.array([s in _RINDLER_SECTORS for s in _SECTORS])  # by sector index
 
 
 def _family(sector: Sector, chirality: Chirality) -> int:
@@ -245,7 +246,7 @@ class ModeRegister:
     def _region_mask(self) -> np.ndarray | None:
         """Mask of the Rindler-sector slots, or None when there are none."""
         if self._region is ...:
-            mask = np.isin(self.keys >> (_BIN_BITS + 1), _RINDLER_INDICES)
+            mask = _IS_RINDLER[self.keys >> (_BIN_BITS + 1)]
             object.__setattr__(self, "_region", mask if mask.any() else None)
         return self._region
 
@@ -681,9 +682,30 @@ _DIRECT_SECTOR = _rule_table(lambda rule: _SECTOR_INDEX[rule[1]])
 _PARTNER_SECTOR = _rule_table(lambda rule: _SECTOR_INDEX[rule[2]])
 
 
-def rindler_to_unruh(
-    expr: OperatorExpr | Sequence[OperatorExpr], a: float, grid: np.ndarray
-) -> OperatorExpr | tuple[OperatorExpr, ...]:
+@dataclass(frozen=True, eq=False)
+class OperatorRows:
+    """Expressions alike but for their coefficients, one per row.
+
+    A batched :func:`rindler_to_unruh` returns one per expression: ``rows``
+    is a read-only ``(A, 2, n)`` array of X and P coefficient rows on
+    ``register``, one per acceleration, each row with ``displacement`` and
+    with magnitudes bounded by its entry of ``peaks``.  Indexing gives a
+    row as an :class:`OperatorExpr`.
+    """
+
+    register: ModeRegister
+    displacement: complex
+    rows: np.ndarray
+    peaks: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k: int) -> OperatorExpr:
+        return OperatorExpr._new(self.register, self.displacement, self.rows[k], float(self.peaks[k]))
+
+
+def rindler_to_unruh(expr: OperatorExpr | Sequence[OperatorExpr], a, grid: np.ndarray):
     """Rewrite region-mode labels into the vacuum-annihilating families.
 
     ``grid`` maps bin indices to frequencies; each region annihilator of
@@ -695,23 +717,33 @@ def rindler_to_unruh(
     ``expr`` is one :class:`OperatorExpr`, or a sequence of expressions on
     one register, rewritten together into a tuple on one register of
     images; expressions on different registers are a :class:`ValueError`.
-    Each result is bit for bit what rewriting its expression alone gives.
+    ``a`` is a scalar, or a 1-D array of accelerations: then each result is
+    an :class:`OperatorRows` with one row per acceleration.  Each result,
+    and each row, is bit for bit what rewriting its expression alone at its
+    acceleration gives.
 
     One vectorized pass over the register for the whole sequence: (ch, sh)
-    is evaluated once on the whole grid, and the image keys are sorted and
-    each image slot's source terms found once; each expression then takes
-    three gathers onto its own image vectors.
+    is evaluated once on the (acceleration, grid) array, and the image keys
+    are sorted and each image slot's source terms found once; each
+    expression then takes three gathers onto its own image rows.
     Chirality and bin range are checked for every region label carrying a
     non-zero coefficient in any of the expressions.
     """
-    if isinstance(expr, OperatorExpr):
-        return _rewrite_regions((expr,), a, grid)[0]
-    return _rewrite_regions(tuple(expr), a, grid)
+    accel = np.asarray(a, dtype=float)
+    if accel.ndim > 1:
+        raise ValueError(f"acceleration a must be a scalar or a 1-D array, got shape {accel.shape}")
+    exprs = (expr,) if isinstance(expr, OperatorExpr) else tuple(expr)
+    rewritten = _rewrite_regions(exprs, np.atleast_1d(accel), grid)
+    if accel.ndim == 0:
+        rewritten = tuple(e if isinstance(e, OperatorExpr) else e[0] for e in rewritten)
+    return rewritten[0] if isinstance(expr, OperatorExpr) else rewritten
 
 
 def _rewrite_regions(
-    exprs: tuple[OperatorExpr, ...], a: float, grid: np.ndarray
-) -> tuple[OperatorExpr, ...]:
+    exprs: tuple[OperatorExpr, ...], accel: np.ndarray, grid: np.ndarray
+) -> tuple[OperatorRows | OperatorExpr, ...]:
+    """The rewrite at the 1-D ``accel``; a register without region modes
+    returns ``exprs`` themselves when ``accel`` holds one acceleration."""
     freqs = np.asarray(grid, dtype=float)
     if freqs.ndim != 1 or len(freqs) == 0:
         raise ValueError("grid must be a non-empty 1-D array of bin frequencies")
@@ -726,7 +758,13 @@ def _rewrite_regions(
             )
     region = reg._region_mask()
     if region is None:
-        return exprs
+        if len(accel) == 1:
+            return exprs
+        return tuple(
+            OperatorRows(reg, e.displacement, np.broadcast_to(e._w, (len(accel), *e._w.shape)),
+                         np.full(len(accel), e._peak))
+            for e in exprs
+        )
     keys = reg.keys
     family = keys >> _BIN_BITS
     sector = family >> 1
@@ -751,9 +789,9 @@ def _rewrite_regions(
 
     passing = np.flatnonzero(~region)
     mapped = np.flatnonzero(region & ~wrong & ~outside)
-    ch_grid, sh_grid = unruh_cosh_sinh(freqs, a)
+    ch_grid, sh_grid = unruh_cosh_sinh(freqs, accel[:, None])
     b = bins[mapped]
-    ch, sh = ch_grid[b], sh_grid[b]
+    ch, sh = ch_grid.take(b, axis=1), sh_grid.take(b, axis=1)  # (acceleration, mapped slot)
     low = keys[mapped] & _BIN_MASK
     direct = ((2 * _DIRECT_SECTOR[sector[mapped]] + chirality[mapped]) << _BIN_BITS) | low
     partner = ((2 * _PARTNER_SECTOR[sector[mapped]] + chirality[mapped]) << _BIN_BITS) | low
@@ -762,10 +800,10 @@ def _rewrite_regions(
     n = len(out_keys)
     # Image of X_b is ch X_direct + sh X_partner, that of P_b is
     # ch P_direct - sh P_partner.  ``terms`` holds an expression's passing,
-    # direct and partner terms, then a zero column.  Every image slot takes
-    # at most one term of each group; gathering the groups in that order
-    # onto zeros adds them as a sequential scatter does, a missing term
-    # reading the zero.
+    # direct and partner terms, then a zero column, per acceleration.  Every
+    # image slot takes at most one term of each group; gathering the groups
+    # in that order onto zeros adds them as a sequential scatter does, a
+    # missing term reading the zero.
     m, n_pass = len(mapped), len(passing)
     slot = np.searchsorted(out_keys, image_keys)
     source = np.full((3, n), n_pass + 2 * m)
@@ -773,21 +811,29 @@ def _rewrite_regions(
     for group in range(3):
         lo, hi = bounds[group], bounds[group + 1]
         source[group, slot[lo:hi]] = np.arange(lo, hi)
+    source = source[[n_pass > 0, m > 0, m > 0]]  # a group without terms would add zeros
     # Each coefficient is at most one passing one, or ch + sh times a mapped one.
-    gain = 1.0 + np.max(ch, initial=0.0) + np.max(sh, initial=0.0)
+    gain = 1.0 + ch_grid.max(axis=1) + sh_grid.max(axis=1)
     out_reg = ModeRegister._from_keys(out_keys)
-    terms = np.empty((2, n_pass + 2 * m + 1), dtype=complex)
-    terms[:, -1] = 0.0
-    gathered = np.empty((2, n), dtype=complex)
-    partner_weight = sh * np.array([[1.0], [-1.0]])  # on the partner's X and P
+    rows = len(accel)
+    terms = np.empty((rows, 2, n_pass + 2 * m + 1), dtype=complex)
+    terms[..., -1] = 0.0
+    gathered = np.empty((rows, 2, n), dtype=complex)
+    # complex weights: complex-by-complex products are the fast ones
+    ch = ch.astype(complex)[:, None, :]
+    partner_weight = (sh[:, None, :] * np.array([[1.0], [-1.0]])).astype(complex)  # on the partner's X and P
     results = []
     for e in exprs:
-        x = e._w[:, mapped]
-        terms[:, :n_pass] = e._w[:, passing]
-        np.multiply(x, ch, out=terms[:, n_pass : n_pass + m])
-        np.multiply(x, partner_weight, out=terms[:, n_pass + m : -1])
-        w = np.zeros((2, n), dtype=complex)
+        x = e._w.take(mapped, axis=1)
+        terms[..., :n_pass] = e._w.take(passing, axis=1)
+        np.multiply(x, ch, out=terms[..., n_pass : n_pass + m])
+        np.multiply(x, partner_weight, out=terms[..., n_pass + m : -1])
+        w = np.zeros((rows, 2, n), dtype=complex)
         for group in source:  # indices in range: "clip" spares a copy of ``out``
-            w += terms.take(group, axis=1, out=gathered, mode="clip")
-        results.append(OperatorExpr._checked(out_reg, e.displacement, w, e._peak * gain))
+            w += terms.take(group, axis=2, out=gathered, mode="clip")
+        peaks = e._peak * gain
+        if not peaks.max() <= _SAFE_PEAK:  # a bound past it: test the rows themselves
+            peaks = np.array([_max_magnitude(out_reg, row) for row in w])
+        w.flags.writeable = False
+        results.append(OperatorRows(out_reg, e.displacement, w, peaks))
     return tuple(results)

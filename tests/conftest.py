@@ -2,6 +2,7 @@
 
 import csv
 
+import numpy as np
 import pytest
 
 from rindler_teleport import (
@@ -23,6 +24,22 @@ def read_report_csv(path):
             body.append(line)
     parsed = list(csv.reader(body))
     return meta, parsed[0], parsed[1:]
+
+
+def faulty_sh_rewrite(monkeypatch, faulty_a):
+    """Make the region rewrite use a 1% error in sinh r at the acceleration
+    ``faulty_a`` only, which breaks the canonical commutators there; the
+    circuit record's own ch and sh stay honest."""
+    from rindler_teleport import mode_algebra
+
+    honest = mode_algebra.unruh_cosh_sinh
+
+    def faulty(omega, a):
+        ch, sh = honest(omega, a)
+        return ch, sh * np.where(np.asarray(a) == faulty_a, 1.01, 1.0)
+
+    monkeypatch.setattr(mode_algebra, "unruh_cosh_sinh", faulty)
+
 
 STANDARD_OMEGA0 = 1.0
 STANDARD_SIGMA = 0.05

@@ -7,8 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
-from conftest import read_report_csv
+from conftest import faulty_sh_rewrite, read_report_csv
 
 import rindler_teleport
 from rindler_teleport import build_displaced_circuit, cli, spectral, squeeze_param
@@ -239,6 +240,42 @@ class TestNoConvergenceRows:
                 assert float(row[5]) == pytest.approx(squeeze_param(1.0, float(row[0])), rel=1e-9)
 
 
+class TestOracleRows:
+    """``sweep --oracle`` checks every converged row with one batched circuit."""
+
+    ARGV = ["sweep", "--oracle", "--bins", "32", "--a-min", "0.3", "--a-max", "3", "--a-steps", "5"]
+
+    def test_one_build_over_the_converged_rows(self, monkeypatch, tmp_path):
+        honest = cli.build_squeezed_circuit
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.asarray(a))
+            return honest(a, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_squeezed_circuit", counted)
+        assert main(["sweep", "--oracle", "--bins", "32", "--out", str(tmp_path / "s.csv")]) == 0
+        (a,) = calls
+        assert a.tolist() == cli.SweepConfig().a_grid().tolist()
+
+    @pytest.mark.parametrize("scenario", ["displaced", "squeezed"])
+    def test_a_row_that_fails_the_audit_is_marked_alone(self, monkeypatch, tmp_path, scenario):
+        # A 1% error in sinh r inside the rewrite at one acceleration breaks
+        # that row's canonical commutators only: it is written as
+        # oracle-no-convergence, and the other rows keep their bits.
+        argv = self.ARGV + ["--scenario", scenario]
+        honest_out, faulty_out = tmp_path / "honest.csv", tmp_path / "faulty.csv"
+        assert main(argv + ["--out", str(honest_out)]) == 0
+        faulty_sh_rewrite(monkeypatch, cli.SweepConfig(a_min=0.3, a_max=3.0, a_steps=5).a_grid()[2])
+        assert main(argv + ["--out", str(faulty_out)]) == 0
+        _, _, honest = read_report_csv(honest_out)
+        _, _, faulty = read_report_csv(faulty_out)
+        assert [row[-1] for row in honest] == ["ok"] * 5
+        assert [row[-1] for row in faulty] == ["ok", "ok", "oracle-no-convergence", "ok", "ok"]
+        assert faulty[2][10] == "nan" and faulty[2][:10] == honest[2][:10]
+        assert [row for k, row in enumerate(faulty) if k != 2] == [row for k, row in enumerate(honest) if k != 2]
+
+
 class TestConfigFile:
     def test_file_values_apply_and_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -377,6 +414,44 @@ class TestVerify:
         )
         assert f"- {pairs} mass-bearing bin pairs of 2 circuits" in line
         assert "seed = 5" in report
+
+    def test_one_circuit_per_payload(self, monkeypatch, tmp_path):
+        # The appendix and oracle suites share one circuit per payload r_s,
+        # over every acceleration of the oracle suite's lattice.
+        honest = cli.build_squeezed_circuit
+        calls = []
+
+        def counted(a, *args, r_s):
+            calls.append((np.asarray(a).tolist(), r_s))
+            return honest(a, *args, r_s=r_s)
+
+        monkeypatch.setattr(cli, "build_squeezed_circuit", counted)
+        assert main(["verify", "--bins", "32", "--out", str(tmp_path / "r.txt")]) == 0
+        assert calls == [([0.3, 1.0, 3.0], 0.0), ([0.3, 1.0, 3.0], 0.4)]
+
+    def test_unsettled_rows_fail_their_suites(self, monkeypatch, tmp_path):
+        # Spectral integrals that never settle are NaN rows; the suites that
+        # read them must fail by name (a NaN maximum passes no tolerance), not
+        # pass and not crash.
+        monkeypatch.setattr(spectral, "_SETTLE_REL_TOL", 1e-30)
+        out = tmp_path / "nan.txt"
+        assert main(["verify", "--bins", "32", "--out", str(out)]) == 1
+        report = out.read_text()
+        assert "FAIL spectral-identity: worst deviation nan" in report
+        assert "FAIL oracle-vs-closed-form: worst deviation nan" in report
+        assert "suite-error" not in report
+        assert "result: FAIL (3/5 suites)" in report
+
+    def test_a_build_that_raises_is_a_suite_error(self, monkeypatch, tmp_path):
+        def refused(*args, **kwargs):
+            raise ValueError("no circuit here")
+
+        monkeypatch.setattr(cli, "build_squeezed_circuit", refused)
+        out = tmp_path / "err.txt"
+        assert main(["verify", "--bins", "32", "--out", str(out)]) == 1
+        report = out.read_text()
+        assert report.count("FAIL suite-error: worst deviation inf (tolerance 0) - ValueError: no circuit here") == 2
+        assert "result: FAIL (3/5 suites)" in report
 
     def test_coarse_grid_fails_with_named_breach(self, tmp_path):
         out = tmp_path / "coarse.txt"

@@ -17,6 +17,7 @@ from rindler_teleport import (
     ModeLabel,
     ModeRegister,
     OperatorExpr,
+    OperatorRows,
     Sector,
     beam_splitter,
     commutator,
@@ -381,6 +382,38 @@ class TestRegionMapSequence:
         # An unsupported wrong-chirality slot is dropped, as in a single call.
         (out,) = rindler_to_unruh([good], 1.0, self.CENTERS)
         assert out.register.keys.tobytes() == rindler_to_unruh(good, 1.0, self.CENTERS).register.keys.tobytes()
+
+
+    def test_rows_match_scalar_calls_bit_for_bit(self):
+        # Over an array of accelerations each expression becomes one row per
+        # acceleration, each row what a scalar call at that acceleration gives.
+        exprs = self.mixed_exprs(self.register())
+        accelerations = np.array([0.2, 0.7, 5.0])
+        batches = rindler_to_unruh(exprs, accelerations, self.CENTERS)
+        assert isinstance(batches, tuple) and len(batches) == len(exprs)
+        assert len({id(batch.register) for batch in batches}) == 1
+        for expr, batch in zip(exprs, batches):
+            assert isinstance(batch, OperatorRows) and len(batch) == len(accelerations)
+            assert not batch.rows.flags.writeable
+            for k, a in enumerate(accelerations.tolist()):
+                alone = rindler_to_unruh(expr, a, self.CENTERS)
+                assert batch[k].register.keys.tobytes() == alone.register.keys.tobytes()
+                assert batch[k].u.tobytes() == alone.u.tobytes()
+                assert batch[k].v.tobytes() == alone.v.tobytes()
+                assert complex(batch[k].displacement) == complex(alone.displacement)
+        one = rindler_to_unruh(exprs[1], np.array([0.7]), self.CENTERS)
+        assert isinstance(one, OperatorRows) and same_ladder(one[0], rindler_to_unruh(exprs[1], 0.7, self.CENTERS))
+
+    def test_region_free_rows_repeat_the_expression(self):
+        plain = aux(0) * (0.5 - 1j) + 2.0
+        (rows,) = rindler_to_unruh([plain], np.array([1.0, 2.0]), self.CENTERS)
+        assert len(rows) == 2
+        for k in range(2):
+            assert same_ladder(rows[k], plain) and rows[k].displacement == plain.displacement
+
+    def test_acceleration_is_a_scalar_or_one_dimensional(self):
+        with pytest.raises(ValueError, match="scalar or a 1-D array"):
+            rindler_to_unruh(mode(Sector.RINDLER_IV, Chirality.LEFT, 0), np.ones((2, 2)), self.CENTERS)
 
 
 class TestRegisters:

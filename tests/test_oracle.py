@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import faulty_sh_rewrite
 from scipy.sparse.linalg import expm_multiply
 
 from rindler_teleport import (
@@ -202,13 +203,15 @@ class TestCircuitBuild:
 
         def leaky_map(exprs, a, grid):
             # The build rewrites wire_delta and the three wire outputs in
-            # one call; the fault goes into element 0, wire_delta, only.
+            # one call, one row per acceleration; the fault goes into
+            # element 0, wire_delta, only.
             wire_delta, *outputs = honest_map(exprs, a, grid)
             calls.append(exprs)
-            u = wire_delta.u.copy()
-            u[wire_delta.register.slots(Sector.UNRUH_C, Chirality.LEFT, [20])] *= 1.0 + 1e-5
-            leaky = OperatorExpr.from_vectors(wire_delta.register, u, wire_delta.v, wire_delta.displacement)
-            return (leaky, *outputs)
+            row = wire_delta[0]
+            u = row.u.copy()
+            u[row.register.slots(Sector.UNRUH_C, Chirality.LEFT, [20])] *= 1.0 + 1e-5
+            leaky = OperatorExpr.from_vectors(row.register, u, row.v, row.displacement)
+            return (dataclasses.replace(wire_delta, rows=leaky._w[None]), *outputs)
 
         def recorded_audit(*args):
             seen.append(honest_audit(*args))
@@ -220,6 +223,122 @@ class TestCircuitBuild:
             build_squeezed_circuit(1.0, wp_standard, 64, r_s=0.4)
         assert len(seen) == 1 and seen[0] > 1e-10
         assert len(calls) == 1  # one rewrite per build
+
+
+def _seeded_packet(seed):
+    rng = np.random.default_rng(seed)
+    omega0 = float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))
+    return make_wavepacket(omega0, omega0 * float(rng.uniform(0.01, 0.1)))
+
+
+class TestBatchedBuild:
+    """A build over an array of accelerations holds one row per acceleration."""
+
+    ACCELERATIONS = np.geomspace(0.05, 50.0, 20)  # more rows than one block at N = 256
+
+    @staticmethod
+    def same_bits(x, y):
+        return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+    @pytest.mark.parametrize("r_s", [0.0, 0.4, 3.0])
+    @pytest.mark.parametrize("bins", [32, 256])
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_rows_are_scalar_builds_bit_for_bit(self, seed, bins, r_s):
+        wp = _seeded_packet(seed)
+        batch = build_squeezed_circuit(self.ACCELERATIONS, wp, bins, r_s=r_s)
+        assert batch.ch.shape == batch.sh.shape == (len(self.ACCELERATIONS), bins)
+        assert np.all(batch.commutator_audit_max <= 1e-10)
+        reports = {phi: photon_number_variance_lo(batch, phi) for phi in (0.0, 0.3, math.pi / 2)}
+        for k, a in enumerate(self.ACCELERATIONS.tolist()):
+            alone = build_squeezed_circuit(a, wp, bins, r_s=r_s)
+            assert alone.commutator_audit_max <= 1e-10
+            row = batch.wire_delta[k]
+            assert row.register.keys.tobytes() == alone.wire_delta.register.keys.tobytes()
+            assert self.same_bits(row._w, alone.wire_delta._w)
+            assert complex(row.displacement) == complex(alone.wire_delta.displacement)
+            assert batch.disp_gain == alone.disp_gain
+            for name in ("g", "ch", "sh"):
+                value = getattr(batch, name)
+                assert self.same_bits(value if name == "g" else value[k], getattr(alone, name))
+            for phi, report in reports.items():
+                single = photon_number_variance_lo(alone, phi)
+                for field in dataclasses.fields(report):
+                    assert self.same_bits(getattr(report, field.name)[k], getattr(single, field.name))
+            one_row = batch[k]
+            assert self.same_bits(one_row.ch, alone.ch) and self.same_bits(one_row.wire_delta._w, alone.wire_delta._w)
+            assert photon_number_variance_lo(one_row, 0.3) == photon_number_variance_lo(alone, 0.3)
+
+    def test_scalar_is_a_batch_of_one(self, wp_standard):
+        alone = build_displaced_circuit(1.0, wp_standard, 32)
+        assert alone.ch.shape == (32,) and isinstance(alone.wire_delta, OperatorExpr)
+        assert isinstance(alone.commutator_audit_max, float)
+        assert isinstance(photon_number_variance_lo(alone).total, float)
+        batch = build_displaced_circuit(np.array([1.0]), wp_standard, 32)
+        assert batch.ch.shape == (1, 32) and batch.commutator_audit_max.shape == (1,)
+        assert photon_number_variance_lo(batch).total.shape == (1,)
+        assert photon_number_variance_lo(batch[0]) == photon_number_variance_lo(alone)
+        with pytest.raises(TypeError, match="no rows"):
+            alone[0]
+
+    def test_contraction_table_reads_one_row(self, wp_standard):
+        batch = build_squeezed_circuit(np.array([0.3, 1.0]), wp_standard, 32, r_s=0.4)
+        with pytest.raises(ValueError, match="one-row circuit"):
+            contraction_table(batch, [10], [12])
+        table = contraction_table(batch[1], [10, 14], [12])
+        alone = contraction_table(build_squeezed_circuit(1.0, wp_standard, 32, r_s=0.4), [10, 14], [12])
+        for name, row in table.items():
+            assert np.array_equal(row.numeric, alone[name].numeric)
+
+    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, np.array([1.0, 0.0]), np.ones((2, 2)), np.array([])])
+    def test_bad_accelerations_rejected(self, wp_standard, a):
+        with pytest.raises(ValueError, match="acceleration"):
+            build_displaced_circuit(a, wp_standard, 16)
+
+    def test_payload_squeezing_bound_is_the_tightest_row(self):
+        # At a = 1000 the bound is 346.247 (a << omega0 allows 354.89); an
+        # array build holding that row is refused by that row's bound.
+        wp = make_wavepacket(1.0, 0.01)
+        with pytest.raises(ValueError, match="payload squeezing r_s must be at most 346.247"):
+            build_squeezed_circuit(np.array([1.0, 1000.0]), wp, 32, r_s=348.0)
+
+    def test_a_row_that_fails_the_audit_is_nan(self, monkeypatch, wp_standard):
+        # A 1% error in sinh r breaks [b, b†] at one acceleration only: that
+        # row keeps its audit maximum and reads NaN, indexing it raises as a
+        # scalar build there does, and the other rows are unchanged.
+        accelerations = np.array([0.3, 1.0, 3.0])
+        honest = build_squeezed_circuit(accelerations, wp_standard, 64, r_s=0.4)
+        faulty_sh_rewrite(monkeypatch, 1.0)
+        batch = build_squeezed_circuit(accelerations, wp_standard, 64, r_s=0.4)
+        audit = batch.commutator_audit_max
+        assert audit[1] > 1e-10 and audit[0] <= 1e-10 and audit[2] <= 1e-10
+        with pytest.raises(OracleConvergenceError, match="broke canonical commutators"):
+            batch[1]
+        with pytest.raises(OracleConvergenceError, match="broke canonical commutators"):
+            build_squeezed_circuit(1.0, wp_standard, 64, r_s=0.4)
+        for phi in (0.0, 0.3):
+            report, reference = photon_number_variance_lo(batch, phi), photon_number_variance_lo(honest, phi)
+            for field in dataclasses.fields(report):
+                value, expected = getattr(report, field.name), getattr(reference, field.name)
+                assert math.isnan(value[1])
+                assert value[[0, 2]].tobytes() == expected[[0, 2]].tobytes()
+
+    def test_a_row_that_loses_additivity_is_nan(self, monkeypatch, wp_standard):
+        from rindler_teleport import oracle
+
+        honest_parts = oracle._lo_parts
+
+        def broken_parts(circ):
+            moments, n0 = honest_parts(circ)
+            moments = moments.copy()
+            moments[2, 0] *= 1.0 + 1e-6  # right-movers of row 2 off by 1e-6
+            return moments, n0
+
+        batch = build_squeezed_circuit(np.array([0.3, 1.0, 3.0]), wp_standard, 64, r_s=0.4)
+        reference = photon_number_variance_lo(batch, 0.3)
+        monkeypatch.setattr(oracle, "_lo_parts", broken_parts)
+        report = photon_number_variance_lo(batch, 0.3)
+        assert math.isnan(report.total[2]) and math.isnan(report.purity_product[2])
+        assert report.total[:2].tobytes() == reference.total[:2].tobytes()
 
 
 class TestVarianceAgainstClosedForms:
