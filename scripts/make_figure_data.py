@@ -2,7 +2,7 @@
 """Regenerate both figure datasets (CSV) with the default parameter grids.
 
 Output lands in $RINDLER_TELEPORT_OUTDIR if set, else the working directory.
-Any extra arguments are forwarded to both subcommands, e.g.::
+Any extra arguments are forwarded to both commands, e.g.::
 
     python scripts/make_figure_data.py --a-steps 80
 """

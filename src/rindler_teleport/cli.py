@@ -1,6 +1,6 @@
 """Command-line front end: figure sweeps, generic sweeps, self-verification.
 
-``rindler-teleport`` exposes four subcommands:
+``rindler-teleport COMMAND [settings]`` runs one of four commands:
 
 * ``fig4``  - coherent-payload variance vs acceleration, one curve per
   carrier frequency (CSV).
@@ -22,12 +22,12 @@ not converge is written as NaNs with the status ``no-convergence``; a
 converged row holding a value past the float range keeps it, with the
 status ``overflow``.
 
-Every subcommand takes the same twelve settings, each declared once in
-``_SETTINGS`` as its flag, value parser and help; a ``--config`` file sets
-them with ``key = value`` lines, keyed by the flag without its dashes or by
-the setting's name (``rs`` or ``r_s``).  Flags win over the file.
-``_resolve_config`` then keeps what the subcommand reads, fills its defaults
-and warns about each provided setting it ignores.
+One parser reads the command and the twelve settings every command takes,
+in any order; each setting is declared once in ``_SETTINGS`` as its flag,
+value parser and help.  A ``--config`` file sets them with ``key = value``
+lines, keyed by the flag without its dashes or by the setting's name (``rs``
+or ``r_s``); flags win over the file.  ``_resolve_config`` keeps what the
+command reads, fills its defaults and warns of each given setting it ignores.
 
 All outputs are deterministic for a fixed configuration: floats are
 rendered with ``%.12g``, metadata headers are sorted, nothing timestamps
@@ -160,8 +160,8 @@ _positive = _checked(float, lambda x: 0.0 < x < math.inf, "positive")
 _finite = _checked(float, math.isfinite, "finite")
 
 #: Every setting once: its SweepConfig field, flag, value parser and help.
-#: The flags of all four subcommands, the config-file keys (the field name,
-#: or the flag without its dashes) and the config-file values come from here.
+#: The command-line flags, the config-file keys (the field name, or the
+#: flag without its dashes) and the config-file values come from here.
 #: A ``_boolean`` setting is a bare flag; the file takes yes/no words.
 _SETTINGS = {
     "scenario": (
@@ -600,27 +600,23 @@ def cmd_verify(cfg: SweepConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    settings = argparse.ArgumentParser(add_help=False)
-    for name, (flag, parse, help_text) in _SETTINGS.items():
-        if parse is _boolean:
-            settings.add_argument(flag, dest=name, action="store_const", const=True, help=help_text)
-        else:
-            settings.add_argument(flag, dest=name, type=parse, help=help_text)
-    settings.add_argument("--config", help="flat key = value configuration file (flags win)")
-
     parser = argparse.ArgumentParser(
         prog="rindler-teleport",
-        description="Teleportation-from-acceleration sweeps and verification suites.",
+        description="Teleportation-from-acceleration sweeps and verification suites.\n\ncommands:\n"
+        "  fig4    coherent-payload variance vs acceleration (CSV)\n"
+        "  fig5    squeezed-payload noise decomposition vs acceleration (CSV)\n"
+        "  sweep   generic acceleration sweep for one scenario (CSV)\n"
+        "  verify  run the dual-path verification suites",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in (
-        ("fig4", "coherent-payload variance vs acceleration (CSV)"),
-        ("fig5", "squeezed-payload noise decomposition vs acceleration (CSV)"),
-        ("sweep", "generic acceleration sweep for one scenario (CSV)"),
-        ("verify", "run the dual-path verification suites"),
-    ):
-        sub.add_parser(command, help=help_text, parents=[settings])
+    parser.add_argument("command", choices=("fig4", "fig5", "sweep", "verify"), metavar="COMMAND")
+    for name, (flag, parse, help_text) in _SETTINGS.items():
+        if parse is _boolean:
+            parser.add_argument(flag, dest=name, action="store_const", const=True, help=help_text)
+        else:
+            parser.add_argument(flag, dest=name, type=parse, help=help_text)
+    parser.add_argument("--config", help="flat key = value configuration file (flags win)")
     return parser
 
 

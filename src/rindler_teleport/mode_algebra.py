@@ -594,7 +594,10 @@ def wick_expectation(product: Sequence[OperatorExpr]) -> complex:
 
 
 def quadrature_variance(expr: OperatorExpr, phi: float = 0.0) -> float:
-    """Variance of X(phi) = e^(-i phi) E + e^(i phi) E^dagger in the vacuum."""
+    """Variance of X(phi) = e^(-i phi) E + e^(i phi) E^dagger in the vacuum;
+    a NaN or infinite ``phi`` is a :class:`ValueError`."""
+    if not math.isfinite(phi):
+        raise ValueError(f"LO phase phi must be finite, got {phi}")
     x = cmath.exp(-1j * phi) * expr
     x = x + x.dagger()
     return float(pair_contraction(x, x).real)

@@ -116,7 +116,7 @@ class OracleConvergenceError(RuntimeError):
 
 
 class TruncationError(RuntimeError):
-    """Fock-space truncation error exceeded the requested tolerance."""
+    """Fock-space truncation error exceeded the check's tolerance."""
 
     def __init__(self, message: str, report: "FockCheckReport"):
         super().__init__(message)
@@ -600,8 +600,11 @@ def photon_number_variance_lo(circ: DiscretizedCircuit, phi: float = 0.0) -> Var
     and evaluated at ``phi`` and at the purity product's phases 0 and pi/2,
     the latter at exactly (cos, sin) = (1, 0) and (0, 1).  For an array
     circuit every field is an array over its rows, NaN on a row that failed
-    the commutator audit or the additivity check of the split.
+    the commutator audit or the additivity check of the split.  A NaN or
+    infinite ``phi`` is a :class:`ValueError`.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"LO phase phi must be finite, got {phi}")
     parts = _lo_parts(circ)
     thermal, payload = _variance_at(parts, math.cos(phi), math.sin(phi))
     t0, p0 = _variance_at(parts, 1.0, 0.0)
@@ -639,6 +642,15 @@ def _row(name: str, numeric: np.ndarray, closed: np.ndarray) -> IdentityRow:
     return IdentityRow(name, numeric, closed, abs_dev, rel)
 
 
+def _bin_indices(bins) -> np.ndarray:
+    """``bins`` as a flat index array; a value that is not an integer is a ValueError."""
+    flat = np.asarray(bins, dtype=object).reshape(-1)
+    for b in flat:
+        if isinstance(b, (bool, np.bool_)) or not isinstance(b, (int, np.integer)):
+            raise ValueError(f"bin index must be an integer, got {b!r}")
+    return flat.astype(np.intp)
+
+
 def contraction_table(
     circ: DiscretizedCircuit,
     omega_bins,
@@ -658,12 +670,16 @@ def contraction_table(
 
     The coherent-payload (r_s = 0) table is the exact reduction of the
     squeezed one: the squeezing-odd rows collapse to zero and the rest
-    to the shared thermal coefficient.
+    to the shared thermal coefficient.  Bins must be integers (not booleans)
+    inside the grid, and ``phi`` finite; anything else is a
+    :class:`ValueError` that names it.
     """
     if circ.ch.ndim != 1:
         raise ValueError("contraction_table reads a one-row circuit; index an array circuit by its row")
+    if not math.isfinite(phi):
+        raise ValueError(f"LO phase phi must be finite, got {phi}")
     n = circ.n_bins
-    w, y = (np.asarray(b, dtype=np.intp).reshape(-1) for b in (omega_bins, gamma_bins))
+    w, y = (_bin_indices(b) for b in (omega_bins, gamma_bins))
     every = np.concatenate([w, y])
     outside = every[(every < 0) | (every >= n)]
     if len(outside):
@@ -774,9 +790,12 @@ _MAX_FOCK_DIM = 64**3
 _MAX_FOCK_CUTOFF = round(_MAX_FOCK_DIM ** (1 / 3)) - 1
 #: First window of the adaptive ladder.
 _FIRST_FOCK_CUTOFF = 12
+#: Largest deviation from the prediction a passing report may show
+#: (reported as ``FockCheckReport.tol``).
+_FOCK_TOL = 1e-3
 #: The adaptive window is settled once the next window moves the mean and both
-#: variances by at most this fraction of ``tol``.
-_FOCK_SETTLE_FRACTION = 0.1
+#: variances by at most this, a tenth of ``_FOCK_TOL`` (1e-4).
+_FOCK_SETTLE_TOL = 0.1 * _FOCK_TOL
 
 
 @dataclass(frozen=True)
@@ -1000,14 +1019,14 @@ def _window_moments(
 
 
 def _settled_window(
-    r: float, r_omega: float, beta: complex, phi: float, tol: float
+    r: float, r_omega: float, beta: complex, phi: float
 ) -> tuple[int, tuple[float, float, float], float, bool]:
     """Grow the window until the next one confirms it.
 
     Starting at 12 photons, each window is compared with the next one on the
     ladder (a quarter larger, at least 4 more photons).  The first window
     whose mean and variances the next one moves by at most
-    ``_FOCK_SETTLE_FRACTION * tol`` is returned with ``True``.  Only the
+    ``_FOCK_SETTLE_TOL`` (1e-4) is returned with ``True``.  Only the
     simulation's own numbers decide; the prediction it is checked against
     never does.  Reaching the dimension limit unsettled returns the largest
     window with ``False``.
@@ -1017,7 +1036,7 @@ def _settled_window(
     while cutoff < _MAX_FOCK_CUTOFF:
         following = min(cutoff + max(4, cutoff // 4), _MAX_FOCK_CUTOFF)
         nxt, nxt_lost = _window_moments(r, r_omega, beta, phi, following)
-        if max(abs(x - y) for x, y in zip(current, nxt)) <= _FOCK_SETTLE_FRACTION * tol:
+        if max(abs(x - y) for x, y in zip(current, nxt)) <= _FOCK_SETTLE_TOL:
             return cutoff, current, lost, True
         cutoff, current, lost = following, nxt, nxt_lost
     return cutoff, current, lost, False
@@ -1030,7 +1049,6 @@ def fock_check_inertial(
     *,
     beta: complex = 0.2,
     phi: float = 0.0,
-    tol: float = 1e-3,
     strict: bool = True,
 ) -> FockCheckReport:
     """Brute-force Fock cross-check of the single-frequency teleporter.
@@ -1038,20 +1056,21 @@ def fock_check_inertial(
     Simulates displacement -> resource squeezer -> amplifier -> matched beam
     splitter on three oscillators truncated at ``cutoff`` photons per mode
     and compares the output quadrature mean and variances (at ``phi`` and
-    the orthogonal phase) against the mode-algebra prediction.
+    the orthogonal phase) against the mode-algebra prediction; the report
+    passes when each deviation is at most 1e-3 (its ``tol``).
 
     Gates use exact normal-ordered factorizations, so every deviation is
     attributable to the retained Fock window; ``lost_mass`` reports the norm
     the projection removed.  With ``cutoff=None`` the window sizes itself:
     it starts at 12 photons and grows until the next window changes the
-    simulated mean and variances by at most a tenth of ``tol`` (the
-    prediction never decides); ``cutoff`` on the report is the window
+    simulated mean and variances by at most 1e-4 (the prediction never
+    decides); ``cutoff`` on the report is the window
     chosen.  The state may hold at most 64**3 amplitudes, ``(cutoff + 1)**3``,
     so the cutoff is at most 63: a larger explicit cutoff is a
     :class:`ValueError`, and an adaptive window that reaches the limit
     unsettled fails the report.  A non-integer cutoff, and a NaN or
-    infinite ``beta``, ``phi`` or ``tol``, each raise a :class:`ValueError`
-    that names the input.
+    infinite ``beta`` or ``phi``, each raise a :class:`ValueError` that
+    names the input.
     With ``strict`` a failed report raises :class:`TruncationError` (the
     report rides on the exception); pass ``strict=False`` to inspect failing
     reports.  Parameters are capped at 1.5.
@@ -1068,8 +1087,6 @@ def fock_check_inertial(
                 f"cutoff must lie in [{_MIN_FOCK_CUTOFF}, {_MAX_FOCK_CUTOFF}] "
                 f"(at most {_MAX_FOCK_DIM} amplitudes), got {cutoff}"
             )
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     beta = complex(beta)
     if not cmath.isfinite(beta):
         raise ValueError(f"displacement beta must be finite, got {beta}")
@@ -1077,7 +1094,7 @@ def fock_check_inertial(
         raise ValueError(f"LO phase phi must be finite, got {phi}")
 
     if cutoff is None:
-        cutoff, measured, lost_mass, settled = _settled_window(r, r_omega, beta, phi, tol)
+        cutoff, measured, lost_mass, settled = _settled_window(r, r_omega, beta, phi)
     else:
         cutoff = int(cutoff)
         measured, lost_mass = _window_moments(r, r_omega, beta, phi, cutoff)
@@ -1101,7 +1118,7 @@ def fock_check_inertial(
         cutoff=cutoff,
         beta=beta,
         phi=float(phi),
-        tol=float(tol),
+        tol=_FOCK_TOL,
         predicted_mean=pred_mean,
         measured_mean=meas_mean,
         predicted_var=pred_var,
@@ -1110,10 +1127,10 @@ def fock_check_inertial(
         measured_var_orth=meas_var_orth,
         lost_mass=lost_mass,
         max_deviation=max_dev,
-        passed=settled and max_dev <= tol,
+        passed=settled and max_dev <= _FOCK_TOL,
     )
     if strict and not report.passed:
-        reason = f"max deviation {max_dev:.3e} > {tol:g}"
+        reason = f"max deviation {max_dev:.3e} > {_FOCK_TOL:g}"
         if not settled:
             reason = f"no window of at most {_MAX_FOCK_DIM} amplitudes settled ({max_dev:.3e})"
         raise TruncationError(

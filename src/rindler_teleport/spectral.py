@@ -305,8 +305,10 @@ def _integrals_on_edges(edges: np.ndarray, wp: WavepacketSpec, accel: np.ndarray
     The nodes, weights, envelope and norm do not depend on the acceleration
     and are built once.  The integrands are evaluated for blocks of at most
     ``_BLOCK_ELEMENTS`` (acceleration x node) elements at a time; each row
-    is then summed by its own dot with the strided weight column, so a
-    row's value is the same bits whether ``a`` came alone or in a grid.
+    is then summed by its own dot with the strided weight column
+    (``np.vecdot``, one BLAS dot per row), so a row's value is the same bits
+    whether ``a`` came alone or in a grid.  A matrix-vector product would
+    block the sum differently and is not bit-identical.
     """
     grid = _panel_nodes(edges)
     w = grid[:, 0]
@@ -323,8 +325,8 @@ def _integrals_on_edges(edges: np.ndarray, wp: WavepacketSpec, accel: np.ndarray
         sh2 = np.exp(-2.0 * x) * ch2
         cms2 = np.tanh(0.5 * x)  # (cosh r - sinh r)^2
         integrands = (intensity * ch2, intensity * sh2, intensity * cms2, envelope * np.sqrt(cms2))
-        for k in range(len(x)):
-            out[start + k] = [q @ f[k] for f in integrands]
+        for j, f in enumerate(integrands):
+            out[start:start + step, j] = np.vecdot(f, q)
     out[:, :3] /= norm
     out[:, 3] /= math.sqrt(norm)
     return out

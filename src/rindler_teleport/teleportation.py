@@ -115,8 +115,10 @@ def delta_decoherence(r_s: float, i_c: float | np.ndarray, phi: float) -> float 
     Evaluated without cancellation as Delta = M + (P - M) cos^2 phi, with
     h = 16 i_c (i_c - 1) sinh^2(r_s/2), the minimum M = e^(-2 r_s) + h e^(-r_s)
     and the spread P - M = 2 sinh 2 r_s + 2 h sinh r_s, both non-negative.
-    ``r_s`` must leave e^(2 r_s) a finite float.
+    ``r_s`` must leave e^(2 r_s) a finite float, and ``phi`` must be finite.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"LO phase phi must be finite, got {phi}")
     minimum, spread = _delta_terms(r_s, i_c)
     cos_phi = math.cos(phi)
     return minimum + spread * (cos_phi * cos_phi)

@@ -1,5 +1,6 @@
 """End-to-end drive of the command-line interface via ``main(argv)``."""
 
+import argparse
 import logging
 import math
 import os
@@ -466,6 +467,61 @@ def test_version_flag(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert "rindler-teleport" in capsys.readouterr().out
+
+
+class TestParser:
+    """One parser holds the command and every setting."""
+
+    def test_settings_before_the_command(self, tmp_path):
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        assert main(["--a-steps", "3", "--omega0", "2", "fig5", "--out", str(before)]) == 0
+        assert main(["fig5", "--a-steps", "3", "--omega0", "2", "--out", str(after)]) == 0
+        assert before.read_bytes() == after.read_bytes()
+
+    @pytest.mark.parametrize("argv", [[], ["--a-steps", "3"], ["fig6"], ["Fig4", "--a-steps", "3"]], ids=repr)
+    def test_missing_or_unknown_command(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "COMMAND" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["fig4", "--help"]], ids=repr)
+    def test_one_help_names_every_command_and_setting(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        for word in ("fig4", "fig5", "sweep", "verify", "--config", "--version"):
+            assert word in out
+        for flag, _, _ in cli._SETTINGS.values():
+            assert flag in out
+
+    def test_one_parser_without_subparsers(self):
+        parser = cli.build_parser()
+        flags = [s for action in parser._actions for s in action.option_strings]
+        assert sorted(flags) == sorted(
+            ["-h", "--help", "--version", "--config", *(flag for flag, _, _ in cli._SETTINGS.values())]
+        )
+        assert not any(isinstance(action, argparse._SubParsersAction) for action in parser._actions)
+
+    @pytest.mark.parametrize("command", ["fig4", "fig5", "sweep", "verify"])
+    def test_command_looked_up_by_module_name(self, command, monkeypatch):
+        # The benchmark's tracer wraps these module attributes, so main must
+        # read them when it runs, not when the module is imported.
+        seen = []
+        monkeypatch.setattr(cli, f"cmd_{command}", lambda cfg: seen.append(cfg) or 0)
+        assert main([command, "--seed", "9"]) == 0
+        assert [cfg.seed for cfg in seen] == [9]
+
+    def test_fig4_maps_its_curves_through_parallel(self, monkeypatch, tmp_path):
+        honest_cmd, honest_parallel = cli.cmd_fig4, cli._parallel
+        calls = []
+        monkeypatch.setattr(cli, "cmd_fig4", lambda cfg: calls.append("cmd_fig4") or honest_cmd(cfg))
+        monkeypatch.setattr(
+            cli, "_parallel", lambda func, points: calls.append(list(points)) or honest_parallel(func, points)
+        )
+        assert main(["fig4", "--a-steps", "2", "--out", str(tmp_path / "f.csv")]) == 0
+        assert calls == ["cmd_fig4", list(cli.FIG4_OMEGA0_CURVES)]
 
 
 def test_import_loads_no_scipy():

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from rindler_teleport import (
     build_displaced_circuit,
     build_squeezed_circuit,
     contraction_table,
+    delta_decoherence,
     delta_extremes,
     displaced_variance,
     fock_check_inertial,
@@ -33,7 +35,7 @@ from rindler_teleport import (
     squeezed_variance,
     wick_expectation,
 )
-from rindler_teleport.mode_algebra import annihilator, pair_contraction
+from rindler_teleport.mode_algebra import annihilator, pair_contraction, quadrature_variance
 from rindler_teleport.oracle import DEFAULT_CHANNEL_GAIN
 
 
@@ -523,6 +525,31 @@ class TestContractionTable:
         with pytest.raises(ValueError):
             contraction_table(circ_displaced, [3, -1], [5])
 
+    @pytest.mark.parametrize(
+        "omega_bins, bad",
+        [
+            ([10.7], 10.7),
+            (np.array([12.0]), 12.0),
+            ([True], True),
+            ([10, np.bool_(True)], np.bool_(True)),
+            (["3"], "3"),
+            ("3", "3"),
+        ],
+        ids=repr,
+    )
+    def test_non_integer_bins_named(self, circ_displaced, omega_bins, bad):
+        # a float, boolean or string bin would otherwise be cast to an index
+        with pytest.raises(ValueError, match=f"integer, got {re.escape(repr(bad))}$"):
+            contraction_table(circ_displaced, omega_bins, [12])
+        with pytest.raises(ValueError, match="integer"):
+            contraction_table(circ_displaced, [12], omega_bins)
+
+    def test_integer_bins_of_any_kind(self, circ_displaced):
+        ref = contraction_table(circ_displaced, [10, 14], [12])
+        for w in (np.array([10, 14]), [np.int64(10), np.uint8(14)], np.array([[10], [14]])):
+            table = contraction_table(circ_displaced, w, np.int32(12))
+            assert all(np.array_equal(table[k].numeric, ref[k].numeric) for k in ref)
+
     @pytest.mark.parametrize("fixture", ["circ_displaced", "circ_squeezed"])
     def test_table_matches_wick_expectation(self, fixture, request):
         # The batched table against the general Wick engine on operators
@@ -607,8 +634,6 @@ class TestFockProtocolCheck:
     @pytest.mark.parametrize(
         "kwargs, name",
         [
-            ({"tol": math.nan}, "tolerance"),
-            ({"tol": math.inf}, "tolerance"),
             ({"beta": math.nan}, "beta"),
             ({"beta": complex(0.2, math.inf)}, "beta"),
             ({"phi": math.inf}, "phi"),
@@ -637,9 +662,9 @@ class TestFockProtocolCheck:
             fock_check_inertial(0.5, 0.5, cutoff=3)
 
     def test_default_window_sees_past_small_lost_mass(self):
-        # At cutoff 20 the projection loses less than tol/10 of the norm, yet
-        # the variance is off by more than tol: the lost tail weighs by photon
-        # number.  The default window must not stop there.
+        # At cutoff 20 the projection loses less than 1e-4 of the norm, yet
+        # the variance is off by more than the 1e-3 bound: the lost tail
+        # weighs by photon number.  The default window must not stop there.
         fixed = fock_check_inertial(1.0, 0.0, cutoff=20, beta=0.5, phi=0.7, strict=False)
         assert fixed.lost_mass < 1e-4
         assert fixed.max_deviation > 1e-3
@@ -752,3 +777,23 @@ def _reference_fock_moments(r, r_omega, beta, phi, cutoff):
     mean, var = moments(phi)
     _, var_orth = moments(phi + 0.5 * math.pi)
     return (mean, var, var_orth), 1.0 - norm2
+
+
+# Every function that takes an LO phase, called at ``phi``.
+_PHASE_CALLS = {
+    "photon_number_variance_lo": lambda circ, wp, phi: photon_number_variance_lo(circ, phi),
+    "contraction_table": lambda circ, wp, phi: contraction_table(circ, [10], [12], phi=phi),
+    "appendix_expectations": lambda circ, wp, phi: appendix_expectations(circ, 10, 12, phi=phi),
+    "squeezed_variance": lambda circ, wp, phi: squeezed_variance(1.0, wp, 0.4, phi),
+    "delta_decoherence": lambda circ, wp, phi: delta_decoherence(0.4, 1.2, phi),
+    "quadrature_variance": lambda circ, wp, phi: quadrature_variance(
+        annihilator(ModeLabel(Sector.AUX, Chirality.LEFT, 0)), phi),
+    "fock_check_inertial": lambda circ, wp, phi: fock_check_inertial(0.5, 0.5, phi=phi, strict=False),
+}
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("call", sorted(_PHASE_CALLS))
+def test_non_finite_phase_named(call, phi, circ_squeezed, wp_standard):
+    with pytest.raises(ValueError, match=f"LO phase phi must be finite, got {phi}"):
+        _PHASE_CALLS[call](circ_squeezed, wp_standard, phi)
