@@ -89,7 +89,6 @@ VERIFY_SPECTRAL_TOL = 1e-8
 VERIFY_COEFF_TOL = 1e-12
 VERIFY_APPENDIX_TOL = 1e-8
 VERIFY_ORACLE_TOL = 1e-11
-VERIFY_FOCK_TOL = 1e-3
 VERIFY_FOCK_POINT = (0.5, 0.5)
 # the oracle suites' lattice: every acceleration is a row of one circuit per
 # payload (r_s, with the LO phases read); the appendix suite reads a = 1.
@@ -548,7 +547,7 @@ def _suite_fock() -> SuiteResult:
     r, r_w = VERIFY_FOCK_POINT
     rep = fock_check_inertial(r, r_w, strict=False)
     return SuiteResult(
-        "fock-window", rep.max_deviation, VERIFY_FOCK_TOL,
+        "fock-window", rep.max_deviation, rep.tol,
         f"truncated-Fock protocol at r={r:g}, r_omega={r_w:g}, cutoff {rep.cutoff}, "
         f"lost mass {rep.lost_mass:.3e}",
     )

@@ -183,7 +183,7 @@ class ModeRegister:
     Bins must lie in [-2**39, 2**39).
     """
 
-    __slots__ = ("keys", "_labels", "_region")
+    __slots__ = ("keys", "_labels")
 
     def __init__(self, labels: Iterable[ModeLabel] = ()):
         self._set(_sorted_unique(np.fromiter((_label_key(lb) for lb in labels), dtype=np.int64)))
@@ -199,7 +199,6 @@ class ModeRegister:
         keys.flags.writeable = False
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "_labels", None)
-        object.__setattr__(self, "_region", ...)  # ... = not derived yet
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("ModeRegister is immutable")
@@ -242,13 +241,6 @@ class ModeRegister:
     def chirality_mask(self, chirality: Chirality) -> np.ndarray:
         """Boolean mask of the register's modes with ``chirality``."""
         return ((self.keys >> _BIN_BITS) & 1) == _CHIRALITY_INDEX[chirality]
-
-    def _region_mask(self) -> np.ndarray | None:
-        """Mask of the Rindler-sector slots, or None when there are none."""
-        if self._region is ...:
-            mask = _IS_RINDLER[self.keys >> (_BIN_BITS + 1)]
-            object.__setattr__(self, "_region", mask if mask.any() else None)
-        return self._region
 
     def __repr__(self) -> str:
         return f"ModeRegister({len(self)} modes)"
@@ -547,10 +539,10 @@ def pair_contraction(e1: OperatorExpr, e2: OperatorExpr) -> complex:
 
 def _reject_non_vacuum(product: Iterable[OperatorExpr]) -> None:
     for expr in product:
-        region = expr.register._region_mask()
-        if region is None or not expr._support()[region].any():
+        hit = expr._support() & _IS_RINDLER[expr.register.keys >> (_BIN_BITS + 1)]
+        if not hit.any():
             continue
-        families = expr.register.keys[expr._support() & region] >> (_BIN_BITS + 1)
+        families = expr.register.keys[hit] >> (_BIN_BITS + 1)
         names = ", ".join(sorted({_SECTORS[i].value for i in families}))
         raise ValueError(
             f"expectation over non-vacuum sectors [{names}]: rewrite with "
@@ -689,11 +681,11 @@ _PARTNER_SECTOR = _rule_table(lambda rule: _SECTOR_INDEX[rule[2]])
 class OperatorRows:
     """Expressions alike but for their coefficients, one per row.
 
-    A batched :func:`rindler_to_unruh` returns one per expression: ``rows``
-    is a read-only ``(A, 2, n)`` array of X and P coefficient rows on
+    :func:`rindler_to_unruh` forms one per expression: ``rows`` is a
+    read-only ``(A, 2, n)`` array of X and P coefficient rows on
     ``register``, one per acceleration, each row with ``displacement`` and
     with magnitudes bounded by its entry of ``peaks``.  Indexing gives a
-    row as an :class:`OperatorExpr`.
+    row as an :class:`OperatorExpr` over a view of ``rows``.
     """
 
     register: ModeRegister
@@ -715,7 +707,8 @@ def rindler_to_unruh(expr: OperatorExpr | Sequence[OperatorExpr], a, grid: np.nd
     frequency omega becomes ch(omega) * (family op) + sh(omega) * (partner
     family op)^dagger per the table in the module docstring, with
     (ch, sh) = (cosh, sinh) of the acceleration squeezing parameter at
-    acceleration ``a``.  Non-region labels pass through unchanged.
+    acceleration ``a``.  Non-region labels keep their coefficients (a -0.0
+    may come back as +0.0); every result is on a new register.
 
     ``expr`` is one :class:`OperatorExpr`, or a sequence of expressions on
     one register, rewritten together into a tuple on one register of
@@ -738,15 +731,15 @@ def rindler_to_unruh(expr: OperatorExpr | Sequence[OperatorExpr], a, grid: np.nd
     exprs = (expr,) if isinstance(expr, OperatorExpr) else tuple(expr)
     rewritten = _rewrite_regions(exprs, np.atleast_1d(accel), grid)
     if accel.ndim == 0:
-        rewritten = tuple(e if isinstance(e, OperatorExpr) else e[0] for e in rewritten)
+        rewritten = tuple(e[0] for e in rewritten)
     return rewritten[0] if isinstance(expr, OperatorExpr) else rewritten
 
 
 def _rewrite_regions(
     exprs: tuple[OperatorExpr, ...], accel: np.ndarray, grid: np.ndarray
-) -> tuple[OperatorRows | OperatorExpr, ...]:
-    """The rewrite at the 1-D ``accel``; a register without region modes
-    returns ``exprs`` themselves when ``accel`` holds one acceleration."""
+) -> tuple[OperatorRows, ...]:
+    """The rewrite at the 1-D ``accel``: one :class:`OperatorRows` per
+    expression, whether or not the register holds region modes."""
     freqs = np.asarray(grid, dtype=float)
     if freqs.ndim != 1 or len(freqs) == 0:
         raise ValueError("grid must be a non-empty 1-D array of bin frequencies")
@@ -759,18 +752,10 @@ def _rewrite_regions(
                 f"rindler_to_unruh rewrites expressions on one register; expression {k} "
                 f"is on {e.register!r}, expression 0 on {reg!r}"
             )
-    region = reg._region_mask()
-    if region is None:
-        if len(accel) == 1:
-            return exprs
-        return tuple(
-            OperatorRows(reg, e.displacement, np.broadcast_to(e._w, (len(accel), *e._w.shape)),
-                         np.full(len(accel), e._peak))
-            for e in exprs
-        )
     keys = reg.keys
     family = keys >> _BIN_BITS
     sector = family >> 1
+    region = _IS_RINDLER[sector]
     chirality = family & 1
     bins = (keys & _BIN_MASK) - _BIN_OFFSET
     wrong = region & (chirality != _REQUIRED_CHIRALITY[sector])

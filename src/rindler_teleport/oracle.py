@@ -142,10 +142,11 @@ class DiscretizedCircuit:
         d_out[i] = d_i - g_i sh_i * wire_delta^dagger
 
     ``outputs`` is that layout in rank-one form (:class:`_RankOneOutputs`),
-    built once per circuit and read by the audit, the LO variance and the
-    contraction table.  ``disp_gain`` is the mechanically measured
-    displacement transmission of the channel for a unit input displacement
-    (1 up to rounding, by the gain/transmissivity matching).
+    built once per circuit on W's own coefficient rows and read by the
+    audit, the LO variance and the contraction table.  ``disp_gain`` is the
+    mechanically measured displacement transmission of the channel for a
+    unit input displacement (1 up to rounding, by the gain/transmissivity
+    matching).
 
     A circuit built at one acceleration is one row: ``ch`` and ``sh`` have
     the shape of ``g``, ``wire_delta`` is an :class:`OperatorExpr` and the
@@ -219,6 +220,8 @@ def _build_circuit(a, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircui
     accel = np.asarray(a, dtype=float)
     if accel.ndim > 1 or accel.size == 0:
         raise ValueError(f"acceleration must be a scalar or a non-empty 1-D array, got shape {accel.shape}")
+    if not np.all(np.isfinite(accel)):
+        raise ValueError(f"acceleration must be finite, got {a}")
     if np.any(accel <= 0):
         raise ValueError(f"acceleration must be positive, got {a}")
     rows = np.atleast_1d(accel)
@@ -261,12 +264,10 @@ def _build_circuit(a, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircui
         outputs = _RankOneOutputs(wire_delta, g * ch[block], g * sh[block])
         blocks.append((wire_delta, outputs, _audit_commutators(outputs, *wire_outputs)))
     if len(blocks) > 1:
-        wire_delta = replace(
-            wire_delta,
-            rows=np.concatenate([b[0].rows for b in blocks]),
-            peaks=np.concatenate([b[0].peaks for b in blocks]),
-        )
+        # W takes the stacked outputs' rows instead of a second copy of them.
         outputs = _RankOneOutputs.stacked([b[1] for b in blocks])
+        outputs.rows.flags.writeable = False
+        wire_delta = replace(wire_delta, rows=outputs.rows, peaks=np.concatenate([b[0].peaks for b in blocks]))
     circuit = DiscretizedCircuit(
         r_s=float(r_s),
         g=g,
@@ -513,7 +514,7 @@ def build_squeezed_circuit(
 # ---------------------------------------------------------------------------
 
 
-def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, float | np.ndarray]:
+def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature covariance of the LO-referenced field, per part of it.
 
     Writing each output as |alpha| * l + fluctuation, the photon number's
@@ -534,9 +535,9 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, float | np.ndarray]
     error by about e^(4 r_s).  X and Y are twice the real and imaginary parts
     of the field P's quadrature coefficients, so a squeezed Y keeps its precision.
     Returns (<X^2>, <Y^2>, <XY + YX>/2) of the right-movers, the left-movers
-    and the whole field, as rows in that order, and n0; for an array
-    circuit both carry a leading acceleration axis, NaN on a row that
-    failed the commutator audit.
+    and the whole field, in that order, and n0, both with a leading
+    acceleration axis (of length 1 for a one-row circuit): moments of shape
+    (row, part, moment), NaN on a row that failed the commutator audit.
     """
     out = circ.outputs
     k_c, k_d = out.k[:, 0], out.k[:, 2]  # g ch and -g sh
@@ -559,34 +560,24 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, float | np.ndarray]
     parts = np.empty((len(left), 3))
     parts[:, 0], parts[:, 1], parts[:, 2] = ~left, left, 1.0  # right, left, whole
     moments = 4.0 * (per_slot @ parts).transpose(0, 2, 1)
-    if circ.ch.ndim == 1:
-        return moments[0], float(n0[0])
-    moments[~(circ.commutator_audit_max <= _COMMUTATOR_TOL)] = math.nan
+    moments[~(np.atleast_1d(circ.commutator_audit_max) <= _COMMUTATOR_TOL)] = math.nan
     return moments, n0
 
 
-def _variance_at(parts: tuple, c: float, s: float) -> tuple:
+def _variance_at(parts: tuple, c: float, s: float) -> tuple[np.ndarray, np.ndarray]:
     """(far-side thermal part, payload part) of the output variance at the
-    LO phase phi with (cos phi, sin phi) = (c, s).
+    LO phase phi with (cos phi, sin phi) = (c, s), one entry per row.
 
     The split is by propagation direction: right-mover modes only ever enter
     through the horizon-straddling resource, so their contribution is the
     thermal noise; left-movers carry the payload (quantum-noise limit or
     squeezed-payload decoherence).  The parts add exactly - the two mode
     families never share a label - which is checked against the whole field
-    (a NaN or infinite part fails the check).  One row's parts give floats,
-    and a failed check raises; an array circuit's give arrays, NaN on each
-    row that fails it.
+    on every row; a row that fails the check (a NaN or infinite part fails
+    it too) reads NaN in both parts.
     """
     moments, n0 = parts
     values = moments[..., 0] * (c * c) + moments[..., 1] * (s * s) + moments[..., 2] * (2.0 * c * s)
-    if values.ndim == 1:
-        thermal, payload, total = (values / n0).tolist()
-        if not abs(total - (payload + thermal)) <= 1e-9 * max(1.0, abs(total)):
-            raise OracleConvergenceError(
-                f"variance split lost additivity: {total!r} != {payload!r} + {thermal!r}"
-            )
-        return thermal, payload
     thermal, payload, total = (values / n0[:, None]).T
     additive = np.abs(total - (payload + thermal)) <= 1e-9 * np.maximum(1.0, np.abs(total))
     return np.where(additive, thermal, math.nan), np.where(additive, payload, math.nan)
@@ -600,8 +591,10 @@ def photon_number_variance_lo(circ: DiscretizedCircuit, phi: float = 0.0) -> Var
     and evaluated at ``phi`` and at the purity product's phases 0 and pi/2,
     the latter at exactly (cos, sin) = (1, 0) and (0, 1).  For an array
     circuit every field is an array over its rows, NaN on a row that failed
-    the commutator audit or the additivity check of the split.  A NaN or
-    infinite ``phi`` is a :class:`ValueError`.
+    the commutator audit or the additivity check of the split; a one-row
+    circuit gives floats, and raises :class:`OracleConvergenceError` where
+    its split fails.  A purity product past the float range is infinite.  A
+    NaN or infinite ``phi`` is a :class:`ValueError`.
     """
     if not math.isfinite(phi):
         raise ValueError(f"LO phase phi must be finite, got {phi}")
@@ -609,12 +602,18 @@ def photon_number_variance_lo(circ: DiscretizedCircuit, phi: float = 0.0) -> Var
     thermal, payload = _variance_at(parts, math.cos(phi), math.sin(phi))
     t0, p0 = _variance_at(parts, 1.0, 0.0)
     t90, p90 = _variance_at(parts, 0.0, 1.0)
-    return VarianceReport(
-        total=thermal + payload,
-        thermal_noise=thermal,
-        qnl_or_decoherence=payload,
-        purity_product=(t0 + p0) * (t90 + p90),
-    )
+    with np.errstate(over="ignore"):
+        purity = (t0 + p0) * (t90 + p90)
+    total = thermal + payload
+    if circ.ch.ndim == 1:
+        if np.isnan(total[0]) or np.isnan(purity[0]):
+            right, left, whole = (parts[0][0] / parts[1][0]).tolist()
+            raise OracleConvergenceError(
+                f"variance split lost additivity: right-movers {right} + left-movers {left} "
+                f"!= whole field {whole} (V(0), V(pi/2) and cross term)"
+            )
+        total, thermal, payload, purity = (float(x[0]) for x in (total, thermal, payload, purity))
+    return VarianceReport(total=total, thermal_noise=thermal, qnl_or_decoherence=payload, purity_product=purity)
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +848,7 @@ class _WindowTables:
     unwrapped: np.ndarray  # [t, n0, 1]: t >= n0
     modes: np.ndarray  # [t, even n0, j]: left singular vectors P_t of Y_t
     sigma: np.ndarray  # [t, j]: singular values of Y_t
-    diagonal: np.ndarray  # [t, j]: Y_t[j, j]
-    subdiagonal: np.ndarray  # [t, j]: Y_t[j + 1, j]
+    coupled: np.ndarray  # [t, odd n0, j]: Y_t^T P_t = Q_t diag(sigma_t)
 
 
 @functools.lru_cache(maxsize=16)
@@ -863,8 +861,8 @@ def _window_tables(cutoff: int) -> _WindowTables:
     G_t[p + 1, p] = -G_t[p, p + 1] = sqrt((p + 1) ((t - p) mod m)), which is 0
     at p = t, between the two sums.  G_t couples even n0 only to odd n0, as
     G_t = [[0, Y_t], [-Y_t^T, 0]] on (even, odd) rows; the reduced SVD
-    Y_t = P_t diag(sigma_t) Q_t^T gives its eigenvalues ±i sigma_t.  Only
-    P_t and sigma_t are kept.
+    Y_t = P_t diag(sigma_t) Q_t^T gives its eigenvalues ±i sigma_t.  P_t,
+    sigma_t and Y_t^T P_t = Q_t diag(sigma_t) are kept.
     """
     m = cutoff + 1
     n = np.arange(m)
@@ -878,12 +876,11 @@ def _window_tables(cutoff: int) -> _WindowTables:
     mirror_sign = np.ones(2 * m - 1)
     mirror_sign[m - 2 :: -2] = -1.0
     coupling = np.sqrt(n[1:] * (np.subtract.outer(n, n[:-1]) % m))  # [t, p]: G_t[p + 1, p]
-    diagonal, subdiagonal = -coupling[:, ::2], coupling[:, 1::2]  # G_t[2j, 2j + 1], G_t[2j + 2, 2j + 1]
     odd = m // 2
     y = np.zeros((m, m - odd, odd))
-    np.einsum("tii->ti", y[:, :odd])[...] = diagonal
-    np.einsum("tii->ti", y[:, 1:, : m - odd - 1])[...] = subdiagonal
-    modes, sigma, _ = np.linalg.svd(y, full_matrices=False)
+    np.einsum("tii->ti", y[:, :odd])[...] = -coupling[:, ::2]  # G_t[2j, 2j + 1]
+    np.einsum("tii->ti", y[:, 1:, : m - odd - 1])[...] = coupling[:, 1::2]  # G_t[2j + 2, 2j + 1]
+    modes, sigma, q_t = np.linalg.svd(y, full_matrices=False)
     tables = _WindowTables(
         gap=gap,
         inv_gap_fact=inv_gap_fact,
@@ -895,8 +892,7 @@ def _window_tables(cutoff: int) -> _WindowTables:
         unwrapped=np.greater_equal.outer(n, n)[:, :, None],
         modes=modes,
         sigma=sigma,
-        diagonal=diagonal,
-        subdiagonal=subdiagonal,
+        coupled=q_t.transpose(0, 2, 1) * sigma[:, None, :],
     )
     for array in vars(tables).values():
         array.flags.writeable = False
@@ -966,12 +962,10 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
         # [[1 + P c P^T, P s W], [-W^T s P^T, 1 + W^T (c / sigma²) W]] where
         # c = cos(theta sigma) - 1 and s = sin(theta sigma) / sigma.
         theta = -math.acos(1.0 / math.cosh(r))  # transmissivity sech² r
-        p, sigma = tables.modes, tables.sigma
+        p, sigma, w = tables.modes, tables.sigma, tables.coupled  # w is W^T
         half = 0.5 * theta * sigma
         sinc = np.ones_like(half)
         np.divide(np.sin(half), half, out=sinc, where=half != 0.0)  # sin(half) / half
-        w = p[:, : sigma.shape[1]] * tables.diagonal[:, :, None]  # W^T = Y^T P, Y bidiagonal
-        w[:, : p.shape[1] - 1] += p[:, 1:] * tables.subdiagonal[:, :, None]
         rotation = np.empty((m, m, m))
         rotation[:, ::2, ::2] = (p * (-2.0 * np.sin(half) ** 2)[:, None, :]) @ p.transpose(0, 2, 1)
         rotation[:, 1::2, 1::2] = w @ (w.transpose(0, 2, 1) * (-0.5 * (theta * sinc) ** 2)[:, :, None])

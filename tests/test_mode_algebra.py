@@ -364,7 +364,9 @@ class TestRegionMapSequence:
         assert rindler_to_unruh([], 1.0, self.CENTERS) == ()
         plain = [aux(0), aux(0).dagger()]
         out = rindler_to_unruh(plain, 1.0, self.CENTERS)
-        assert out[0] is plain[0] and out[1] is plain[1]
+        for image, expr in zip(out, plain, strict=True):
+            assert image.register.keys.tobytes() == expr.register.keys.tobytes()
+            assert same_ladder(image, expr) and image.displacement == expr.displacement
 
     def test_different_registers_raise(self):
         b4 = mode(Sector.RINDLER_IV, Chirality.LEFT, 0)

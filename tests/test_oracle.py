@@ -270,6 +270,17 @@ class TestBatchedBuild:
             assert self.same_bits(one_row.ch, alone.ch) and self.same_bits(one_row.wire_delta._w, alone.wire_delta._w)
             assert photon_number_variance_lo(one_row, 0.3) == photon_number_variance_lo(alone, 0.3)
 
+    def test_blocks_share_one_read_only_copy_of_w(self, wp_standard):
+        # 20 rows at N = 256 are two row blocks; W's stacked rows are the
+        # rank-one view's own, not a second concatenation.
+        from rindler_teleport import oracle
+
+        batch = build_squeezed_circuit(self.ACCELERATIONS, wp_standard, 256, r_s=0.4)
+        assert len(self.ACCELERATIONS) * 256 > oracle._BLOCK_ELEMENTS
+        assert batch.wire_delta.rows is batch.outputs.rows
+        assert batch.wire_delta.rows.shape[0] == len(self.ACCELERATIONS)
+        assert not batch.wire_delta.rows.flags.writeable
+
     def test_scalar_is_a_batch_of_one(self, wp_standard):
         alone = build_displaced_circuit(1.0, wp_standard, 32)
         assert alone.ch.shape == (32,) and isinstance(alone.wire_delta, OperatorExpr)
@@ -291,9 +302,22 @@ class TestBatchedBuild:
         for name, row in table.items():
             assert np.array_equal(row.numeric, alone[name].numeric)
 
-    @pytest.mark.parametrize("a", [0.0, -1.0, math.nan, np.array([1.0, 0.0]), np.ones((2, 2)), np.array([])])
-    def test_bad_accelerations_rejected(self, wp_standard, a):
-        with pytest.raises(ValueError, match="acceleration"):
+    @pytest.mark.parametrize(
+        "a, match",
+        [
+            (0.0, "positive, got 0.0"),
+            (-1.0, "positive, got -1.0"),
+            (math.nan, "finite, got nan"),
+            (math.inf, "finite, got inf"),
+            (-math.inf, "finite, got -inf"),
+            (np.array([1.0, 0.0]), "positive"),
+            (np.array([1.0, math.nan]), "finite"),
+            (np.ones((2, 2)), "a scalar or a non-empty 1-D array"),
+            (np.array([]), "a scalar or a non-empty 1-D array"),
+        ],
+    )
+    def test_bad_accelerations_rejected(self, wp_standard, a, match):
+        with pytest.raises(ValueError, match=f"acceleration must be {match}"):
             build_displaced_circuit(a, wp_standard, 16)
 
     def test_payload_squeezing_bound_is_the_tightest_row(self):
@@ -325,6 +349,9 @@ class TestBatchedBuild:
                 assert value[[0, 2]].tobytes() == expected[[0, 2]].tobytes()
 
     def test_a_row_that_loses_additivity_is_nan(self, monkeypatch, wp_standard):
+        # The right-movers of the last row are off by 1e-6: built alone at
+        # a = 3 that row raises, and as row 2 of a batch it reads NaN in every
+        # field while rows 0 and 1 keep their bits.
         from rindler_teleport import oracle
 
         honest_parts = oracle._lo_parts
@@ -332,15 +359,20 @@ class TestBatchedBuild:
         def broken_parts(circ):
             moments, n0 = honest_parts(circ)
             moments = moments.copy()
-            moments[2, 0] *= 1.0 + 1e-6  # right-movers of row 2 off by 1e-6
+            moments[-1, 0] *= 1.0 + 1e-6
             return moments, n0
 
+        alone = build_squeezed_circuit(3.0, wp_standard, 64, r_s=0.4)
         batch = build_squeezed_circuit(np.array([0.3, 1.0, 3.0]), wp_standard, 64, r_s=0.4)
         reference = photon_number_variance_lo(batch, 0.3)
         monkeypatch.setattr(oracle, "_lo_parts", broken_parts)
+        with pytest.raises(OracleConvergenceError, match="variance split lost additivity: right-movers"):
+            photon_number_variance_lo(alone, 0.3)
         report = photon_number_variance_lo(batch, 0.3)
-        assert math.isnan(report.total[2]) and math.isnan(report.purity_product[2])
-        assert report.total[:2].tobytes() == reference.total[:2].tobytes()
+        for field in dataclasses.fields(report):
+            value, expected = getattr(report, field.name), getattr(reference, field.name)
+            assert math.isnan(value[2])
+            assert value[:2].tobytes() == expected[:2].tobytes()
 
 
 class TestVarianceAgainstClosedForms:
@@ -445,7 +477,7 @@ class TestVarianceAgainstClosedForms:
         from rindler_teleport import oracle
 
         circ = build_squeezed_circuit(1.0, wp_standard, 64, r_s=r_s)
-        moments, n0 = oracle._lo_parts(circ)
+        (moments,), (n0,) = oracle._lo_parts(circ)  # the one row
         expected = moments[2, 0] * moments[2, 1] / n0**2
         assert photon_number_variance_lo(circ).purity_product == pytest.approx(expected, rel=1e-12)
 
