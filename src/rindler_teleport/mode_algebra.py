@@ -58,7 +58,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .spectral import unruh_cosh_sinh
+from .spectral import _accelerations, unruh_cosh_sinh
 
 __all__ = [
     "Chirality",
@@ -714,9 +714,10 @@ def rindler_to_unruh(expr: OperatorExpr | Sequence[OperatorExpr], a, grid: np.nd
     one register, rewritten together into a tuple on one register of
     images; expressions on different registers are a :class:`ValueError`.
     ``a`` is a scalar, or a 1-D array of accelerations: then each result is
-    an :class:`OperatorRows` with one row per acceleration.  Each result,
-    and each row, is bit for bit what rewriting its expression alone at its
-    acceleration gives.
+    an :class:`OperatorRows` with one row per acceleration (none for an
+    empty array).  Each result, and each row, is bit for bit what rewriting
+    its expression alone at its acceleration gives.  An acceleration that is
+    not finite and positive is a :class:`ValueError` that names ``a``.
 
     One vectorized pass over the register for the whole sequence: (ch, sh)
     is evaluated once on the (acceleration, grid) array, and the image keys
@@ -725,7 +726,7 @@ def rindler_to_unruh(expr: OperatorExpr | Sequence[OperatorExpr], a, grid: np.nd
     Chirality and bin range are checked for every region label carrying a
     non-zero coefficient in any of the expressions.
     """
-    accel = np.asarray(a, dtype=float)
+    accel = _accelerations(a)
     if accel.ndim > 1:
         raise ValueError(f"acceleration a must be a scalar or a 1-D array, got shape {accel.shape}")
     exprs = (expr,) if isinstance(expr, OperatorExpr) else tuple(expr)
@@ -820,7 +821,7 @@ def _rewrite_regions(
         for group in source:  # indices in range: "clip" spares a copy of ``out``
             w += terms.take(group, axis=2, out=gathered, mode="clip")
         peaks = e._peak * gain
-        if not peaks.max() <= _SAFE_PEAK:  # a bound past it: test the rows themselves
+        if not np.max(peaks, initial=0.0) <= _SAFE_PEAK:  # a bound past it: test the rows themselves
             peaks = np.array([_max_magnitude(out_reg, row) for row in w])
         w.flags.writeable = False
         results.append(OperatorRows(out_reg, e.displacement, w, peaks))

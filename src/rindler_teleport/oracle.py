@@ -28,28 +28,28 @@ register, and every output operator lives on the register of the 4N
 vacuum-family modes, so each gate, commutator and Wick pairing is a few
 O(N) vector operations.  No gate depends on the acceleration a, so a build
 takes a scalar a or a 1-D array of them and composes the gates once; only
-the region rewrite and what follows it - the rank-one outputs, the
-commutator audit and the LO weights - carry a leading acceleration axis,
-one row per a, each row bit for bit the build at that a alone.  A build
-rewrites the wire's change and the three wire outputs into the vacuum
-families in one vectorized pass per block of rows (blocks of a fixed
-number of row x bin elements keep the temporaries in cache at any N), and
-the LO variance forms the field's quadrature covariance once and reads
-every phase it reports from it.  The audit gives one maximum per row: a
+the region rewrite and what follows it - W, the commutator audit and the
+LO weights - carry a leading acceleration axis, one row per a, each row
+bit for bit the build at that a alone.  A build rewrites the wire's
+change and the three wire outputs into the vacuum families in one
+vectorized pass per block of rows (blocks of a fixed number of row x bin
+elements keep the temporaries in cache at any N) and audits that block;
+the circuit keeps only W's rows, concatenated once.  The LO variance forms
+the field's quadrature covariance from W's rows once and reads every phase
+it reports from it in one pass.  The audit gives one maximum per row: a
 scalar build that fails it raises, while in an array build that row's LO
 variance is NaN and the other rows report.  Every bin's output is a unit
-mode plus a multiple of one shared fluctuation W; the build holds that
-rank-one form once, so the commutator audit checks every bin in O(N) and
-the contraction table over M bins costs O(N + M**2).  A Fock
-window of cutoff C holds (C + 1)**3 real amplitudes and costs O(C**4)
-operations in a few stacked matrix products, with no Python loop over
-photon numbers.
+mode plus a multiple of one shared fluctuation W; in that rank-one form,
+built per row block by the audit and per call by the contraction table,
+the commutator audit checks every bin in O(N) and the contraction table
+over M bins costs O(N + M**2).  A Fock window of cutoff C holds
+(C + 1)**3 real amplitudes and costs O(C**4) operations in a few stacked
+matrix products, with no Python loop over photon numbers.
 """
 
 from __future__ import annotations
 
 import cmath
-import copy
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -141,11 +141,12 @@ class DiscretizedCircuit:
         c_out[i] = c_i + g_i ch_i * wire_delta
         d_out[i] = d_i - g_i sh_i * wire_delta^dagger
 
-    ``outputs`` is that layout in rank-one form (:class:`_RankOneOutputs`),
-    built once per circuit on W's own coefficient rows and read by the
-    audit, the LO variance and the contraction table.  ``disp_gain`` is the
-    mechanically measured displacement transmission of the channel for a
-    unit input displacement (1 up to rounding, by the gain/transmissivity
+    The record holds W = ``wire_delta`` once.  The LO variance reads W's
+    rows and the bin weights directly; the commutator audit and the
+    contraction table build the rank-one form of that layout
+    (:class:`_RankOneOutputs`) from them when they run.  ``disp_gain`` is
+    the mechanically measured displacement transmission of the channel for
+    a unit input displacement (1 up to rounding, by the gain/transmissivity
     matching).
 
     A circuit built at one acceleration is one row: ``ch`` and ``sh`` have
@@ -163,7 +164,6 @@ class DiscretizedCircuit:
     sh: np.ndarray
     wire_delta: OperatorExpr | OperatorRows
     disp_gain: complex
-    outputs: _RankOneOutputs
     commutator_audit_max: float | np.ndarray
 
     @property
@@ -184,7 +184,6 @@ class DiscretizedCircuit:
             ch=self.ch[k],
             sh=self.sh[k],
             wire_delta=self.wire_delta[k],
-            outputs=self.outputs.row(k),
             commutator_audit_max=audit,
         )
 
@@ -257,17 +256,17 @@ def _build_circuit(a, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircui
     delta_expr = wire - wire_in
     exprs = (delta_expr.centered(), wire, idler_out, port_out)
     step = max(1, _BLOCK_ELEMENTS // len(centers))
-    blocks = []
+    blocks, audits = [], []
     for start in range(0, len(rows), step):
         block = slice(start, start + step)
         wire_delta, *wire_outputs = rindler_to_unruh(exprs, rows[block], centers)
-        outputs = _RankOneOutputs(wire_delta, g * ch[block], g * sh[block])
-        blocks.append((wire_delta, outputs, _audit_commutators(outputs, *wire_outputs)))
+        outputs = _RankOneOutputs(wire_delta.register, wire_delta.rows, g * ch[block], g * sh[block])
+        audits.append(_audit_commutators(outputs, *wire_outputs))
+        blocks.append(wire_delta)
     if len(blocks) > 1:
-        # W takes the stacked outputs' rows instead of a second copy of them.
-        outputs = _RankOneOutputs.stacked([b[1] for b in blocks])
-        outputs.rows.flags.writeable = False
-        wire_delta = replace(wire_delta, rows=outputs.rows, peaks=np.concatenate([b[0].peaks for b in blocks]))
+        stacked = np.concatenate([b.rows for b in blocks])
+        stacked.flags.writeable = False
+        wire_delta = replace(wire_delta, rows=stacked, peaks=np.concatenate([b.peaks for b in blocks]))
     circuit = DiscretizedCircuit(
         r_s=float(r_s),
         g=g,
@@ -275,8 +274,7 @@ def _build_circuit(a, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircui
         sh=sh,
         wire_delta=wire_delta,
         disp_gain=delta_expr.displacement,
-        outputs=outputs,
-        commutator_audit_max=np.concatenate([b[2] for b in blocks]),
+        commutator_audit_max=np.concatenate(audits),
     )
     return circuit if accel.ndim else circuit[0]
 
@@ -310,24 +308,22 @@ class _RankOneOutputs:
     Z = 4 |alpha| . |beta| and m = |alpha| + |beta| at the operator's slot:
     size = |k| sqrt(Z) + m / sqrt(Z).
 
-    Every array but ``slots`` has a leading acceleration axis, one entry
-    per row of W; ``rows`` holds W's (alpha, beta) rows on ``register``.
+    It is built from W's (alpha, beta) ``rows`` on ``register`` and the
+    (row, bin) arrays g ch and g sh, and no circuit stores it: the build
+    makes one per row block for the commutator audit, and
+    :func:`contraction_table` one per call.  Every array but ``slots`` has a
+    leading acceleration axis, one entry per row of W.
     """
 
-    def __init__(self, wire_delta: OperatorRows, g_ch: np.ndarray, g_sh: np.ndarray):
-        w = wire_delta
-        bins = np.arange(g_ch.shape[1])
-        families = (Sector.UNRUH_C, Sector.UNRUH_D)
-        self.register, self.rows = w.register, w.rows
-        # register slots of the c and d modes, by family and bin
-        self.slots = np.stack([w.register.slots(f, Chirality.LEFT, bins) for f in families])
+    def __init__(self, register: ModeRegister, rows: np.ndarray, g_ch: np.ndarray, g_sh: np.ndarray):
+        self.slots = _cd_slots(register, g_ch.shape[1])
         # complex k: complex-by-complex products are the fast ones
-        self.k = np.empty((len(g_ch), 4, len(bins)), dtype=complex)
+        self.k = np.empty((len(g_ch), 4, g_ch.shape[1]), dtype=complex)
         self.k[:, :2], self.k[:, 2:] = g_ch[:, None], -g_sh[:, None]
         # (U, V) is (W.u, W.v) for W and (conj W.v, conj W.u) for W†.  With
         # c = alpha . conj(beta), U.V = alpha.alpha + beta.beta and
         # |U|^2, |V|^2 = |alpha|^2 + |beta|^2 -+ 2 Im c.
-        alpha, beta = w.rows[:, 0], w.rows[:, 1]
+        alpha, beta = rows[:, 0], rows[:, 1]
         c_imag = np.vecdot(beta, alpha).imag
         norms = np.vecdot(alpha, alpha).real + np.vecdot(beta, beta).real
         uv = _dotu(alpha, alpha) + _dotu(beta, beta)
@@ -337,7 +333,7 @@ class _RankOneOutputs:
         self.z = np.empty((len(uv), 4), dtype=complex)
         self.z[:, 0], self.z[:, 1] = uv, norms - 2.0 * c_imag
         self.z[:, 2], self.z[:, 3] = norms + 2.0 * c_imag, uv.conj()
-        at = w.rows.take(self.slots, axis=2)  # (row, alpha or beta, family, bin)
+        at = rows.take(self.slots, axis=2)  # (row, alpha or beta, family, bin)
         j_beta = 1j * at[:, 1]
         u_at, v_at = at[:, 0] - j_beta, at[:, 0] + j_beta
         self.u_at = np.concatenate([u_at, v_at.conj()], axis=1)
@@ -345,29 +341,11 @@ class _RankOneOutputs:
         # [W, W†] = -[W†, W] = -4 Im c, not |U|^2 - |V|^2; [W, W] = [W†, W†] = 0.
         self.z_commutator = np.zeros((len(uv), 4))
         self.z_commutator[:, 1], self.z_commutator[:, 2] = -4.0 * c_imag, 4.0 * c_imag
-        m = np.abs(w.rows)
+        m = np.abs(rows)
         root_z = np.sqrt(np.maximum(4.0 * np.vecdot(m[:, 0], m[:, 1]), _TINY))[:, None, None]
         m_at = m.take(self.slots, axis=2)
         own = (m_at[:, 0] + m_at[:, 1]).take(_FAMILY, axis=1)  # (row, kind, bin)
         self.size = np.maximum(np.abs(self.k) * root_z + own / root_z, _TINY)
-
-    #: The arrays with a leading acceleration axis.
-    _PER_ROW = ("rows", "k", "z", "u_at", "v_at", "z_commutator", "size")
-
-    def row(self, k: int) -> _RankOneOutputs:
-        """Row ``k`` alone, as a one-row view."""
-        view = copy.copy(self)
-        for name in self._PER_ROW:
-            setattr(view, name, getattr(self, name)[k : k + 1])
-        return view
-
-    @classmethod
-    def stacked(cls, parts: list) -> _RankOneOutputs:
-        """The rows of ``parts`` (on one register) in order, as one."""
-        whole = copy.copy(parts[0])
-        for name in cls._PER_ROW:
-            setattr(whole, name, np.concatenate([getattr(p, name) for p in parts]))
-        return whole
 
     def pairing(self, x: np.ndarray, y: np.ndarray) -> tuple:
         """Terms (kx, ky, z, p, q, e) of <X_i Y_j> = u . v per kind pair (x[m], y[m])."""
@@ -384,6 +362,19 @@ class _RankOneOutputs:
         _, _, _, p_r, q_r, e_r = self.pairing(y, x)
         z = self.z_commutator.take(2 * _ADJOINT[x] + _ADJOINT[y], axis=1)
         return kx, ky, z, p - q_r, q - p_r, e - e_r
+
+
+def _cd_slots(register: ModeRegister, n_bins: int) -> np.ndarray:
+    """Register slots of the c and d modes, by family and bin."""
+    bins = np.arange(n_bins)
+    return np.stack([register.slots(f, Chirality.LEFT, bins) for f in (Sector.UNRUH_C, Sector.UNRUH_D)])
+
+
+def _w_rows(circ: DiscretizedCircuit) -> tuple[ModeRegister, np.ndarray]:
+    """W's register and its (row, X or P, slot) coefficient rows; a one-row
+    circuit's W is one row, viewed with a leading axis of length 1."""
+    w = circ.wire_delta
+    return w.register, (w.rows if isinstance(w, OperatorRows) else w._w[None])
 
 
 def _dotu(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -474,9 +465,9 @@ def build_displaced_circuit(a, wp: WavepacketSpec, grid: int) -> DiscretizedCirc
     discretization failure; the algebraic identity table is exact at any N).
 
     ``a`` is a scalar or a 1-D array of accelerations.  The gates are
-    composed once; the region rewrite, the commutator audit and the rank-one
-    outputs are formed per acceleration row, each row bit for bit the
-    circuit built at that acceleration alone.  A scalar build whose audit
+    composed once; the region rewrite and the commutator audit are formed
+    per acceleration row, each row bit for bit the circuit built at that
+    acceleration alone.  A scalar build whose audit
     fails raises :class:`OracleConvergenceError`; in an array build that row
     keeps its audit maximum, indexing it raises, and its LO variance is NaN
     (see :class:`DiscretizedCircuit` and :func:`photon_number_variance_lo`).
@@ -538,25 +529,27 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, np.ndarray]:
     and the whole field, in that order, and n0, both with a leading
     acceleration axis (of length 1 for a one-row circuit): moments of shape
     (row, part, moment), NaN on a row that failed the commutator audit.
+    They are read straight from W's rows, the weights g ch and -g sh of the
+    c and d outputs, and the register slots of the c and d modes.
     """
-    out = circ.outputs
-    k_c, k_d = out.k[:, 0], out.k[:, 2]  # g ch and -g sh
+    register, rows = _w_rows(circ)
+    k_c, k_d = np.atleast_2d(circ.g * circ.ch), -np.atleast_2d(circ.g * circ.sh)
     lo_c = circ.disp_gain * k_c  # l of the c outputs is e^(i phi) lo_c,
     lo_d = circ.disp_gain.conjugate() * k_d  # that of the d outputs e^(-i phi) lo_d
     n0 = (np.abs(lo_c) ** 2).sum(axis=1) + (np.abs(lo_d) ** 2).sum(axis=1)
     # P = sum_i conj(lo_c_i) c_out[i] + lo_d_i d_out[i]^dagger, centered, in
     # quadrature coefficients: c = (X + iP)/2 and d^dagger = (X - iP)/2.
     weight = (lo_c.conjugate() * k_c).sum(axis=1) + (lo_d * k_d).sum(axis=1)
-    field = weight[:, None, None] * out.rows  # (row, alpha or beta, slot)
-    unit = np.empty((len(weight), 2, 2, len(lo_c[0])), dtype=complex)  # at the c and d slots
+    field = weight[:, None, None] * rows  # (row, alpha or beta, slot)
+    unit = np.empty((len(weight), 2, 2, circ.n_bins), dtype=complex)  # at the c and d slots
     unit[:, 0, 0], unit[:, 1, 0] = 0.5 * lo_c.conjugate(), 0.5j * lo_c.conjugate()
     unit[:, 0, 1], unit[:, 1, 1] = 0.5 * lo_d, -0.5j * lo_d
-    field[:, :, out.slots] += unit
+    field[:, :, _cd_slots(register, circ.n_bins)] += unit
     # X and Y are Hermitian with coefficients x = 2 Re and y = 2 Im of P's:
     # <X^2> = x.x, <Y^2> = y.y and <XY + YX>/2 = x.y over both rows.
     x, y = field.real, field.imag
     per_slot = np.stack([(x * x).sum(axis=1), (y * y).sum(axis=1), (x * y).sum(axis=1)], axis=1)
-    left = out.register.chirality_mask(Chirality.LEFT)
+    left = register.chirality_mask(Chirality.LEFT)
     parts = np.empty((len(left), 3))
     parts[:, 0], parts[:, 1], parts[:, 2] = ~left, left, 1.0  # right, left, whole
     moments = 4.0 * (per_slot @ parts).transpose(0, 2, 1)
@@ -564,21 +557,21 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, np.ndarray]:
     return moments, n0
 
 
-def _variance_at(parts: tuple, c: float, s: float) -> tuple[np.ndarray, np.ndarray]:
+def _variance_at(parts: tuple, c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(far-side thermal part, payload part) of the output variance at the
-    LO phase phi with (cos phi, sin phi) = (c, s), one entry per row.
+    LO phases phi with (cos phi, sin phi) = (c, s), shaped (row, phase).
 
     The split is by propagation direction: right-mover modes only ever enter
     through the horizon-straddling resource, so their contribution is the
     thermal noise; left-movers carry the payload (quantum-noise limit or
     squeezed-payload decoherence).  The parts add exactly - the two mode
     families never share a label - which is checked against the whole field
-    on every row; a row that fails the check (a NaN or infinite part fails
-    it too) reads NaN in both parts.
+    at every row and phase; an entry that fails the check (a NaN or infinite
+    part fails it too) reads NaN in both parts.
     """
     moments, n0 = parts
-    values = moments[..., 0] * (c * c) + moments[..., 1] * (s * s) + moments[..., 2] * (2.0 * c * s)
-    thermal, payload, total = (values / n0[:, None]).T
+    values = moments[..., :1] * (c * c) + moments[..., 1:2] * (s * s) + moments[..., 2:] * (2.0 * c * s)
+    thermal, payload, total = (values / n0[:, None, None]).transpose(1, 0, 2)
     additive = np.abs(total - (payload + thermal)) <= 1e-9 * np.maximum(1.0, np.abs(total))
     return np.where(additive, thermal, math.nan), np.where(additive, payload, math.nan)
 
@@ -588,23 +581,23 @@ def photon_number_variance_lo(circ: DiscretizedCircuit, phi: float = 0.0) -> Var
 
     Computed entirely from Wick pairs of the composed circuit; no continuum
     integral enters.  The LO field is decomposed once (:func:`_lo_parts`)
-    and evaluated at ``phi`` and at the purity product's phases 0 and pi/2,
-    the latter at exactly (cos, sin) = (1, 0) and (0, 1).  For an array
-    circuit every field is an array over its rows, NaN on a row that failed
-    the commutator audit or the additivity check of the split; a one-row
-    circuit gives floats, and raises :class:`OracleConvergenceError` where
-    its split fails.  A purity product past the float range is infinite.  A
-    NaN or infinite ``phi`` is a :class:`ValueError`.
+    and evaluated in one pass at ``phi`` and at the purity product's phases
+    0 and pi/2, the latter at exactly (cos, sin) = (1, 0) and (0, 1).  For
+    an array circuit every field is an array over its rows, NaN on a row
+    that failed the commutator audit or the additivity check of the split; a
+    one-row circuit gives floats, and raises :class:`OracleConvergenceError`
+    where its split fails.  A purity product past the float range is
+    infinite.  A NaN or infinite ``phi`` is a :class:`ValueError`.
     """
     if not math.isfinite(phi):
         raise ValueError(f"LO phase phi must be finite, got {phi}")
     parts = _lo_parts(circ)
-    thermal, payload = _variance_at(parts, math.cos(phi), math.sin(phi))
-    t0, p0 = _variance_at(parts, 1.0, 0.0)
-    t90, p90 = _variance_at(parts, 0.0, 1.0)
+    c, s = np.array([math.cos(phi), 1.0, 0.0]), np.array([math.sin(phi), 0.0, 1.0])
+    thermal, payload = _variance_at(parts, c, s)  # (row, phase) at phi, 0 and pi/2
+    variance = thermal + payload
     with np.errstate(over="ignore"):
-        purity = (t0 + p0) * (t90 + p90)
-    total = thermal + payload
+        purity = variance[:, 1] * variance[:, 2]
+    total, thermal, payload = variance[:, 0], thermal[:, 0], payload[:, 0]
     if circ.ch.ndim == 1:
         if np.isnan(total[0]) or np.isnan(purity[0]):
             right, left, whole = (parts[0][0] / parts[1][0]).tolist()
@@ -686,14 +679,15 @@ def contraction_table(
     w, y = w[:, None], y[None, :]
 
     first, second = np.divmod(np.arange(len(_KINDS) ** 2), len(_KINDS))
-    (table,) = _bilinear_at(circ.outputs.pairing(first, second), w, y)
+    outputs = _RankOneOutputs(*_w_rows(circ), (circ.g * circ.ch)[None], (circ.g * circ.sh)[None])
+    (table,) = _bilinear_at(outputs.pairing(first, second), w, y)
     pair = {f"{_KINDS[a]} {_KINDS[b]}": row for a, b, row in zip(first, second, table)}
 
     # Quartic assembly: with x = x~ + D (D the LO shift at |alpha| = 1), the
     # |alpha|^2 part of the connected <x_w† x_w z_y† z_y> is the covariance
     # of the linear terms conj(D_w) x~_w + D_w x~_w† and the same for z_y.
     # D is disp_gain k for c and its conjugate's for d, turned by the LO phase.
-    gain, (k,) = circ.disp_gain, circ.outputs.k
+    gain, (k,) = circ.disp_gain, outputs.k
     shift = {
         "c": gain * k[0] * cmath.exp(1j * phi),
         "d": gain.conjugate() * k[2] * cmath.exp(-1j * phi),

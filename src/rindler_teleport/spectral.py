@@ -25,10 +25,11 @@ Conventions
   the amplitude envelope is g(omega) ∝ exp(-(omega - omega0)^2 / (4 sigma^2))
   and the window ``omega0 ± 8 sigma`` carries all but ~1e-14 of the mass.
 * Wavepackets are truncated below at ``1e-12 * omega0`` because i_c is
-  log-divergent whenever g(0) != 0; a wavepacket whose positive-frequency
-  truncation removes more than 1e-6 of the intensity mass carries
-  ``truncation_warning = True`` and its integral values depend on that
-  cutoff by construction.
+  log-divergent whenever g(0) != 0.  A wavepacket whose window starts at
+  that cutoff rather than at ``omega0 - 8 sigma`` is ``clipped`` (roughly
+  sigma > omega0/8): its integrands carry a 1/omega tail down to the
+  cutoff, so its integral values depend on the cutoff by construction.
+  ``truncated_mass`` records the intensity mass the truncation removed.
 * All integrals use composite Gauss-Legendre panels, refined (panel
   doubling) until successive values agree to 1e-10 relative, which leaves
   comfortable headroom under the 1e-8 accuracy contract.
@@ -58,9 +59,6 @@ __all__ = [
 
 #: Relative frequency below which wavepackets are truncated (infrared cutoff).
 OMEGA_MIN_FACTOR = 1e-12
-
-#: Intensity mass removed by truncation above which the wavepacket is flagged.
-TRUNCATION_WARN_THRESHOLD = 1e-6
 
 #: Gauss-Legendre rule of every panel, and the number of uniform panels
 #: across the wavepacket's Gaussian bulk.
@@ -168,9 +166,6 @@ class WavepacketSpec:
         intensity integral_window |g|^2 = 1 on the panels' quadrature.
     truncated_mass:
         Intensity mass of the untruncated Gaussian lying below the window.
-    truncation_warning:
-        True when truncated_mass exceeds 1e-6; integral values then depend
-        on the infrared cutoff.
     panel_edges:
         Edges of the composite 16-node Gauss-Legendre panels on the window,
         the wavepacket's one quadrature description: integrators build
@@ -182,7 +177,6 @@ class WavepacketSpec:
     window: tuple[float, float]
     norm_const: float
     truncated_mass: float
-    truncation_warning: bool
     panel_edges: tuple[float, ...]
 
     def envelope(self, omega) -> np.ndarray:
@@ -272,7 +266,6 @@ def make_wavepacket(omega0: float, sigma: float) -> WavepacketSpec:
         window=(lo, hi),
         norm_const=norm**-0.5,
         truncated_mass=truncated_mass,
-        truncation_warning=truncated_mass > TRUNCATION_WARN_THRESHOLD,
         panel_edges=tuple(float(e) for e in edges),
     )
 

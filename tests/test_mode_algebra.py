@@ -417,6 +417,31 @@ class TestRegionMapSequence:
         with pytest.raises(ValueError, match="scalar or a 1-D array"):
             rindler_to_unruh(mode(Sector.RINDLER_IV, Chirality.LEFT, 0), np.ones((2, 2)), self.CENTERS)
 
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            (0.0, "positive, got 0.0"),
+            (math.nan, "finite, got nan"),
+            (math.inf, "finite, got inf"),
+            (-math.inf, "finite, got -inf"),
+            ([1.0, -1.0], r"positive, got \[1.0, -1.0\]"),
+        ],
+        ids=repr,
+    )
+    def test_bad_acceleration_is_named_as_given(self, a, message):
+        # The error names the caller's value, not the array broadcast
+        # against the grid.
+        with pytest.raises(ValueError, match=f"^acceleration a must be {message}$"):
+            rindler_to_unruh(mode(Sector.RINDLER_IV, Chirality.LEFT, 0), a, self.CENTERS)
+
+    def test_empty_accelerations_give_empty_rows(self):
+        exprs = self.mixed_exprs(self.register())
+        batches = rindler_to_unruh(exprs, np.array([]), self.CENTERS)
+        assert len(batches) == len(exprs)
+        for batch in batches:
+            assert isinstance(batch, OperatorRows) and len(batch) == 0
+            assert batch.rows.shape[:2] == (0, 2) and batch.peaks.shape == (0,)
+
 
 class TestRegisters:
     """Expressions on different registers meet on the union of the two."""

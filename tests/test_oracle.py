@@ -1,7 +1,9 @@
 """Discretized-circuit oracle and truncated-Fock protocol verification."""
 
+import ast
 import cmath
 import dataclasses
+import inspect
 import math
 import re
 import warnings
@@ -39,6 +41,40 @@ from rindler_teleport.mode_algebra import annihilator, pair_contraction, quadrat
 from rindler_teleport.oracle import DEFAULT_CHANNEL_GAIN
 
 
+class TestRouteIndependence:
+    """The oracle never substitutes a closed form for what it checks: the
+    Wick route takes from the closed-form modules only the report type and
+    the Unruh weights, and the prediction the Fock route is compared with
+    is read by ``fock_check_inertial`` alone."""
+
+    @staticmethod
+    def oracle_tree():
+        from rindler_teleport import oracle
+
+        return ast.parse(inspect.getsource(oracle))
+
+    def test_imports_from_the_closed_form_modules(self):
+        imported = {}
+        for node in ast.walk(self.oracle_tree()):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.startswith("rindler_teleport") for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("rindler_teleport")):
+                assert node.level == 1 and node.module is not None, ast.unparse(node)
+                imported.setdefault(node.module, set()).update(a.name for a in node.names)
+        assert imported["teleportation"] == {"VarianceReport", "inertial_teleport_output"}
+        assert imported["spectral"] == {"WavepacketSpec", "unruh_cosh_sinh"}
+        assert set(imported) == {"mode_algebra", "spectral", "teleportation"}
+
+    @pytest.mark.parametrize("name", ["inertial_teleport_output", "quadrature_variance"])
+    def test_only_the_fock_check_reads_the_prediction(self, name):
+        users = [
+            getattr(stmt, "name", ast.unparse(stmt)[:40])
+            for stmt in self.oracle_tree().body
+            if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(stmt))
+        ]
+        assert users == ["fock_check_inertial"]
+
+
 class TestCircuitBuild:
     def test_commutator_audit(self, circ_displaced, circ_squeezed):
         assert circ_displaced.commutator_audit_max <= 1e-10
@@ -73,7 +109,7 @@ class TestCircuitBuild:
     def test_circuit_record_fields(self):
         names = [f.name for f in dataclasses.fields(DiscretizedCircuit)]
         assert names == [
-            "r_s", "g", "ch", "sh", "wire_delta", "disp_gain", "outputs", "commutator_audit_max",
+            "r_s", "g", "ch", "sh", "wire_delta", "disp_gain", "commutator_audit_max",
         ]
 
     def test_circuit_is_frozen(self, circ_displaced):
@@ -82,9 +118,10 @@ class TestCircuitBuild:
         with pytest.raises(dataclasses.FrozenInstanceError):
             circ_displaced.disp_gain = 2.0
 
-    def test_one_rank_one_view_per_circuit(self, monkeypatch, wp_standard):
-        # The build makes the rank-one output view once; the LO variance and
-        # the contraction table read it from the circuit.
+    def test_rank_one_views_are_made_by_their_readers(self, monkeypatch, wp_standard):
+        # The circuit stores W alone: the build makes one rank-one view per
+        # row block for the audit, the LO variance reads W's rows without
+        # one, and the contraction table makes one per call.
         from rindler_teleport import oracle
 
         made = []
@@ -96,11 +133,17 @@ class TestCircuitBuild:
 
         monkeypatch.setattr(oracle, "_RankOneOutputs", CountedOutputs)
         circ = build_squeezed_circuit(1.0, wp_standard, 64, r_s=0.4)
-        assert len(made) == 1 and circ.outputs.__class__ is CountedOutputs
+        assert len(made) == 1
+        accelerations = np.linspace(0.2, 3.0, 3 * oracle._BLOCK_ELEMENTS // 256)
+        batch = build_squeezed_circuit(accelerations, wp_standard, 256, r_s=0.4)
+        assert len(made) == 1 + 3
+        made.clear()
         photon_number_variance_lo(circ, 0.3)
+        photon_number_variance_lo(batch, 0.3)
+        assert made == []
         contraction_table(circ, [10, 30], [20, 40], phi=0.3)
         appendix_expectations(circ, 30, 32)
-        assert len(made) == 1
+        assert len(made) == 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_payload_squeezing_raises(self, monkeypatch, wp_standard):
@@ -271,15 +314,18 @@ class TestBatchedBuild:
             assert photon_number_variance_lo(one_row, 0.3) == photon_number_variance_lo(alone, 0.3)
 
     def test_blocks_share_one_read_only_copy_of_w(self, wp_standard):
-        # 20 rows at N = 256 are two row blocks; W's stacked rows are the
-        # rank-one view's own, not a second concatenation.
+        # 20 rows at N = 256 are two row blocks; W's rows are concatenated
+        # once, and every row of the circuit is a view of that one array.
         from rindler_teleport import oracle
 
         batch = build_squeezed_circuit(self.ACCELERATIONS, wp_standard, 256, r_s=0.4)
         assert len(self.ACCELERATIONS) * 256 > oracle._BLOCK_ELEMENTS
-        assert batch.wire_delta.rows is batch.outputs.rows
-        assert batch.wire_delta.rows.shape[0] == len(self.ACCELERATIONS)
-        assert not batch.wire_delta.rows.flags.writeable
+        rows = batch.wire_delta.rows
+        assert rows.shape[0] == len(self.ACCELERATIONS) and rows.flags.owndata
+        assert not rows.flags.writeable
+        assert batch.wire_delta.peaks.shape == (len(self.ACCELERATIONS),)
+        for k in (0, len(self.ACCELERATIONS) - 1):
+            assert batch[k].wire_delta._w.base is rows
 
     def test_scalar_is_a_batch_of_one(self, wp_standard):
         alone = build_displaced_circuit(1.0, wp_standard, 32)

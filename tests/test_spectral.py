@@ -94,7 +94,7 @@ class TestWavepacket:
         wp = make_wavepacket(1.0, 0.05)
         assert wp.omega0 == 1.0
         assert wp.sigma == 0.05
-        assert not wp.truncation_warning
+        assert not wp.clipped
         assert wp.panel_edges[0] == wp.window[0] and wp.panel_edges[-1] == wp.window[1]
         nodes, weights = _panel_quadrature(wp)
         assert nodes.size == weights.size
@@ -108,7 +108,7 @@ class TestWavepacket:
 
     def test_truncation_flag_near_origin(self):
         wp = make_wavepacket(0.1, 0.08)
-        assert wp.truncation_warning
+        assert wp.clipped
         assert wp.truncated_mass == pytest.approx(0.10564977366708361, rel=1e-10)
 
     def test_validation(self):
