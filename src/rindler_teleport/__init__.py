@@ -8,8 +8,9 @@ of the vacuum serving as the entanglement resource:
 * :mod:`.spectral` - acceleration squeezing spectrum, wavepacket envelopes
   and the four closed-form integrals (i_c, i_s, i_cs, phi_cs).
 * :mod:`.mode_algebra` - affine operator expressions as dense quadrature
-  coefficient vectors on mode registers, Gaussian gates, Wick expectation values,
-  region-to-vacuum-family maps.
+  coefficient vectors on mode registers (one constructor,
+  ``OperatorExpr(register, u, v, displacement)``), Gaussian gates, Wick
+  expectation values, region-to-vacuum-family maps.
 * :mod:`.teleportation` - closed-form variance reports for coherent and
   squeezed payloads, plus the single-frequency protocol circuit.
 * :mod:`.oracle` - independent numerical cross-checks: a discretized
@@ -29,7 +30,6 @@ from .mode_algebra import (
     beam_splitter,
     commutator,
     displace,
-    mode,
     quadrature_variance,
     rindler_to_unruh,
     single_mode_squeeze,
@@ -102,7 +102,6 @@ __all__ = [
     "fock_check_inertial",
     "inertial_teleport_output",
     "make_wavepacket",
-    "mode",
     "narrowband_variance",
     "photon_number_variance_lo",
     "quadrature_variance",

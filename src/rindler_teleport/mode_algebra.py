@@ -5,10 +5,13 @@ Every operator handled here is an affine combination
     E = d + sum_m ( u_m * a_m + v_m * a_m^dagger )
 
 of annihilation/creation operators of labelled modes plus a c-number
-displacement ``d``.  Gaussian circuits (displacements, one- and two-mode
-squeezers, beam splitters) map such expressions to each other, so an entire
-protocol can be composed by ordinary arithmetic on :class:`OperatorExpr`
-values, and vacuum expectation values of products follow from Wick pairing.
+displacement ``d``.  An expression is built from the vectors (u, v) on a
+register, ``OperatorExpr(register, u, v, d)``, or as a sum of
+:func:`annihilator` terms and their adjoints.  Gaussian circuits
+(displacements, one- and two-mode squeezers, beam splitters) map such
+expressions to each other, so an entire protocol can be composed by ordinary
+arithmetic on :class:`OperatorExpr` values, and vacuum expectation values of
+products follow from Wick pairing.
 
 In the symplectic picture a Gaussian unitary is an affine map on the
 quadratures X_m = a_m + a_m^dagger and P_m = -i (a_m - a_m^dagger)
@@ -54,7 +57,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,7 +74,6 @@ __all__ = [
     "beam_splitter",
     "commutator",
     "displace",
-    "mode",
     "pair_contraction",
     "quadrature_variance",
     "rindler_to_unruh",
@@ -98,11 +100,6 @@ class Sector(Enum):
     RINDLER_III = "rindler_iii"
     RINDLER_IV = "rindler_iv"
     AUX = "aux"
-
-
-_RINDLER_SECTORS = frozenset(
-    {Sector.RINDLER_I, Sector.RINDLER_II, Sector.RINDLER_III, Sector.RINDLER_IV}
-)
 
 
 class Chirality(Enum):
@@ -146,7 +143,6 @@ _CHIRALITY_INDEX = {c: i for i, c in enumerate(_CHIRALITIES)}
 _BIN_BITS = 40
 _BIN_OFFSET = 1 << (_BIN_BITS - 1)
 _BIN_MASK = (1 << _BIN_BITS) - 1
-_IS_RINDLER = np.array([s in _RINDLER_SECTORS for s in _SECTORS])  # by sector index
 
 
 def _family(sector: Sector, chirality: Chirality) -> int:
@@ -178,12 +174,12 @@ class ModeRegister:
     """Immutable ordered set of modes that expression vectors are indexed by.
 
     ``labels`` is the tuple of :class:`ModeLabel` in register order (sorted
-    by sector, chirality, bin), derived on first use from the register's key
-    array; ``slots`` finds the positions of modes by a search of the keys.
-    Bins must lie in [-2**39, 2**39).
+    by sector, chirality, bin), derived from the register's key array on
+    each read; ``slots`` finds the positions of modes by a search of the
+    keys.  Bins must lie in [-2**39, 2**39).
     """
 
-    __slots__ = ("keys", "_labels")
+    __slots__ = ("keys",)
 
     def __init__(self, labels: Iterable[ModeLabel] = ()):
         self._set(_sorted_unique(np.fromiter((_label_key(lb) for lb in labels), dtype=np.int64)))
@@ -198,7 +194,6 @@ class ModeRegister:
     def _set(self, keys: np.ndarray) -> None:
         keys.flags.writeable = False
         object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "_labels", None)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("ModeRegister is immutable")
@@ -215,9 +210,7 @@ class ModeRegister:
 
     @property
     def labels(self) -> tuple[ModeLabel, ...]:
-        if self._labels is None:
-            object.__setattr__(self, "_labels", tuple(_key_label(int(k)) for k in self.keys))
-        return self._labels
+        return tuple(_key_label(int(k)) for k in self.keys)
 
     def slots(self, sector: Sector, chirality: Chirality, bins) -> np.ndarray:
         """Register positions of (sector, chirality, b) for each b in ``bins``."""
@@ -315,30 +308,24 @@ class OperatorExpr:
 
     ``register`` is the :class:`ModeRegister` the coefficients are indexed
     by; ``u`` (annihilator) and ``v`` (creator coefficients) are read-only
-    arrays derived from them on each read.  The constructors take ladder
-    coefficients: ``{(label, is_dagger): coefficient}`` here, or the vectors
-    of :meth:`from_vectors`.  Stored coefficients at or below ``PRUNE_TOL``
-    count as zero everywhere an expression is read, while the vectors carry
-    them as computed.
+    arrays derived from them on each read.  The constructor takes the ladder
+    coefficients ``u`` and ``v`` on ``register`` (scalars broadcast) and the
+    displacement; a hand-built expression is otherwise a sum of
+    :func:`annihilator` terms and their adjoints.  Stored coefficients at or
+    below ``PRUNE_TOL`` count as zero everywhere an expression is read,
+    while the vectors carry them as computed.
     Instances are immutable; every operation returns a new expression, and
     no expression holds a non-finite coefficient.
     """
 
     __slots__ = ("displacement", "register", "_w", "_peak")
 
-    def __init__(
-        self, displacement: complex = 0.0, terms: Mapping[tuple[ModeLabel, bool], complex] | None = None
-    ):
-        d = _finite_displacement(displacement)
-        kept = {(label, bool(dag)): complex(c) for (label, dag), c in (terms or {}).items()}
-        keys = np.fromiter((_label_key(label) for label, _ in kept), dtype=np.int64, count=len(kept))
-        register = ModeRegister._from_keys(_sorted_unique(keys))
-        uv = np.zeros((2, len(register)), dtype=complex)
-        if kept:
-            rows = np.fromiter((dag for _, dag in kept), dtype=np.intp, count=len(kept))
-            uv[rows, np.searchsorted(register.keys, keys)] = list(kept.values())
+    def __init__(self, register, u=0.0, v=0.0, displacement=0.0):
+        uv = np.empty((2, len(register)), dtype=complex)
+        uv[0] = u
+        uv[1] = v
         peak = _max_magnitude(register, uv)
-        _set_slots(self, d, register, _LADDER_TO_QUADRATURES @ uv, peak)
+        _set_slots(self, _finite_displacement(displacement), register, _LADDER_TO_QUADRATURES @ uv, peak)
 
     @classmethod
     def _new(cls, register: ModeRegister, d: complex, w: np.ndarray, peak: float) -> "OperatorExpr":
@@ -365,18 +352,6 @@ class OperatorExpr:
         if not bound <= _SAFE_PEAK:
             bound = _max_magnitude(register, w)
         return cls._new(register, d, w, bound)
-
-    @classmethod
-    def from_vectors(
-        cls, register: ModeRegister, u=0.0, v=0.0, displacement: complex = 0.0
-    ) -> "OperatorExpr":
-        """Expression with annihilator coefficients ``u`` and creator
-        coefficients ``v`` on ``register`` (scalars broadcast)."""
-        uv = np.empty((2, len(register)), dtype=complex)
-        uv[0] = u
-        uv[1] = v
-        peak = _max_magnitude(register, uv)
-        return cls._new(register, _finite_displacement(displacement), _LADDER_TO_QUADRATURES @ uv, peak)
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("OperatorExpr is immutable")
@@ -507,12 +482,8 @@ def _align(e1: OperatorExpr, e2: OperatorExpr) -> tuple[ModeRegister, np.ndarray
 
 
 def annihilator(label: ModeLabel) -> OperatorExpr:
-    return OperatorExpr(0.0, {(label, False): 1.0})
-
-
-def mode(sector: Sector, chirality: Chirality, bin_index: int) -> OperatorExpr:
-    """Annihilation operator of the mode (sector, chirality, bin_index)."""
-    return annihilator(ModeLabel(sector, chirality, bin_index))
+    """Annihilation operator of the mode ``label``, on a register of that mode alone."""
+    return OperatorExpr(ModeRegister([label]), 1.0)
 
 
 # -- canonical bilinears --------------------------------------------------
@@ -671,8 +642,10 @@ _REGION_RULES: dict[Sector, tuple[Chirality, Sector, Sector]] = {
     Sector.RINDLER_III: (Chirality.RIGHT, Sector.UNRUH_C, Sector.UNRUH_D),
     Sector.RINDLER_I: (Chirality.RIGHT, Sector.UNRUH_D, Sector.UNRUH_C),
 }
-# The rules as arrays over sector index (-1 outside the four regions).
+# The rules as arrays over sector index (-1 outside the four regions), so
+# the sectors with a rule are the regions.
 _REQUIRED_CHIRALITY = _rule_table(lambda rule: _CHIRALITY_INDEX[rule[0]])
+_IS_RINDLER = _REQUIRED_CHIRALITY >= 0
 _DIRECT_SECTOR = _rule_table(lambda rule: _SECTOR_INDEX[rule[1]])
 _PARTNER_SECTOR = _rule_table(lambda rule: _SECTOR_INDEX[rule[2]])
 

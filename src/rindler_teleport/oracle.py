@@ -202,7 +202,7 @@ def _packet_wire(
 ) -> OperatorExpr:
     u = np.zeros(len(register))
     u[register.slots(sector, chirality, np.arange(len(g)))] = g
-    return OperatorExpr.from_vectors(register, u)
+    return OperatorExpr(register, u)
 
 
 def _bin_centers(wp: WavepacketSpec, grid) -> tuple[np.ndarray, float]:
@@ -261,7 +261,7 @@ def _build_circuit(a, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircui
         block = slice(start, start + step)
         wire_delta, *wire_outputs = rindler_to_unruh(exprs, rows[block], centers)
         outputs = _RankOneOutputs(wire_delta.register, wire_delta.rows, g * ch[block], g * sh[block])
-        audits.append(_audit_commutators(outputs, *wire_outputs))
+        audits.append(_audit_commutators(outputs, wire_delta.rows, *wire_outputs))
         blocks.append(wire_delta)
     if len(blocks) > 1:
         stacked = np.concatenate([b.rows for b in blocks])
@@ -303,10 +303,6 @@ class _RankOneOutputs:
     and e from the unit vectors.  :meth:`pairing` and :meth:`commutator`
     return these terms per kind pair; :func:`_bilinear_at` evaluates them.
     The commutator's z is formed from W's X and P coefficients (alpha, beta).
-    ``size[x, i] size[y, j]`` bounds the rounding bound of [X_i, Y_j] less
-    its exact unit part, |kx| |ky| Z + |ky| m_x[i] + |kx| m_y[j] with
-    Z = 4 |alpha| . |beta| and m = |alpha| + |beta| at the operator's slot:
-    size = |k| sqrt(Z) + m / sqrt(Z).
 
     It is built from W's (alpha, beta) ``rows`` on ``register`` and the
     (row, bin) arrays g ch and g sh, and no circuit stores it: the build
@@ -341,11 +337,6 @@ class _RankOneOutputs:
         # [W, W†] = -[W†, W] = -4 Im c, not |U|^2 - |V|^2; [W, W] = [W†, W†] = 0.
         self.z_commutator = np.zeros((len(uv), 4))
         self.z_commutator[:, 1], self.z_commutator[:, 2] = -4.0 * c_imag, 4.0 * c_imag
-        m = np.abs(rows)
-        root_z = np.sqrt(np.maximum(4.0 * np.vecdot(m[:, 0], m[:, 1]), _TINY))[:, None, None]
-        m_at = m.take(self.slots, axis=2)
-        own = (m_at[:, 0] + m_at[:, 1]).take(_FAMILY, axis=1)  # (row, kind, bin)
-        self.size = np.maximum(np.abs(self.k) * root_z + own / root_z, _TINY)
 
     def pairing(self, x: np.ndarray, y: np.ndarray) -> tuple:
         """Terms (kx, ky, z, p, q, e) of <X_i Y_j> = u . v per kind pair (x[m], y[m])."""
@@ -396,13 +387,15 @@ def _bilinear_at(terms: tuple, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 def _audit_commutators(
     outputs: _RankOneOutputs,
+    rows: np.ndarray,
     wire: OperatorRows,
     idler_out: OperatorRows,
     port_out: OperatorRows,
 ) -> np.ndarray:
     """Max relative deviation of the canonical commutators per row: every
-    bin's outputs (:func:`_bin_commutator_deviation`), and the three wire
-    outputs, already rewritten into the vacuum families, pairwise.
+    bin's outputs (:func:`_bin_commutator_deviation`, from ``outputs`` and
+    W's ``rows``), and the three wire outputs, already rewritten into the
+    vacuum families, pairwise.
 
     A commutator 2i (alpha1 . beta2 - beta1 . alpha2) is assembled from
     cancelling products (strong-gain branches carry cosh(r) ~ 1e6
@@ -414,7 +407,7 @@ def _audit_commutators(
     alpha-beta products are formed: a squeezed alpha . alpha can pass the
     float range).  Any NaN deviation makes its row NaN.
     """
-    bins = _bin_commutator_deviation(outputs)
+    bins = _bin_commutator_deviation(outputs, rows)
     e = np.concatenate([wire.rows, idler_out.rows, port_out.rows], axis=1)
     alpha, beta = e[:, ::2, None, :], e[:, None, 1::2, :]  # (row, i, j, slot) for pair (i, j)
     ab = np.vecdot(alpha.conj(), beta)  # alpha_i . beta_j (vecdot conjugates its first argument)
@@ -429,15 +422,23 @@ def _audit_commutators(
     return np.maximum(bins, deviation.max(axis=(1, 2)))
 
 
-def _bin_commutator_deviation(outputs: _RankOneOutputs) -> np.ndarray:
+def _bin_commutator_deviation(outputs: _RankOneOutputs, rows: np.ndarray) -> np.ndarray:
     """Max relative deviation of the output commutators of every bin, per row.
 
     Each bin meets itself and the anchor bins {0, N/2, N-1}, both ways
     round, for c-c†, d-d†, c-d and c-d†: O(N) vector operations on the
     rank-one form of the outputs, each judged relative to its bound
-    ``size[x, i] size[y, j]`` (:class:`_RankOneOutputs`).  Any NaN deviation
-    makes its row NaN.
+    ``size[x, i] size[y, j]``.  That product bounds the rounding bound of
+    [X_i, Y_j] less its exact unit part, |kx| |ky| Z + |ky| m_x[i] +
+    |kx| m_y[j] with Z = 4 |alpha| . |beta| over W's (alpha, beta) ``rows``
+    and m = |alpha| + |beta| at the operator's slot:
+    size = |k| sqrt(Z) + m / sqrt(Z).  Any NaN deviation makes its row NaN.
     """
+    m = np.abs(rows)
+    root_z = np.sqrt(np.maximum(4.0 * np.vecdot(m[:, 0], m[:, 1]), _TINY))[:, None, None]
+    m_at = m.take(outputs.slots, axis=2)
+    own = (m_at[:, 0] + m_at[:, 1]).take(_FAMILY, axis=1)  # (row, kind, bin)
+    size = np.maximum(np.abs(outputs.k) * root_z + own / root_z, _TINY)
     # Kind pairs c-c†, d-d†, c-d and c-d†, and the last two with the bins
     # swapped, as [X_j, Y_i] = -[Y_i, X_j] (for c-c† and d-d† that is the
     # complex conjugate).
@@ -445,7 +446,7 @@ def _bin_commutator_deviation(outputs: _RankOneOutputs) -> np.ndarray:
     # The unit-vector part of a commutator is its canonical value exactly
     # ([c_i, c_j†] = δ_ij, ...), so the deviation is the rest.
     kx, ky, z, p, q, _ = outputs.commutator(x, y)
-    size_x, size_y = outputs.size.take(x, axis=1), outputs.size.take(y, axis=1)
+    size_x, size_y = size.take(x, axis=1), size.take(y, axis=1)
     z = z[..., None]
     n = kx.shape[2]
     deviations = []
@@ -951,22 +952,21 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
     )
     del signed
 
-    if r > 0:
-        # exp(theta G_t) on (even, odd) rows, with W = P^T Y = diag(sigma) Q^T:
-        # [[1 + P c P^T, P s W], [-W^T s P^T, 1 + W^T (c / sigma²) W]] where
-        # c = cos(theta sigma) - 1 and s = sin(theta sigma) / sigma.
-        theta = -math.acos(1.0 / math.cosh(r))  # transmissivity sech² r
-        p, sigma, w = tables.modes, tables.sigma, tables.coupled  # w is W^T
-        half = 0.5 * theta * sigma
-        sinc = np.ones_like(half)
-        np.divide(np.sin(half), half, out=sinc, where=half != 0.0)  # sin(half) / half
-        rotation = np.empty((m, m, m))
-        rotation[:, ::2, ::2] = (p * (-2.0 * np.sin(half) ** 2)[:, None, :]) @ p.transpose(0, 2, 1)
-        rotation[:, 1::2, 1::2] = w @ (w.transpose(0, 2, 1) * (-0.5 * (theta * sinc) ** 2)[:, :, None])
-        rotation[:, ::2, 1::2] = (p * (theta * sinc * np.cos(half))[:, None, :]) @ w.transpose(0, 2, 1)
-        rotation[:, 1::2, ::2] = -rotation[:, ::2, 1::2].transpose(0, 2, 1)
-        np.einsum("tii->ti", rotation)[...] += 1.0
-        state = rotation @ state
+    # exp(theta G_t) on (even, odd) rows, with W = P^T Y = diag(sigma) Q^T:
+    # [[1 + P c P^T, P s W], [-W^T s P^T, 1 + W^T (c / sigma²) W]] where
+    # c = cos(theta sigma) - 1 and s = sin(theta sigma) / sigma.
+    theta = -math.acos(1.0 / math.cosh(r))  # transmissivity sech² r
+    p, sigma, w = tables.modes, tables.sigma, tables.coupled  # w is W^T
+    half = 0.5 * theta * sigma
+    sinc = np.ones_like(half)
+    np.divide(np.sin(half), half, out=sinc, where=half != 0.0)  # sin(half) / half
+    rotation = np.empty((m, m, m))
+    rotation[:, ::2, ::2] = (p * (-2.0 * np.sin(half) ** 2)[:, None, :]) @ p.transpose(0, 2, 1)
+    rotation[:, 1::2, 1::2] = w @ (w.transpose(0, 2, 1) * (-0.5 * (theta * sinc) ** 2)[:, :, None])
+    rotation[:, ::2, 1::2] = (p * (theta * sinc * np.cos(half))[:, None, :]) @ w.transpose(0, 2, 1)
+    rotation[:, 1::2, ::2] = -rotation[:, ::2, 1::2].transpose(0, 2, 1)
+    np.einsum("tii->ti", rotation)[...] += 1.0
+    state = rotation @ state
 
     def overlap(k: int) -> np.ndarray:
         # sum over (n1, n2) of psi[n0] psi[n0 + k]; n0 + k sits in block t + k (mod m)

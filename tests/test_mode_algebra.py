@@ -5,6 +5,7 @@ affine operators applied to the two-mode vacuum populate at most four
 quanta, so a cutoff-6 matrix representation is exact, not truncated.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -22,7 +23,6 @@ from rindler_teleport import (
     beam_splitter,
     commutator,
     displace,
-    mode,
     quadrature_variance,
     rindler_to_unruh,
     single_mode_squeeze,
@@ -30,7 +30,7 @@ from rindler_teleport import (
     unruh_cosh_sinh,
     wick_expectation,
 )
-from rindler_teleport.mode_algebra import PRUNE_TOL, pair_contraction
+from rindler_teleport.mode_algebra import PRUNE_TOL, annihilator, pair_contraction
 
 A_LBL = ModeLabel(Sector.AUX, Chirality.LEFT, 0)
 B_LBL = ModeLabel(Sector.AUX, Chirality.LEFT, 1)
@@ -38,7 +38,7 @@ C_LBL = ModeLabel(Sector.AUX, Chirality.LEFT, 2)
 
 
 def aux(i: int) -> OperatorExpr:
-    return mode(Sector.AUX, Chirality.LEFT, i)
+    return annihilator(ModeLabel(Sector.AUX, Chirality.LEFT, i))
 
 
 small_complex = st.builds(
@@ -64,13 +64,10 @@ def random_expr(rng: np.random.Generator) -> OperatorExpr:
     """Random affine expression over two fixed modes."""
     coeff = rng.standard_normal(10) * 0.5
     return OperatorExpr(
+        ModeRegister([A_LBL, B_LBL]),
+        [complex(coeff[2], coeff[3]), complex(coeff[6], coeff[7])],
+        [complex(coeff[4], coeff[5]), complex(coeff[8], coeff[9])],
         complex(coeff[0], coeff[1]),
-        {
-            (A_LBL, False): complex(coeff[2], coeff[3]),
-            (A_LBL, True): complex(coeff[4], coeff[5]),
-            (B_LBL, False): complex(coeff[6], coeff[7]),
-            (B_LBL, True): complex(coeff[8], coeff[9]),
-        },
     )
 
 
@@ -96,12 +93,12 @@ class TestExpressionAlgebra:
             e.displacement = 1.0
 
     def test_pruning_and_validation(self):
-        e = OperatorExpr(0.0, {(A_LBL, False): 1e-16})
+        e = OperatorExpr(ModeRegister([A_LBL]), 1e-16)
         assert e.coefficient(A_LBL) == 0.0
         with pytest.raises(ValueError):
-            OperatorExpr(math.nan)
+            OperatorExpr(ModeRegister(), displacement=math.nan)
         with pytest.raises(ValueError):
-            OperatorExpr(0.0, {(A_LBL, False): complex(math.inf, 0)})
+            OperatorExpr(ModeRegister([A_LBL]), complex(math.inf, 0))
 
     def test_centered_strips_displacement(self):
         e = aux(0) + (3 - 2j)
@@ -111,6 +108,21 @@ class TestExpressionAlgebra:
     def test_operator_product_rejected(self):
         with pytest.raises(TypeError):
             aux(0) * aux(1)
+
+    def test_constructor_takes_register_and_ladder_vectors(self):
+        assert str(inspect.signature(OperatorExpr)) == "(register, u=0.0, v=0.0, displacement=0.0)"
+        reg = ModeRegister([A_LBL, B_LBL])
+        u, v = np.array([1.0 + 2.0j, -0.5j]), np.array([0.25, 3.0 - 1.0j])
+        e = OperatorExpr(reg, u, v, 0.5 - 1.5j)
+        assert e.register is reg and e.displacement == 0.5 - 1.5j
+        assert np.array_equal(e.u, u) and np.array_equal(e.v, v)
+        assert e.coefficient(B_LBL, dagger=True) == 3.0 - 1.0j
+        # Scalars broadcast over the register; the defaults are zero.
+        flat = OperatorExpr(reg, 2.0)
+        assert np.array_equal(flat.u, [2.0, 2.0]) and np.array_equal(flat.v, [0.0, 0.0])
+        assert flat.displacement == 0.0
+        assert ladder_terms(OperatorExpr(reg, v=-1j)) == {(A_LBL, True): -1j, (B_LBL, True): -1j}
+        assert same_ladder(OperatorExpr(ModeRegister([A_LBL]), 1.0), aux(0))
 
 
 class TestCommutators:
@@ -183,7 +195,7 @@ class TestWickEngine:
         assert wick_expectation([x, x, x, x]) == pytest.approx(3.0)
 
     def test_rejects_region_sectors(self):
-        b4 = mode(Sector.RINDLER_IV, Chirality.LEFT, 0)
+        b4 = annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0))
         with pytest.raises(ValueError):
             wick_expectation([b4, b4.dagger()])
 
@@ -241,7 +253,7 @@ class TestRegionMap:
     def test_region_operator_coefficients(self):
         a = 1.0
         centers = np.array([0.8, 1.0, 1.2])
-        b4 = mode(Sector.RINDLER_IV, Chirality.LEFT, 1)
+        b4 = annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 1))
         out = rindler_to_unruh(b4, a, centers)
         ch, sh = unruh_cosh_sinh(1.0, a)
         c_lbl = ModeLabel(Sector.UNRUH_C, Chirality.LEFT, 1)
@@ -258,27 +270,27 @@ class TestRegionMap:
             (Sector.RINDLER_III, Chirality.RIGHT),
             (Sector.RINDLER_I, Chirality.RIGHT),
         ):
-            b = mode(sector, wing, 0)
+            b = annihilator(ModeLabel(sector, wing, 0))
             out = rindler_to_unruh(b, a, centers)
             assert commutator(out, out.dagger()) == pytest.approx(1.0, abs=1e-12)
 
     def test_distinct_regions_commute(self):
         a = 0.7
         centers = np.array([0.9, 1.1])
-        b3 = rindler_to_unruh(mode(Sector.RINDLER_III, Chirality.RIGHT, 0), a, centers)
-        b1 = rindler_to_unruh(mode(Sector.RINDLER_I, Chirality.RIGHT, 0), a, centers)
+        b3 = rindler_to_unruh(annihilator(ModeLabel(Sector.RINDLER_III, Chirality.RIGHT, 0)), a, centers)
+        b1 = rindler_to_unruh(annihilator(ModeLabel(Sector.RINDLER_I, Chirality.RIGHT, 0)), a, centers)
         assert abs(commutator(b3, b1)) < 1e-12
         assert abs(commutator(b3, b1.dagger())) < 1e-12
 
     def test_wrong_chirality_raises(self):
         centers = np.array([1.0])
         with pytest.raises(ValueError):
-            rindler_to_unruh(mode(Sector.RINDLER_IV, Chirality.RIGHT, 0), 1.0, centers)
+            rindler_to_unruh(annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.RIGHT, 0)), 1.0, centers)
 
     def test_bin_out_of_range_raises(self):
         centers = np.array([1.0])
         with pytest.raises(ValueError):
-            rindler_to_unruh(mode(Sector.RINDLER_IV, Chirality.LEFT, 3), 1.0, centers)
+            rindler_to_unruh(annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 3)), 1.0, centers)
 
 
 class TestRegionMapSequence:
@@ -309,8 +321,8 @@ class TestRegionMapSequence:
         def draw():
             return rng.normal(size=n) + 1j * rng.normal(size=n)
 
-        region_only = OperatorExpr.from_vectors(register, draw() * ~self.passing_mask(register), 0.0, 0.5)
-        mixed = OperatorExpr.from_vectors(register, draw(), draw(), -1.0 + 2.0j)
+        region_only = OperatorExpr(register, draw() * ~self.passing_mask(register), 0.0, 0.5)
+        mixed = OperatorExpr(register, draw(), draw(), -1.0 + 2.0j)
         annihilators = register.annihilators()
         passing_only = annihilators[register.labels.index(A_LBL)] * (0.3 - 0.1j) + 4.0
         return [region_only, mixed, mixed.dagger(), passing_only, region_only.dagger() * 2.5]
@@ -369,8 +381,8 @@ class TestRegionMapSequence:
             assert same_ladder(image, expr) and image.displacement == expr.displacement
 
     def test_different_registers_raise(self):
-        b4 = mode(Sector.RINDLER_IV, Chirality.LEFT, 0)
-        b3 = mode(Sector.RINDLER_III, Chirality.RIGHT, 0)
+        b4 = annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0))
+        b3 = annihilator(ModeLabel(Sector.RINDLER_III, Chirality.RIGHT, 0))
         with pytest.raises(ValueError, match="on one register; expression 1"):
             rindler_to_unruh([b4, b3], 1.0, self.CENTERS)
 
@@ -415,7 +427,7 @@ class TestRegionMapSequence:
 
     def test_acceleration_is_a_scalar_or_one_dimensional(self):
         with pytest.raises(ValueError, match="scalar or a 1-D array"):
-            rindler_to_unruh(mode(Sector.RINDLER_IV, Chirality.LEFT, 0), np.ones((2, 2)), self.CENTERS)
+            rindler_to_unruh(annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0)), np.ones((2, 2)), self.CENTERS)
 
     @pytest.mark.parametrize(
         "a, message",
@@ -432,7 +444,7 @@ class TestRegionMapSequence:
         # The error names the caller's value, not the array broadcast
         # against the grid.
         with pytest.raises(ValueError, match=f"^acceleration a must be {message}$"):
-            rindler_to_unruh(mode(Sector.RINDLER_IV, Chirality.LEFT, 0), a, self.CENTERS)
+            rindler_to_unruh(annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0)), a, self.CENTERS)
 
     def test_empty_accelerations_give_empty_rows(self):
         exprs = self.mixed_exprs(self.register())
@@ -447,8 +459,8 @@ class TestRegisters:
     """Expressions on different registers meet on the union of the two."""
 
     def mixed_pair(self):
-        # e1 on {A, B} from a term map, e2 on {B, C} from a register's modes.
-        e1 = OperatorExpr(0.5, {(A_LBL, False): 2.0, (B_LBL, True): 1.0 - 0.5j})
+        # e1 on {A, B} as a sum of annihilators, e2 on {B, C} from a register's modes.
+        e1 = 2.0 * annihilator(A_LBL) + (1.0 - 0.5j) * annihilator(B_LBL).dagger() + 0.5
         b, c = ModeRegister([B_LBL, C_LBL]).annihilators()
         e2 = 3j * b + 0.25 * b.dagger() - c.dagger() + 1.0
         return e1, e2
@@ -496,7 +508,7 @@ class TestRegisters:
         assert wick_expectation([e1, e2, e1, e2]) == pytest.approx(expected, abs=1e-14)
 
     def test_scalar_only_expressions(self):
-        scalar = OperatorExpr(3.0)
+        scalar = OperatorExpr(ModeRegister(), displacement=3.0)
         assert len(scalar.register) == 0 and not ladder_terms(scalar)
         assert len(ModeRegister([])) == 0 and len(ModeRegister.grid([], 4)) == 0
         assert wick_expectation([scalar, scalar]) == 9.0
@@ -506,8 +518,8 @@ class TestRegisters:
 
     def test_contained_register_is_reused(self):
         e1, _ = self.mixed_pair()
-        assert (e1 + 2.0 * mode(Sector.AUX, Chirality.LEFT, 0)).register is e1.register
-        assert (mode(Sector.AUX, Chirality.LEFT, 1) + e1).register is e1.register
+        assert (e1 + 2.0 * annihilator(ModeLabel(Sector.AUX, Chirality.LEFT, 0))).register is e1.register
+        assert (annihilator(ModeLabel(Sector.AUX, Chirality.LEFT, 1)) + e1).register is e1.register
 
 
 class TestFiniteness:
@@ -527,9 +539,9 @@ class TestFiniteness:
     def test_non_finite_vectors_rejected(self):
         reg = ModeRegister([A_LBL, B_LBL])
         with pytest.raises(ValueError, match="non-finite coefficient"):
-            OperatorExpr.from_vectors(reg, [1.0, math.nan])
+            OperatorExpr(reg, [1.0, math.nan])
         with pytest.raises(ValueError, match="non-finite coefficient"):
-            OperatorExpr.from_vectors(reg, 0.0, [math.inf, 0.0])
+            OperatorExpr(reg, 0.0, [math.inf, 0.0])
 
 
 class TestPruning:
@@ -539,14 +551,14 @@ class TestPruning:
 
     @pytest.mark.parametrize("tiny", [1e-16, PRUNE_TOL])
     def test_tiny_region_coefficient_hidden(self, tiny):
-        e = OperatorExpr(0.0, {(A_LBL, False): 1.0, (self.REGION, True): tiny})
+        e = annihilator(A_LBL) + tiny * annihilator(self.REGION).dagger()
         assert ladder_terms(e) == {(A_LBL, False): 1.0}
         assert e.coefficient(self.REGION) == 0.0
         assert e.coefficient(self.REGION, dagger=True) == 0.0
         assert wick_expectation([e, e.dagger()]) == pytest.approx(1.0)
 
     def test_tiny_region_coefficient_from_arithmetic_hidden(self):
-        b4 = mode(Sector.RINDLER_IV, Chirality.LEFT, 0)
+        b4 = annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0))
         hidden = aux(0) + 1e-16 * b4
         assert set(ladder_terms(hidden)) == {(A_LBL, False)}
         assert wick_expectation([hidden, hidden.dagger()]) == pytest.approx(1.0)
@@ -566,6 +578,6 @@ class TestPruning:
         # A wrong-chirality region label carrying only a pruned coefficient
         # is not mapped and raises nothing, as if absent.
         wrong = ModeLabel(Sector.RINDLER_IV, Chirality.RIGHT, 0)
-        e = OperatorExpr(0.0, {(A_LBL, False): 1.0, (wrong, False): 1e-16})
+        e = annihilator(A_LBL) + 1e-16 * annihilator(wrong)
         out = rindler_to_unruh(e, 1.0, np.array([1.0]))
         assert ladder_terms(out) == {(A_LBL, False): 1.0}

@@ -255,7 +255,7 @@ class TestCircuitBuild:
             row = wire_delta[0]
             u = row.u.copy()
             u[row.register.slots(Sector.UNRUH_C, Chirality.LEFT, [20])] *= 1.0 + 1e-5
-            leaky = OperatorExpr.from_vectors(row.register, u, row.v, row.displacement)
+            leaky = OperatorExpr(row.register, u, row.v, row.displacement)
             return (dataclasses.replace(wire_delta, rows=leaky._w[None]), *outputs)
 
         def recorded_audit(*args):
@@ -480,17 +480,17 @@ class TestVarianceAgainstClosedForms:
         for i in range(circ.n_bins):
             unit_c = np.zeros(len(register), dtype=complex)
             unit_c[c_slots[i]] = 1.0
-            c_i = OperatorExpr.from_vectors(register, unit_c) + k_c[i] * w
+            c_i = OperatorExpr(register, unit_c) + k_c[i] * w
             unit_d = np.zeros(len(register), dtype=complex)
             unit_d[d_slots[i]] = 1.0
-            d_i = OperatorExpr.from_vectors(register, unit_d) + k_d[i] * w.dagger()
+            d_i = OperatorExpr(register, unit_d) + k_d[i] * w.dagger()
             term = np.conj(lo_c[i]) * c_i + np.conj(lo_d[i]) * d_i
             field = field + term + term.dagger()
         n0 = np.sum(np.abs(lo_c) ** 2) + np.sum(np.abs(lo_d) ** 2)
         left = register.chirality_mask(Chirality.LEFT)
 
         def part(mask):
-            masked = OperatorExpr.from_vectors(register, field.u * mask, field.v * mask)
+            masked = OperatorExpr(register, field.u * mask, field.v * mask)
             return pair_contraction(masked, masked).real / n0
 
         return part(~left), part(left), pair_contraction(field, field).real / n0
@@ -701,6 +701,15 @@ class TestFockProtocolCheck:
         assert rep.predicted_var == pytest.approx(
             1.0 + 2.0 * math.tanh(0.5) ** 2, rel=1e-12
         )
+
+    @pytest.mark.parametrize("beta, phi", [(0.2, 0.0), (0.3 - 0.2j, 1.1)])
+    def test_zero_acceleration_point(self, beta, phi):
+        # At r = 0 the amplifier is the identity and the beam splitter fully
+        # transmits, so the output is the displaced vacuum.
+        rep = fock_check_inertial(0.0, 0.7, beta=beta, phi=phi)
+        assert rep.passed
+        assert rep.predicted_var == pytest.approx(1.0, rel=1e-12)
+        assert rep.predicted_mean == pytest.approx(2.0 * (beta * cmath.exp(-1j * phi)).real, rel=1e-12)
 
     def test_strict_raises_outside_window(self):
         with pytest.raises(TruncationError) as excinfo:
