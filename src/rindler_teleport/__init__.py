@@ -6,7 +6,7 @@ to an inertial receiver, with the acceleration-induced two-mode squeezing
 of the vacuum serving as the entanglement resource:
 
 * :mod:`.spectral` - acceleration squeezing spectrum, wavepacket envelopes
-  and the four closed-form integrals (i_c, i_s, i_cs, phi_cs).
+  and the three closed-form integrals (i_c, i_s, i_cs).
 * :mod:`.mode_algebra` - affine operator expressions as dense quadrature
   coefficient vectors on mode registers (one constructor,
   ``OperatorExpr(register, u, v, displacement)``), Gaussian gates, Wick

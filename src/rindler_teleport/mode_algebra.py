@@ -134,7 +134,7 @@ class ModeLabel:
 # A register stores each mode as one int64 key, family << _BIN_BITS | bin
 # offset, with family = 2 * sector index + chirality index.  Sorted keys give
 # every register a canonical order, equal registers equal key arrays, and a
-# union or lookup is a sorted merge or search instead of label hashing.
+# union is a sorted merge instead of label hashing.
 
 _SECTORS = tuple(Sector)
 _CHIRALITIES = tuple(Chirality)
@@ -175,8 +175,9 @@ class ModeRegister:
 
     ``labels`` is the tuple of :class:`ModeLabel` in register order (sorted
     by sector, chirality, bin), derived from the register's key array on
-    each read; ``slots`` finds the positions of modes by a search of the
-    keys.  Bins must lie in [-2**39, 2**39).
+    each read; ``slots`` gives the positions of one family's modes, in bin
+    order, from the family field of the keys.  Bins must lie in
+    [-2**39, 2**39).
     """
 
     __slots__ = ("keys",)
@@ -212,13 +213,10 @@ class ModeRegister:
     def labels(self) -> tuple[ModeLabel, ...]:
         return tuple(_key_label(int(k)) for k in self.keys)
 
-    def slots(self, sector: Sector, chirality: Chirality, bins) -> np.ndarray:
-        """Register positions of (sector, chirality, b) for each b in ``bins``."""
-        keys = _bin_keys(_family(sector, chirality), bins)
-        pos = np.searchsorted(self.keys, keys)
-        if not _contains(self.keys, keys, pos):
-            raise KeyError(f"register has no {sector.value}/{chirality.value} mode at some of {bins!r}")
-        return pos
+    def slots(self, sector: Sector, chirality: Chirality) -> np.ndarray:
+        """Register positions of the (sector, chirality) modes, in bin order
+        (empty when the register holds none)."""
+        return np.flatnonzero((self.keys >> _BIN_BITS) == _family(sector, chirality))
 
     def annihilators(self) -> tuple["OperatorExpr", ...]:
         """The annihilation operator of each mode, in register order.

@@ -173,6 +173,8 @@ class DiscretizedCircuit:
     def __getitem__(self, k: int) -> DiscretizedCircuit:
         if self.ch.ndim == 1:
             raise TypeError("a circuit built at one acceleration has no rows to index")
+        if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)):
+            raise TypeError(f"circuit row index must be an integer, got {k!r}")
         audit = float(self.commutator_audit_max[k])
         if not audit <= _COMMUTATOR_TOL:  # a NaN deviation fails too
             raise OracleConvergenceError(
@@ -201,7 +203,7 @@ def _packet_wire(
     register: ModeRegister, sector: Sector, chirality: Chirality, g: np.ndarray
 ) -> OperatorExpr:
     u = np.zeros(len(register))
-    u[register.slots(sector, chirality, np.arange(len(g)))] = g
+    u[register.slots(sector, chirality)] = g
     return OperatorExpr(register, u)
 
 
@@ -312,7 +314,7 @@ class _RankOneOutputs:
     """
 
     def __init__(self, register: ModeRegister, rows: np.ndarray, g_ch: np.ndarray, g_sh: np.ndarray):
-        self.slots = _cd_slots(register, g_ch.shape[1])
+        self.slots = _cd_slots(register)
         # complex k: complex-by-complex products are the fast ones
         self.k = np.empty((len(g_ch), 4, g_ch.shape[1]), dtype=complex)
         self.k[:, :2], self.k[:, 2:] = g_ch[:, None], -g_sh[:, None]
@@ -355,10 +357,9 @@ class _RankOneOutputs:
         return kx, ky, z, p - q_r, q - p_r, e - e_r
 
 
-def _cd_slots(register: ModeRegister, n_bins: int) -> np.ndarray:
+def _cd_slots(register: ModeRegister) -> np.ndarray:
     """Register slots of the c and d modes, by family and bin."""
-    bins = np.arange(n_bins)
-    return np.stack([register.slots(f, Chirality.LEFT, bins) for f in (Sector.UNRUH_C, Sector.UNRUH_D)])
+    return np.stack([register.slots(f, Chirality.LEFT) for f in (Sector.UNRUH_C, Sector.UNRUH_D)])
 
 
 def _w_rows(circ: DiscretizedCircuit) -> tuple[ModeRegister, np.ndarray]:
@@ -545,7 +546,7 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, np.ndarray]:
     unit = np.empty((len(weight), 2, 2, circ.n_bins), dtype=complex)  # at the c and d slots
     unit[:, 0, 0], unit[:, 1, 0] = 0.5 * lo_c.conjugate(), 0.5j * lo_c.conjugate()
     unit[:, 0, 1], unit[:, 1, 1] = 0.5 * lo_d, -0.5j * lo_d
-    field[:, :, _cd_slots(register, circ.n_bins)] += unit
+    field[:, :, _cd_slots(register)] += unit
     # X and Y are Hermitian with coefficients x = 2 Re and y = 2 Im of P's:
     # <X^2> = x.x, <Y^2> = y.y and <XY + YX>/2 = x.y over both rows.
     x, y = field.real, field.imag

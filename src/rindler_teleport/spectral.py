@@ -11,13 +11,12 @@ which diverges logarithmically as omega -> 0 and dies off exponentially for
 omega >> a.  Everything downstream (mode transformations, teleportation
 variances, the discretized circuit oracle) consumes r(omega) only through
 cosh r, sinh r and cosh r - sinh r, so this module provides numerically
-stable forms of all of them, plus Gaussian wavepacket envelopes and the four
+stable forms of all of them, plus Gaussian wavepacket envelopes and the three
 spectral integrals that the closed-form variance expressions are built from:
 
-    i_c    = integral |g|^2 cosh^2 r          (>= 1)
-    i_s    = integral |g|^2 sinh^2 r          (= i_c - 1 exactly)
-    i_cs   = integral |g|^2 (cosh r - sinh r)^2
-    phi_cs = integral g (cosh r - sinh r)
+    i_c  = integral |g|^2 cosh^2 r          (>= 1)
+    i_s  = integral |g|^2 sinh^2 r          (= i_c - 1 exactly)
+    i_cs = integral |g|^2 (cosh r - sinh r)^2
 
 Conventions
 -----------
@@ -272,28 +271,27 @@ def make_wavepacket(omega0: float, sigma: float) -> WavepacketSpec:
 
 @dataclass(frozen=True)
 class SpectralIntegrals:
-    """The four wavepacket integrals entering the variance closed forms.
+    """The three wavepacket integrals entering the variance closed forms.
 
     For a scalar ``a`` every field is a number.  For an array ``a`` every
-    field is an array over the accelerations, and the four integrals are NaN
-    on a row that did not stabilize.
+    field is an array over the accelerations, and the three integrals are
+    NaN on a row that did not stabilize.
 
     ``level`` is the number of panel halvings after which a row stopped, and
-    ``last_change`` the largest relative change of the four values between
+    ``last_change`` the largest relative change of the three values between
     that level and the one before it.
     """
 
     i_c: float | np.ndarray
     i_s: float | np.ndarray
     i_cs: float | np.ndarray
-    phi_cs: float | np.ndarray
     a: float | np.ndarray
     level: int | np.ndarray
     last_change: float | np.ndarray
 
 
 def _integrals_on_edges(edges: np.ndarray, wp: WavepacketSpec, accel: np.ndarray) -> np.ndarray:
-    """(len(accel), 4) array of (i_c, i_s, i_cs, phi_cs) on one panel set.
+    """(len(accel), 3) array of (i_c, i_s, i_cs) on one panel set.
 
     The nodes, weights, envelope and norm do not depend on the acceleration
     and are built once.  The integrands are evaluated for blocks of at most
@@ -310,18 +308,16 @@ def _integrals_on_edges(edges: np.ndarray, wp: WavepacketSpec, accel: np.ndarray
     intensity = envelope**2
     norm = q @ intensity
     pw = math.pi * w
-    out = np.empty((accel.size, 4))
+    out = np.empty((accel.size, 3))
     step = max(1, _BLOCK_ELEMENTS // w.size)
     for start in range(0, accel.size, step):
         x = pw / accel[start:start + step, None]
         ch2 = 1.0 / (-np.expm1(-2.0 * x))
         sh2 = np.exp(-2.0 * x) * ch2
         cms2 = np.tanh(0.5 * x)  # (cosh r - sinh r)^2
-        integrands = (intensity * ch2, intensity * sh2, intensity * cms2, envelope * np.sqrt(cms2))
-        for j, f in enumerate(integrands):
+        for j, f in enumerate((intensity * ch2, intensity * sh2, intensity * cms2)):
             out[start:start + step, j] = np.vecdot(f, q)
-    out[:, :3] /= norm
-    out[:, 3] /= math.sqrt(norm)
+    out /= norm
     return out
 
 
@@ -334,10 +330,10 @@ def _split_edges(edges: np.ndarray) -> np.ndarray:
 
 
 def spectral_integrals(wp: WavepacketSpec, a: float | np.ndarray) -> SpectralIntegrals:
-    """Evaluate i_c, i_s, i_cs and phi_cs for a wavepacket at acceleration ``a``.
+    """Evaluate i_c, i_s and i_cs for a wavepacket at acceleration ``a``.
 
     Refines the wavepacket's own panel set by repeated halving until all
-    four values are stable to ``_SETTLE_REL_TOL`` (1e-10) relative between
+    three values are stable to ``_SETTLE_REL_TOL`` (1e-10) relative between
     successive levels.  The intensity is renormalized per level, which keeps
     the i_c - i_s = 1 identity exact on every grid.
 

@@ -41,6 +41,18 @@ def faulty_sh_rewrite(monkeypatch, faulty_a):
     monkeypatch.setattr(mode_algebra, "unruh_cosh_sinh", faulty)
 
 
+@pytest.fixture
+def spectra_never_settle(monkeypatch):
+    """Make every spectral integral row run out of refinements unsettled.
+
+    A negative settle tolerance cannot be met, as no relative change between
+    levels is negative; a tiny positive one is met whenever every value
+    repeats bit for bit between two levels."""
+    from rindler_teleport import spectral
+
+    monkeypatch.setattr(spectral, "_SETTLE_REL_TOL", -1.0)
+
+
 STANDARD_OMEGA0 = 1.0
 STANDARD_SIGMA = 0.05
 STANDARD_A = 1.0

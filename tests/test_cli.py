@@ -13,7 +13,7 @@ import pytest
 from conftest import faulty_sh_rewrite, read_report_csv
 
 import rindler_teleport
-from rindler_teleport import build_displaced_circuit, cli, spectral, squeeze_param
+from rindler_teleport import build_displaced_circuit, cli, squeeze_param
 from rindler_teleport.cli import ENV_OUTDIR, main
 
 
@@ -212,12 +212,9 @@ class TestOverflowWarnings:
         assert row[-1] == "overflow"
 
 
+@pytest.mark.usefixtures("spectra_never_settle")
 class TestNoConvergenceRows:
     """Rows whose spectral integrals never stabilize are written, not raised."""
-
-    @pytest.fixture(autouse=True)
-    def unreachable_tolerance(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_SETTLE_REL_TOL", 1e-30)
 
     @pytest.mark.parametrize(
         "argv, values",
@@ -430,11 +427,11 @@ class TestVerify:
         assert main(["verify", "--bins", "32", "--out", str(tmp_path / "r.txt")]) == 0
         assert calls == [([0.3, 1.0, 3.0], 0.0), ([0.3, 1.0, 3.0], 0.4)]
 
-    def test_unsettled_rows_fail_their_suites(self, monkeypatch, tmp_path):
+    @pytest.mark.usefixtures("spectra_never_settle")
+    def test_unsettled_rows_fail_their_suites(self, tmp_path):
         # Spectral integrals that never settle are NaN rows; the suites that
         # read them must fail by name (a NaN maximum passes no tolerance), not
         # pass and not crash.
-        monkeypatch.setattr(spectral, "_SETTLE_REL_TOL", 1e-30)
         out = tmp_path / "nan.txt"
         assert main(["verify", "--bins", "32", "--out", str(out)]) == 1
         report = out.read_text()

@@ -468,11 +468,30 @@ class TestRegisters:
     def test_register_order_and_index(self):
         reg = ModeRegister([C_LBL, A_LBL, ModeLabel(Sector.UNRUH_C, Chirality.RIGHT, 4)])
         assert reg.labels == (ModeLabel(Sector.UNRUH_C, Chirality.RIGHT, 4), A_LBL, C_LBL)
-        assert list(reg.slots(Sector.AUX, Chirality.LEFT, [2, 0])) == [2, 1]
-        with pytest.raises(KeyError):
-            reg.slots(Sector.AUX, Chirality.LEFT, [1])
+        assert list(reg.slots(Sector.AUX, Chirality.LEFT)) == [1, 2]
+        assert reg.slots(Sector.UNRUH_D, Chirality.LEFT).shape == (0,)
         with pytest.raises(AttributeError):
             reg.keys = None
+
+    def test_slots_are_the_sorted_search_of_a_family(self):
+        # Families interleaved with gaps, negative bins and an empty register.
+        bins = {
+            (Sector.AUX, Chirality.LEFT): [-3, 0, 2, 7],
+            (Sector.UNRUH_C, Chirality.RIGHT): [4],
+            (Sector.UNRUH_D, Chirality.LEFT): [1, 5, 6],
+            (Sector.RINDLER_I, Chirality.RIGHT): [0, 2**39 - 1],
+        }
+        labels = [ModeLabel(s, c, b) for (s, c), family in bins.items() for b in family]
+        reg = ModeRegister(labels[::-1])
+        for sector in Sector:
+            for chirality in Chirality:
+                family = bins.get((sector, chirality), [])
+                keys = ModeRegister([ModeLabel(sector, chirality, b) for b in family]).keys
+                expected = np.searchsorted(reg.keys, keys)
+                assert np.array_equal(reg.keys[expected], keys)
+                assert np.array_equal(reg.slots(sector, chirality), expected)
+                assert [reg.labels[k].bin for k in reg.slots(sector, chirality)] == family
+                assert ModeRegister().slots(sector, chirality).shape == (0,)
 
     def test_mixed_sum(self):
         e1, e2 = self.mixed_pair()

@@ -19,6 +19,7 @@ from rindler_teleport import (
     DiscretizedCircuit,
     GridMismatchError,
     ModeLabel,
+    ModeRegister,
     OperatorExpr,
     OracleConvergenceError,
     Sector,
@@ -254,7 +255,7 @@ class TestCircuitBuild:
             calls.append(exprs)
             row = wire_delta[0]
             u = row.u.copy()
-            u[row.register.slots(Sector.UNRUH_C, Chirality.LEFT, [20])] *= 1.0 + 1e-5
+            u[row.register.slots(Sector.UNRUH_C, Chirality.LEFT)[20]] *= 1.0 + 1e-5
             leaky = OperatorExpr(row.register, u, row.v, row.displacement)
             return (dataclasses.replace(wire_delta, rows=leaky._w[None]), *outputs)
 
@@ -338,6 +339,33 @@ class TestBatchedBuild:
         assert photon_number_variance_lo(batch[0]) == photon_number_variance_lo(alone)
         with pytest.raises(TypeError, match="no rows"):
             alone[0]
+
+    @pytest.mark.parametrize("index", [slice(1, None), 1.0, True, np.bool_(False), "1", None, [0]])
+    def test_row_index_must_be_an_integer(self, wp_standard, index):
+        batch = build_displaced_circuit(np.array([0.5, 1.0, 2.0]), wp_standard, 32)
+        with pytest.raises(TypeError, match=re.escape(f"circuit row index must be an integer, got {index!r}")):
+            batch[index]
+
+    def test_row_index_of_any_integer_kind(self, wp_standard):
+        batch = build_displaced_circuit(np.array([0.5, 1.0, 2.0]), wp_standard, 32)
+        last = photon_number_variance_lo(batch[2])
+        for k in (np.int64(2), np.int32(2), np.uint8(2), -1, np.intp(-1)):
+            assert photon_number_variance_lo(batch[k]) == last
+        with pytest.raises(IndexError):
+            batch[3]
+        with pytest.raises(IndexError):
+            batch[-4]
+
+    def test_slots_are_the_sorted_search_of_a_family(self, wp_standard):
+        # On the rewritten register of a one-row circuit every vacuum family
+        # holds bins 0..N-1, and slots reads them in bin order.
+        register = build_squeezed_circuit(1.0, wp_standard, 64, r_s=0.4).wire_delta.register
+        for sector in (Sector.UNRUH_C, Sector.UNRUH_D):
+            for chirality in Chirality:
+                keys = ModeRegister([ModeLabel(sector, chirality, b) for b in range(64)]).keys
+                expected = np.searchsorted(register.keys, keys)
+                assert np.array_equal(register.keys[expected], keys)
+                assert np.array_equal(register.slots(sector, chirality), expected)
 
     def test_contraction_table_reads_one_row(self, wp_standard):
         batch = build_squeezed_circuit(np.array([0.3, 1.0]), wp_standard, 32, r_s=0.4)
@@ -470,12 +498,11 @@ class TestVarianceAgainstClosedForms:
         """
         w = circ.wire_delta
         register = w.register
-        bins = np.arange(circ.n_bins)
         k_c, k_d = circ.g * circ.ch, -circ.g * circ.sh
         lo_c = np.exp(1j * phi) * circ.disp_gain * k_c
         lo_d = np.exp(-1j * phi) * np.conj(circ.disp_gain) * k_d
-        c_slots = register.slots(Sector.UNRUH_C, Chirality.LEFT, bins)
-        d_slots = register.slots(Sector.UNRUH_D, Chirality.LEFT, bins)
+        c_slots = register.slots(Sector.UNRUH_C, Chirality.LEFT)
+        d_slots = register.slots(Sector.UNRUH_D, Chirality.LEFT)
         field = 0.0 * w
         for i in range(circ.n_bins):
             unit_c = np.zeros(len(register), dtype=complex)

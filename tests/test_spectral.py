@@ -1,5 +1,6 @@
 """Acceleration squeezing spectrum, wavepacket grids and spectral integrals."""
 
+import dataclasses
 import math
 from functools import partial
 
@@ -131,8 +132,11 @@ class TestSpectralIntegrals:
     def test_frozen_values(self):
         ints = spectral_integrals(make_wavepacket(1.0, 0.01), 1.0)
         assert ints.i_cs == pytest.approx(0.917116387711201, rel=1e-10)
-        assert ints.phi_cs == pytest.approx(0.2144188022339703, rel=1e-10)
         assert ints.i_c - ints.i_s == pytest.approx(1.0, abs=1e-10)
+
+    def test_fields(self):
+        names = [f.name for f in dataclasses.fields(spectral.SpectralIntegrals)]
+        assert names == ["i_c", "i_s", "i_cs", "a", "level", "last_change"]
 
     def test_narrowband_limit(self):
         # sigma -> 0: i_cs -> tanh(pi omega0 / (2 a)) at the carrier
@@ -151,8 +155,8 @@ class TestSpectralIntegrals:
         ints = spectral_integrals(make_wavepacket(omega0, rel_sigma * omega0), a)
         assert ints.i_c - ints.i_s == pytest.approx(1.0, abs=1e-8)
 
-    def test_nonconvergence_raises(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_SETTLE_REL_TOL", 1e-30)
+    @pytest.mark.usefixtures("spectra_never_settle")
+    def test_nonconvergence_raises(self):
         wp = make_wavepacket(1.0, 0.05)
         with pytest.raises(SpectralConvergenceError):
             spectral_integrals(wp, 1.0)
@@ -266,9 +270,11 @@ class TestFrequencyInput:
 def _reference_integrals(wp, a: float, rel_tol: float = 1e-10):
     """One acceleration at a time, the loop the array path replaces.
 
-    Returns ((i_c, i_s, i_cs, phi_cs), level), level being the number of
-    panel halvings after which the values stabilized, or None when seven
-    were not enough.
+    Returns ((i_c, i_s, i_cs), level), level being the number of panel
+    halvings after which the values stabilized, or None when seven were not
+    enough.  The stop rule still also waits for phi_cs = integral
+    g (cosh r - sinh r), which ``spectral_integrals`` no longer computes:
+    equal levels show that phi_cs never decided where a row stopped.
     """
     xg, wg = leggauss(16)
 
@@ -299,8 +305,8 @@ def _reference_integrals(wp, a: float, rel_tol: float = 1e-10):
         change = np.max(np.abs(refined - values) / np.maximum(np.abs(refined), 1e-300))
         values = refined
         if change <= rel_tol:
-            return values, level
-    return values, None
+            return values[:3], level
+    return values[:3], None
 
 
 # The eight carriers (omega0, sigma) of one benchmark closed-sweep round
@@ -321,7 +327,7 @@ def _sweep_grid(steps: int = 48) -> np.ndarray:
     return np.logspace(math.log10(0.05), math.log10(50.0), steps)
 
 
-_ROW_FIELDS = ("i_c", "i_s", "i_cs", "phi_cs", "level", "last_change")
+_ROW_FIELDS = ("i_c", "i_s", "i_cs", "level", "last_change")
 
 
 def _bits(ints, k=None) -> list:
@@ -343,7 +349,7 @@ class TestArrayAcceleration:
         a = _sweep_grid()
         ints = spectral_integrals(wp, a)
         assert np.array_equal(ints.a, a)
-        got = np.column_stack([ints.i_c, ints.i_s, ints.i_cs, ints.phi_cs])
+        got = np.column_stack([ints.i_c, ints.i_s, ints.i_cs])
         for k, ak in enumerate(a):
             expected, level = _reference_integrals(wp, float(ak))
             np.testing.assert_allclose(got[k], expected, rtol=1e-14, atol=0)
@@ -371,15 +377,15 @@ class TestArrayAcceleration:
         assert ints.a[0] == single.a
         assert _bits(ints, 0) == _bits(single)
 
-    def test_unsettled_rows_are_nan_and_scalar_still_raises(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_SETTLE_REL_TOL", 1e-30)
+    @pytest.mark.usefixtures("spectra_never_settle")
+    def test_unsettled_rows_are_nan_and_scalar_still_raises(self):
         wp = make_wavepacket(1.0, 0.05)
         a = np.array([0.1, 1.0, 10.0])
         ints = spectral_integrals(wp, a)
-        for field in ("i_c", "i_s", "i_cs", "phi_cs"):
+        for field in ("i_c", "i_s", "i_cs"):
             assert np.all(np.isnan(getattr(ints, field)))
         assert np.all(ints.level == 7)
-        assert np.all(np.isfinite(ints.last_change) & (ints.last_change > 1e-30))
+        assert np.all(np.isfinite(ints.last_change) & (ints.last_change > spectral._SETTLE_REL_TOL))
         with pytest.raises(SpectralConvergenceError, match="did not stabilize"):
             spectral_integrals(wp, 1.0)
 

@@ -205,12 +205,12 @@ class TestAccelerationGrid:
     @pytest.mark.parametrize("omega0, sigma", [(1.0, 0.05), (1.1086217441627257, 0.44047444229842797)])
     @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2])
     @pytest.mark.parametrize("converged", [True, False])
-    def test_displaced_is_squeezed_at_zero_squeezing(self, monkeypatch, omega0, sigma, phi, converged):
+    def test_displaced_is_squeezed_at_zero_squeezing(self, request, omega0, sigma, phi, converged):
         # One payload path: the coherent report is the r_s = 0 squeezed one,
         # bit for bit and type for type, on scalars and on grids (all rows
         # NaN when nothing converges).
         if not converged:
-            monkeypatch.setattr(spectral, "_SETTLE_REL_TOL", 1e-30)
+            request.getfixturevalue("spectra_never_settle")
         wp = make_wavepacket(omega0, sigma)
         for a in [self.A, *map(float, self.A)] if converged else [self.A]:
             disp, sq = displaced_variance(a, wp), squeezed_variance(a, wp, 0.0, phi)
@@ -229,8 +229,8 @@ class TestAccelerationGrid:
         with pytest.raises(ValueError, match="i_c must be >= 1"):
             delta_decoherence(0.5, np.array([1.0, 0.5]), 0.3)
 
-    def test_unsettled_rows_pass_through_as_nan(self, monkeypatch):
-        monkeypatch.setattr(spectral, "_SETTLE_REL_TOL", 1e-30)
+    @pytest.mark.usefixtures("spectra_never_settle")
+    def test_unsettled_rows_pass_through_as_nan(self):
         wp = make_wavepacket(1.0, 0.05)
         for rep in (displaced_variance(self.A, wp), squeezed_variance(self.A, wp, 0.4, 0.2)):
             for field in self.FIELDS:
