@@ -35,7 +35,8 @@ itself, and nothing is drawn at random (``verify`` checks every
 mass-bearing bin pair; the seed is only recorded).  Exit codes: 0
 success, 1 verification failure, 2 invalid input, including a value the
 physics rejects (``r_s`` past e^(2 r_s) overflow, or an oracle build past
-its own r_s bound, see ``oracle.build_squeezed_circuit``).
+its own r_s bound, see ``oracle.build_squeezed_circuit``) and a wavepacket
+that floats cannot hold (see ``spectral.make_wavepacket``).
 """
 
 from __future__ import annotations

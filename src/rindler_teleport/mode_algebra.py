@@ -26,6 +26,12 @@ spread onto the union of their registers.  The adjoint conjugates the rows,
 a squeezer scales real parts by e^r_s and imaginary parts by e^(-r_s), so a
 squeezed quadrature keeps its relative precision at any squeezing.
 
+No expression holds a non-finite coefficient.  Coefficients that come from
+outside the algebra - the constructor's vectors and the rows of a region
+rewrite - are tested, and a non-finite one is a ValueError naming its mode.
+Coefficients made by arithmetic on tested expressions carry a bound on their
+magnitudes instead, and are tested only once that bound passes 1e300.
+
 Mode labels carry a sector, a chirality (propagation direction) and a
 frequency-bin index:
 
@@ -33,10 +39,10 @@ frequency-bin index:
   accelerated observer's modes decompose into; these ARE vacuum modes, and
   expectation values are taken in their joint vacuum.
 * ``RINDLER_I..IV`` - wedge/region modes of the accelerated observer.  They
-  do NOT annihilate the global vacuum; :func:`wick_expectation` rejects
-  them, and :func:`rindler_to_unruh` rewrites them into the Unruh families
-  with the standard thermal Bogoliubov coefficients cosh r(omega),
-  sinh r(omega).
+  do NOT annihilate the global vacuum; :func:`wick_expectation`,
+  :func:`pair_contraction` and :func:`quadrature_variance` reject them,
+  and :func:`rindler_to_unruh` rewrites them into the Unruh families with
+  the standard thermal Bogoliubov coefficients cosh r(omega), sinh r(omega).
 * ``AUX`` - ordinary inertial vacuum modes (circuit inputs, resource modes).
 
 Quadrature convention: X(phi) = e^(-i phi) a + e^(i phi) a^dagger, so the
@@ -243,31 +249,16 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate((keys[:1] == keys[:1], keys[1:] != keys[:-1]))]
 
 
-def _contains(keys: np.ndarray, query: np.ndarray, pos: np.ndarray) -> bool:
-    """Whether sorted ``keys`` hold every ``query`` key (``pos`` from searchsorted)."""
-    if not len(query):
-        return True
-    if not len(keys) or pos.max() >= len(keys):
-        return False
-    return bool(np.array_equal(keys[pos], query))
-
-
 def _merge(r1: ModeRegister, r2: ModeRegister):
     """The union of two registers, with the slots each one's modes take in it.
 
-    Returns ``(register, slots1, slots2)``; a slot array is None where that
-    input already has the union's layout.  A register holding the other one
-    is reused as the union, so repeated mixing does not grow new registers.
+    Returns ``(register, slots1, slots2)``.  Equal registers are their own
+    union, with both slot arrays None; otherwise the union is a new register
+    over the sorted keys of both.
     """
     k1, k2 = r1.keys, r2.keys
     if r1 is r2 or (len(k1) == len(k2) and np.array_equal(k1, k2)):
         return r1, None, None
-    if len(k1) < len(k2):
-        reg, s2, s1 = _merge(r2, r1)
-        return reg, s1, s2
-    pos = np.searchsorted(k1, k2)
-    if _contains(k1, k2, pos):
-        return r1, None, pos
     keys = _sorted_unique(np.concatenate((k1, k2)))
     return ModeRegister._from_keys(keys), np.searchsorted(keys, k1), np.searchsorted(keys, k2)
 
@@ -286,11 +277,13 @@ _LADDER_TO_QUADRATURES = np.array([[0.5, 0.5], [0.5j, -0.5j]])
 
 
 def _max_magnitude(register: ModeRegister, w: np.ndarray) -> float:
-    """Largest magnitude in ``w``; a non-finite entry is a ValueError naming its mode."""
+    """Largest magnitude in ``w``, of shape ``(..., len(register))``; a
+    non-finite entry is a ValueError naming its mode."""
     peak = float(np.abs(w).max()) if w.size else 0.0
     if not math.isfinite(peak):
-        row, slot = np.argwhere(~np.isfinite(w))[0]
-        raise ValueError(f"non-finite coefficient {complex(w[row, slot])!r} for {register.labels[slot]!r}")
+        index = tuple(np.argwhere(~np.isfinite(w))[0])
+        label = _key_label(int(register.keys[index[-1]]))
+        raise ValueError(f"non-finite coefficient {complex(w[index])!r} for {label!r}")
     return peak
 
 
@@ -313,7 +306,8 @@ class OperatorExpr:
     below ``PRUNE_TOL`` count as zero everywhere an expression is read,
     while the vectors carry them as computed.
     Instances are immutable; every operation returns a new expression, and
-    no expression holds a non-finite coefficient.
+    no expression holds a non-finite coefficient: coefficients from outside
+    the algebra are tested, and those made by arithmetic carry a bound.
     """
 
     __slots__ = ("displacement", "register", "_w", "_peak")
@@ -326,30 +320,21 @@ class OperatorExpr:
         _set_slots(self, _finite_displacement(displacement), register, _LADDER_TO_QUADRATURES @ uv, peak)
 
     @classmethod
-    def _new(cls, register: ModeRegister, d: complex, w: np.ndarray, peak: float) -> "OperatorExpr":
-        """Expression over finite vectors whose magnitudes ``peak`` bounds (not checked).
-
-        ``w`` is owned by the expression and never written again.
-        """
-        expr = object.__new__(cls)
-        _set_slots(expr, d, register, w, peak)
-        return expr
-
-    @classmethod
-    def _checked(
-        cls, register: ModeRegister, d, w: np.ndarray, bound: float = math.inf
-    ) -> "OperatorExpr":
-        """Expression over a fresh ``(2, len(register))`` array.
+    def _new(cls, register: ModeRegister, d, w: np.ndarray, bound: float) -> "OperatorExpr":
+        """Expression over a ``(2, len(register))`` array ``w``, owned by the
+        expression and never written again.
 
         ``bound`` is an upper bound on the magnitudes of ``w`` known from how
-        it was computed (each expression keeps its own as ``_peak``).  Below
+        it was computed (each expression keeps its own as ``_peak``).  Up to
         ``_SAFE_PEAK`` it proves them finite without a pass over the vectors;
-        otherwise they are tested and the bound replaced by their maximum.
+        past it (``math.inf`` when nothing is known) they are tested and the
+        bound replaced by their maximum.  The displacement is always tested.
         """
-        d = _finite_displacement(d)
         if not bound <= _SAFE_PEAK:
             bound = _max_magnitude(register, w)
-        return cls._new(register, d, w, bound)
+        expr = object.__new__(cls)
+        _set_slots(expr, _finite_displacement(d), register, w, bound)
+        return expr
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("OperatorExpr is immutable")
@@ -359,22 +344,17 @@ class OperatorExpr:
     def __add__(self, other):
         if isinstance(other, OperatorExpr):
             reg, w1, w2 = _align(self, other)
-            return OperatorExpr._checked(
+            return OperatorExpr._new(
                 reg, self.displacement + other.displacement, w1 + w2, self._peak + other._peak
             )
-        return OperatorExpr._new(
-            self.register,
-            _finite_displacement(self.displacement + complex(other)),
-            self._w,
-            self._peak,
-        )
+        return OperatorExpr._new(self.register, self.displacement + complex(other), self._w, self._peak)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, OperatorExpr):
             reg, w1, w2 = _align(self, other)
-            return OperatorExpr._checked(
+            return OperatorExpr._new(
                 reg, self.displacement - other.displacement, w1 - w2, self._peak + other._peak
             )
         return self + (-complex(other))
@@ -388,7 +368,7 @@ class OperatorExpr:
                 "operator products are not expressions; pass a sequence to wick_expectation"
             )
         s = complex(scalar)
-        return OperatorExpr._checked(
+        return OperatorExpr._new(
             self.register, self.displacement * s, self._w * s, self._peak * abs(s)
         )
 
@@ -417,9 +397,6 @@ class OperatorExpr:
         """Creator coefficients alpha + i beta."""
         return _read_only(self._w[0] + 1j * self._w[1])
 
-    def _support(self) -> np.ndarray:
-        return _support(self._w)
-
     def coefficient(self, label: ModeLabel, dagger: bool = False) -> complex:
         """The annihilator (or, with ``dagger``, creator) coefficient of ``label``."""
         key = _label_key(label)
@@ -434,7 +411,7 @@ class OperatorExpr:
     def __repr__(self) -> str:
         parts = [f"{self.displacement:.6g}"] if self.displacement != 0 else []
         labels, u, v = self.register.labels, self.u, self.v
-        for slot in np.flatnonzero(self._support()):
+        for slot in np.flatnonzero(_support(self._w)):
             for c, mark in ((u[slot], ""), (v[slot], "†")):
                 if abs(c) > PRUNE_TOL:
                     parts.append(f"({c:.6g})·{labels[slot]!r}{mark}")
@@ -499,20 +476,30 @@ def pair_contraction(e1: OperatorExpr, e2: OperatorExpr) -> complex:
 
     With <X X> = <P P> = 1 and <X P> = -<P X> = i in the vacuum this is
     alpha1.alpha2 + beta1.beta2 + i (alpha1.beta2 - beta1.alpha2).
-    Displacements are ignored.
+    Displacements are ignored, and Rindler-sector labels are rejected as in
+    :func:`wick_expectation`.
     """
+    _reject_non_vacuum((e1,) if e1 is e2 else (e1, e2))  # a variance pairs X with itself
     _, w1, w2 = _align(e1, e2)
     (aa, ab), (ba, bb) = (w1 @ w2.T).tolist()
     return aa + bb + 1j * (ab - ba)
 
 
 def _reject_non_vacuum(product: Iterable[OperatorExpr]) -> None:
+    shift = _BIN_BITS + 1  # a key's sector index
     for expr in product:
-        hit = expr._support() & _IS_RINDLER[expr.register.keys >> (_BIN_BITS + 1)]
-        if not hit.any():
+        keys = expr.register.keys
+        # Keys sort by sector, so when no region sector lies between the first
+        # and last key's the register holds no region mode: no support pass.
+        if not len(keys):
             continue
-        families = expr.register.keys[hit] >> (_BIN_BITS + 1)
-        names = ", ".join(sorted({_SECTORS[i].value for i in families}))
+        spanned = _IS_RINDLER[int(keys[0]) >> shift : (int(keys[-1]) >> shift) + 1]
+        if True not in spanned.tolist():
+            continue
+        sectors = keys[_support(expr._w) & _IS_RINDLER[keys >> shift]] >> shift
+        if not len(sectors):
+            continue
+        names = ", ".join(sorted({_SECTORS[i].value for i in sectors}))
         raise ValueError(
             f"expectation over non-vacuum sectors [{names}]: rewrite with "
             "rindler_to_unruh before taking vacuum expectation values"
@@ -556,7 +543,8 @@ def wick_expectation(product: Sequence[OperatorExpr]) -> complex:
 
 def quadrature_variance(expr: OperatorExpr, phi: float = 0.0) -> float:
     """Variance of X(phi) = e^(-i phi) E + e^(i phi) E^dagger in the vacuum;
-    a NaN or infinite ``phi`` is a :class:`ValueError`."""
+    a NaN or infinite ``phi`` is a :class:`ValueError`, and so is a
+    Rindler-sector label in X(phi), as in :func:`wick_expectation`."""
     if not math.isfinite(phi):
         raise ValueError(f"LO phase phi must be finite, got {phi}")
     x = cmath.exp(-1j * phi) * expr
@@ -605,7 +593,7 @@ def single_mode_squeeze(a: OperatorExpr, r_s: float) -> OperatorExpr:
     np.multiply(a._w.real, stretch, out=w.real)
     np.multiply(a._w.imag, squeeze, out=w.imag)
     d = complex(a.displacement.real * stretch, a.displacement.imag * squeeze)
-    return OperatorExpr._checked(a.register, d, w, a._peak * max(stretch, squeeze))
+    return OperatorExpr._new(a.register, d, w, a._peak * max(stretch, squeeze))
 
 
 def beam_splitter(
@@ -653,22 +641,21 @@ class OperatorRows:
     """Expressions alike but for their coefficients, one per row.
 
     :func:`rindler_to_unruh` forms one per expression: ``rows`` is a
-    read-only ``(A, 2, n)`` array of X and P coefficient rows on
-    ``register``, one per acceleration, each row with ``displacement`` and
-    with magnitudes bounded by its entry of ``peaks``.  Indexing gives a
-    row as an :class:`OperatorExpr` over a view of ``rows``.
+    read-only ``(A, 2, n)`` array of finite X and P coefficient rows on
+    ``register``, one per acceleration, each row with ``displacement``.
+    Indexing gives a row as an :class:`OperatorExpr` over a view of
+    ``rows``, bounded by that row's largest magnitude.
     """
 
     register: ModeRegister
     displacement: complex
     rows: np.ndarray
-    peaks: np.ndarray
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def __getitem__(self, k: int) -> OperatorExpr:
-        return OperatorExpr._new(self.register, self.displacement, self.rows[k], float(self.peaks[k]))
+        return OperatorExpr._new(self.register, self.displacement, self.rows[k], math.inf)
 
 
 def rindler_to_unruh(expr: OperatorExpr | Sequence[OperatorExpr], a, grid: np.ndarray):
@@ -711,7 +698,9 @@ def _rewrite_regions(
     exprs: tuple[OperatorExpr, ...], accel: np.ndarray, grid: np.ndarray
 ) -> tuple[OperatorRows, ...]:
     """The rewrite at the 1-D ``accel``: one :class:`OperatorRows` per
-    expression, whether or not the register holds region modes."""
+    expression, whether or not the register holds region modes.  Each
+    result array is tested once, so an overflowing coefficient is a
+    :class:`ValueError` that names its mode."""
     freqs = np.asarray(grid, dtype=float)
     if freqs.ndim != 1 or len(freqs) == 0:
         raise ValueError("grid must be a non-empty 1-D array of bin frequencies")
@@ -733,7 +722,7 @@ def _rewrite_regions(
     wrong = region & (chirality != _REQUIRED_CHIRALITY[sector])
     outside = region & ~wrong & ((bins < 0) | (bins >= len(freqs)))
     if (wrong | outside).any():
-        support = np.logical_or.reduce([e._support() for e in exprs])
+        support = np.logical_or.reduce([_support(e._w) for e in exprs])
         hit = np.flatnonzero(wrong & support)
         if len(hit):
             label = _key_label(int(keys[hit[0]]))
@@ -772,8 +761,6 @@ def _rewrite_regions(
         lo, hi = bounds[group], bounds[group + 1]
         source[group, slot[lo:hi]] = np.arange(lo, hi)
     source = source[[n_pass > 0, m > 0, m > 0]]  # a group without terms would add zeros
-    # Each coefficient is at most one passing one, or ch + sh times a mapped one.
-    gain = 1.0 + ch_grid.max(axis=1) + sh_grid.max(axis=1)
     out_reg = ModeRegister._from_keys(out_keys)
     rows = len(accel)
     terms = np.empty((rows, 2, n_pass + 2 * m + 1), dtype=complex)
@@ -791,9 +778,7 @@ def _rewrite_regions(
         w = np.zeros((rows, 2, n), dtype=complex)
         for group in source:  # indices in range: "clip" spares a copy of ``out``
             w += terms.take(group, axis=2, out=gathered, mode="clip")
-        peaks = e._peak * gain
-        if not np.max(peaks, initial=0.0) <= _SAFE_PEAK:  # a bound past it: test the rows themselves
-            peaks = np.array([_max_magnitude(out_reg, row) for row in w])
+        _max_magnitude(out_reg, w)
         w.flags.writeable = False
-        results.append(OperatorRows(out_reg, e.displacement, w, peaks))
+        results.append(OperatorRows(out_reg, e.displacement, w))
     return tuple(results)

@@ -268,7 +268,7 @@ def _build_circuit(a, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircui
     if len(blocks) > 1:
         stacked = np.concatenate([b.rows for b in blocks])
         stacked.flags.writeable = False
-        wire_delta = replace(wire_delta, rows=stacked, peaks=np.concatenate([b.peaks for b in blocks]))
+        wire_delta = replace(wire_delta, rows=stacked)
     circuit = DiscretizedCircuit(
         r_s=float(r_s),
         g=g,
@@ -453,7 +453,8 @@ def _bin_commutator_deviation(outputs: _RankOneOutputs, rows: np.ndarray) -> np.
     deviations = []
     for j in (slice(None), [0], [n // 2], [n - 1]):  # every bin itself, then each anchor
         value = kx * (ky[..., j] * z + q[..., j]) + ky[..., j] * p
-        deviations.append((np.abs(value) / (size_x * size_y[..., j])).max(axis=(1, 2)))
+        # One factor at a time: their product underflows to 0 where sinh r does.
+        deviations.append((np.abs(value) / size_x / size_y[..., j]).max(axis=(1, 2)))
     return np.max(deviations, axis=0)
 
 

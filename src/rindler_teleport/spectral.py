@@ -236,7 +236,9 @@ def make_wavepacket(omega0: float, sigma: float) -> WavepacketSpec:
 
     Its quadrature is 16 uniform 16-node Gauss-Legendre panels; a clipped
     window also receives infrared panels so that the 1/omega tail is
-    resolved decade by decade.
+    resolved decade by decade.  A packet that floats cannot hold - its
+    variance or window past the float range, or its panels too narrow to
+    carry any weight - is a :class:`ValueError` naming omega0 and sigma.
     """
     if not (math.isfinite(omega0) and omega0 > 0):
         raise ValueError(f"omega0 must be finite and positive, got {omega0}")
@@ -245,15 +247,22 @@ def make_wavepacket(omega0: float, sigma: float) -> WavepacketSpec:
 
     lo = max(OMEGA_MIN_FACTOR * omega0, omega0 - 8.0 * sigma)
     hi = omega0 + 8.0 * sigma
+    unheld = f"floats cannot hold the wavepacket at omega0={omega0}, sigma={sigma}"
+    # 2 sigma^2 and lo must not vanish; (8 sigma)^2, the panel midpoints (below
+    # 2 hi) and the span sigma/lo of a clipped window's infrared ladder must be finite.
+    variance = sigma * sigma
+    if not (
+        0.0 < 2.0 * variance and 64.0 * variance < math.inf and 2.0 * hi < math.inf
+        and 0.0 < lo and sigma / lo < math.inf
+    ):
+        raise ValueError(f"{unheld}: its variance or window leaves the float range")
     edges = _build_edges(lo, hi, omega0, sigma)
     nodes = _panel_nodes(edges)
 
     intensity = np.exp(-((nodes[:, 0] - omega0) ** 2) / (2.0 * sigma**2))
     norm = float(nodes[:, 1] @ intensity)
-    if norm <= 0 or not math.isfinite(norm):
-        raise SpectralConvergenceError(
-            f"degenerate wavepacket normalization (norm={norm}) for omega0={omega0}, sigma={sigma}"
-        )
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"{unheld}: its normalization is {norm}")
 
     # Intensity mass the positive-frequency truncation removed, measured on
     # the untruncated unit-mass Gaussian N(omega0, sigma^2).

@@ -388,6 +388,15 @@ class TestParameterValidation:
             main(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--omega0", "1e308"), ("--sigma", "1e-320")])
+    def test_packet_floats_cannot_hold_exits_2(self, flag, value, tmp_path):
+        src = str(Path(rindler_teleport.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "rindler_teleport.cli", "fig5", flag, value, "--out", str(tmp_path / "f.csv")]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "floats cannot hold the wavepacket" in proc.stderr
+
 
 class TestVerify:
     def test_passes_and_is_deterministic(self, tmp_path, capsys):

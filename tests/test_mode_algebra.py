@@ -5,6 +5,7 @@ affine operators applied to the two-mode vacuum populate at most four
 quanta, so a cutoff-6 matrix representation is exact, not truncated.
 """
 
+import dataclasses
 import inspect
 import math
 
@@ -198,6 +199,24 @@ class TestWickEngine:
         b4 = annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0))
         with pytest.raises(ValueError):
             wick_expectation([b4, b4.dagger()])
+
+    def test_every_vacuum_statistic_rejects_region_sectors(self):
+        # A region mode is found alone and between vacuum sectors in register
+        # order (unruh_c before the regions, aux after them); a rewritten one
+        # has the thermal variance cosh 2r.
+        b4 = annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0))
+        between = annihilator(ModeLabel(Sector.UNRUH_C, Chirality.LEFT, 0)) + b4 + aux(0)
+        message = r"^expectation over non-vacuum sectors \[rindler_iv\]: rewrite with rindler_to_unruh"
+        for e in (b4, between):
+            with pytest.raises(ValueError, match=message):
+                quadrature_variance(e)
+            with pytest.raises(ValueError, match=message):
+                pair_contraction(aux(0), e)
+            with pytest.raises(ValueError, match=message):
+                wick_expectation([e])
+        ch, sh = unruh_cosh_sinh(1.0, 1.0)
+        assert quadrature_variance(rindler_to_unruh(b4, 1.0, np.array([1.0]))) == pytest.approx(ch**2 + sh**2)
+        assert quadrature_variance(aux(0) + 1e-16 * b4) == pytest.approx(1.0)  # a pruned coefficient is absent
 
     def test_pair_contraction_matches_two_point(self):
         rng = np.random.default_rng(7)
@@ -452,7 +471,7 @@ class TestRegionMapSequence:
         assert len(batches) == len(exprs)
         for batch in batches:
             assert isinstance(batch, OperatorRows) and len(batch) == 0
-            assert batch.rows.shape[:2] == (0, 2) and batch.peaks.shape == (0,)
+            assert batch.rows.shape[:2] == (0, 2)
 
 
 class TestRegisters:
@@ -535,10 +554,13 @@ class TestRegisters:
         assert shifted.displacement == 3.0 and ladder_terms(shifted) == {(B_LBL, False): 1.0}
         assert commutator(scalar, aux(1)) == 0.0
 
-    def test_contained_register_is_reused(self):
+    def test_union_with_contained_register(self):
+        # A union with a register that e1's holds has e1's keys, and adding
+        # a zero multiple of a held mode changes no coefficient.
         e1, _ = self.mixed_pair()
-        assert (e1 + 2.0 * annihilator(ModeLabel(Sector.AUX, Chirality.LEFT, 0))).register is e1.register
-        assert (annihilator(ModeLabel(Sector.AUX, Chirality.LEFT, 1)) + e1).register is e1.register
+        for total in (e1 + 0.0 * annihilator(A_LBL), annihilator(B_LBL) * 0.0 + e1):
+            assert np.array_equal(total.register.keys, e1.register.keys)
+            assert np.array_equal(total._w, e1._w) and total.displacement == e1.displacement
 
 
 class TestFiniteness:
@@ -554,6 +576,19 @@ class TestFiniteness:
             huge + huge
         with pytest.raises(ValueError, match="non-finite displacement"):
             (aux(0) + 1e308) * 1e10
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("a", [1.0, np.array([1.0, 2.0])], ids=["scalar", "array"])
+    def test_overflowing_rewrite_rejected_by_mode(self, a):
+        # cosh r(1e-3) at a = 1 is about 12.6, so c_L[0] takes 1e308 times it.
+        big = 1e308 * annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0))
+        with pytest.raises(ValueError, match=r"^non-finite coefficient .* for c_L\[0\]$"):
+            rindler_to_unruh(big, a, np.array([1e-3]))
+
+    def test_one_private_constructor_and_unbounded_rows(self):
+        assert list(inspect.signature(OperatorExpr._new).parameters) == ["register", "d", "w", "bound"]
+        assert not hasattr(OperatorExpr, "_checked")
+        assert [f.name for f in dataclasses.fields(OperatorRows)] == ["register", "displacement", "rows"]
 
     def test_non_finite_vectors_rejected(self):
         reg = ModeRegister([A_LBL, B_LBL])

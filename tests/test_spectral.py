@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -126,6 +127,29 @@ class TestWavepacket:
     def test_non_finite_rejected_by_name(self, omega0, sigma, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             make_wavepacket(omega0, sigma)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "omega0, sigma",
+        [
+            (1.0, 1e155),  # sigma**2 past the float range
+            (1e308, 1e306),  # fig5 --omega0 1e308: (8 sigma)^2 past it
+            (1.0, 1e-150),  # panels narrower than one ulp of omega0
+            (1.0, 1e-320),  # 2 sigma^2 underflows
+            (1e-300, 1e-302),  # sigma^2 underflows at a tiny carrier
+            (1e-150, 1e153),  # the clipped window's infrared ladder spans past it
+            (1e-320, 1.0),  # the infrared cutoff underflows
+        ],
+    )
+    def test_packet_floats_cannot_hold_rejected_by_name(self, omega0, sigma):
+        named = re.escape(f"floats cannot hold the wavepacket at omega0={omega0}, sigma={sigma}")
+        with pytest.raises(ValueError, match=f"^{named}: "):
+            make_wavepacket(omega0, sigma)
+
+    @pytest.mark.filterwarnings("error")
+    def test_wide_packet_within_the_float_range_builds(self):
+        wp = make_wavepacket(1.0, 1e150)
+        assert wp.clipped and 0.0 < wp.norm_const < math.inf
 
 
 class TestSpectralIntegrals:
