@@ -140,7 +140,8 @@ class ModeLabel:
 # A register stores each mode as one int64 key, family << _BIN_BITS | bin
 # offset, with family = 2 * sector index + chirality index.  Sorted keys give
 # every register a canonical order, equal registers equal key arrays, and a
-# union is a sorted merge instead of label hashing.
+# union is a sorted merge instead of label hashing.  A grid register (each of
+# its families at each of its bins) lays its vectors out as whole blocks.
 
 _SECTORS = tuple(Sector)
 _CHIRALITIES = tuple(Chirality)
@@ -155,11 +156,12 @@ def _family(sector: Sector, chirality: Chirality) -> int:
     return 2 * _SECTOR_INDEX[sector] + _CHIRALITY_INDEX[chirality]
 
 
-def _bin_keys(family: int, bins) -> np.ndarray:
+def _grid_keys(families, bins) -> np.ndarray:
+    """Keys of each family code at each bin, family by family (sorted when both inputs are)."""
     bins = np.asarray(bins, dtype=np.int64)
     if bins.size and (bins.min() < -_BIN_OFFSET or bins.max() >= _BIN_OFFSET):
         raise ValueError(f"mode bins must lie in [{-_BIN_OFFSET}, {_BIN_OFFSET})")
-    return (np.int64(family) << _BIN_BITS) | (bins + _BIN_OFFSET)
+    return ((np.asarray(families, dtype=np.int64)[:, None] << _BIN_BITS) | (bins + _BIN_OFFSET)).ravel()
 
 
 def _label_key(label: ModeLabel) -> int:
@@ -208,9 +210,8 @@ class ModeRegister:
     @classmethod
     def grid(cls, families: Sequence[tuple[Sector, Chirality]], n_bins: int) -> "ModeRegister":
         """Every (sector, chirality) family of ``families`` at bins 0..n_bins-1."""
-        bins = np.arange(int(n_bins))
-        keys = [_bin_keys(_family(s, c), bins) for s, c in families]
-        return cls._from_keys(_sorted_unique(np.concatenate([np.empty(0, np.int64), *keys])))
+        codes = sorted({_family(s, c) for s, c in families})
+        return cls._from_keys(_grid_keys(codes, np.arange(int(n_bins))))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -666,7 +667,8 @@ def rindler_to_unruh(expr: OperatorExpr | Sequence[OperatorExpr], a, grid: np.nd
     family op)^dagger per the table in the module docstring, with
     (ch, sh) = (cosh, sinh) of the acceleration squeezing parameter at
     acceleration ``a``.  Non-region labels keep their coefficients (a -0.0
-    may come back as +0.0); every result is on a new register.
+    may come back as +0.0).  Every result is on a new register: the image
+    families at each bin the input register holds, zero where nothing maps.
 
     ``expr`` is one :class:`OperatorExpr`, or a sequence of expressions on
     one register, rewritten together into a tuple on one register of
@@ -677,12 +679,12 @@ def rindler_to_unruh(expr: OperatorExpr | Sequence[OperatorExpr], a, grid: np.nd
     its expression alone at its acceleration gives.  An acceleration that is
     not finite and positive is a :class:`ValueError` that names ``a``.
 
-    One vectorized pass over the register for the whole sequence: (ch, sh)
-    is evaluated once on the (acceleration, grid) array, and the image keys
-    are sorted and each image slot's source terms found once; each
-    expression then takes three gathers onto its own image rows.
-    Chirality and bin range are checked for every region label carrying a
-    non-zero coefficient in any of the expressions.
+    One pass over whole family blocks for the whole sequence: the register
+    is taken as its block closure (each of its families at each of its
+    bins), (ch, sh) is evaluated once on the (acceleration, grid) array, and
+    each region family's block adds ch and sh times itself onto its two
+    image blocks.  Chirality and bin range are checked for every region
+    label carrying a non-zero coefficient in any of the expressions.
     """
     accel = _accelerations(a)
     if accel.ndim > 1:
@@ -713,72 +715,66 @@ def _rewrite_regions(
                 f"rindler_to_unruh rewrites expressions on one register; expression {k} "
                 f"is on {e.register!r}, expression 0 on {reg!r}"
             )
+    # The register's block closure holds each of its families at each of its
+    # bins; on it the coefficients are (expression, X or P, family, bin) blocks.
     keys = reg.keys
-    family = keys >> _BIN_BITS
-    sector = family >> 1
+    families = _sorted_unique(keys >> _BIN_BITS)
+    bins = _sorted_unique((keys & _BIN_MASK) - _BIN_OFFSET)
+    closure = _grid_keys(families, bins)
+    slots = None if len(closure) == len(keys) else np.searchsorted(closure, keys)
+    w = np.stack([_spread(e._w, len(closure), slots) for e in exprs])
+    w = w.reshape(len(exprs), 2, len(families), len(bins))
+
+    sector, chirality = families >> 1, families & 1
     region = _IS_RINDLER[sector]
-    chirality = family & 1
-    bins = (keys & _BIN_MASK) - _BIN_OFFSET
     wrong = region & (chirality != _REQUIRED_CHIRALITY[sector])
-    outside = region & ~wrong & ((bins < 0) | (bins >= len(freqs)))
-    if (wrong | outside).any():
-        support = np.logical_or.reduce([_support(e._w) for e in exprs])
-        hit = np.flatnonzero(wrong & support)
+    mapped = np.flatnonzero(region & ~wrong)
+    outside = (bins < 0) | (bins >= len(freqs))
+    if wrong.any() or (len(mapped) and outside.any()):
+        support = _support(w.reshape(-1, len(families), len(bins)))  # in any expression
+        hit = np.flatnonzero(wrong[:, None] & support)
         if len(hit):
-            label = _key_label(int(keys[hit[0]]))
+            label = _key_label(int(closure[hit[0]]))
             required = _REGION_RULES[label.sector][0]
             raise ValueError(
                 f"label {label!r} has chirality {label.chirality.value} but region "
                 f"{label.sector.value} holds {required.value}-movers; no mapping exists"
             )
-        hit = np.flatnonzero(outside & support)
+        hit = np.flatnonzero(region[:, None] & outside & support)  # no wrong family is supported
         if len(hit):
-            label = _key_label(int(keys[hit[0]]))
+            label = _key_label(int(closure[hit[0]]))
             raise ValueError(f"label {label!r} has no grid coefficient (grid holds {len(freqs)} bins)")
 
+    # (acceleration, X or P, bin) weights, zero off the grid; complex, as complex-by-complex products are fast
+    ch, partner_weight = np.zeros((2, len(accel), 2, len(bins)), dtype=complex)
+    ch_grid, sh_grid = (x[:, None, bins[~outside]] for x in unruh_cosh_sinh(freqs, accel[:, None]))
+    ch[..., ~outside] = ch_grid
+    partner_weight[..., ~outside] = sh_grid * np.array([[1.0], [-1.0]])  # on the partner's X and P
+
+    # Region families map onto whole blocks: the image of X_b is
+    # ch X_direct + sh X_partner, that of P_b is ch P_direct - sh P_partner.
     passing = np.flatnonzero(~region)
-    mapped = np.flatnonzero(region & ~wrong & ~outside)
-    ch_grid, sh_grid = unruh_cosh_sinh(freqs, accel[:, None])
-    b = bins[mapped]
-    ch, sh = ch_grid.take(b, axis=1), sh_grid.take(b, axis=1)  # (acceleration, mapped slot)
-    low = keys[mapped] & _BIN_MASK
-    direct = ((2 * _DIRECT_SECTOR[sector[mapped]] + chirality[mapped]) << _BIN_BITS) | low
-    partner = ((2 * _PARTNER_SECTOR[sector[mapped]] + chirality[mapped]) << _BIN_BITS) | low
-    image_keys = np.concatenate([keys[passing], direct, partner])
-    out_keys = _sorted_unique(image_keys)
-    n = len(out_keys)
-    # Image of X_b is ch X_direct + sh X_partner, that of P_b is
-    # ch P_direct - sh P_partner.  ``terms`` holds an expression's passing,
-    # direct and partner terms, then a zero column, per acceleration.  Every
-    # image slot takes at most one term of each group; gathering the groups
-    # in that order onto zeros adds them as a sequential scatter does, a
-    # missing term reading the zero.
-    m, n_pass = len(mapped), len(passing)
-    slot = np.searchsorted(out_keys, image_keys)
-    source = np.full((3, n), n_pass + 2 * m)
-    bounds = (0, n_pass, n_pass + m, n_pass + 2 * m)
-    for group in range(3):
-        lo, hi = bounds[group], bounds[group + 1]
-        source[group, slot[lo:hi]] = np.arange(lo, hi)
-    source = source[[n_pass > 0, m > 0, m > 0]]  # a group without terms would add zeros
-    out_reg = ModeRegister._from_keys(out_keys)
-    rows = len(accel)
-    terms = np.empty((rows, 2, n_pass + 2 * m + 1), dtype=complex)
-    terms[..., -1] = 0.0
-    gathered = np.empty((rows, 2, n), dtype=complex)
-    # complex weights: complex-by-complex products are the fast ones
-    ch = ch.astype(complex)[:, None, :]
-    partner_weight = (sh[:, None, :] * np.array([[1.0], [-1.0]])).astype(complex)  # on the partner's X and P
+    direct = 2 * _DIRECT_SECTOR[sector[mapped]] + chirality[mapped]
+    partner = 2 * _PARTNER_SECTOR[sector[mapped]] + chirality[mapped]
+    images = (families[passing], direct, partner)
+    out_families = _sorted_unique(np.concatenate(images))
+    out_reg = ModeRegister._from_keys(_grid_keys(out_families, bins))
+    passing_to, direct_to, partner_to = (np.searchsorted(out_families, f).tolist() for f in images)
+    passing, mapped = passing.tolist(), mapped.tolist()
+    product = np.empty((len(accel), 2, len(bins)), dtype=complex)
     results = []
-    for e in exprs:
-        x = e._w.take(mapped, axis=1)
-        terms[..., :n_pass] = e._w.take(passing, axis=1)
-        np.multiply(x, ch, out=terms[..., n_pass : n_pass + m])
-        np.multiply(x, partner_weight, out=terms[..., n_pass + m : -1])
-        w = np.zeros((rows, 2, n), dtype=complex)
-        for group in source:  # indices in range: "clip" spares a copy of ``out``
-            w += terms.take(group, axis=2, out=gathered, mode="clip")
-        _max_magnitude(out_reg, w)
-        w.flags.writeable = False
-        results.append(OperatorRows(out_reg, e.displacement, w))
+    # Overflowing products are left to the finiteness test, which names the mode.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e, x in zip(exprs, w):
+            # Every output block takes at most one passing, one direct and one
+            # partner term, added onto zeros in that order.
+            out = np.zeros((len(accel), 2, len(out_families), len(bins)), dtype=complex)
+            for i, o in zip(passing, passing_to):
+                out[:, :, o] += x[:, i]
+            for weight, targets in ((ch, direct_to), (partner_weight, partner_to)):
+                for i, o in zip(mapped, targets):
+                    out[:, :, o] += np.multiply(x[:, i], weight, out=product)
+            out = _read_only(out.reshape(len(accel), 2, len(out_reg)))
+            _max_magnitude(out_reg, out)
+            results.append(OperatorRows(out_reg, e.displacement, out))
     return tuple(results)

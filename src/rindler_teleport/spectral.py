@@ -348,8 +348,8 @@ def spectral_integrals(wp: WavepacketSpec, a: float | np.ndarray) -> SpectralInt
 
     ``a`` is a scalar or a 1-D array of accelerations, each refined until it
     alone is stable.  For a scalar, :class:`SpectralConvergenceError` is
-    raised if seven refinements are not enough or the identity fails; for an
-    array such a row is NaN instead, with its level and last change kept.
+    raised if seven refinements are not enough or the identity fails past
+    rounding; for an array such a row is NaN instead, with its level and last change kept.
     """
     accel = _accelerations(a)
     if accel.ndim > 1:
@@ -375,7 +375,9 @@ def spectral_integrals(wp: WavepacketSpec, a: float | np.ndarray) -> SpectralInt
         unsettled = unsettled[~(change <= _SETTLE_REL_TOL)]  # a NaN change never settles
 
     i_c, i_s = values[:, 0], values[:, 1]
-    broken = np.abs(i_c - i_s - 1.0) > 1e-8
+    # 1e-8, or past it the worst-case rounding n eps (i_c + i_s) of sums over a row's n nodes
+    nodes = (len(wp.panel_edges) - 1) * len(_GL_RULE[0]) * 2.0**level
+    broken = np.abs(i_c - i_s - 1.0) > np.maximum(1e-8, nodes * np.finfo(float).eps * (i_c + i_s))
     if scalar:
         if unsettled.size:
             raise SpectralConvergenceError(

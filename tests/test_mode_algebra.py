@@ -8,6 +8,7 @@ quanta, so a cutoff-6 matrix representation is exact, not truncated.
 import dataclasses
 import inspect
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -417,6 +418,40 @@ class TestRegionMapSequence:
         assert out.register.keys.tobytes() == rindler_to_unruh(good, 1.0, self.CENTERS).register.keys.tobytes()
 
 
+    def test_result_register_is_the_image_families_at_every_bin(self):
+        # The passing families c_L and aux_L and the images c_L, c_R, d_L and
+        # d_R of the four region families, at each of bins 0..3: 20 slots,
+        # though the input holds aux_L at bin 0 alone.
+        register = self.register()
+        families = [(s, c) for s in (Sector.UNRUH_C, Sector.UNRUH_D) for c in Chirality]
+        expected = ModeRegister.grid([*families, (Sector.AUX, Chirality.LEFT)], 4)
+        assert len(expected) == 20
+        for out in rindler_to_unruh(self.mixed_exprs(register), 0.7, self.CENTERS):
+            assert out.register.keys.tobytes() == expected.keys.tobytes()
+
+    def test_slots_the_closure_adds_take_zero(self):
+        # The register {b4_L[0], aux_L[5]} is taken at both of its bins for
+        # both of its families, so b4_L[5] lies outside the one-bin grid
+        # without raising; every slot nothing maps to reads 0.
+        label = partial(ModeLabel, chirality=Chirality.LEFT)
+        expr = annihilator(label(Sector.RINDLER_IV, bin=0)) + 2.0 * annihilator(label(Sector.AUX, bin=5))
+        out = rindler_to_unruh(expr, 1.0, np.array([1.0]))
+        ch, sh = unruh_cosh_sinh(1.0, 1.0)
+        assert out.register.labels == tuple(
+            label(sector, bin=b) for sector in (Sector.UNRUH_C, Sector.UNRUH_D, Sector.AUX) for b in (0, 5)
+        )
+        np.testing.assert_allclose(out.u, [ch, 0, 0, 0, 0, 2], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(out.v, [0, 0, sh, 0, 0, 0], rtol=1e-15, atol=0)
+
+    def test_wrong_chirality_is_reported_before_a_bin_off_the_grid(self):
+        off_grid = annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 3))
+        wrong = annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.RIGHT, 0))
+        centers = np.array([1.0])
+        with pytest.raises(ValueError, match=r"^label b4_R\[0\] has chirality right .* no mapping exists$"):
+            rindler_to_unruh(off_grid + wrong, 1.0, centers)
+        with pytest.raises(ValueError, match=r"^label b4_L\[3\] has no grid coefficient \(grid holds 1 bins\)$"):
+            rindler_to_unruh(off_grid + 0.0 * wrong, 1.0, centers)
+
     def test_rows_match_scalar_calls_bit_for_bit(self):
         # Over an array of accelerations each expression becomes one row per
         # acceleration, each row what a scalar call at that acceleration gives.
@@ -577,7 +612,6 @@ class TestFiniteness:
         with pytest.raises(ValueError, match="non-finite displacement"):
             (aux(0) + 1e308) * 1e10
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("a", [1.0, np.array([1.0, 2.0])], ids=["scalar", "array"])
     def test_overflowing_rewrite_rejected_by_mode(self, a):
         # cosh r(1e-3) at a = 1 is about 12.6, so c_L[0] takes 1e308 times it.

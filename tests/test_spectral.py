@@ -234,6 +234,36 @@ class TestClippedWavepackets:
         assert rep.total == pytest.approx(thermal + 1.0, rel=1e-12)
 
 
+def _mp_displaced_variance(omega0: float, sigma: float, a: float) -> float:
+    """2 i_cs (i_c + i_s) + 1 by 40-digit quadrature over the wavepacket's window,
+    with i_c + i_s = <coth x> and i_cs = <tanh(x/2)> at x = pi omega / a."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lo, hi = make_wavepacket(omega0, sigma).window
+        w0, s, a = mpmath.mpf(omega0), mpmath.mpf(sigma), mpmath.mpf(a)
+
+        def integral(f):
+            return mpmath.quad(
+                lambda w: mpmath.exp(-((w - w0) ** 2) / (2 * s**2)) * f(mpmath.pi * w / a),
+                [mpmath.mpf(lo), w0, mpmath.mpf(hi)],
+            )
+
+        norm = integral(lambda x: 1)
+        return float(2 * integral(lambda x: mpmath.tanh(x / 2)) * integral(mpmath.coth) / norm**2 + 1)
+
+
+class TestLargeAccelerations:
+    """At a >> omega0, i_c and i_s grow like a / (pi omega0) and their
+    difference carries rounding of that size: the identity check must not
+    take it for a broken normalization."""
+
+    @pytest.mark.parametrize("sigma", [0.01, 0.05])
+    @pytest.mark.parametrize("a", [1e6, 1e8, 3e8])
+    def test_closed_form_matches_high_precision_quadrature(self, a, sigma):
+        total = displaced_variance(a, make_wavepacket(1.0, sigma)).total
+        assert total == pytest.approx(_mp_displaced_variance(1.0, sigma, a), rel=1e-14, abs=0.0)
+
+
 # Each function of the acceleration, reduced to one call with a valid omega.
 _ACCELERATION_FUNCTIONS = {
     "squeeze_param": partial(squeeze_param, 1.0),
