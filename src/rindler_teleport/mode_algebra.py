@@ -30,7 +30,9 @@ No expression holds a non-finite coefficient.  Coefficients that come from
 outside the algebra - the constructor's vectors and the rows of a region
 rewrite - are tested, and a non-finite one is a ValueError naming its mode.
 Coefficients made by arithmetic on tested expressions carry a bound on their
-magnitudes instead, and are tested only once that bound passes 1e300.
+magnitudes instead, and are tested only once that bound passes 1e300; such
+arithmetic runs with NumPy's overflow warnings off, so that an overflow is
+that named error even where warnings are errors.
 
 Mode labels carry a sector, a chirality (propagation direction) and a
 frequency-bin index:
@@ -60,6 +62,7 @@ right-movers in III and I):
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -183,12 +186,16 @@ class ModeRegister:
 
     ``labels`` is the tuple of :class:`ModeLabel` in register order (sorted
     by sector, chirality, bin), derived from the register's key array on
-    each read; ``slots`` gives the positions of one family's modes, in bin
-    order, from the family field of the keys.  Bins must lie in
+    each read.  Keys sort family-major, so each (sector, chirality) family
+    is one contiguous run of slots in bin order: ``slots`` gives its
+    positions from two binary searches of the keys.  ``grid`` returns one
+    shared register per (families, bin count), and a register keeps the
+    plan of each region rewrite made on it (see :func:`rindler_to_unruh`),
+    so builds on the same grid share that work.  Bins must lie in
     [-2**39, 2**39).
     """
 
-    __slots__ = ("keys",)
+    __slots__ = ("keys", "_plans")
 
     def __init__(self, labels: Iterable[ModeLabel] = ()):
         self._set(_sorted_unique(np.fromiter((_label_key(lb) for lb in labels), dtype=np.int64)))
@@ -203,15 +210,16 @@ class ModeRegister:
     def _set(self, keys: np.ndarray) -> None:
         keys.flags.writeable = False
         object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "_plans", {})  # rewrite plans by grid length
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("ModeRegister is immutable")
 
     @classmethod
     def grid(cls, families: Sequence[tuple[Sector, Chirality]], n_bins: int) -> "ModeRegister":
-        """Every (sector, chirality) family of ``families`` at bins 0..n_bins-1."""
-        codes = sorted({_family(s, c) for s, c in families})
-        return cls._from_keys(_grid_keys(codes, np.arange(int(n_bins))))
+        """Every (sector, chirality) family of ``families`` at bins 0..n_bins-1;
+        equal calls return one shared register."""
+        return _grid_register(tuple(sorted({_family(s, c) for s, c in families})), int(n_bins))
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -220,10 +228,17 @@ class ModeRegister:
     def labels(self) -> tuple[ModeLabel, ...]:
         return tuple(_key_label(int(k)) for k in self.keys)
 
+    def _span(self, sector: Sector, chirality: Chirality) -> slice:
+        """The run of slots the (sector, chirality) modes take, in bin order."""
+        family = _family(sector, chirality)
+        start, stop = np.searchsorted(self.keys, (family << _BIN_BITS, (family + 1) << _BIN_BITS)).tolist()
+        return slice(start, stop)
+
     def slots(self, sector: Sector, chirality: Chirality) -> np.ndarray:
         """Register positions of the (sector, chirality) modes, in bin order
         (empty when the register holds none)."""
-        return np.flatnonzero((self.keys >> _BIN_BITS) == _family(sector, chirality))
+        span = self._span(sector, chirality)
+        return np.arange(span.start, span.stop)
 
     def annihilators(self) -> tuple["OperatorExpr", ...]:
         """The annihilation operator of each mode, in register order.
@@ -242,6 +257,11 @@ class ModeRegister:
 
     def __repr__(self) -> str:
         return f"ModeRegister({len(self)} modes)"
+
+
+@functools.lru_cache(maxsize=32)
+def _grid_register(families: tuple[int, ...], n_bins: int) -> ModeRegister:
+    return ModeRegister._from_keys(_grid_keys(families, np.arange(n_bins)))
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -345,9 +365,9 @@ class OperatorExpr:
     def __add__(self, other):
         if isinstance(other, OperatorExpr):
             reg, w1, w2 = _align(self, other)
-            return OperatorExpr._new(
-                reg, self.displacement + other.displacement, w1 + w2, self._peak + other._peak
-            )
+            bound = self._peak + other._peak
+            w = w1 + w2 if bound <= _SAFE_PEAK else _quiet(np.add, w1, w2)
+            return OperatorExpr._new(reg, self.displacement + other.displacement, w, bound)
         return OperatorExpr._new(self.register, self.displacement + complex(other), self._w, self._peak)
 
     __radd__ = __add__
@@ -355,9 +375,9 @@ class OperatorExpr:
     def __sub__(self, other):
         if isinstance(other, OperatorExpr):
             reg, w1, w2 = _align(self, other)
-            return OperatorExpr._new(
-                reg, self.displacement - other.displacement, w1 - w2, self._peak + other._peak
-            )
+            bound = self._peak + other._peak
+            w = w1 - w2 if bound <= _SAFE_PEAK else _quiet(np.subtract, w1, w2)
+            return OperatorExpr._new(reg, self.displacement - other.displacement, w, bound)
         return self + (-complex(other))
 
     def __rsub__(self, other):
@@ -369,9 +389,9 @@ class OperatorExpr:
                 "operator products are not expressions; pass a sequence to wick_expectation"
             )
         s = complex(scalar)
-        return OperatorExpr._new(
-            self.register, self.displacement * s, self._w * s, self._peak * abs(s)
-        )
+        bound = self._peak * abs(s)
+        w = self._w * s if bound <= _SAFE_PEAK else _quiet(np.multiply, self._w, s)
+        return OperatorExpr._new(self.register, self.displacement * s, w, bound)
 
     __rmul__ = __mul__
 
@@ -435,6 +455,15 @@ def _set_slots(expr: OperatorExpr, d, register, w, peak) -> None:
     set_peak(expr, peak)
 
 
+def _quiet(ufunc, *args, **kwargs) -> np.ndarray:
+    """``ufunc(*args, **kwargs)`` with overflow warnings off.  Arithmetic runs
+    through it when its result's bound passes ``_SAFE_PEAK``, the only case in
+    which it can overflow: :meth:`OperatorExpr._new` then tests the result
+    and names a non-finite coefficient's mode."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ufunc(*args, **kwargs)
+
+
 def _support(w: np.ndarray) -> np.ndarray:
     """Boolean mask of the register slots with a coefficient above ``PRUNE_TOL``."""
     return (np.abs(w) > PRUNE_TOL).any(axis=0)
@@ -481,6 +510,12 @@ def pair_contraction(e1: OperatorExpr, e2: OperatorExpr) -> complex:
     :func:`wick_expectation`.
     """
     _reject_non_vacuum((e1,) if e1 is e2 else (e1, e2))  # a variance pairs X with itself
+    return _pairing(e1, e2)
+
+
+def _pairing(e1: OperatorExpr, e2: OperatorExpr) -> complex:
+    """<F1 F2> of two expressions, on their aligned coefficient arrays (no
+    region check: the caller makes it)."""
     _, w1, w2 = _align(e1, e2)
     (aa, ab), (ba, bb) = (w1 @ w2.T).tolist()
     return aa + bb + 1j * (ab - ba)
@@ -523,11 +558,11 @@ def wick_expectation(product: Sequence[OperatorExpr]) -> complex:
     if len(exprs) == 1:
         return d[0]
     if len(exprs) == 2:
-        return d[0] * d[1] + pair_contraction(exprs[0], exprs[1])
+        return d[0] * d[1] + _pairing(exprs[0], exprs[1])
     e1, e2, e3, e4 = exprs
-    p12, p13, p14 = (pair_contraction(e1, x) for x in (e2, e3, e4))
-    p23, p24 = (pair_contraction(e2, x) for x in (e3, e4))
-    p34 = pair_contraction(e3, e4)
+    p12, p13, p14 = (_pairing(e1, x) for x in (e2, e3, e4))
+    p23, p24 = (_pairing(e2, x) for x in (e3, e4))
+    p34 = _pairing(e3, e4)
     return (
         d[0] * d[1] * d[2] * d[3]
         + d[0] * d[1] * p34
@@ -590,11 +625,13 @@ def single_mode_squeeze(a: OperatorExpr, r_s: float) -> OperatorExpr:
     if not math.isfinite(r_s):
         raise ValueError(f"squeezing strength must be finite, got {r_s}")
     stretch, squeeze = math.exp(r_s), math.exp(-r_s)
+    bound = a._peak * max(stretch, squeeze)
+    multiply = np.multiply if bound <= _SAFE_PEAK else functools.partial(_quiet, np.multiply)
     w = np.empty_like(a._w)
-    np.multiply(a._w.real, stretch, out=w.real)
-    np.multiply(a._w.imag, squeeze, out=w.imag)
+    multiply(a._w.real, stretch, out=w.real)
+    multiply(a._w.imag, squeeze, out=w.imag)
     d = complex(a.displacement.real * stretch, a.displacement.imag * squeeze)
-    return OperatorExpr._new(a.register, d, w, a._peak * max(stretch, squeeze))
+    return OperatorExpr._new(a.register, d, w, bound)
 
 
 def beam_splitter(
@@ -679,11 +716,15 @@ def rindler_to_unruh(expr: OperatorExpr | Sequence[OperatorExpr], a, grid: np.nd
     its expression alone at its acceleration gives.  An acceleration that is
     not finite and positive is a :class:`ValueError` that names ``a``.
 
-    One pass over whole family blocks for the whole sequence: the register
-    is taken as its block closure (each of its families at each of its
-    bins), (ch, sh) is evaluated once on the (acceleration, grid) array, and
-    each region family's block adds ch and sh times itself onto its two
-    image blocks.  Chirality and bin range are checked for every region
+    What depends only on the register and the grid length is a plan made
+    once and kept on the register: its block closure (each of its families
+    at each of its bins), the chirality and bin-range tables, the result
+    register and each result block's terms.  A call evaluates (ch, sh) once
+    on the (acceleration, grid) array, reads each expression's family blocks
+    as views, and writes each result block once: its first term (ch or sh
+    times a region block, or a passing block as it is), then any other added
+    in place, so each result is one array, tested once for finiteness.
+    Chirality and bin range are checked on every call, for every region
     label carrying a non-zero coefficient in any of the expressions.
     """
     accel = _accelerations(a)
@@ -694,6 +735,71 @@ def rindler_to_unruh(expr: OperatorExpr | Sequence[OperatorExpr], a, grid: np.nd
     if accel.ndim == 0:
         rewritten = tuple(e[0] for e in rewritten)
     return rewritten[0] if isinstance(expr, OperatorExpr) else rewritten
+
+
+@dataclass(frozen=True, eq=False)
+class _RewritePlan:
+    """What a region rewrite needs from its register and grid length alone.
+
+    On the register's block closure (each of its families at each of its
+    bins, keys ``closure``, ``slots`` the input's positions in it or None
+    when the register is whole) the coefficients are (X or P, family, bin)
+    blocks of ``shape``.  ``wrong`` flags the (family, bin) blocks of a
+    region family with the wrong chirality, ``off_grid`` those of a region
+    family at a bin off the grid, and ``checked`` whether either flags any.
+    ``on_grid`` picks the bins on the grid, and ``grid_bins`` their grid
+    indices.  The result lives on ``register``; output block o is the sum of
+    ``terms[o]``, each (input family, weight) with weight -1 for a family
+    that passes as it is, 0 for a direct image (times ch) and 1 for a
+    partner image (times sh).
+    """
+
+    closure: np.ndarray
+    slots: np.ndarray | None
+    shape: tuple[int, int]
+    wrong: np.ndarray
+    off_grid: np.ndarray
+    checked: bool
+    on_grid: slice | np.ndarray
+    grid_bins: np.ndarray
+    register: ModeRegister
+    terms: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _rewrite_plan(reg: ModeRegister, n_grid: int) -> _RewritePlan:
+    """The plan of a rewrite on ``reg`` over a grid of ``n_grid`` bins."""
+    keys = reg.keys
+    families = _sorted_unique(keys >> _BIN_BITS)
+    bins = _sorted_unique((keys & _BIN_MASK) - _BIN_OFFSET)
+    closure = _grid_keys(families, bins)
+    sector, chirality = families >> 1, families & 1
+    region = _IS_RINDLER[sector]
+    wrong = region & (chirality != _REQUIRED_CHIRALITY[sector])
+    mapped = np.flatnonzero(region & ~wrong)
+    outside = (bins < 0) | (bins >= n_grid)
+    passing = np.flatnonzero(~region)
+    direct = 2 * _DIRECT_SECTOR[sector[mapped]] + chirality[mapped]
+    partner = 2 * _PARTNER_SECTOR[sector[mapped]] + chirality[mapped]
+    images = (families[passing], direct, partner)
+    out_families = _sorted_unique(np.concatenate(images))
+    # Every output block takes one to three terms: at most one passing, one
+    # direct and one partner, summed in that order.
+    terms = [[] for _ in out_families]
+    for weight, (sources, image) in enumerate(zip((passing, mapped, mapped), images), start=-1):
+        for i, o in zip(sources.tolist(), np.searchsorted(out_families, image).tolist()):
+            terms[o].append((i, weight))
+    return _RewritePlan(
+        closure=closure,
+        slots=None if len(closure) == len(keys) else np.searchsorted(closure, keys),
+        shape=(len(families), len(bins)),
+        wrong=wrong[:, None],
+        off_grid=region[:, None] & outside,
+        checked=bool(wrong.any() or (region.any() and outside.any())),
+        on_grid=np.s_[:] if not outside.any() else ~outside,
+        grid_bins=bins[~outside],
+        register=ModeRegister._from_keys(_grid_keys(out_families, bins)),
+        terms=tuple(map(tuple, terms)),
+    )
 
 
 def _rewrite_regions(
@@ -715,66 +821,55 @@ def _rewrite_regions(
                 f"rindler_to_unruh rewrites expressions on one register; expression {k} "
                 f"is on {e.register!r}, expression 0 on {reg!r}"
             )
-    # The register's block closure holds each of its families at each of its
-    # bins; on it the coefficients are (expression, X or P, family, bin) blocks.
-    keys = reg.keys
-    families = _sorted_unique(keys >> _BIN_BITS)
-    bins = _sorted_unique((keys & _BIN_MASK) - _BIN_OFFSET)
-    closure = _grid_keys(families, bins)
-    slots = None if len(closure) == len(keys) else np.searchsorted(closure, keys)
-    w = np.stack([_spread(e._w, len(closure), slots) for e in exprs])
-    w = w.reshape(len(exprs), 2, len(families), len(bins))
-
-    sector, chirality = families >> 1, families & 1
-    region = _IS_RINDLER[sector]
-    wrong = region & (chirality != _REQUIRED_CHIRALITY[sector])
-    mapped = np.flatnonzero(region & ~wrong)
-    outside = (bins < 0) | (bins >= len(freqs))
-    if wrong.any() or (len(mapped) and outside.any()):
-        support = _support(w.reshape(-1, len(families), len(bins)))  # in any expression
-        hit = np.flatnonzero(wrong[:, None] & support)
+    plan = reg._plans.get(len(freqs))
+    if plan is None:
+        plan = reg._plans[len(freqs)] = _rewrite_plan(reg, len(freqs))
+    n_families, n_bins = plan.shape
+    # Each expression's (X or P, family, bin) blocks, as a view of its rows.
+    blocks = [_spread(e._w, n_families * n_bins, plan.slots).reshape(2, n_families, n_bins) for e in exprs]
+    if plan.checked:
+        support = np.logical_or.reduce([_support(x) for x in blocks])  # in any expression
+        hit = np.flatnonzero(plan.wrong & support)
         if len(hit):
-            label = _key_label(int(closure[hit[0]]))
+            label = _key_label(int(plan.closure[hit[0]]))
             required = _REGION_RULES[label.sector][0]
             raise ValueError(
                 f"label {label!r} has chirality {label.chirality.value} but region "
                 f"{label.sector.value} holds {required.value}-movers; no mapping exists"
             )
-        hit = np.flatnonzero(region[:, None] & outside & support)  # no wrong family is supported
+        hit = np.flatnonzero(plan.off_grid & support)  # no wrong family is supported
         if len(hit):
-            label = _key_label(int(closure[hit[0]]))
+            label = _key_label(int(plan.closure[hit[0]]))
             raise ValueError(f"label {label!r} has no grid coefficient (grid holds {len(freqs)} bins)")
 
-    # (acceleration, X or P, bin) weights, zero off the grid; complex, as complex-by-complex products are fast
-    ch, partner_weight = np.zeros((2, len(accel), 2, len(bins)), dtype=complex)
-    ch_grid, sh_grid = (x[:, None, bins[~outside]] for x in unruh_cosh_sinh(freqs, accel[:, None]))
-    ch[..., ~outside] = ch_grid
-    partner_weight[..., ~outside] = sh_grid * np.array([[1.0], [-1.0]])  # on the partner's X and P
-
-    # Region families map onto whole blocks: the image of X_b is
-    # ch X_direct + sh X_partner, that of P_b is ch P_direct - sh P_partner.
-    passing = np.flatnonzero(~region)
-    direct = 2 * _DIRECT_SECTOR[sector[mapped]] + chirality[mapped]
-    partner = 2 * _PARTNER_SECTOR[sector[mapped]] + chirality[mapped]
-    images = (families[passing], direct, partner)
-    out_families = _sorted_unique(np.concatenate(images))
-    out_reg = ModeRegister._from_keys(_grid_keys(out_families, bins))
-    passing_to, direct_to, partner_to = (np.searchsorted(out_families, f).tolist() for f in images)
-    passing, mapped = passing.tolist(), mapped.tolist()
-    product = np.empty((len(accel), 2, len(bins)), dtype=complex)
+    # (direct or partner, acceleration, X or P, bin) weights, zero off the
+    # grid: the image of X_b is ch X_direct + sh X_partner, that of P_b is
+    # ch P_direct - sh P_partner.  Complex, as complex-by-complex products are fast.
+    weights = np.zeros((2, len(accel), 2, n_bins), dtype=complex)
+    ch, sh = (x[:, None, plan.grid_bins] for x in unruh_cosh_sinh(freqs, accel[:, None]))
+    weights[0][..., plan.on_grid] = ch
+    weights[1][..., plan.on_grid] = sh * np.array([[1.0], [-1.0]])
+    product = np.empty((len(accel), 2, n_bins), dtype=complex)
     results = []
     # Overflowing products are left to the finiteness test, which names the mode.
     with np.errstate(over="ignore", invalid="ignore"):
-        for e, x in zip(exprs, w):
-            # Every output block takes at most one passing, one direct and one
-            # partner term, added onto zeros in that order.
-            out = np.zeros((len(accel), 2, len(out_families), len(bins)), dtype=complex)
-            for i, o in zip(passing, passing_to):
-                out[:, :, o] += x[:, i]
-            for weight, targets in ((ch, direct_to), (partner_weight, partner_to)):
-                for i, o in zip(mapped, targets):
-                    out[:, :, o] += np.multiply(x[:, i], weight, out=product)
-            out = _read_only(out.reshape(len(accel), 2, len(out_reg)))
-            _max_magnitude(out_reg, out)
-            results.append(OperatorRows(out_reg, e.displacement, out))
+        for e, x in zip(exprs, blocks):
+            out = np.empty((len(accel), 2, len(plan.terms), n_bins), dtype=complex)
+            for o, terms in enumerate(plan.terms):
+                # Each block is written once: its first term, then the others added in place.
+                block = out[:, :, o]
+                for k, (i, weight) in enumerate(terms):
+                    if weight < 0:  # a family that passes as it is
+                        if k:
+                            block += x[:, i]
+                        else:
+                            block[...] = x[:, i]
+                    elif k:
+                        block += np.multiply(x[:, i], weights[weight], out=product)
+                    else:
+                        np.multiply(x[:, i], weights[weight], out=block)
+            out = _read_only(out.reshape(len(accel), 2, len(plan.register)))
+            if not np.isfinite(out).all():
+                _max_magnitude(plan.register, out)
+            results.append(OperatorRows(plan.register, e.displacement, out))
     return tuple(results)

@@ -34,9 +34,13 @@ bit for bit the build at that a alone.  A build rewrites the wire's
 change and the three wire outputs into the vacuum families in one
 vectorized pass per block of rows (blocks of a fixed number of row x bin
 elements keep the temporaries in cache at any N) and audits that block;
-the circuit keeps only W's rows, concatenated once.  The LO variance forms
-the field's quadrature covariance from W's rows once and reads every phase
-it reports from it in one pass.  The audit gives one maximum per row: a
+the circuit keeps only W's rows, concatenated once.  Builds at one N share
+one register and the rewrite plan kept on it.  The gate intermediates die
+with the composition, the gate outputs after the last block's rewrite, and
+the rewritten wire outputs once the audit has their pairwise commutators,
+so the per-bin audit runs beside W's rows and its rank-one form alone.  The
+LO variance forms the field's quadrature covariance from W's rows once and
+reads every phase it reports from it in one pass.  The audit gives one maximum per row: a
 scalar build that fails it raises, while in an array build that row's LO
 variance is NaN and the other rows report.  Every bin's output is a unit
 mode plus a multiple of one shared fluctuation W; in that rank-one form,
@@ -202,9 +206,26 @@ _WIRE_FAMILIES = (
 def _packet_wire(
     register: ModeRegister, sector: Sector, chirality: Chirality, g: np.ndarray
 ) -> OperatorExpr:
-    u = np.zeros(len(register))
-    u[register.slots(sector, chirality)] = g
-    return OperatorExpr(register, u)
+    """The wire sum_i g_i a_i of one family: quadrature rows (g/2, i g/2) at its slots."""
+    w = np.zeros((2, len(register)), dtype=complex)
+    span = register._span(sector, chirality)
+    w.real[0, span] = 0.5 * g
+    w.imag[1, span] = 0.5 * g
+    return OperatorExpr._new(register, 0j, w, float(np.max(np.abs(g))))
+
+
+def _compose_protocol(register: ModeRegister, g: np.ndarray, r_s: float) -> tuple[list, complex]:
+    """The wire's centered change and the three wire outputs, in that order,
+    and the channel's displacement gain; the gate intermediates die here."""
+    wire_in, idler, port = (_packet_wire(register, s, c, g) for s, c in _WIRE_FAMILIES)
+
+    # Unit displacement probe: the measured output displacement is the
+    # channel's displacement gain.
+    wire = displace(single_mode_squeeze(wire_in, r_s), 1.0)
+    wire, idler_out = two_mode_squeeze(wire, idler, DEFAULT_CHANNEL_GAIN)
+    wire, port_out = beam_splitter(wire, port, 1.0 / math.cosh(DEFAULT_CHANNEL_GAIN) ** 2)
+    delta_expr = wire - wire_in
+    return [delta_expr.centered(), wire, idler_out, port_out], delta_expr.displacement
 
 
 def _bin_centers(wp: WavepacketSpec, grid) -> tuple[np.ndarray, float]:
@@ -241,29 +262,26 @@ def _build_circuit(a, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircui
             f"(the LO variance's quadrature moments must be finite floats), got {r_s}"
         )
 
-    # Every region wire lives on one register, so each gate below is a
-    # handful of vector operations.  No gate depends on the acceleration:
-    # the protocol is composed once for every row.
+    # Every region wire lives on one register, so each gate is a handful of
+    # vector operations.  No gate depends on the acceleration: the protocol
+    # is composed once for every row.
     register = ModeRegister.grid(_WIRE_FAMILIES, len(centers))
-    wire_in, idler, port = (_packet_wire(register, s, c, g) for s, c in _WIRE_FAMILIES)
-
-    # Unit displacement probe: the measured output displacement is the
-    # channel's displacement gain.
-    wire = displace(single_mode_squeeze(wire_in, r_s), 1.0)
-    wire, idler_out = two_mode_squeeze(wire, idler, DEFAULT_CHANNEL_GAIN)
-    wire, port_out = beam_splitter(wire, port, 1.0 / math.cosh(DEFAULT_CHANNEL_GAIN) ** 2)
+    exprs, disp_gain = _compose_protocol(register, g, r_s)
 
     # One rewrite of the wire's change and the three wire outputs the audit
-    # checks, and the audit, per block of acceleration rows.
-    delta_expr = wire - wire_in
-    exprs = (delta_expr.centered(), wire, idler_out, port_out)
+    # checks, and the audit, per block of acceleration rows.  After the last
+    # rewrite the gate outputs are dropped, and the audit drops the wire
+    # outputs once it has their commutators, so neither is alive in the
+    # per-bin audit.
     step = max(1, _BLOCK_ELEMENTS // len(centers))
     blocks, audits = [], []
     for start in range(0, len(rows), step):
         block = slice(start, start + step)
         wire_delta, *wire_outputs = rindler_to_unruh(exprs, rows[block], centers)
+        if block.stop >= len(rows):
+            exprs = None
         outputs = _RankOneOutputs(wire_delta.register, wire_delta.rows, g * ch[block], g * sh[block])
-        audits.append(_audit_commutators(outputs, wire_delta.rows, *wire_outputs))
+        audits.append(_audit_commutators(outputs, wire_delta.rows, wire_outputs))
         blocks.append(wire_delta)
     if len(blocks) > 1:
         stacked = np.concatenate([b.rows for b in blocks])
@@ -275,7 +293,7 @@ def _build_circuit(a, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircui
         ch=ch,
         sh=sh,
         wire_delta=wire_delta,
-        disp_gain=delta_expr.displacement,
+        disp_gain=disp_gain,
         commutator_audit_max=np.concatenate(audits),
     )
     return circuit if accel.ndim else circuit[0]
@@ -302,9 +320,10 @@ class _RankOneOutputs:
         kx[i] ky[j] z + ky[j] p[i] + kx[i] q[j] + e δ_ij,
 
     with z = U[x] . V[y], p and q reads of V[y] and U[x] at the c/d slots,
-    and e from the unit vectors.  :meth:`pairing` and :meth:`commutator`
-    return these terms per kind pair; :func:`_bilinear_at` evaluates them.
-    The commutator's z is formed from W's X and P coefficients (alpha, beta).
+    and e from the unit vectors.  :meth:`pairing` returns these terms per
+    kind pair, and :func:`_bilinear_at` evaluates them; the commutator audit
+    reads its own from ``uv_at`` and ``z_commutator`` (the commutator's z,
+    formed from W's X and P coefficients (alpha, beta)).
 
     It is built from W's (alpha, beta) ``rows`` on ``register`` and the
     (row, bin) arrays g ch and g sh, and no circuit stores it: the build
@@ -333,9 +352,12 @@ class _RankOneOutputs:
         self.z[:, 2], self.z[:, 3] = norms + 2.0 * c_imag, uv.conj()
         at = rows.take(self.slots, axis=2)  # (row, alpha or beta, family, bin)
         j_beta = 1j * at[:, 1]
-        u_at, v_at = at[:, 0] - j_beta, at[:, 0] + j_beta
-        self.u_at = np.concatenate([u_at, v_at.conj()], axis=1)
-        self.v_at = np.concatenate([v_at, u_at.conj()], axis=1)
+        self.uv_at = np.empty((len(rows), 8, at.shape[-1]), dtype=complex)  # U then V
+        self.u_at, self.v_at = self.uv_at[:, :4], self.uv_at[:, 4:]
+        np.subtract(at[:, 0], j_beta, out=self.u_at[:, :2])
+        np.add(at[:, 0], j_beta, out=self.v_at[:, :2])
+        np.conjugate(self.v_at[:, :2], out=self.u_at[:, 2:])
+        np.conjugate(self.u_at[:, :2], out=self.v_at[:, 2:])
         # [W, W†] = -[W†, W] = -4 Im c, not |U|^2 - |V|^2; [W, W] = [W†, W†] = 0.
         self.z_commutator = np.zeros((len(uv), 4))
         self.z_commutator[:, 1], self.z_commutator[:, 2] = -4.0 * c_imag, 4.0 * c_imag
@@ -348,13 +370,6 @@ class _RankOneOutputs:
         e = 1.0 * (annihilator & creator & (_FAMILY[x] == _FAMILY[y]))
         z = self.z.take(2 * _ADJOINT[x] + _ADJOINT[y], axis=1)
         return self.k.take(x, axis=1), self.k.take(y, axis=1), z, p, q, e
-
-    def commutator(self, x: np.ndarray, y: np.ndarray) -> tuple:
-        """Terms of [X_i, Y_j] = <X_i Y_j> - <Y_j X_i>, as :meth:`pairing`."""
-        kx, ky, _, p, q, e = self.pairing(x, y)
-        _, _, _, p_r, q_r, e_r = self.pairing(y, x)
-        z = self.z_commutator.take(2 * _ADJOINT[x] + _ADJOINT[y], axis=1)
-        return kx, ky, z, p - q_r, q - p_r, e - e_r
 
 
 def _cd_slots(register: ModeRegister) -> np.ndarray:
@@ -386,17 +401,13 @@ def _bilinear_at(terms: tuple, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return value
 
 
-def _audit_commutators(
-    outputs: _RankOneOutputs,
-    rows: np.ndarray,
-    wire: OperatorRows,
-    idler_out: OperatorRows,
-    port_out: OperatorRows,
-) -> np.ndarray:
-    """Max relative deviation of the canonical commutators per row: every
-    bin's outputs (:func:`_bin_commutator_deviation`, from ``outputs`` and
-    W's ``rows``), and the three wire outputs, already rewritten into the
-    vacuum families, pairwise.
+def _audit_commutators(outputs: _RankOneOutputs, rows: np.ndarray, wire_outputs: list) -> np.ndarray:
+    """Max relative deviation of the canonical commutators per row: the
+    three wire outputs of ``wire_outputs`` (:class:`OperatorRows`, already
+    rewritten into the vacuum families) pairwise, and then every bin's
+    outputs (:func:`_bin_commutator_deviation`, from ``outputs`` and W's
+    ``rows``).  The list is emptied once the pairwise commutators are
+    formed, so that the wire outputs are freed before the per-bin part.
 
     A commutator 2i (alpha1 . beta2 - beta1 . alpha2) is assembled from
     cancelling products (strong-gain branches carry cosh(r) ~ 1e6
@@ -408,19 +419,37 @@ def _audit_commutators(
     alpha-beta products are formed: a squeezed alpha . alpha can pass the
     float range).  Any NaN deviation makes its row NaN.
     """
-    bins = _bin_commutator_deviation(outputs, rows)
-    e = np.concatenate([wire.rows, idler_out.rows, port_out.rows], axis=1)
+    e = np.concatenate([w.rows for w in wire_outputs], axis=1)
+    wire_outputs.clear()
     alpha, beta = e[:, ::2, None, :], e[:, None, 1::2, :]  # (row, i, j, slot) for pair (i, j)
     ab = np.vecdot(alpha.conj(), beta)  # alpha_i . beta_j (vecdot conjugates its first argument)
     ab_conj = np.vecdot(beta, alpha)  # conj(beta_j) . alpha_i
     m = np.abs(e)
+    del e, alpha, beta
     bound = np.vecdot(m[:, ::2, None, :], m[:, None, 1::2, :])  # |alpha_i| . |beta_j|
+    del m
     scale = np.maximum(2.0 * (bound + bound.transpose(0, 2, 1)), _TINY)
     plain = 2j * (ab - ab.transpose(0, 2, 1))  # [E_i, E_j]
     # [E_i, E_j^dagger] = 2i (conj(beta_j) . alpha_i - conj(alpha_j) . beta_i)
     dagger = 2j * (ab_conj - ab_conj.conj().transpose(0, 2, 1)) - np.eye(3)
     deviation = np.maximum(np.abs(plain), np.abs(dagger)) / scale
-    return np.maximum(bins, deviation.max(axis=(1, 2)))
+    return np.maximum(_bin_commutator_deviation(outputs, rows), deviation.max(axis=(1, 2)))
+
+
+# The kind pairs the per-bin audit checks: c-c†, d-d†, c-d and c-d†, and the
+# last two with the bins swapped, as [X_j, Y_i] = -[Y_i, X_j] (for c-c† and
+# d-d† that is the complex conjugate).  [X_i, Y_j] = <X_i Y_j> - <Y_j X_i>
+# has the rank-one terms of :class:`_RankOneOutputs` with p the V (an
+# annihilator x) or minus the U (a creator x) of W or W† at x's slot, and q
+# the U (a creator y) or minus the V (an annihilator y) at y's slot: rows of
+# its ``uv_at``, read with a sign.  The commutator's z is read at
+# [row, 2 adjoint(x) + adjoint(y)] of ``z_commutator``.
+_AUDIT_X, _AUDIT_Y = np.array([0, 2, 0, 0, 2, 3]), np.array([1, 3, 2, 3, 0, 0])
+_AUDIT_P = 4 * ~_CREATOR[_AUDIT_X] + 2 * _ADJOINT[_AUDIT_Y] + _FAMILY[_AUDIT_X]
+_AUDIT_P_SIGN = np.where(_CREATOR[_AUDIT_X], -1.0, 1.0)[:, None]
+_AUDIT_Q = 4 * ~_CREATOR[_AUDIT_Y] + 2 * _ADJOINT[_AUDIT_X] + _FAMILY[_AUDIT_Y]
+_AUDIT_Q_SIGN = np.where(_CREATOR[_AUDIT_Y], 1.0, -1.0)[:, None]
+_AUDIT_Z = 2 * _ADJOINT[_AUDIT_X] + _ADJOINT[_AUDIT_Y]
 
 
 def _bin_commutator_deviation(outputs: _RankOneOutputs, rows: np.ndarray) -> np.ndarray:
@@ -428,11 +457,12 @@ def _bin_commutator_deviation(outputs: _RankOneOutputs, rows: np.ndarray) -> np.
 
     Each bin meets itself and the anchor bins {0, N/2, N-1}, both ways
     round, for c-c†, d-d†, c-d and c-d†: O(N) vector operations on the
-    rank-one form of the outputs, each judged relative to its bound
-    ``size[x, i] size[y, j]``.  That product bounds the rounding bound of
-    [X_i, Y_j] less its exact unit part, |kx| |ky| Z + |ky| m_x[i] +
-    |kx| m_y[j] with Z = 4 |alpha| . |beta| over W's (alpha, beta) ``rows``
-    and m = |alpha| + |beta| at the operator's slot:
+    rank-one form of the outputs, whose p and q terms are gathered once per
+    kind pair (``_AUDIT_P``, ``_AUDIT_Q`` and their signs), each judged
+    relative to its bound ``size[x, i] size[y, j]``.  That product bounds
+    the rounding bound of [X_i, Y_j] less its exact unit part, |kx| |ky| Z +
+    |ky| m_x[i] + |kx| m_y[j] with Z = 4 |alpha| . |beta| over W's
+    (alpha, beta) ``rows`` and m = |alpha| + |beta| at the operator's slot:
     size = |k| sqrt(Z) + m / sqrt(Z).  Any NaN deviation makes its row NaN.
     """
     m = np.abs(rows)
@@ -440,15 +470,13 @@ def _bin_commutator_deviation(outputs: _RankOneOutputs, rows: np.ndarray) -> np.
     m_at = m.take(outputs.slots, axis=2)
     own = (m_at[:, 0] + m_at[:, 1]).take(_FAMILY, axis=1)  # (row, kind, bin)
     size = np.maximum(np.abs(outputs.k) * root_z + own / root_z, _TINY)
-    # Kind pairs c-c†, d-d†, c-d and c-d†, and the last two with the bins
-    # swapped, as [X_j, Y_i] = -[Y_i, X_j] (for c-c† and d-d† that is the
-    # complex conjugate).
-    x, y = np.array([0, 2, 0, 0, 2, 3]), np.array([1, 3, 2, 3, 0, 0])
     # The unit-vector part of a commutator is its canonical value exactly
     # ([c_i, c_j†] = δ_ij, ...), so the deviation is the rest.
-    kx, ky, z, p, q, _ = outputs.commutator(x, y)
-    size_x, size_y = size.take(x, axis=1), size.take(y, axis=1)
-    z = z[..., None]
+    kx, ky = outputs.k.take(_AUDIT_X, axis=1), outputs.k.take(_AUDIT_Y, axis=1)
+    p = outputs.uv_at.take(_AUDIT_P, axis=1) * _AUDIT_P_SIGN
+    q = outputs.uv_at.take(_AUDIT_Q, axis=1) * _AUDIT_Q_SIGN
+    z = outputs.z_commutator.take(_AUDIT_Z, axis=1)[..., None]
+    size_x, size_y = size.take(_AUDIT_X, axis=1), size.take(_AUDIT_Y, axis=1)
     n = kx.shape[2]
     deviations = []
     for j in (slice(None), [0], [n // 2], [n - 1]):  # every bin itself, then each anchor
@@ -533,7 +561,7 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, np.ndarray]:
     acceleration axis (of length 1 for a one-row circuit): moments of shape
     (row, part, moment), NaN on a row that failed the commutator audit.
     They are read straight from W's rows, the weights g ch and -g sh of the
-    c and d outputs, and the register slots of the c and d modes.
+    c and d outputs, and the runs of register slots of the c and d modes.
     """
     register, rows = _w_rows(circ)
     k_c, k_d = np.atleast_2d(circ.g * circ.ch), -np.atleast_2d(circ.g * circ.sh)
@@ -544,10 +572,12 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, np.ndarray]:
     # quadrature coefficients: c = (X + iP)/2 and d^dagger = (X - iP)/2.
     weight = (lo_c.conjugate() * k_c).sum(axis=1) + (lo_d * k_d).sum(axis=1)
     field = weight[:, None, None] * rows  # (row, alpha or beta, slot)
-    unit = np.empty((len(weight), 2, 2, circ.n_bins), dtype=complex)  # at the c and d slots
-    unit[:, 0, 0], unit[:, 1, 0] = 0.5 * lo_c.conjugate(), 0.5j * lo_c.conjugate()
-    unit[:, 0, 1], unit[:, 1, 1] = 0.5 * lo_d, -0.5j * lo_d
-    field[:, :, _cd_slots(register)] += unit
+    # The unit parts, on the runs of c and d slots.
+    c, d = (register._span(f, Chirality.LEFT) for f in (Sector.UNRUH_C, Sector.UNRUH_D))
+    field[:, 0, c] += 0.5 * lo_c.conjugate()
+    field[:, 1, c] += 0.5j * lo_c.conjugate()
+    field[:, 0, d] += 0.5 * lo_d
+    field[:, 1, d] += -0.5j * lo_d
     # X and Y are Hermitian with coefficients x = 2 Re and y = 2 Im of P's:
     # <X^2> = x.x, <Y^2> = y.y and <XY + YX>/2 = x.y over both rows.
     x, y = field.real, field.imag

@@ -601,7 +601,6 @@ class TestRegisters:
 class TestFiniteness:
     """No expression holds a non-finite coefficient, however it was made."""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_arithmetic_rejected(self):
         big = aux(0) * 1e200  # finite
         with pytest.raises(ValueError, match="non-finite coefficient"):
@@ -669,3 +668,98 @@ class TestPruning:
         e = annihilator(A_LBL) + 1e-16 * annihilator(wrong)
         out = rindler_to_unruh(e, 1.0, np.array([1.0]))
         assert ladder_terms(out) == {(A_LBL, False): 1.0}
+
+
+class TestRegisterPlans:
+    """Register work done once: ``slots`` by binary search, one shared grid
+    register per shape, and a rewrite plan kept on the register."""
+
+    WIRES = (
+        (Sector.RINDLER_IV, Chirality.LEFT),
+        (Sector.RINDLER_III, Chirality.RIGHT),
+        (Sector.RINDLER_I, Chirality.RIGHT),
+    )
+
+    @staticmethod
+    def seeded_registers():
+        rng = np.random.default_rng(22)
+        families = [(s, c) for s in Sector for c in Chirality]
+        yield ModeRegister()
+        yield ModeRegister([ModeLabel(Sector.RINDLER_II, Chirality.LEFT, -7)])
+        yield ModeRegister.grid(families, 5)
+        yield ModeRegister.grid([(Sector.UNRUH_C, Chirality.RIGHT), (Sector.AUX, Chirality.LEFT)], 1)
+        for _ in range(30):
+            n = int(rng.integers(1, 60))
+            picked = rng.integers(0, len(families), n)
+            if rng.uniform() < 0.5:
+                bins = rng.integers(-6, 6, n)  # dense, with negative bins
+            else:
+                bins = rng.integers(-(2**39), 2**39, n)  # sparse over the whole range
+            yield ModeRegister([ModeLabel(*families[k], int(b)) for k, b in zip(picked, bins)])
+
+    def test_slots_equal_the_family_comparison(self):
+        from rindler_teleport import mode_algebra
+
+        for reg in self.seeded_registers():
+            for sector in Sector:
+                for chirality in Chirality:
+                    family = mode_algebra._family(sector, chirality)
+                    expected = np.flatnonzero((reg.keys >> mode_algebra._BIN_BITS) == family)
+                    slots = reg.slots(sector, chirality)
+                    assert slots.dtype == expected.dtype
+                    assert np.array_equal(slots, expected)
+
+    def test_equal_grid_calls_share_one_register(self):
+        grid = ModeRegister.grid(self.WIRES, 16)
+        assert ModeRegister.grid(self.WIRES[::-1], 16) is grid
+        assert ModeRegister.grid(self.WIRES, 17) is not grid
+        rng = np.random.default_rng(5)
+        exprs = [OperatorExpr(grid, rng.normal(size=48) + 1j * rng.normal(size=48), rng.normal(size=48))
+                 for _ in range(3)]
+        centers = np.linspace(0.5, 2.0, 16)
+        first = rindler_to_unruh(exprs, np.array([0.3, 2.0]), centers)
+        second = rindler_to_unruh(exprs, np.array([0.3, 2.0]), centers)
+        for x, y in zip(first, second):
+            assert x.register is y.register
+            assert x.rows.tobytes() == y.rows.tobytes()
+
+    def test_the_plan_is_made_once_per_register_and_grid_length(self, monkeypatch):
+        from rindler_teleport import mode_algebra
+
+        honest = mode_algebra._rewrite_plan
+        made = []
+
+        def counted(reg, n_grid):
+            made.append(n_grid)
+            return honest(reg, n_grid)
+
+        monkeypatch.setattr(mode_algebra, "_rewrite_plan", counted)
+        reg = ModeRegister([ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, b) for b in range(3)])
+        b4 = OperatorExpr(reg, [1.0, 0.5, 0.25])
+        for a in (0.5, 1.0, np.array([0.5, 1.0])):
+            rindler_to_unruh(b4, a, np.array([0.8, 1.0, 1.2]))
+        rindler_to_unruh(b4, 1.0, np.array([0.8, 1.0, 1.2, 1.4]))
+        assert made == [3, 4]
+        # The chirality and bin-range checks still read each call's support.
+        with pytest.raises(ValueError, match="has no grid coefficient"):
+            rindler_to_unruh(b4, 1.0, np.array([0.8, 1.0]))
+        rindler_to_unruh(OperatorExpr(reg, [1.0, 0.5, 0.0]), 1.0, np.array([0.8, 1.0]))
+
+
+class TestWickRegionCheck:
+    def test_a_four_product_is_checked_once(self, monkeypatch):
+        from rindler_teleport import mode_algebra
+
+        honest = mode_algebra._reject_non_vacuum
+        calls = []
+
+        def counted(product):
+            calls.append(product)
+            return honest(product)
+
+        monkeypatch.setattr(mode_algebra, "_reject_non_vacuum", counted)
+        x = aux(0) + aux(0).dagger()
+        assert wick_expectation([x, x, x, x]) == pytest.approx(3.0)
+        assert len(calls) == 1
+        pair_contraction(x, aux(1))
+        assert len(calls) == 2

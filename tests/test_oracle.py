@@ -461,6 +461,58 @@ class TestBatchedBuild:
             assert value[:2].tobytes() == expected[:2].tobytes()
 
 
+class TestBuildCost:
+    """What a build repeats and keeps alive."""
+
+    def test_row_blocks_share_one_register_plan(self, monkeypatch, wp_standard):
+        # 40 rows at N = 1024 are ten row blocks on one register: ten
+        # rewrites, one plan; a second build at that N reuses it.
+        import functools
+
+        from rindler_teleport import mode_algebra, oracle
+
+        fresh = functools.lru_cache(maxsize=32)(mode_algebra._grid_register.__wrapped__)
+        monkeypatch.setattr(mode_algebra, "_grid_register", fresh)
+        honest_plan, honest_map = mode_algebra._rewrite_plan, oracle.rindler_to_unruh
+        plans, rewrites = [], []
+
+        def counted_plan(reg, n_grid):
+            plans.append(n_grid)
+            return honest_plan(reg, n_grid)
+
+        def counted_map(exprs, a, grid):
+            rewrites.append(len(a))
+            return honest_map(exprs, a, grid)
+
+        monkeypatch.setattr(mode_algebra, "_rewrite_plan", counted_plan)
+        monkeypatch.setattr(oracle, "rindler_to_unruh", counted_map)
+        accelerations = np.geomspace(0.05, 50.0, 40)
+        circ = build_squeezed_circuit(accelerations, wp_standard, 1024, r_s=0.4)
+        assert np.all(circ.commutator_audit_max <= 1e-10)
+        assert rewrites == [4] * 10 and plans == [1024]
+        build_squeezed_circuit(1.0, wp_standard, 1024, r_s=0.4)
+        assert plans == [1024]
+
+    def test_peak_memory_of_a_build(self, wp_standard):
+        # A warm, scalar, squeezed build at N = 1024 plus its LO variance:
+        # the gate intermediates and the wire outputs are freed before the
+        # per-bin audit.
+        import tracemalloc
+
+        def point():
+            circ = build_squeezed_circuit(1.0, wp_standard, 1024, r_s=0.4)
+            return photon_number_variance_lo(circ, 0.3)
+
+        point()
+        tracemalloc.start()
+        try:
+            point()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * 2**20
+
+
 class TestVarianceAgainstClosedForms:
     def test_displaced(self, circ_displaced, wp_standard):
         rep = photon_number_variance_lo(circ_displaced)
