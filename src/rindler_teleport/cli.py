@@ -28,6 +28,10 @@ value parser and help.  A ``--config`` file sets them with ``key = value``
 lines, keyed by the flag without its dashes or by the setting's name (``rs``
 or ``r_s``); flags win over the file.  ``_resolve_config`` keeps what the
 command reads, fills its defaults and warns of each given setting it ignores.
+``main`` builds that parser once per process and reuses it on every later
+call; ``build_parser()`` returns a fresh one to callers that inspect or
+extend it.  No parse leaves state in the parser: each call starts from the
+same defaults.
 
 All outputs are deterministic for a fixed configuration: floats are
 rendered with ``%.12g``, metadata headers are sorted, nothing timestamps
@@ -42,7 +46,6 @@ that floats cannot hold (see ``spectral.make_wavepacket``).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import logging
 import math
@@ -278,18 +281,24 @@ def _resolve_out(cfg: SweepConfig, default_name: str) -> Path:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):
+        return "%.12g" % value
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.12g" % value
     return str(value)
 
 
 def _write_csv(cfg: SweepConfig, command: str, default_name: str, meta: dict, header: list, rows: list) -> int:
     """Write ``rows`` below the sorted ``# key = value`` lines of the run's
-    grid and ``meta``; report where; exit status 0."""
+    grid and ``meta``, in one write; report where; exit status 0.
+
+    Each line is its cells, rendered by ``_fmt``, joined by commas: the
+    bytes ``csv.writer`` would write, as no cell needs quoting.  Every cell
+    is a float, int, bool, None or a fixed status word, and no header name
+    or status word holds a comma, a quote or a line break.
+    """
     meta = {
         "command": command,
         "version": __version__,
@@ -301,13 +310,11 @@ def _write_csv(cfg: SweepConfig, command: str, default_name: str, meta: dict, he
         **meta,
     }
     out = _resolve_out(cfg, default_name)
+    lines = [f"# {key} = {_fmt(meta[key])}" for key in sorted(meta)]
+    lines.append(",".join(header))
+    lines += [",".join(map(_fmt, row)) for row in rows]
     with open(out, "w", newline="") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key} = {_fmt(meta[key])}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
@@ -600,6 +607,7 @@ def cmd_verify(cfg: SweepConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the command and every setting (``main`` reuses one)."""
     parser = argparse.ArgumentParser(
         prog="rindler-teleport",
         description="Teleportation-from-acceleration sweeps and verification suites.\n\ncommands:\n"
@@ -620,10 +628,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` builds on its first call and reuses after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if not logging.getLogger().handlers:
         logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(levelname)s: %(message)s")
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     cfg = _resolve_config(args, parser)
 

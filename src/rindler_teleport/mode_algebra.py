@@ -190,12 +190,12 @@ class ModeRegister:
     is one contiguous run of slots in bin order: ``slots`` gives its
     positions from two binary searches of the keys.  ``grid`` returns one
     shared register per (families, bin count), and a register keeps the
-    plan of each region rewrite made on it (see :func:`rindler_to_unruh`),
-    so builds on the same grid share that work.  Bins must lie in
-    [-2**39, 2**39).
+    plan of each region rewrite made on it (see :func:`rindler_to_unruh`)
+    and its chirality parts (see :meth:`_chirality_parts`), so builds on the
+    same grid share that work.  Bins must lie in [-2**39, 2**39).
     """
 
-    __slots__ = ("keys", "_plans")
+    __slots__ = ("keys", "_plans", "_parts")
 
     def __init__(self, labels: Iterable[ModeLabel] = ()):
         self._set(_sorted_unique(np.fromiter((_label_key(lb) for lb in labels), dtype=np.int64)))
@@ -211,6 +211,7 @@ class ModeRegister:
         keys.flags.writeable = False
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "_plans", {})  # rewrite plans by grid length
+        object.__setattr__(self, "_parts", None)  # made by _chirality_parts
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("ModeRegister is immutable")
@@ -254,6 +255,17 @@ class ModeRegister:
     def chirality_mask(self, chirality: Chirality) -> np.ndarray:
         """Boolean mask of the register's modes with ``chirality``."""
         return ((self.keys >> _BIN_BITS) & 1) == _CHIRALITY_INDEX[chirality]
+
+    def _chirality_parts(self) -> np.ndarray:
+        """Read-only (modes, 3) float columns that pick the right-movers, the
+        left-movers and every mode; made on first use and kept."""
+        if self._parts is None:
+            left = self.chirality_mask(Chirality.LEFT)
+            parts = np.empty((len(left), 3))
+            parts[:, 0], parts[:, 1], parts[:, 2] = ~left, left, 1.0
+            parts.flags.writeable = False
+            object.__setattr__(self, "_parts", parts)
+        return self._parts
 
     def __repr__(self) -> str:
         return f"ModeRegister({len(self)} modes)"

@@ -320,10 +320,11 @@ class _RankOneOutputs:
         kx[i] ky[j] z + ky[j] p[i] + kx[i] q[j] + e δ_ij,
 
     with z = U[x] . V[y], p and q reads of V[y] and U[x] at the c/d slots,
-    and e from the unit vectors.  :meth:`pairing` returns these terms per
-    kind pair, and :func:`_bilinear_at` evaluates them; the commutator audit
-    reads its own from ``uv_at`` and ``z_commutator`` (the commutator's z,
-    formed from W's X and P coefficients (alpha, beta)).
+    and e from the unit vectors.  :meth:`pairing` forms z and returns these
+    terms per kind pair, and :func:`_bilinear_at` evaluates them; the
+    commutator audit reads its own from ``uv_at`` and ``z_commutator`` (the
+    commutator's z, formed from W's X and P coefficients (alpha, beta)), and
+    never forms the pairing's z.
 
     It is built from W's (alpha, beta) ``rows`` on ``register`` and the
     (row, bin) arrays g ch and g sh, and no circuit stores it: the build
@@ -337,19 +338,13 @@ class _RankOneOutputs:
         # complex k: complex-by-complex products are the fast ones
         self.k = np.empty((len(g_ch), 4, g_ch.shape[1]), dtype=complex)
         self.k[:, :2], self.k[:, 2:] = g_ch[:, None], -g_sh[:, None]
-        # (U, V) is (W.u, W.v) for W and (conj W.v, conj W.u) for W†.  With
-        # c = alpha . conj(beta), U.V = alpha.alpha + beta.beta and
-        # |U|^2, |V|^2 = |alpha|^2 + |beta|^2 -+ 2 Im c.
-        alpha, beta = rows[:, 0], rows[:, 1]
-        c_imag = np.vecdot(beta, alpha).imag
-        norms = np.vecdot(alpha, alpha).real + np.vecdot(beta, beta).real
-        uv = _dotu(alpha, alpha) + _dotu(beta, beta)
-        # Flat layouts, read by ``take``: z and the commutator's z at
+        # (U, V) is (W.u, W.v) for W and (conj W.v, conj W.u) for W†; with
+        # c = alpha . conj(beta), [W, W†] = -4 Im c.
+        self.rows = rows
+        self.c_imag = np.vecdot(rows[:, 1], rows[:, 0]).imag
+        # Flat layouts, read by ``take``: the commutator's z at
         # [row, 2 adjoint(x) + adjoint(y)], U and V at the slots at
         # [row, 2 (W or W†) + family, bin].
-        self.z = np.empty((len(uv), 4), dtype=complex)
-        self.z[:, 0], self.z[:, 1] = uv, norms - 2.0 * c_imag
-        self.z[:, 2], self.z[:, 3] = norms + 2.0 * c_imag, uv.conj()
         at = rows.take(self.slots, axis=2)  # (row, alpha or beta, family, bin)
         j_beta = 1j * at[:, 1]
         self.uv_at = np.empty((len(rows), 8, at.shape[-1]), dtype=complex)  # U then V
@@ -359,16 +354,24 @@ class _RankOneOutputs:
         np.conjugate(self.v_at[:, :2], out=self.u_at[:, 2:])
         np.conjugate(self.u_at[:, :2], out=self.v_at[:, 2:])
         # [W, W†] = -[W†, W] = -4 Im c, not |U|^2 - |V|^2; [W, W] = [W†, W†] = 0.
-        self.z_commutator = np.zeros((len(uv), 4))
-        self.z_commutator[:, 1], self.z_commutator[:, 2] = -4.0 * c_imag, 4.0 * c_imag
+        self.z_commutator = np.zeros((len(rows), 4))
+        self.z_commutator[:, 1], self.z_commutator[:, 2] = -4.0 * self.c_imag, 4.0 * self.c_imag
 
     def pairing(self, x: np.ndarray, y: np.ndarray) -> tuple:
         """Terms (kx, ky, z, p, q, e) of <X_i Y_j> = u . v per kind pair (x[m], y[m])."""
+        # U.V = alpha.alpha + beta.beta and |U|^2, |V|^2 = |alpha|^2 + |beta|^2
+        # -+ 2 Im c, laid out as z at [row, 2 adjoint(x) + adjoint(y)].
+        alpha, beta = self.rows[:, 0], self.rows[:, 1]
+        norms = np.vecdot(alpha, alpha).real + np.vecdot(beta, beta).real
+        uv = _dotu(alpha, alpha) + _dotu(beta, beta)
+        pair_z = np.empty((len(uv), 4), dtype=complex)
+        pair_z[:, 0], pair_z[:, 1] = uv, norms - 2.0 * self.c_imag
+        pair_z[:, 2], pair_z[:, 3] = norms + 2.0 * self.c_imag, uv.conj()
         annihilator, creator = ~_CREATOR[x], _CREATOR[y]
         p = annihilator[:, None] * self.v_at.take(2 * _ADJOINT[y] + _FAMILY[x], axis=1)
         q = creator[:, None] * self.u_at.take(2 * _ADJOINT[x] + _FAMILY[y], axis=1)
         e = 1.0 * (annihilator & creator & (_FAMILY[x] == _FAMILY[y]))
-        z = self.z.take(2 * _ADJOINT[x] + _ADJOINT[y], axis=1)
+        z = pair_z.take(2 * _ADJOINT[x] + _ADJOINT[y], axis=1)
         return self.k.take(x, axis=1), self.k.take(y, axis=1), z, p, q, e
 
 
@@ -582,10 +585,7 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, np.ndarray]:
     # <X^2> = x.x, <Y^2> = y.y and <XY + YX>/2 = x.y over both rows.
     x, y = field.real, field.imag
     per_slot = np.stack([(x * x).sum(axis=1), (y * y).sum(axis=1), (x * y).sum(axis=1)], axis=1)
-    left = register.chirality_mask(Chirality.LEFT)
-    parts = np.empty((len(left), 3))
-    parts[:, 0], parts[:, 1], parts[:, 2] = ~left, left, 1.0  # right, left, whole
-    moments = 4.0 * (per_slot @ parts).transpose(0, 2, 1)
+    moments = 4.0 * (per_slot @ register._chirality_parts()).transpose(0, 2, 1)  # right, left, whole
     moments[~(np.atleast_1d(circ.commutator_audit_max) <= _COMMUTATOR_TOL)] = math.nan
     return moments, n0
 

@@ -1,6 +1,8 @@
 """End-to-end drive of the command-line interface via ``main(argv)``."""
 
 import argparse
+import csv
+import io
 import logging
 import math
 import os
@@ -13,7 +15,7 @@ import pytest
 from conftest import faulty_sh_rewrite, read_report_csv
 
 import rindler_teleport
-from rindler_teleport import build_displaced_circuit, cli, squeeze_param
+from rindler_teleport import build_displaced_circuit, cli, spectral, squeeze_param
 from rindler_teleport.cli import ENV_OUTDIR, main
 
 
@@ -530,14 +532,147 @@ class TestParser:
         assert calls == ["cmd_fig4", list(cli.FIG4_OMEGA0_CURVES)]
 
 
+
+def _fresh_process_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(rindler_teleport.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@pytest.fixture
+def fresh_parser_cache():
+    """Drop the parser ``main`` keeps, before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_parser_cache")
+class TestParserReuse:
+    """``main`` builds one parser per process, and no call leaves state in it."""
+
+    def test_many_calls_build_one_parser(self, monkeypatch, tmp_path):
+        built = []
+        honest_init = argparse.ArgumentParser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(self)
+            honest_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        for k in range(3):
+            assert main(["fig5", "--a-steps", "2", "--out", str(tmp_path / f"f{k}.csv")]) == 0
+            assert main(["sweep", "--scenario", "inertial", "--a-steps", "2", "--out", str(tmp_path / "s.csv")]) == 0
+        with pytest.raises(SystemExit):
+            main(["fig6"])
+        assert len(built) == 1
+        # build_parser stays a fresh parser for callers that inspect or extend it
+        assert cli.build_parser() is not cli.build_parser()
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_a_setting_never_reaches_the_next_call(self, given, tmp_path):
+        cfg = tmp_path / "rs.cfg"
+        cfg.write_text("rs = 0.9\nomega0 = 2\n")
+        earlier = ["--rs", "0.9", "--omega0", "2"] if given == "flag" else ["--config", str(cfg)]
+        assert main(["fig5", *earlier, "--out", str(tmp_path / "earlier.csv")]) == 0
+        assert main(["fig5", "--out", str(tmp_path / "later.csv")]) == 0
+        fresh = tmp_path / "fresh.csv"
+        subprocess.run(
+            [sys.executable, "-m", "rindler_teleport.cli", "fig5", "--out", str(fresh)],
+            env=_fresh_process_env(), capture_output=True, check=True,
+        )
+        assert (tmp_path / "later.csv").read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "earlier.csv").read_bytes() != fresh.read_bytes()
+
+    def test_help_version_and_unknown_command_after_a_run(self, tmp_path, capsys):
+        assert main(["fig5", "--a-steps", "2", "--rs", "0.2", "--out", str(tmp_path / "f.csv")]) == 0
+        capsys.readouterr()
+        for argv, code in ((["--help"], 0), (["--version"], 0), (["fig6"], 2)):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == code, argv
+        out = capsys.readouterr().out
+        assert out == cli.build_parser().format_help() + f"rindler-teleport {rindler_teleport.__version__}\n"
+
+
+#: Every status word a CSV row ends with.
+STATUS_WORDS = ("ok", "overflow", "no-convergence", "oracle-unresolved", "oracle-no-convergence")
+CSV_SPECIALS = (",", '"', "\r", "\n")
+
+
+class TestCsvWriter:
+    """``_write_csv`` joins cells by commas: no cell it is given needs quoting."""
+
+    def reference(self, meta: dict, header: list, rows: list) -> bytes:
+        buffer = io.StringIO(newline="")
+        for key in sorted(meta):
+            buffer.write(f"# {key} = {cli._fmt(meta[key])}\n")
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._fmt(cell) for cell in row])
+        return buffer.getvalue().encode()
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        cells = [
+            math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1.7976931348623157e308,
+            0.1, -2.5, None, True, False, 0, -7, 10**20, np.float64(0.3), *STATUS_WORDS,
+        ]
+        rows = [cells[k:] + cells[:k] for k in range(len(cells))]
+        header = [f"column_{k}" for k in range(len(cells))]
+        cfg = cli.SweepConfig(out=str(tmp_path / "cells.csv"))
+        meta = {"omega0": 1.0, "sigma": None, "oracle": False, "curves": "0.5,1"}
+        assert cli._write_csv(cfg, "test", "unused.csv", meta, header, rows) == 0
+        full_meta = {
+            "command": "test", "version": rindler_teleport.__version__, "seed": cfg.seed, "a_min": cfg.a_min,
+            "a_max": cfg.a_max, "a_steps": cfg.a_steps, "rows": len(rows), **meta,
+        }
+        assert (tmp_path / "cells.csv").read_bytes() == self.reference(full_meta, header, rows)
+
+    def test_written_names_need_no_quoting(self, monkeypatch, tmp_path):
+        honest = cli._write_csv
+        written = []
+
+        def recorded(cfg, command, name, meta, header, rows):
+            written.append((header, rows))
+            return honest(cfg, command, name, meta, header, rows)
+
+        monkeypatch.setattr(cli, "_write_csv", recorded)
+        out = ["--out", str(tmp_path / "run.csv")]
+        for argv in (
+            ["fig4", "--a-steps", "2"],
+            ["fig5", "--rs", "354", "--a-steps", "3"],
+            ["sweep", "--scenario", "inertial", "--a-steps", "2"],
+            ["sweep", "--scenario", "squeezed", "--rs", "354", "--a-steps", "3"],
+            ["sweep", "--oracle", "--bins", "16", "--a-steps", "2"],
+            ["sweep", "--oracle", "--bins", "16", "--a-steps", "2", "--sigma", "0.3"],
+        ):
+            assert main(argv + out) == 0
+        with monkeypatch.context() as patch:
+            faulty_sh_rewrite(patch, cli.SweepConfig(a_min=1.0, a_max=3.0, a_steps=2).a_grid()[0])
+            argv = ["sweep", "--oracle", "--bins", "16", "--a-min", "1", "--a-max", "3", "--a-steps", "2"]
+            assert main(argv + out) == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_SETTLE_REL_TOL", -1.0)
+            assert main(["fig5", "--a-steps", "2"] + out) == 0
+
+        words = {cell for _, rows in written for row in rows for cell in row if isinstance(cell, str)}
+        assert words == set(STATUS_WORDS)  # each run's statuses, and no other string cell
+        names = {name for header, _ in written for name in header}
+        assert len(names) > 10
+        for text in names | words:
+            assert not any(special in text for special in CSV_SPECIALS), text
+
+
 def test_import_loads_no_scipy():
     # SciPy is a test dependency only: a fresh interpreter that imports the
     # package and its CLI must not load it.
-    src = str(Path(rindler_teleport.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import sys, rindler_teleport, rindler_teleport.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_fresh_process_env(), capture_output=True, text=True, check=True
+    )
     assert proc.stdout.strip() == "[]"
