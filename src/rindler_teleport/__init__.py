@@ -18,100 +18,21 @@ of the vacuum serving as the entanglement resource:
   truncated-Fock brute-force simulation.
 * :mod:`.cli` - ``rindler-teleport`` command line: figure sweeps, generic
   parameter sweeps and the self-verification suite.
+
+Each of the first four modules lists its public names in its own
+``__all__``; the package root re-exports all of them, in that order.
 """
 
-from .mode_algebra import (
-    Chirality,
-    ModeLabel,
-    ModeRegister,
-    OperatorExpr,
-    OperatorRows,
-    Sector,
-    beam_splitter,
-    commutator,
-    displace,
-    quadrature_variance,
-    rindler_to_unruh,
-    single_mode_squeeze,
-    two_mode_squeeze,
-    wick_expectation,
-)
-from .oracle import (
-    DiscretizedCircuit,
-    FockCheckReport,
-    GridMismatchError,
-    IdentityRow,
-    OracleConvergenceError,
-    TruncationError,
-    appendix_expectations,
-    build_displaced_circuit,
-    build_squeezed_circuit,
-    contraction_table,
-    fock_check_inertial,
-    photon_number_variance_lo,
-)
-from .spectral import (
-    SpectralConvergenceError,
-    SpectralIntegrals,
-    WavepacketSpec,
-    make_wavepacket,
-    spectral_integrals,
-    squeeze_param,
-    unruh_ch_minus_sh,
-    unruh_cosh_sinh,
-)
-from .teleportation import (
-    VarianceReport,
-    delta_decoherence,
-    delta_extremes,
-    displaced_variance,
-    inertial_teleport_output,
-    narrowband_variance,
-    squeezed_variance,
-)
+from . import mode_algebra, oracle, spectral, teleportation
+from .mode_algebra import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .spectral import *  # noqa: F403
+from .teleportation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Chirality",
-    "DiscretizedCircuit",
-    "FockCheckReport",
-    "GridMismatchError",
-    "IdentityRow",
-    "ModeLabel",
-    "ModeRegister",
-    "OperatorExpr",
-    "OperatorRows",
-    "OracleConvergenceError",
-    "Sector",
-    "SpectralConvergenceError",
-    "SpectralIntegrals",
-    "TruncationError",
-    "VarianceReport",
-    "WavepacketSpec",
-    "appendix_expectations",
-    "beam_splitter",
-    "build_displaced_circuit",
-    "build_squeezed_circuit",
-    "commutator",
-    "contraction_table",
-    "delta_decoherence",
-    "delta_extremes",
-    "displace",
-    "displaced_variance",
-    "fock_check_inertial",
-    "inertial_teleport_output",
-    "make_wavepacket",
-    "narrowband_variance",
-    "photon_number_variance_lo",
-    "quadrature_variance",
-    "rindler_to_unruh",
-    "single_mode_squeeze",
-    "spectral_integrals",
-    "squeeze_param",
-    "squeezed_variance",
-    "two_mode_squeeze",
-    "unruh_ch_minus_sh",
-    "unruh_cosh_sinh",
-    "wick_expectation",
-]
+__all__ = []
+__all__ += spectral.__all__
+__all__ += mode_algebra.__all__
+__all__ += teleportation.__all__
+__all__ += oracle.__all__

@@ -346,6 +346,12 @@ class OperatorExpr:
     __slots__ = ("displacement", "register", "_w", "_peak")
 
     def __init__(self, register, u=0.0, v=0.0, displacement=0.0):
+        for name, given in (("u", u), ("v", v)):
+            if np.shape(given) not in ((), (len(register),)):
+                raise ValueError(
+                    f"{name} must be a scalar or a vector of the register's length {len(register)}, "
+                    f"got shape {np.shape(given)}"
+                )
         uv = np.empty((2, len(register)), dtype=complex)
         uv[0] = u
         uv[1] = v

@@ -256,6 +256,11 @@ def _build_circuit(a, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircui
     ch, sh = unruh_cosh_sinh(centers, rows[:, None])
     weight = np.sum(g * g * (ch * ch + sh * sh), axis=1)  # i_c + i_s of the grid, per row
     max_r_s = float(np.min(0.5 * (_LOG_FLOAT_MAX - 3.0 * np.log(weight))))
+    if max_r_s < 0:
+        raise ValueError(
+            f"acceleration a = {rows[np.argmax(weight)]:.6g} is too large for this grid: the LO "
+            f"variance's quadrature moments leave the float range at any payload squeezing r_s"
+        )
     if r_s > max_r_s:
         raise ValueError(
             f"payload squeezing r_s must be at most {max_r_s:.6g} on this grid "

@@ -141,10 +141,12 @@ def _delta_terms(r_s: float, i_c: float | np.ndarray) -> tuple:
     if np.any(i_c < 1.0):
         raise ValueError(f"i_c must be >= 1 (it is 1 + i_s), got {i_c}")
     half = math.sinh(0.5 * r_s)
-    h = 16.0 * half * half * (i_c * (i_c - 1.0))
-    minimum = math.exp(-2.0 * r_s) + h * math.exp(-r_s)
     with np.errstate(over="ignore"):  # an overflowed row carries status ``overflow``
+        # h is exactly 0 at r_s = 0 (NaN rows stay NaN), also past i_c ~ 1.3e154,
+        # where i_c (i_c - 1) overflows.
+        h = 0.0 * i_c if r_s == 0.0 else 16.0 * half * half * (i_c * (i_c - 1.0))
         spread = 2.0 * math.sinh(2.0 * r_s) + 2.0 * h * math.sinh(r_s)
+    minimum = math.exp(-2.0 * r_s) + h * math.exp(-r_s)
     return minimum, spread
 
 

@@ -214,6 +214,31 @@ class TestOverflowWarnings:
         assert row[-1] == "overflow"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestClosedRoutePastTheFloatRangeOfICSquared:
+    """From a ~ 8e154 omega0, where i_c (i_c - 1) overflows, a settled row is
+    ``ok`` if its values are finite and ``overflow`` if not, never
+    ``no-convergence``."""
+
+    ARGV = ["sweep", "--a-min", "1e150", "--a-max", "1e300", "--a-steps", "7"]
+
+    def test_displaced_rows_stay_ok(self, tmp_path):
+        out = tmp_path / "displaced.csv"
+        assert main(self.ARGV + ["--out", str(out)]) == 0
+        _, _, rows = read_report_csv(out)
+        assert [row[-1] for row in rows] == ["ok"] * 7
+        first = float(rows[0][6])  # variance_total
+        assert all(float(row[6]) == pytest.approx(first, rel=1e-12) for row in rows)
+
+    def test_squeezed_rows_read_overflow(self, tmp_path):
+        out = tmp_path / "squeezed.csv"
+        assert main(self.ARGV + ["--scenario", "squeezed", "--out", str(out)]) == 0
+        _, _, rows = read_report_csv(out)
+        assert [row[-1] for row in rows] == ["overflow"] * 7
+        assert all(row[6] == "inf" for row in rows[1:])
+        assert all(math.isfinite(float(row[7])) for row in rows)  # thermal_noise
+
+
 @pytest.mark.usefixtures("spectra_never_settle")
 class TestNoConvergenceRows:
     """Rows whose spectral integrals never stabilize are written, not raised."""

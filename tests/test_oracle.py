@@ -413,6 +413,15 @@ class TestBatchedBuild:
         with pytest.raises(ValueError, match="payload squeezing r_s must be at most 346.247"):
             build_squeezed_circuit(np.array([1.0, 1000.0]), wp, 32, r_s=348.0)
 
+    @pytest.mark.parametrize("r_s", [0.0, 0.4])
+    def test_acceleration_past_every_payload_bound_is_named(self, r_s):
+        # From a ~ 1e104 omega0 the r_s bound is negative: no payload fits,
+        # so the refusal names the acceleration, not r_s.
+        wp = make_wavepacket(1.0, 0.01)
+        named = r"acceleration a = 1e\+110 is too large .* at any payload squeezing"
+        with pytest.raises(ValueError, match=named):
+            build_squeezed_circuit(np.array([1e20, 1e110, 1e50]), wp, 256, r_s=r_s)
+
     def test_a_row_that_fails_the_audit_is_nan(self, monkeypatch, wp_standard):
         # A 1% error in sinh r breaks [b, b†] at one acceleration only: that
         # row keeps its audit maximum and reads NaN, indexing it raises as a
@@ -459,6 +468,30 @@ class TestBatchedBuild:
             value, expected = getattr(report, field.name), getattr(reference, field.name)
             assert math.isnan(value[2])
             assert value[:2].tobytes() == expected[:2].tobytes()
+
+
+class TestLargeAccelerations:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 9: from a ~ 1e27 omega0 a displaced build passes its "
+        "commutator audit, but its variance is off by 1e21 to 1e167 relative",
+    )
+    def test_displaced_rows_agree_or_fail_by_name(self):
+        a = np.array([1e40, 1e60, 1e100])
+        for sigma in (0.01, 0.05):
+            wp = make_wavepacket(1.0, sigma)
+            closed = displaced_variance(a, wp).total
+            try:
+                circ = build_displaced_circuit(a, wp, 256)
+            except (OracleConvergenceError, ValueError):
+                continue
+            for k in range(len(a)):
+                try:
+                    total = photon_number_variance_lo(circ[k]).total
+                except OracleConvergenceError:
+                    continue
+                assert total == pytest.approx(closed[k], rel=1e-11), (sigma, a[k])
 
 
 class TestBuildCost:

@@ -220,6 +220,21 @@ class TestAccelerationGrid:
                 assert np.asarray(d).dtype == np.asarray(s).dtype
                 assert np.asarray(d).tobytes() == np.asarray(s).tobytes()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_past_the_float_range_of_i_c_squared(self):
+        # From a ~ 8e154 omega0, i_c (i_c - 1) leaves the float range. The
+        # coherent payload's Delta is 1 whatever i_c, so its total stays
+        # flat on grids and scalars; a squeezed payload's reads inf, and
+        # neither raises a warning.
+        wp = make_wavepacket(1.0, 0.01)
+        a = np.logspace(150, 300, 7)
+        flat = displaced_variance(a, wp).total
+        assert flat == pytest.approx(np.full(a.shape, flat[0]), rel=1e-12)
+        assert displaced_variance(1e200, wp).total == pytest.approx(flat[0], rel=1e-12)
+        squeezed = squeezed_variance(a[1:], wp, 0.5, 0.0)
+        assert np.all(np.isinf(squeezed.total)) and np.all(np.isfinite(squeezed.thermal_noise))
+        assert math.isinf(squeezed_variance(1e200, wp, 0.5, 0.0).total)
+
     def test_delta_decoherence_passes_nan_rows(self):
         i_c = np.array([1.0, math.nan, 2.5])
         d = delta_decoherence(0.5, i_c, 0.3)
