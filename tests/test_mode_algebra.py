@@ -127,7 +127,6 @@ class TestExpressionAlgebra:
         assert ladder_terms(OperatorExpr(reg, v=-1j)) == {(A_LBL, True): -1j, (B_LBL, True): -1j}
         assert same_ladder(OperatorExpr(ModeRegister([A_LBL]), 1.0), aux(0))
 
-
     @pytest.mark.parametrize(
         "name, given, shape",
         [("u", [1.0, 2.0, 3.0], (3,)), ("v", [[1.0, 2.0], [3.0, 4.0]], (2, 2)), ("u", [1.0], (1,))],
@@ -137,6 +136,7 @@ class TestExpressionAlgebra:
         named = rf"^{name} must be .* register's length 2, got shape {re.escape(str(shape))}$"
         with pytest.raises(ValueError, match=named):
             OperatorExpr(reg, **{name: given})
+
 
 class TestCommutators:
     def test_canonical(self):
