@@ -540,24 +540,30 @@ def _pairing(e1: OperatorExpr, e2: OperatorExpr) -> complex:
 
 
 def _reject_non_vacuum(product: Iterable[OperatorExpr]) -> None:
-    shift = _BIN_BITS + 1  # a key's sector index
     for expr in product:
-        keys = expr.register.keys
-        # Keys sort by sector, so when no region sector lies between the first
-        # and last key's the register holds no region mode: no support pass.
-        if not len(keys):
-            continue
-        spanned = _IS_RINDLER[int(keys[0]) >> shift : (int(keys[-1]) >> shift) + 1]
-        if True not in spanned.tolist():
-            continue
-        sectors = keys[_support(expr._w) & _IS_RINDLER[keys >> shift]] >> shift
-        if not len(sectors):
-            continue
-        names = ", ".join(sorted({_SECTORS[i].value for i in sectors}))
-        raise ValueError(
-            f"expectation over non-vacuum sectors [{names}]: rewrite with "
-            "rindler_to_unruh before taking vacuum expectation values"
-        )
+        _reject_regions(expr.register, expr._w)
+
+
+def _reject_regions(register: ModeRegister, w: np.ndarray) -> None:
+    """ValueError naming the region sectors of ``register`` whose coefficients
+    in ``w`` (its rows over the register) lie above ``PRUNE_TOL``."""
+    shift = _BIN_BITS + 1  # a key's sector index
+    keys = register.keys
+    # Keys sort by sector, so when no region sector lies between the first
+    # and last key's the register holds no region mode: no support pass.
+    if not len(keys):
+        return
+    spanned = _IS_RINDLER[int(keys[0]) >> shift : (int(keys[-1]) >> shift) + 1]
+    if True not in spanned.tolist():
+        return
+    sectors = keys[_support(w) & _IS_RINDLER[keys >> shift]] >> shift
+    if not len(sectors):
+        return
+    names = ", ".join(sorted({_SECTORS[i].value for i in sectors}))
+    raise ValueError(
+        f"expectation over non-vacuum sectors [{names}]: rewrite with "
+        "rindler_to_unruh before taking vacuum expectation values"
+    )
 
 
 def wick_expectation(product: Sequence[OperatorExpr]) -> complex:
@@ -598,12 +604,21 @@ def wick_expectation(product: Sequence[OperatorExpr]) -> complex:
 def quadrature_variance(expr: OperatorExpr, phi: float = 0.0) -> float:
     """Variance of X(phi) = e^(-i phi) E + e^(i phi) E^dagger in the vacuum;
     a NaN or infinite ``phi`` is a :class:`ValueError`, and so is a
-    Rindler-sector label in X(phi), as in :func:`wick_expectation`."""
+    Rindler-sector label in X(phi), as in :func:`wick_expectation`.
+
+    X(phi) has the real X and P coefficients x = 2 Re(e^(-i phi) (alpha, beta)),
+    so its variance is the pairing x.x, read in one pass over E's rows.
+    """
     if not math.isfinite(phi):
         raise ValueError(f"LO phase phi must be finite, got {phi}")
-    x = cmath.exp(-1j * phi) * expr
-    x = x + x.dagger()
-    return float(pair_contraction(x, x).real)
+    turn = cmath.exp(-1j * phi)
+    if 2.0 * expr._peak <= _SAFE_PEAK:
+        x = 2.0 * (expr._w * turn).real
+    else:  # computed quietly and tested, as arithmetic past the bound is
+        x = _quiet(np.multiply, _quiet(np.multiply, expr._w, turn).real, 2.0)
+        _max_magnitude(expr.register, x)
+    _reject_regions(expr.register, x)
+    return float(np.vdot(x, x))
 
 
 # -- Gaussian circuit elements -------------------------------------------

@@ -880,7 +880,7 @@ class _WindowTables:
     unwrapped: np.ndarray  # [t, n0, 1]: t >= n0
     modes: np.ndarray  # [t, even n0, j]: left singular vectors P_t of Y_t
     sigma: np.ndarray  # [t, j]: singular values of Y_t
-    coupled: np.ndarray  # [t, odd n0, j]: Y_t^T P_t = Q_t diag(sigma_t)
+    coupled: np.ndarray  # [t, odd n0, j]: right singular vectors Q_t of Y_t
 
 
 @functools.lru_cache(maxsize=16)
@@ -894,7 +894,7 @@ def _window_tables(cutoff: int) -> _WindowTables:
     at p = t, between the two sums.  G_t couples even n0 only to odd n0, as
     G_t = [[0, Y_t], [-Y_t^T, 0]] on (even, odd) rows; the reduced SVD
     Y_t = P_t diag(sigma_t) Q_t^T gives its eigenvalues ±i sigma_t.  P_t,
-    sigma_t and Y_t^T P_t = Q_t diag(sigma_t) are kept.
+    sigma_t and Q_t are kept.
     """
     m = cutoff + 1
     n = np.arange(m)
@@ -924,7 +924,7 @@ def _window_tables(cutoff: int) -> _WindowTables:
         unwrapped=np.greater_equal.outer(n, n)[:, :, None],
         modes=modes,
         sigma=sigma,
-        coupled=q_t.transpose(0, 2, 1) * sigma[:, None, :],
+        coupled=q_t.transpose(0, 2, 1),
     )
     for array in vars(tables).values():
         array.flags.writeable = False
@@ -989,18 +989,17 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
     )
     del signed
 
-    # exp(theta G_t) on (even, odd) rows, with W = P^T Y = diag(sigma) Q^T:
-    # [[1 + P c P^T, P s W], [-W^T s P^T, 1 + W^T (c / sigma²) W]] where
-    # c = cos(theta sigma) - 1 and s = sin(theta sigma) / sigma.
+    # exp(theta G_t) on (even, odd) rows, from Y = P diag(sigma) Q^T:
+    # [[1 + P c P^T, P s Q^T], [-Q s P^T, 1 + Q c Q^T]] where
+    # c = cos(theta sigma) - 1 = -2 sin²(theta sigma / 2) and s = sin(theta sigma).
     theta = -math.acos(1.0 / math.cosh(r))  # transmissivity sech² r
-    p, sigma, w = tables.modes, tables.sigma, tables.coupled  # w is W^T
-    half = 0.5 * theta * sigma
-    sinc = np.ones_like(half)
-    np.divide(np.sin(half), half, out=sinc, where=half != 0.0)  # sin(half) / half
+    p, q = tables.modes, tables.coupled
+    angle = theta * tables.sigma
+    c = -2.0 * np.sin(0.5 * angle) ** 2
     rotation = np.empty((m, m, m))
-    rotation[:, ::2, ::2] = (p * (-2.0 * np.sin(half) ** 2)[:, None, :]) @ p.transpose(0, 2, 1)
-    rotation[:, 1::2, 1::2] = w @ (w.transpose(0, 2, 1) * (-0.5 * (theta * sinc) ** 2)[:, :, None])
-    rotation[:, ::2, 1::2] = (p * (theta * sinc * np.cos(half))[:, None, :]) @ w.transpose(0, 2, 1)
+    rotation[:, ::2, ::2] = (p * c[:, None, :]) @ p.transpose(0, 2, 1)
+    rotation[:, 1::2, 1::2] = (q * c[:, None, :]) @ q.transpose(0, 2, 1)
+    rotation[:, ::2, 1::2] = (p * np.sin(angle)[:, None, :]) @ q.transpose(0, 2, 1)
     rotation[:, 1::2, ::2] = -rotation[:, ::2, 1::2].transpose(0, 2, 1)
     np.einsum("tii->ti", rotation)[...] += 1.0
     state = rotation @ state

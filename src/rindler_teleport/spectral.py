@@ -39,6 +39,7 @@ Conventions
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -284,7 +285,11 @@ class SpectralIntegrals:
 
     For a scalar ``a`` every field is a number.  For an array ``a`` every
     field is an array over the accelerations, and the three integrals are
-    NaN on a row that did not stabilize.
+    NaN on a row that did not stabilize.  They are inf on a row whose i_c
+    left the float range (pi omega/a too small for cosh^2 r =
+    1/(1 - e^(-2 pi omega/a))).  i_cs is far below 1 there but underflows in
+    the same sums; inf in all three makes every value built from the row
+    read as overflowed, not as unsettled.
 
     ``level`` is the number of panel halvings after which a row stopped, and
     ``last_change`` the largest relative change of the three values between
@@ -350,6 +355,9 @@ def spectral_integrals(wp: WavepacketSpec, a: float | np.ndarray) -> SpectralInt
     alone is stable.  For a scalar, :class:`SpectralConvergenceError` is
     raised if seven refinements are not enough or the identity fails past
     rounding; for an array such a row is NaN instead, with its level and last change kept.
+    Where pi omega/a is so small that i_c leaves the float range, a scalar
+    raises :class:`OverflowError` and an array row is inf (see
+    :class:`SpectralIntegrals`).
     """
     accel = _accelerations(a)
     if accel.ndim > 1:
@@ -357,28 +365,43 @@ def spectral_integrals(wp: WavepacketSpec, a: float | np.ndarray) -> SpectralInt
     scalar = accel.ndim == 0
     accel = np.atleast_1d(accel)
 
-    edges = np.asarray(wp.panel_edges, dtype=float)
-    values = _integrals_on_edges(edges, wp, accel)
-    level = np.zeros(accel.size, dtype=int)
-    last_change = np.full(accel.size, math.nan)
-    unsettled = np.arange(accel.size)
-    for refinement in range(1, _MAX_REFINEMENTS + 1):
-        if not unsettled.size:
-            break
-        edges = _split_edges(edges)
-        refined = _integrals_on_edges(edges, wp, accel[unsettled])
-        scale = np.maximum(np.abs(refined), 1e-300)
-        change = np.max(np.abs(refined - values[unsettled]) / scale, axis=1)
-        values[unsettled] = refined
-        level[unsettled] = refinement
-        last_change[unsettled] = change
-        unsettled = unsettled[~(change <= _SETTLE_REL_TOL)]  # a NaN change never settles
+    # cosh^2 r < 1 + a/(2 pi omega) at every node (omega > lo), and a row's
+    # sums stay below that bound times max(1, hi - lo): one test per call
+    # tells whether any value can leave the float range.
+    lo, hi = wp.window
+    near_edge = (1.0 + float(accel.max(initial=0.0)) / (2.0 * math.pi * lo)) * max(1.0, hi - lo) > 1e300
+    with np.errstate(all="ignore") if near_edge else contextlib.nullcontext():
+        edges = np.asarray(wp.panel_edges, dtype=float)
+        values = _integrals_on_edges(edges, wp, accel)
+        level = np.zeros(accel.size, dtype=int)
+        last_change = np.full(accel.size, math.nan)
+        unsettled = np.arange(accel.size)
+        for refinement in range(1, _MAX_REFINEMENTS + 1):
+            if not unsettled.size:
+                break
+            edges = _split_edges(edges)
+            refined = _integrals_on_edges(edges, wp, accel[unsettled])
+            scale = np.maximum(np.abs(refined), 1e-300)
+            change = np.max(np.abs(refined - values[unsettled]) / scale, axis=1)
+            values[unsettled] = refined
+            level[unsettled] = refinement
+            last_change[unsettled] = change
+            done = change <= _SETTLE_REL_TOL  # a NaN change never settles
+            if near_edge:  # nor can an inf i_c, and no finer level, nearer lo, brings it back
+                done |= np.isinf(refined[:, 0])
+            unsettled = unsettled[~done]
 
-    i_c, i_s = values[:, 0], values[:, 1]
-    # 1e-8, or past it the worst-case rounding n eps (i_c + i_s) of sums over a row's n nodes
-    nodes = (len(wp.panel_edges) - 1) * len(_GL_RULE[0]) * 2.0**level
-    broken = np.abs(i_c - i_s - 1.0) > np.maximum(1e-8, nodes * np.finfo(float).eps * (i_c + i_s))
+        i_c, i_s = values[:, 0], values[:, 1]
+        # 1e-8, or past it the worst-case rounding n eps (i_c + i_s) of sums over a row's n nodes
+        nodes = (len(wp.panel_edges) - 1) * len(_GL_RULE[0]) * 2.0**level
+        broken = np.abs(i_c - i_s - 1.0) > np.maximum(1e-8, nodes * np.finfo(float).eps * (i_c + i_s))
     if scalar:
+        if math.isinf(i_c[0]):
+            raise OverflowError(
+                f"pi*omega/a left the float range ({math.pi * lo / float(accel[0]):.3e} at the "
+                f"window's lower edge), so cosh^2 r and the spectral integrals i_c, i_s exceed "
+                f"the largest float, for omega0={wp.omega0}, sigma={wp.sigma}, a={float(accel[0])}"
+            )
         if unsettled.size:
             raise SpectralConvergenceError(
                 f"spectral integrals did not stabilize to {_SETTLE_REL_TOL:g} relative "
@@ -396,6 +419,8 @@ def spectral_integrals(wp: WavepacketSpec, a: float | np.ndarray) -> SpectralInt
         )
     values[unsettled] = math.nan
     values[broken] = math.nan
+    if near_edge:
+        values[np.isinf(i_c)] = math.inf
     return SpectralIntegrals(
         *values.T.copy(), a=accel, level=level, last_change=last_change,
     )

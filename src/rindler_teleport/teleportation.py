@@ -28,6 +28,7 @@ X(phi) = e^(-i phi) a + e^(i phi) a^dagger, vacuum variance 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -141,10 +142,22 @@ def _delta_terms(r_s: float, i_c: float | np.ndarray) -> tuple:
     if np.any(i_c < 1.0):
         raise ValueError(f"i_c must be >= 1 (it is 1 + i_s), got {i_c}")
     half = math.sinh(0.5 * r_s)
-    with np.errstate(over="ignore"):  # an overflowed row carries status ``overflow``
-        # h is exactly 0 at r_s = 0 (NaN rows stay NaN), also past i_c ~ 1.3e154,
-        # where i_c (i_c - 1) overflows.
-        h = 0.0 * i_c if r_s == 0.0 else 16.0 * half * half * (i_c * (i_c - 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row carries status ``overflow``
+        if r_s == 0.0:
+            # exactly 0 (NaN rows stay NaN), also where i_c itself overflowed
+            h = 0.0 * np.minimum(i_c, 1.0)
+        else:
+            square = 16.0 * half * half
+            grown = i_c * (i_c - 1.0)
+            h = square * grown
+            # Where 16 sinh^2(r_s/2) underflows (r_s below ~3e-162) or i_c (i_c - 1)
+            # overflows (i_c past ~1.3e154), one 4 sinh(r_s/2) per i_c factor keeps
+            # h in range; every other row keeps the plain product.
+            if square == 0.0 or np.isinf(grown).any():
+                paired = np.isinf(grown) | (square == 0.0)
+                h = np.where(paired, (4.0 * half * i_c) * (4.0 * half * (i_c - 1.0)), h)
+        if np.ndim(h) == 0:
+            h = float(h)
         spread = 2.0 * math.sinh(2.0 * r_s) + 2.0 * h * math.sinh(r_s)
     minimum = math.exp(-2.0 * r_s) + h * math.exp(-r_s)
     return minimum, spread
@@ -185,6 +198,7 @@ def _payload_report(a: float | np.ndarray, wp: WavepacketSpec, r_s: float, phi: 
 _INERTIAL_MODES = ModeRegister(ModeLabel(Sector.AUX, Chirality.LEFT, i) for i in range(3))
 
 
+@functools.lru_cache(maxsize=64)
 def inertial_teleport_output(r: float, r_omega: float) -> OperatorExpr:
     """Output mode of the single-frequency all-optical teleporter.
 
@@ -199,6 +213,10 @@ def inertial_teleport_output(r: float, r_omega: float) -> OperatorExpr:
     ``r = math.inf`` returns the exact strong-amplification limit
     (tanh r -> 1); the added-noise factor e^(-r_omega) then shows the
     resource squeezing suppressing the teleportation penalty.
+
+    The output is a pure function of (r, r_omega) and an immutable
+    expression, so the last 64 are kept: a Fock check at several cutoffs
+    builds its prediction once.  A rejected input is never kept.
     """
     if r < 0 or math.isnan(r):
         raise ValueError(f"amplifier gain must be non-negative, got {r}")

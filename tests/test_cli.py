@@ -239,6 +239,40 @@ class TestClosedRoutePastTheFloatRangeOfICSquared:
         assert all(math.isfinite(float(row[7])) for row in rows)  # thermal_noise
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestClosedRouteAtTheFloatEdges:
+    """Past a/omega0 ~ 1e308, pi omega/a leaves the float range and i_c with
+    it: such rows are ``overflow``, not ``no-convergence``.  At a tiny r_s,
+    where 16 sinh^2(r_s/2) underflows, h stays finite."""
+
+    EDGE = ["--omega0", "1e-8", "--sigma", "5e-10", "--a-min", "1e306", "--a-max", "1e308", "--a-steps", "3"]
+
+    @pytest.mark.parametrize(
+        "argv, values",
+        [
+            (["fig4"], slice(2, 5)),
+            (["fig5"], slice(1, 6)),
+            (["sweep", "--scenario", "displaced"], slice(6, 10)),
+            (["sweep", "--scenario", "squeezed"], slice(6, 10)),
+        ],
+    )
+    def test_rows_past_the_range_of_pi_omega_over_a_read_overflow(self, tmp_path, argv, values):
+        out = tmp_path / "edge.csv"
+        assert main(argv + self.EDGE + ["--out", str(out)]) == 0
+        _, _, rows = read_report_csv(out)
+        assert [row[-1] for row in rows] == ["overflow"] * 3
+        assert all("nan" not in row[values] and "inf" in row[values] for row in rows)
+
+    def test_tiny_payload_squeezing_at_huge_acceleration(self, tmp_path):
+        outs = [tmp_path / "tiny.csv", tmp_path / "coherent.csv"]
+        span = ["--a-min", "1e160", "--a-max", "1e160", "--a-steps", "1"]
+        assert main(["sweep", "--scenario", "squeezed", "--rs", "1e-200", *span, "--out", str(outs[0])]) == 0
+        assert main(["sweep", *span, "--out", str(outs[1])]) == 0
+        (tiny,), (coherent,) = (read_report_csv(out)[2] for out in outs)
+        assert tiny[-1] == "ok" and tiny[8] == "1"  # qnl_or_decoherence: 1 + h, h ~ 4e-81
+        assert tiny[6:10] == coherent[6:10]
+
+
 @pytest.mark.usefixtures("spectra_never_settle")
 class TestNoConvergenceRows:
     """Rows whose spectral integrals never stabilize are written, not raised."""

@@ -32,6 +32,7 @@ from rindler_teleport import (
     delta_extremes,
     displaced_variance,
     fock_check_inertial,
+    inertial_teleport_output,
     make_wavepacket,
     photon_number_variance_lo,
     spectral_integrals,
@@ -913,6 +914,15 @@ class TestFockProtocolCheck:
         rep = fock_check_inertial(r, r_omega)
         assert rep.cutoff == cutoff
 
+    def test_prediction_built_once_per_point(self):
+        # The prediction does not depend on the cutoff: a point checked at the
+        # default window and at four fixed ones builds it once.
+        before = inertial_teleport_output.cache_info()
+        for cutoff in (None, 6, 8, 10, 12):
+            fock_check_inertial(0.3671875, 0.5859375, cutoff, beta=0.1 + 0.2j, phi=0.7, strict=False)
+        after = inertial_teleport_output.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 4)
+
     def test_lost_mass_shrinks_as_window_grows(self):
         reports = [
             fock_check_inertial(0.9, 0.7, cutoff=c, beta=0.3 - 0.2j, phi=1.1, strict=False)
@@ -921,7 +931,9 @@ class TestFockProtocolCheck:
         lost = [rep.lost_mass for rep in reports]
         assert all(later <= earlier for earlier, later in zip(lost, lost[1:]))
 
-    @pytest.mark.parametrize("cutoff", [6, 8, 12])
+    # m = cutoff + 1 is even at 5 and 7, as on the adaptive ladder's 25, 31
+    # and 47, where the even and odd photon numbers split the window in halves.
+    @pytest.mark.parametrize("cutoff", [5, 6, 7, 8, 12])
     @pytest.mark.parametrize(
         "r, r_omega, beta, phi",
         [

@@ -264,6 +264,42 @@ class TestLargeAccelerations:
         assert total == pytest.approx(_mp_displaced_variance(1.0, sigma, a), rel=1e-14, abs=0.0)
 
 
+class TestPastTheFloatRangeOfPiOmegaOverA:
+    """Where pi omega/a is so small that cosh^2 r = 1/(1 - e^(-2 pi omega/a))
+    and i_c pass the largest float, a scalar call says so and an array row
+    reads inf; neither warns, and every row inside the range keeps its bits."""
+
+    WP = (1e-8, 5e-10)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scalar_names_the_float_range(self):
+        with pytest.raises(OverflowError, match=r"pi\*omega/a left the float range .*a=1e\+308"):
+            spectral_integrals(make_wavepacket(*self.WP), 1e308)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_array_rows_read_inf_and_the_rest_keep_their_bits(self):
+        wp = make_wavepacket(*self.WP)
+        a = np.array([1e-9, 1e290, 1e300, 1e306, 1e308])
+        ints = spectral_integrals(wp, a)
+        for field in ("i_c", "i_s", "i_cs"):
+            assert np.all(np.isinf(getattr(ints, field)[3:]))
+        assert np.all(ints.level[3:] == 1)
+        for k in range(3):
+            assert _bits(ints, k) == _bits(spectral_integrals(wp, float(a[k])))
+            assert _bits(ints, k) == _bits(spectral_integrals(wp, a[:3]), k)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("omega0, sigma", [(1e-8, 5e-10), (1e-8, 1e-8), (1e-6, 1e-8), (1e-3, 1e-3)])
+    def test_every_row_near_the_edge_is_settled_or_inf(self, omega0, sigma):
+        # Clipped and unclipped packets up to the largest acceleration: no NaN row.
+        ints = spectral_integrals(make_wavepacket(omega0, sigma), np.logspace(280, 308, 57))
+        values = np.column_stack([ints.i_c, ints.i_s, ints.i_cs])
+        past = np.isinf(values[:, 0])
+        assert past.any() and not np.isnan(values).any()
+        assert np.all(np.isinf(values[past])) and np.all(np.isfinite(values[~past]))
+        assert np.all(ints.last_change[~past] <= spectral._SETTLE_REL_TOL)
+
+
 # Each function of the acceleration, reduced to one call with a valid omega.
 _ACCELERATION_FUNCTIONS = {
     "squeeze_param": partial(squeeze_param, 1.0),

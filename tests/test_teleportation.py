@@ -235,6 +235,52 @@ class TestAccelerationGrid:
         assert np.all(np.isinf(squeezed.total)) and np.all(np.isfinite(squeezed.thermal_noise))
         assert math.isinf(squeezed_variance(1e200, wp, 0.5, 0.0).total)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "r_s, i_c",
+        [
+            (1e-170, 1e170),  # 16 sinh^2(r_s/2) underflows and i_c (i_c - 1) overflows
+            (1e-200, 4e199),
+            (1e-160, 1e160),  # 16 sinh^2(r_s/2) is subnormal
+            (1e-150, 1e160),  # only i_c (i_c - 1) overflows: h = 4e20
+        ],
+    )
+    def test_h_at_tiny_squeezing_and_huge_i_c(self, r_s, i_c):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            rs, ic = mpmath.mpf(r_s), mpmath.mpf(i_c)
+            h = 16 * mpmath.sinh(rs / 2) ** 2 * ic * (ic - 1)
+            minimum = mpmath.exp(-2 * rs) + h * mpmath.exp(-rs)
+            spread = 2 * mpmath.sinh(2 * rs) + 2 * h * mpmath.sinh(rs)
+            expected = (float(minimum + spread), float(minimum))
+        for got in (delta_extremes(r_s, i_c), [v[0] for v in delta_extremes(r_s, np.array([i_c]))]):
+            assert got == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_h_keeps_the_bits_of_a_finite_product(self):
+        # Where 16 sinh^2(r_s/2) i_c (i_c - 1) is finite and non-zero, h is that product.
+        i_c = np.concatenate([[1.0, 1.0 + 2e-16], np.logspace(0.01, 150, 61), [1e154, 1e300, math.nan]])
+        for r_s in (1e-160, 1e-100, 1e-8, 0.3, 2.0, 40.0):
+            half = math.sinh(0.5 * r_s)
+            with np.errstate(over="ignore"):
+                h = 16.0 * half * half * (i_c * (i_c - 1.0))
+            plain = np.isfinite(h) & (h != 0.0)
+            minimum = math.exp(-2.0 * r_s) + h * math.exp(-r_s)
+            got = delta_extremes(r_s, i_c)[1]
+            assert got[plain].tobytes() == minimum[plain].tobytes()
+            assert np.isnan(got[-1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_coherent_payload_where_i_c_overflowed(self):
+        # Past the float range of i_c (an inf row of spectral_integrals) Delta
+        # of a coherent payload is still 1, and a squeezed one's is inf.
+        i_c = np.array([2.0, math.inf, math.nan])
+        d = delta_decoherence(0.0, i_c, 0.4)
+        assert d[:2].tolist() == [1.0, 1.0] and math.isnan(d[2])
+        assert delta_decoherence(0.0, math.inf, 0.4) == 1.0
+        assert type(delta_decoherence(0.0, 2.0, 0.4)) is float
+        assert delta_extremes(1e-200, np.array([math.inf]))[1].tolist() == [math.inf]
+
     def test_delta_decoherence_passes_nan_rows(self):
         i_c = np.array([1.0, math.nan, 2.5])
         d = delta_decoherence(0.5, i_c, 0.3)
@@ -290,3 +336,20 @@ class TestInertialProtocol:
             inertial_teleport_output(1.0, -0.5)
         with pytest.raises(ValueError):
             inertial_teleport_output(1.0, math.inf)
+
+    @pytest.mark.parametrize(
+        "r, r_omega, name",
+        [(-1.0, 0.5, "gain"), (math.nan, 0.5, "gain"), (1.0, -0.5, "resource"), (1.0, math.inf, "resource")],
+    )
+    def test_rejected_input_raises_on_every_call(self, r, r_omega, name):
+        # The kept outputs never hold a rejected input's error or result.
+        for _ in range(3):
+            with pytest.raises(ValueError, match=name):
+                inertial_teleport_output(r, r_omega)
+
+    def test_kept_outputs_are_bounded(self):
+        maxsize = inertial_teleport_output.cache_info().maxsize
+        assert isinstance(maxsize, int) and 0 < maxsize <= 1024
+        for k in range(maxsize + 5):
+            inertial_teleport_output(0.25, 1.0 + k / 997.0)
+        assert inertial_teleport_output.cache_info().currsize == maxsize
