@@ -290,7 +290,7 @@ def _merge(r1: ModeRegister, r2: ModeRegister):
     over the sorted keys of both.
     """
     k1, k2 = r1.keys, r2.keys
-    if r1 is r2 or (len(k1) == len(k2) and np.array_equal(k1, k2)):
+    if len(k1) == len(k2) and np.array_equal(k1, k2):
         return r1, None, None
     keys = _sorted_unique(np.concatenate((k1, k2)))
     return ModeRegister._from_keys(keys), np.searchsorted(keys, k1), np.searchsorted(keys, k2)
@@ -391,12 +391,8 @@ class OperatorExpr:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, OperatorExpr):
-            reg, w1, w2 = _align(self, other)
-            bound = self._peak + other._peak
-            w = w1 - w2 if bound <= _SAFE_PEAK else _quiet(np.subtract, w1, w2)
-            return OperatorExpr._new(reg, self.displacement - other.displacement, w, bound)
-        return self + (-complex(other))
+        # x - y is x + (-y) in IEEE arithmetic, signed zeros included.
+        return self + (-other if isinstance(other, OperatorExpr) else -complex(other))
 
     def __rsub__(self, other):
         return (-self) + complex(other)
@@ -457,20 +453,11 @@ class OperatorExpr:
         return "OperatorExpr(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-# The slot descriptors' setters write past the immutability guard at a
-# fraction of the cost of object.__setattr__, which the many small
-# expressions of hand-built circuits notice.
-_SLOT_SETTERS = tuple(
-    getattr(OperatorExpr, name).__set__ for name in ("displacement", "register", "_w", "_peak")
-)
-
-
 def _set_slots(expr: OperatorExpr, d, register, w, peak) -> None:
-    set_d, set_register, set_w, set_peak = _SLOT_SETTERS
-    set_d(expr, d)
-    set_register(expr, register)
-    set_w(expr, w)
-    set_peak(expr, peak)
+    object.__setattr__(expr, "displacement", d)
+    object.__setattr__(expr, "register", register)
+    object.__setattr__(expr, "_w", w)
+    object.__setattr__(expr, "_peak", peak)
 
 
 def _quiet(ufunc, *args, **kwargs) -> np.ndarray:

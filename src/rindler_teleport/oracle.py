@@ -286,7 +286,7 @@ def _build_circuit(a, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircui
         if block.stop >= len(rows):
             exprs = None
         outputs = _RankOneOutputs(wire_delta.register, wire_delta.rows, g * ch[block], g * sh[block])
-        audits.append(_audit_commutators(outputs, wire_delta.rows, wire_outputs))
+        audits.append(_audit_commutators(outputs, wire_outputs))
         blocks.append(wire_delta)
     if len(blocks) > 1:
         stacked = np.concatenate([b.rows for b in blocks])
@@ -332,14 +332,14 @@ class _RankOneOutputs:
     never forms the pairing's z.
 
     It is built from W's (alpha, beta) ``rows`` on ``register`` and the
-    (row, bin) arrays g ch and g sh, and no circuit stores it: the build
+    (row, bin) arrays g ch and g sh, and keeps ``rows`` and ``at`` (W on the
+    c and d slots).  No circuit stores it: the build
     makes one per row block for the commutator audit, and
-    :func:`contraction_table` one per call.  Every array but ``slots`` has a
-    leading acceleration axis, one entry per row of W.
+    :func:`contraction_table` one per call.  Every array has a leading
+    acceleration axis, one entry per row of W.
     """
 
     def __init__(self, register: ModeRegister, rows: np.ndarray, g_ch: np.ndarray, g_sh: np.ndarray):
-        self.slots = _cd_slots(register)
         # complex k: complex-by-complex products are the fast ones
         self.k = np.empty((len(g_ch), 4, g_ch.shape[1]), dtype=complex)
         self.k[:, :2], self.k[:, 2:] = g_ch[:, None], -g_sh[:, None]
@@ -347,10 +347,12 @@ class _RankOneOutputs:
         # c = alpha . conj(beta), [W, W†] = -4 Im c.
         self.rows = rows
         self.c_imag = np.vecdot(rows[:, 1], rows[:, 0]).imag
+        # W on the runs of c and d slots: (row, alpha or beta, family, bin).
+        c, d = (register._span(f, Chirality.LEFT) for f in (Sector.UNRUH_C, Sector.UNRUH_D))
+        self.at = at = np.stack([rows[..., c], rows[..., d]], axis=2)
         # Flat layouts, read by ``take``: the commutator's z at
         # [row, 2 adjoint(x) + adjoint(y)], U and V at the slots at
         # [row, 2 (W or W†) + family, bin].
-        at = rows.take(self.slots, axis=2)  # (row, alpha or beta, family, bin)
         j_beta = 1j * at[:, 1]
         self.uv_at = np.empty((len(rows), 8, at.shape[-1]), dtype=complex)  # U then V
         self.u_at, self.v_at = self.uv_at[:, :4], self.uv_at[:, 4:]
@@ -380,11 +382,6 @@ class _RankOneOutputs:
         return self.k.take(x, axis=1), self.k.take(y, axis=1), z, p, q, e
 
 
-def _cd_slots(register: ModeRegister) -> np.ndarray:
-    """Register slots of the c and d modes, by family and bin."""
-    return np.stack([register.slots(f, Chirality.LEFT) for f in (Sector.UNRUH_C, Sector.UNRUH_D)])
-
-
 def _w_rows(circ: DiscretizedCircuit) -> tuple[ModeRegister, np.ndarray]:
     """W's register and its (row, X or P, slot) coefficient rows; a one-row
     circuit's W is one row, viewed with a leading axis of length 1."""
@@ -409,13 +406,13 @@ def _bilinear_at(terms: tuple, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return value
 
 
-def _audit_commutators(outputs: _RankOneOutputs, rows: np.ndarray, wire_outputs: list) -> np.ndarray:
+def _audit_commutators(outputs: _RankOneOutputs, wire_outputs: list) -> np.ndarray:
     """Max relative deviation of the canonical commutators per row: the
     three wire outputs of ``wire_outputs`` (:class:`OperatorRows`, already
     rewritten into the vacuum families) pairwise, and then every bin's
-    outputs (:func:`_bin_commutator_deviation`, from ``outputs`` and W's
-    ``rows``).  The list is emptied once the pairwise commutators are
-    formed, so that the wire outputs are freed before the per-bin part.
+    outputs (:func:`_bin_commutator_deviation`, from ``outputs``).  The list
+    is emptied once the pairwise commutators are formed, so that the wire
+    outputs are freed before the per-bin part.
 
     A commutator 2i (alpha1 . beta2 - beta1 . alpha2) is assembled from
     cancelling products (strong-gain branches carry cosh(r) ~ 1e6
@@ -441,7 +438,7 @@ def _audit_commutators(outputs: _RankOneOutputs, rows: np.ndarray, wire_outputs:
     # [E_i, E_j^dagger] = 2i (conj(beta_j) . alpha_i - conj(alpha_j) . beta_i)
     dagger = 2j * (ab_conj - ab_conj.conj().transpose(0, 2, 1)) - np.eye(3)
     deviation = np.maximum(np.abs(plain), np.abs(dagger)) / scale
-    return np.maximum(_bin_commutator_deviation(outputs, rows), deviation.max(axis=(1, 2)))
+    return np.maximum(_bin_commutator_deviation(outputs), deviation.max(axis=(1, 2)))
 
 
 # The kind pairs the per-bin audit checks: c-c†, d-d†, c-d and c-d†, and the
@@ -460,7 +457,7 @@ _AUDIT_Q_SIGN = np.where(_CREATOR[_AUDIT_Y], 1.0, -1.0)[:, None]
 _AUDIT_Z = 2 * _ADJOINT[_AUDIT_X] + _ADJOINT[_AUDIT_Y]
 
 
-def _bin_commutator_deviation(outputs: _RankOneOutputs, rows: np.ndarray) -> np.ndarray:
+def _bin_commutator_deviation(outputs: _RankOneOutputs) -> np.ndarray:
     """Max relative deviation of the output commutators of every bin, per row.
 
     Each bin meets itself and the anchor bins {0, N/2, N-1}, both ways
@@ -470,12 +467,13 @@ def _bin_commutator_deviation(outputs: _RankOneOutputs, rows: np.ndarray) -> np.
     relative to its bound ``size[x, i] size[y, j]``.  That product bounds
     the rounding bound of [X_i, Y_j] less its exact unit part, |kx| |ky| Z +
     |ky| m_x[i] + |kx| m_y[j] with Z = 4 |alpha| . |beta| over W's
-    (alpha, beta) ``rows`` and m = |alpha| + |beta| at the operator's slot:
+    (alpha, beta) ``outputs.rows`` and m = |alpha| + |beta| at the
+    operator's slot (``outputs.at``):
     size = |k| sqrt(Z) + m / sqrt(Z).  Any NaN deviation makes its row NaN.
     """
-    m = np.abs(rows)
+    m = np.abs(outputs.rows)
     root_z = np.sqrt(np.maximum(4.0 * np.vecdot(m[:, 0], m[:, 1]), _TINY))[:, None, None]
-    m_at = m.take(outputs.slots, axis=2)
+    m_at = np.abs(outputs.at)
     own = (m_at[:, 0] + m_at[:, 1]).take(_FAMILY, axis=1)  # (row, kind, bin)
     size = np.maximum(np.abs(outputs.k) * root_z + own / root_z, _TINY)
     # The unit-vector part of a commutator is its canonical value exactly
@@ -973,7 +971,8 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
     # Times coherent[n0 - n1 + n2] pair[n2] rho[u] (-1)^u, u = n2 - max(n1 - n0, 0),
     # where coherent[j] sqrt(j!) = e^(-b²/2) b^j inside the window.
     powers = np.zeros(3 * m - 2)
-    powers[m - 1 : 2 * m - 1] = math.exp(-0.5 * b * b) * b**n
+    with np.errstate(over="ignore", invalid="ignore"):  # b**n past the float range reads NaN
+        powers[m - 1 : 2 * m - 1] = math.exp(-0.5 * b * b) * b**n
     pair = np.tanh(r_omega) ** n / math.cosh(r_omega)  # resource squeezer: sech(r_w) tanh(r_w)^k |k, k>
     factor = _view(powers, 0, (2 * m - 1, m), (1, 1)) * (pair * tables.column)
     factor *= tables.mirror_sign[:, None]
@@ -1022,7 +1021,8 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
 def _window_moments(
     r: float, r_omega: float, beta: complex, phi: float, cutoff: int
 ) -> tuple[tuple[float, float, float], float]:
-    """((mean, variance, orthogonal variance), lost mass) in one window.
+    """((mean, variance, orthogonal variance), lost mass) in one window, or
+    NaN moments and lost mass 1 where it holds no norm or finite moments.
 
     Q-rotation e^(i arg(beta) Q) commutes with every gate after the
     displacement and maps D(|beta|) to D(beta), so the state at ``beta`` is
@@ -1030,6 +1030,8 @@ def _window_moments(
     real state's at ``phi - arg(beta)``.
     """
     norm2, a1, a2, lowered, raised = _fock_window(r, r_omega, abs(beta), cutoff)
+    if not (norm2 > 0.0 and math.isfinite(a1 + a2 + lowered + raised)):
+        return (math.nan,) * 3, 1.0
 
     def moments(phase: float) -> tuple[float, float]:
         mean = 2.0 * math.cos(phase) * a1 / norm2
@@ -1092,7 +1094,9 @@ def fock_check_inertial(
     chosen.  The state may hold at most 64**3 amplitudes, ``(cutoff + 1)**3``,
     so the cutoff is at most 63: a larger explicit cutoff is a
     :class:`ValueError`, and an adaptive window that reaches the limit
-    unsettled fails the report.  A non-integer cutoff, and a NaN or
+    unsettled fails the report.  A window that holds no norm (a displacement
+    too large for it) reads NaN moments and lost mass 1, and fails the
+    report too.  A non-integer cutoff, and a NaN or
     infinite ``beta`` or ``phi``, each raise a :class:`ValueError` that
     names the input.
     With ``strict`` a failed report raises :class:`TruncationError` (the

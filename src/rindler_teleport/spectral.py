@@ -39,7 +39,6 @@ Conventions
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -365,12 +364,8 @@ def spectral_integrals(wp: WavepacketSpec, a: float | np.ndarray) -> SpectralInt
     scalar = accel.ndim == 0
     accel = np.atleast_1d(accel)
 
-    # cosh^2 r < 1 + a/(2 pi omega) at every node (omega > lo), and a row's
-    # sums stay below that bound times max(1, hi - lo): one test per call
-    # tells whether any value can leave the float range.
-    lo, hi = wp.window
-    near_edge = (1.0 + float(accel.max(initial=0.0)) / (2.0 * math.pi * lo)) * max(1.0, hi - lo) > 1e300
-    with np.errstate(all="ignore") if near_edge else contextlib.nullcontext():
+    # Past the float range i_c reads inf: every inf test below is false inside it.
+    with np.errstate(all="ignore"):
         edges = np.asarray(wp.panel_edges, dtype=float)
         values = _integrals_on_edges(edges, wp, accel)
         level = np.zeros(accel.size, dtype=int)
@@ -386,9 +381,9 @@ def spectral_integrals(wp: WavepacketSpec, a: float | np.ndarray) -> SpectralInt
             values[unsettled] = refined
             level[unsettled] = refinement
             last_change[unsettled] = change
-            done = change <= _SETTLE_REL_TOL  # a NaN change never settles
-            if near_edge:  # nor can an inf i_c, and no finer level, nearer lo, brings it back
-                done |= np.isinf(refined[:, 0])
+            # A NaN change never settles, and an inf i_c ends its row: no finer
+            # level, nearer the window's lower edge, brings it back.
+            done = (change <= _SETTLE_REL_TOL) | np.isinf(refined[:, 0])
             unsettled = unsettled[~done]
 
         i_c, i_s = values[:, 0], values[:, 1]
@@ -398,7 +393,7 @@ def spectral_integrals(wp: WavepacketSpec, a: float | np.ndarray) -> SpectralInt
     if scalar:
         if math.isinf(i_c[0]):
             raise OverflowError(
-                f"pi*omega/a left the float range ({math.pi * lo / float(accel[0]):.3e} at the "
+                f"pi*omega/a left the float range ({math.pi * wp.window[0] / float(accel[0]):.3e} at the "
                 f"window's lower edge), so cosh^2 r and the spectral integrals i_c, i_s exceed "
                 f"the largest float, for omega0={wp.omega0}, sigma={wp.sigma}, a={float(accel[0])}"
             )
@@ -419,8 +414,7 @@ def spectral_integrals(wp: WavepacketSpec, a: float | np.ndarray) -> SpectralInt
         )
     values[unsettled] = math.nan
     values[broken] = math.nan
-    if near_edge:
-        values[np.isinf(i_c)] = math.inf
+    values[np.isinf(i_c)] = math.inf
     return SpectralIntegrals(
         *values.T.copy(), a=accel, level=level, last_change=last_change,
     )

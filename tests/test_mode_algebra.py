@@ -137,6 +137,32 @@ class TestExpressionAlgebra:
         with pytest.raises(ValueError, match=named):
             OperatorExpr(reg, **{name: given})
 
+    def test_subtraction_is_the_negated_sum_bit_for_bit(self):
+        # x - y is x + (-y) in IEEE arithmetic, signed zeros included, on a
+        # shared register, across two merged ones and for a scalar.  Merged,
+        # -y is padded with +0.0 where x has a slot y lacks, so such a -0.0
+        # of x reads +0.0 in x - y.
+        def bits(e):
+            return e.register.keys.tobytes(), e._w.tobytes(), repr(e.displacement)
+
+        signed = [complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 0j]
+        reg = ModeRegister([A_LBL, B_LBL])
+        e1 = OperatorExpr._new(reg, complex(-0.0, 0.0), np.array([signed[:2], signed[2:]]), 0.0)
+        e2 = OperatorExpr._new(reg, complex(0.0, -0.0), np.array([signed[1::2], signed[::2]]), 0.0)
+        on_bc = ModeRegister([B_LBL, C_LBL])
+        e3 = OperatorExpr._new(on_bc, 0.5 - 0j, np.array([[-0.0, 2.0 - 1j], [0.25j, -0.0]]), 3.0)
+        for x in (e1, e2, e3, e1 + 0.3 * e3):
+            for y in (e1, e2, e3, (1.0 - 0.5j) * e3):
+                assert bits(x - y) == bits(x + (-y))
+            for s in (0.0, -0.0, 1.0 - 2j, complex(-0.0, 0.0)):
+                assert bits(x - s) == bits(x + (-complex(s)))
+        assert np.signbit(e3._w.real[1, 1]) and not np.signbit((e3 - e1)._w.real[1, 2])  # beta at C
+        huge = (aux(0) + aux(0).dagger()) * 1e308
+        with pytest.raises(ValueError, match="non-finite coefficient"):
+            huge - (-huge)
+        with pytest.raises(ValueError):
+            aux(0) - "x"
+
 
 class TestCommutators:
     def test_canonical(self):

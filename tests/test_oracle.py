@@ -896,6 +896,21 @@ class TestFockProtocolCheck:
         assert report.cutoff == 63
         assert not report.passed
 
+    # From |beta| of about 28 every amplitude of a small window squares below
+    # the smallest float, and at 1e300 b**n leaves the float range: no window
+    # holds any norm, so the report fails with all of it lost.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("beta", [30.0, 30j, 1e300], ids=repr)
+    @pytest.mark.parametrize("cutoff", [None, 6])
+    def test_window_without_norm_fails(self, beta, cutoff):
+        rep = fock_check_inertial(0.3, 0.3, cutoff, beta=beta, strict=False)
+        assert not rep.passed
+        assert rep.lost_mass == 1.0
+        with pytest.raises(TruncationError) as excinfo:
+            fock_check_inertial(0.3, 0.3, cutoff, beta=beta)
+        assert excinfo.value.report.lost_mass == 1.0
+        assert not excinfo.value.report.passed
+
     @pytest.mark.parametrize(
         "r, r_omega, cutoff",
         [
