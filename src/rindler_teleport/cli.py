@@ -23,11 +23,10 @@ converged row holding a value past the float range keeps it, with the
 status ``overflow``.
 
 One parser reads the command and the twelve settings every command takes,
-in any order; each setting is declared once in ``_SETTINGS`` as its flag,
-value parser and help.  A ``--config`` file sets them with ``key = value``
-lines, keyed by the flag without its dashes or by the setting's name (``rs``
-or ``r_s``); flags win over the file.  ``_resolve_config`` keeps what the
-command reads, fills its defaults and warns of each given setting it ignores.
+as flags in any order; each setting is declared once in ``_SETTINGS`` as its
+flag, value parser and help (defaults < flags).  ``_resolve_config`` keeps
+what the command reads, fills its defaults and warns of each given setting
+it ignores.
 ``main`` builds that parser once per process and reuses it on every later
 call; ``build_parser()`` returns a fresh one to callers that inspect or
 extend it.  No parse leaves state in the parser: each call starts from the
@@ -108,7 +107,7 @@ MASS_BEARING_FRACTION = 0.05
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Resolved run configuration (defaults < config file < flags); see
+    """Resolved run configuration (defaults < flags); see
     ``_resolve_config`` for the per-command defaults."""
 
     scenario: str = "displaced"
@@ -147,25 +146,11 @@ def _checked(convert, test, requirement: str):
     return parse
 
 
-_BOOLEAN_WORDS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(
-    ("0", "false", "no", "off"), False
-)
-
-
-def _boolean(text: str) -> bool:
-    try:
-        return _BOOLEAN_WORDS[text.lower()]
-    except KeyError:
-        raise argparse.ArgumentTypeError(f"not a boolean: {text!r}") from None
-
-
 _positive = _checked(float, lambda x: 0.0 < x < math.inf, "positive")
 _finite = _checked(float, math.isfinite, "finite")
 
 #: Every setting once: its SweepConfig field, flag, value parser and help.
-#: The command-line flags, the config-file keys (the field name, or the
-#: flag without its dashes) and the config-file values come from here.
-#: A ``_boolean`` setting is a bare flag; the file takes yes/no words.
+#: A setting without a value parser is a bare flag.
 _SETTINGS = {
     "scenario": (
         "--scenario",
@@ -180,42 +165,10 @@ _SETTINGS = {
     "r_s": ("--rs", _checked(float, lambda x: 0.0 <= x < math.inf, "non-negative"), "payload squeezing strength"),
     "phi": ("--phi", _finite, "quadrature phase"),
     "bins": ("--bins", _checked(int, lambda n: n >= 4, ">= 4"), "frequency bins for the discretized oracle"),
-    "oracle": ("--oracle", _boolean, "cross-check each sweep row against the discretized-circuit oracle"),
+    "oracle": ("--oracle", None, "cross-check each sweep row against the discretized-circuit oracle"),
     "out": ("--out", str, f"output path (default: ${ENV_OUTDIR} or the working directory)"),
     "seed": ("--seed", _checked(int, lambda n: n >= 0, "non-negative"), "recorded in each output"),
 }
-
-_CONFIG_KEYS = {
-    key: name
-    for name, (flag, _, _) in _SETTINGS.items()
-    for key in (name, flag.lstrip("-").replace("-", "_"))
-}
-
-
-def _parse_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
-    """Flat ``key = value`` file; ``#`` comments; keys as in ``_CONFIG_KEYS``."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        parser.error(f"cannot read config file {path!r}: {exc}")
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            parser.error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
-            parser.error(f"{path}:{lineno}: unknown configuration key {key!r}")
-        name = _CONFIG_KEYS[key]
-        try:
-            values[name] = _SETTINGS[name][1](value.strip())
-        except argparse.ArgumentTypeError as exc:
-            parser.error(f"{path}:{lineno}: bad value for {key}: {exc}")
-    return values
-
 
 #: The settings each command reads besides ``out`` and ``seed``; ``sweep``
 #: by scenario.  A sweep that runs the oracle also reads ``bins``.
@@ -231,7 +184,7 @@ _READS = {
 
 
 def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> SweepConfig:
-    """Merge defaults, config file and flags into what ``args.command`` reads.
+    """Merge defaults and flags into what ``args.command`` reads.
 
     Each provided setting the command ignores is logged.  Of the payload
     settings, those the command reads get their defaults - omega0 = 1,
@@ -239,16 +192,15 @@ def _resolve_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     ``fig4`` leaves omega0 and sigma unset: it sweeps its own carriers, each
     with sigma = 0.01*omega0.
     """
-    merged = _parse_config_file(args.config, parser) if args.config else {}
-    merged.update({name: v for name in _SETTINGS if (v := getattr(args, name)) is not None})
-    cfg = SweepConfig(**merged)
+    given = {name: v for name in _SETTINGS if (v := getattr(args, name)) is not None}
+    cfg = SweepConfig(**given)
     if cfg.a_max < cfg.a_min:
         parser.error(f"--a-max must be >= --a-min, got {cfg.a_max}")
 
     reads = {"out", "seed", *_READS[cfg.scenario if args.command == "sweep" else args.command]}
     if "oracle" in reads and cfg.oracle:
         reads.add("bins")
-    for name in sorted(merged.keys() - reads):
+    for name in sorted(given.keys() - reads):
         log.warning("%s ignores the %r setting; continuing without it", args.command, name)
 
     def pick(name, default):
@@ -620,11 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("command", choices=("fig4", "fig5", "sweep", "verify"), metavar="COMMAND")
     for name, (flag, parse, help_text) in _SETTINGS.items():
-        if parse is _boolean:
+        if parse is None:
             parser.add_argument(flag, dest=name, action="store_const", const=True, help=help_text)
         else:
             parser.add_argument(flag, dest=name, type=parse, help=help_text)
-    parser.add_argument("--config", help="flat key = value configuration file (flags win)")
     return parser
 
 

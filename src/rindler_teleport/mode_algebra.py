@@ -100,6 +100,11 @@ PRUNE_TOL = 1e-15
 #: finiteness test: sums and scalar products of such vectors cannot overflow.
 _SAFE_PEAK = 1e300
 
+#: Largest |strength| whose gate factors are finite floats: e^|r_s| for
+#: the single-mode squeezer, cosh r and sinh r for the two-mode one.
+_MAX_SINGLE_MODE_STRENGTH = math.log(np.finfo(float).max)
+_MAX_TWO_MODE_STRENGTH = math.acosh(np.finfo(float).max)
+
 
 class Sector(Enum):
     UNRUH_C = "unruh_c"
@@ -623,10 +628,11 @@ def two_mode_squeeze(
 
     ``r`` is the squeezing strength (our amplifier/EPR convention is the
     real + sign).  The two inputs must not share any mode label - squeezing
-    a wire against itself is not a two-mode operation.
+    a wire against itself is not a two-mode operation.  A strength whose
+    cosh r passes the float range is a ValueError naming it.
     """
-    if not math.isfinite(r):
-        raise ValueError(f"squeezing strength must be finite, got {r}")
+    if not abs(r) <= _MAX_TWO_MODE_STRENGTH:
+        raise ValueError(f"squeezing strength must have |r| <= {_MAX_TWO_MODE_STRENGTH:.6g}, got {r}")
     reg, w1, w2 = _align(a1, a2)
     shared = reg.keys[_support(w1) & _support(w2)]  # both above PRUNE_TOL
     if len(shared):
@@ -641,9 +647,10 @@ def two_mode_squeeze(
 
 def single_mode_squeeze(a: OperatorExpr, r_s: float) -> OperatorExpr:
     """Single-mode squeezer: a -> ch a + sh a^dagger (X(0) stretched by e^r_s),
-    exactly: real parts times e^r_s and imaginary parts times e^(-r_s)."""
-    if not math.isfinite(r_s):
-        raise ValueError(f"squeezing strength must be finite, got {r_s}")
+    exactly: real parts times e^r_s and imaginary parts times e^(-r_s).  A
+    strength whose e^|r_s| passes the float range is a ValueError naming it."""
+    if not abs(r_s) <= _MAX_SINGLE_MODE_STRENGTH:
+        raise ValueError(f"squeezing strength must have |r_s| <= {_MAX_SINGLE_MODE_STRENGTH:.6g}, got {r_s}")
     stretch, squeeze = math.exp(r_s), math.exp(-r_s)
     bound = a._peak * max(stretch, squeeze)
     multiply = np.multiply if bound <= _SAFE_PEAK else functools.partial(_quiet, np.multiply)

@@ -104,6 +104,20 @@ def _unwrap(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _unruh_x(omega, a, scale: float = math.pi) -> np.ndarray:
+    """x = pi*omega/a (``scale`` for pi) of checked inputs; inf past the float
+    range (a below about 1.7e-308 omega), which every formula here reads as r = 0."""
+    scaled = scale * _frequencies(omega)
+    with np.errstate(over="ignore"):
+        return scaled / _accelerations(a)
+
+
+def _unruh_squares(x):
+    """(cosh^2 r, sinh^2 r) at x = pi*omega/a: 1/(1 - e^(-2x)) and e^(-2x) times it."""
+    ch2 = 1.0 / (-np.expm1(-2.0 * x))
+    return ch2, np.exp(-2.0 * x) * ch2
+
+
 def squeeze_param(omega, a):
     """Per-frequency squeezing parameter r(omega) = arctanh(e^(-pi omega / a)).
 
@@ -116,7 +130,7 @@ def squeeze_param(omega, a):
     ``-(1/2) ln tanh(x/2)`` otherwise, so both the deep-exponential tail and
     the logarithmic divergence keep full relative precision.
     """
-    x = math.pi * _frequencies(omega) / _accelerations(a)
+    x = _unruh_x(omega, a)
     u = np.exp(-x)
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = np.arctanh(np.where(u < 0.75, u, 0.0))
@@ -131,11 +145,8 @@ def unruh_cosh_sinh(omega, a):
     x = pi*omega/a, avoiding the catastrophic cancellation of evaluating
     cosh(arctanh(...)) near either limit.
     """
-    x = math.pi * _frequencies(omega) / _accelerations(a)
-    inv = 1.0 / (-np.expm1(-2.0 * x))
-    ch = np.sqrt(inv)
-    sh = np.sqrt(np.exp(-2.0 * x) * inv)
-    return _unwrap(ch), _unwrap(sh)
+    ch2, sh2 = _unruh_squares(_unruh_x(omega, a))
+    return _unwrap(np.sqrt(ch2)), _unwrap(np.sqrt(sh2))
 
 
 def unruh_ch_minus_sh(omega, a):
@@ -145,8 +156,7 @@ def unruh_ch_minus_sh(omega, a):
     of each frequency is suppressed; it tends to 1 for omega >> a (inertial
     limit) and to 0 as omega/a -> 0 (noise-dominated limit).
     """
-    w = _frequencies(omega)
-    return _unwrap(np.sqrt(np.tanh(0.5 * math.pi * w / _accelerations(a))))
+    return _unwrap(np.sqrt(np.tanh(_unruh_x(omega, a, 0.5 * math.pi))))
 
 
 @dataclass(frozen=True)
@@ -325,8 +335,7 @@ def _integrals_on_edges(edges: np.ndarray, wp: WavepacketSpec, accel: np.ndarray
     step = max(1, _BLOCK_ELEMENTS // w.size)
     for start in range(0, accel.size, step):
         x = pw / accel[start:start + step, None]
-        ch2 = 1.0 / (-np.expm1(-2.0 * x))
-        sh2 = np.exp(-2.0 * x) * ch2
+        ch2, sh2 = _unruh_squares(x)
         cms2 = np.tanh(0.5 * x)  # (cosh r - sinh r)^2
         for j, f in enumerate((intensity * ch2, intensity * sh2, intensity * cms2)):
             out[start:start + step, j] = np.vecdot(f, q)

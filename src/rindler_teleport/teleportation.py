@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mode_algebra import (
+    _MAX_TWO_MODE_STRENGTH,
     Chirality,
     ModeLabel,
     ModeRegister,
@@ -47,6 +48,10 @@ from .spectral import WavepacketSpec, spectral_integrals, squeeze_param
 
 #: Largest payload squeezing whose e^(2 r_s) is a finite float.
 _MAX_PAYLOAD_SQUEEZING = 0.5 * math.log(np.finfo(float).max)
+
+#: Largest finite amplifier gain whose cosh^2 r, in the transmissivity
+#: 1/cosh^2 r of the matched beam splitter, is a finite float.
+_MAX_FINITE_GAIN = math.acosh(math.sqrt(np.finfo(float).max))
 
 __all__ = [
     "VarianceReport",
@@ -118,22 +123,19 @@ def delta_decoherence(r_s: float, i_c: float | np.ndarray, phi: float) -> float 
     and the spread P - M = 2 sinh 2 r_s + 2 h sinh r_s, both non-negative.
     ``r_s`` must leave e^(2 r_s) a finite float, and ``phi`` must be finite.
     """
-    if not math.isfinite(phi):
-        raise ValueError(f"LO phase phi must be finite, got {phi}")
-    minimum, spread = _delta_terms(r_s, i_c)
-    cos_phi = math.cos(phi)
-    return minimum + spread * (cos_phi * cos_phi)
+    return _delta_terms(r_s, i_c, phi)[0]
 
 
 def delta_extremes(r_s: float, i_c: float | np.ndarray) -> tuple:
     """(Delta(0), Delta(pi/2)) = (P, M), the extremes of :func:`delta_decoherence`;
     M exactly, where a float pi/2 would add cos^2(pi/2) (P - M) = 3.7e-33 (P - M)."""
-    minimum, spread = _delta_terms(r_s, i_c)
-    return minimum + spread, minimum
+    return _delta_terms(r_s, i_c, 0.0)[1:]
 
 
-def _delta_terms(r_s: float, i_c: float | np.ndarray) -> tuple:
-    """(M, P - M) of :func:`delta_decoherence`."""
+def _delta_terms(r_s: float, i_c: float | np.ndarray, phi: float) -> tuple:
+    """(Delta(phi), P, M) of :func:`delta_decoherence`, from one (M, P - M)."""
+    if not math.isfinite(phi):
+        raise ValueError(f"LO phase phi must be finite, got {phi}")
     if not 0.0 <= r_s <= _MAX_PAYLOAD_SQUEEZING:
         raise ValueError(
             f"payload squeezing r_s must lie in [0, {_MAX_PAYLOAD_SQUEEZING:.6g}] "
@@ -160,7 +162,8 @@ def _delta_terms(r_s: float, i_c: float | np.ndarray) -> tuple:
             h = float(h)
         spread = 2.0 * math.sinh(2.0 * r_s) + 2.0 * h * math.sinh(r_s)
     minimum = math.exp(-2.0 * r_s) + h * math.exp(-r_s)
-    return minimum, spread
+    cos_phi = math.cos(phi)
+    return minimum + spread * (cos_phi * cos_phi), minimum + spread, minimum
 
 
 def squeezed_variance(
@@ -179,9 +182,8 @@ def _payload_report(a: float | np.ndarray, wp: WavepacketSpec, r_s: float, phi: 
     """Body of both reports; neither public name calls the other, as the benchmark traces both."""
     ints = spectral_integrals(wp, a)
     thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
-    dec = delta_decoherence(r_s, ints.i_c, phi)
-    d0, d90 = delta_extremes(r_s, ints.i_c)
-    with np.errstate(over="ignore"):  # as in delta_decoherence
+    dec, d0, d90 = _delta_terms(r_s, ints.i_c, phi)
+    with np.errstate(over="ignore"):  # as in _delta_terms
         purity_product = (thermal + d0) * (thermal + d90)
     return VarianceReport(
         total=thermal + dec,
@@ -214,14 +216,17 @@ def inertial_teleport_output(r: float, r_omega: float) -> OperatorExpr:
     (tanh r -> 1); the added-noise factor e^(-r_omega) then shows the
     resource squeezing suppressing the teleportation penalty.
 
+    A finite ``r`` past 355.58 (cosh^2 r overflows) or an ``r_omega`` past
+    710.48 (cosh r_omega overflows) is a ValueError naming that input.
+
     The output is a pure function of (r, r_omega) and an immutable
     expression, so the last 64 are kept: a Fock check at several cutoffs
     builds its prediction once.  A rejected input is never kept.
     """
-    if r < 0 or math.isnan(r):
-        raise ValueError(f"amplifier gain must be non-negative, got {r}")
-    if not math.isfinite(r_omega) or r_omega < 0:
-        raise ValueError(f"resource squeezing must be finite and non-negative, got {r_omega}")
+    if not (0.0 <= r <= _MAX_FINITE_GAIN or r == math.inf):
+        raise ValueError(f"amplifier gain r must be inf or lie in [0, {_MAX_FINITE_GAIN:.6g}], got {r}")
+    if not 0.0 <= r_omega <= _MAX_TWO_MODE_STRENGTH:
+        raise ValueError(f"resource squeezing r_omega must lie in [0, {_MAX_TWO_MODE_STRENGTH:.6g}], got {r_omega}")
     a_in, v1, v2 = _INERTIAL_MODES.annihilators()
     res_i, res_j = two_mode_squeeze(v1, v2, r_omega)
     if math.isinf(r):

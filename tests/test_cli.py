@@ -335,37 +335,6 @@ class TestOracleRows:
         assert [row for k, row in enumerate(faulty) if k != 2] == [row for k, row in enumerate(honest) if k != 2]
 
 
-class TestConfigFile:
-    def test_file_values_apply_and_flags_win(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("a-steps = 6\nomega0 = 2.0  # overridden by the flag\n")
-        out = tmp_path / "f.csv"
-        argv = ["fig4", "--config", str(cfg), "--omega0", "1.5", "--out", str(out)]
-        assert main(argv) == 0
-        meta, _, rows = read_report_csv(out)
-        assert meta["omega0_curves"] == "1.5"
-        assert len(rows) == 6
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("bogus = 1\n")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fig4", "--config", str(cfg)])
-        assert excinfo.value.code == 2
-
-    def test_bad_boolean_rejected(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("oracle = maybe\n")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--config", str(cfg)])
-        assert excinfo.value.code == 2
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["fig4", "--config", str(tmp_path / "absent.cfg")])
-        assert excinfo.value.code == 2
-
-
 # One case per setting: a command that reads it, and a value (None for a
 # bare flag; ``OUT`` for the output path of the run itself).
 OUT = object()
@@ -385,32 +354,32 @@ _SETTING_CASES = {
 }
 
 
-class TestConfigFlagParity:
+class TestSettingFlags:
     def test_every_setting_has_a_case(self):
         assert {flag for flag, _, _ in cli._SETTINGS.values()} == set(_SETTING_CASES)
 
-    @pytest.mark.parametrize(
-        "flag, key",
-        [(flag, flag.lstrip("-")) for flag in sorted(_SETTING_CASES)]
-        + [("--a-min", "a_min"), ("--a-max", "a_max"), ("--a-steps", "a_steps"), ("--rs", "r_s")],
-    )
-    def test_config_key_writes_the_same_csv_as_the_flag(self, tmp_path, flag, key):
+    @pytest.mark.parametrize("flag", sorted(_SETTING_CASES))
+    def test_flag_run_writes_its_csv(self, tmp_path, flag):
         argv, value = _SETTING_CASES[flag]
         if flag != "--a-steps":
             argv = argv + ["--a-steps", "2"]
-        by_flag, by_file = tmp_path / "flag.csv", tmp_path / "file.csv"
-
-        flag_args = [flag] if value is None else [flag, str(by_flag) if value is OUT else value]
-        out_args = [] if value is OUT else ["--out", str(by_flag)]
+        out = tmp_path / "flag.csv"
+        flag_args = [flag] if value is None else [flag, str(out) if value is OUT else value]
+        out_args = [] if value is OUT else ["--out", str(out)]
         assert main(argv + flag_args + out_args) == 0
+        assert read_report_csv(out)[2]
+        if value is not OUT:  # the setting reaches the output
+            bare = tmp_path / "bare.csv"
+            assert main(argv + ["--out", str(bare)]) == 0
+            assert bare.read_bytes() != out.read_bytes()
 
-        cfg = tmp_path / "run.cfg"
-        file_value = "yes" if value is None else str(by_file) if value is OUT else value
-        cfg.write_text(f"{key} = {file_value}\n")
-        out_args = [] if value is OUT else ["--out", str(by_file)]
-        assert main(argv + ["--config", str(cfg)] + out_args) == 0
-
-        assert by_file.read_bytes() == by_flag.read_bytes()
+    def test_config_file_is_an_unrecognized_argument(self, tmp_path, capsys):
+        (tmp_path / "x.cfg").write_text("rs = 0.9\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig5", "--config", str(tmp_path / "x.cfg"), "--out", str(tmp_path / "f.csv")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "f.csv").exists()
 
 
 class TestOutputLocation:
@@ -558,7 +527,7 @@ class TestParser:
             main(argv)
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        for word in ("fig4", "fig5", "sweep", "verify", "--config", "--version"):
+        for word in ("fig4", "fig5", "sweep", "verify", "--version"):
             assert word in out
         for flag, _, _ in cli._SETTINGS.values():
             assert flag in out
@@ -567,7 +536,7 @@ class TestParser:
         parser = cli.build_parser()
         flags = [s for action in parser._actions for s in action.option_strings]
         assert sorted(flags) == sorted(
-            ["-h", "--help", "--version", "--config", *(flag for flag, _, _ in cli._SETTINGS.values())]
+            ["-h", "--help", "--version", *(flag for flag, _, _ in cli._SETTINGS.values())]
         )
         assert not any(isinstance(action, argparse._SubParsersAction) for action in parser._actions)
 
@@ -629,12 +598,8 @@ class TestParserReuse:
         assert cli.build_parser() is not cli.build_parser()
         assert len(built) == 3
 
-    @pytest.mark.parametrize("given", ["flag", "config"])
-    def test_a_setting_never_reaches_the_next_call(self, given, tmp_path):
-        cfg = tmp_path / "rs.cfg"
-        cfg.write_text("rs = 0.9\nomega0 = 2\n")
-        earlier = ["--rs", "0.9", "--omega0", "2"] if given == "flag" else ["--config", str(cfg)]
-        assert main(["fig5", *earlier, "--out", str(tmp_path / "earlier.csv")]) == 0
+    def test_a_setting_never_reaches_the_next_call(self, tmp_path):
+        assert main(["fig5", "--rs", "0.9", "--omega0", "2", "--out", str(tmp_path / "earlier.csv")]) == 0
         assert main(["fig5", "--out", str(tmp_path / "later.csv")]) == 0
         fresh = tmp_path / "fresh.csv"
         subprocess.run(

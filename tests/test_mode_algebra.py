@@ -214,6 +214,25 @@ class TestGates:
         with pytest.raises(ValueError):
             beam_splitter(aux(0), aux(1), 1.2)
 
+    @pytest.mark.parametrize("strength", [711.0, 800.0, -800.0, math.inf, math.nan])
+    def test_squeezers_past_the_float_range_name_the_strength(self, strength):
+        # e^|r_s| and cosh r would overflow; the error names the strength
+        for gate in (partial(single_mode_squeeze, aux(0)), partial(two_mode_squeeze, aux(0), aux(1))):
+            with pytest.raises(ValueError, match=f"squeezing strength .*got {strength}$"):
+                gate(strength)
+
+    def test_squeezers_at_their_float_bounds(self):
+        a, b = aux(0), aux(1)
+        for gate, bound in (
+            (partial(single_mode_squeeze, a), math.log(np.finfo(float).max)),
+            (partial(two_mode_squeeze, a, b), math.acosh(np.finfo(float).max)),
+        ):
+            gate(356.0)
+            gate(bound)
+            gate(-bound)
+            with pytest.raises(ValueError, match="squeezing strength"):
+                gate(math.nextafter(bound, math.inf))
+
 
 class TestWickEngine:
     def test_first_moments(self):

@@ -331,6 +331,18 @@ class TestAccelerationInput:
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "name, limit", [("squeeze_param", 0.0), ("unruh_cosh_sinh", (1.0, 0.0)), ("unruh_ch_minus_sh", 1.0)]
+    )
+    def test_tiny_acceleration_reads_r_zero_without_a_warning(self, name, limit):
+        # pi omega/a passes the float range at a = 1e-320: exactly r = 0
+        func = _ACCELERATION_FUNCTIONS[name]
+        assert func(1e-320) == limit
+        rows = np.asarray(func(np.array([1e-320, 1.0]))).T
+        assert np.array_equal(rows[0], limit)
+        assert np.array_equal(rows[1], func(1.0))  # a 1.0 row keeps its bits
+
     def test_frequency_and_acceleration_arrays_broadcast(self):
         r = squeeze_param(np.array([[0.5], [2.0]]), np.array([1.0, 3.0, 9.0]))
         assert r.shape == (2, 3)

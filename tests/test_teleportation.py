@@ -220,6 +220,21 @@ class TestAccelerationGrid:
                 assert np.asarray(d).dtype == np.asarray(s).dtype
                 assert np.asarray(d).tobytes() == np.asarray(s).tobytes()
 
+    @pytest.mark.parametrize("r_s, phi", [(0.0, 0.3), (0.4, 0.0), (0.4, 1.1), (40.0, math.pi / 2), (354.0, 0.7)])
+    @pytest.mark.parametrize("a", [1.0, np.concatenate([np.geomspace(0.05, 50.0, 40), np.logspace(3, 200, 5)])])
+    def test_report_fields_are_the_bits_of_the_delta_functions(self, r_s, phi, a):
+        # One evaluation of (M, P - M) per report, read as Delta(phi), P and M.
+        wp = make_wavepacket(1.0, 0.05)
+        ints = spectral.spectral_integrals(wp, a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dec = delta_decoherence(r_s, ints.i_c, phi)
+            d0, d90 = delta_extremes(r_s, ints.i_c)
+            thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
+            expected = (thermal + dec, thermal, dec, (thermal + d0) * (thermal + d90))
+        rep = squeezed_variance(a, wp, r_s, phi)
+        for field, value in zip(self.FIELDS, expected):
+            assert np.asarray(getattr(rep, field)).tobytes() == np.asarray(value).tobytes(), field
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_past_the_float_range_of_i_c_squared(self):
         # From a ~ 8e154 omega0, i_c (i_c - 1) leaves the float range. The
@@ -339,13 +354,26 @@ class TestInertialProtocol:
 
     @pytest.mark.parametrize(
         "r, r_omega, name",
-        [(-1.0, 0.5, "gain"), (math.nan, 0.5, "gain"), (1.0, -0.5, "resource"), (1.0, math.inf, "resource")],
+        [(-1.0, 0.5, "gain"), (math.nan, 0.5, "gain"), (1.0, -0.5, "resource"), (1.0, math.inf, "resource")]
+        # cosh^2 r (matched transmissivity) or cosh r_omega past the float range
+        + [(r, 0.1, "gain r") for r in (356.0, 711.0, 800.0)] + [(0.1, r_w, "r_omega") for r_w in (711.0, 800.0)],
     )
     def test_rejected_input_raises_on_every_call(self, r, r_omega, name):
         # The kept outputs never hold a rejected input's error or result.
         for _ in range(3):
             with pytest.raises(ValueError, match=name):
                 inertial_teleport_output(r, r_omega)
+
+    def test_largest_finite_gain_reads_the_strong_amplification_limit(self):
+        bound = math.acosh(math.sqrt(np.finfo(float).max))
+        limit = inertial_teleport_output(math.inf, 0.1)
+        out = inertial_teleport_output(354.0, 0.1)
+        assert np.array_equal(out.u, limit.u) and np.array_equal(out.v, limit.v)
+        out = inertial_teleport_output(bound, 0.1)
+        assert out.u == pytest.approx(limit.u, abs=1e-15) and out.v == pytest.approx(limit.v, abs=1e-15)
+        with pytest.raises(ValueError, match="gain r"):
+            inertial_teleport_output(math.nextafter(bound, math.inf), 0.1)
+        inertial_teleport_output(0.1, 356.0)
 
     def test_kept_outputs_are_bounded(self):
         maxsize = inertial_teleport_output.cache_info().maxsize
