@@ -21,7 +21,8 @@ closed-form integrals they validate:
    exponentiated exactly in the truncated space, on every block of conserved
    n0 + n2 in one stacked product.  By default the window sizes itself: it
    grows until the next window no longer moves the simulated moments, up to
-   a fixed limit on the state's size.
+   a fixed limit on the state's size.  The last 64 windows are kept, so a
+   check at a cutoff its point's ladder already simulated reuses that window.
 
 Scaling notes: the 3N region wires of an N-bin circuit share one mode
 register, and every output operator lives on the register of the 4N
@@ -825,6 +826,9 @@ _FOCK_TOL = 1e-3
 #: The adaptive window is settled once the next window moves the mean and both
 #: variances by at most this, a tenth of ``_FOCK_TOL`` (1e-4).
 _FOCK_SETTLE_TOL = 0.1 * _FOCK_TOL
+#: The input mode of ``inertial_teleport_output``; its coefficient in the
+#: output is the gain the displacement sees.
+_FOCK_INPUT_MODE = ModeLabel(Sector.AUX, Chirality.LEFT, 0)
 
 
 @dataclass(frozen=True)
@@ -876,9 +880,11 @@ class _WindowTables:
     column: np.ndarray  # [u]: sqrt(u!) (-1)^u
     mirror_sign: np.ndarray  # [d + m - 1]: (-1)^max(-d, 0), for d in -(m - 1)..m - 1
     unwrapped: np.ndarray  # [t, n0, 1]: t >= n0
-    modes: np.ndarray  # [t, even n0, j]: left singular vectors P_t of Y_t
+    modes: np.ndarray  # [t, j, even n0]: P_t^T, P_t the left singular vectors of Y_t
     sigma: np.ndarray  # [t, j]: singular values of Y_t
-    coupled: np.ndarray  # [t, odd n0, j]: right singular vectors Q_t of Y_t
+    coupled: np.ndarray  # [t, j, odd n0]: Q_t^T, Q_t the right singular vectors of Y_t
+    raising: np.ndarray  # [n0]: sqrt(n0 + 1), n0 < m - 1
+    raising2: np.ndarray  # [n0]: sqrt((n0 + 1)(n0 + 2)), n0 < m - 2
 
 
 @functools.lru_cache(maxsize=16)
@@ -891,8 +897,9 @@ def _window_tables(cutoff: int) -> _WindowTables:
     G_t[p + 1, p] = -G_t[p, p + 1] = sqrt((p + 1) ((t - p) mod m)), which is 0
     at p = t, between the two sums.  G_t couples even n0 only to odd n0, as
     G_t = [[0, Y_t], [-Y_t^T, 0]] on (even, odd) rows; the reduced SVD
-    Y_t = P_t diag(sigma_t) Q_t^T gives its eigenvalues ±i sigma_t.  P_t,
-    sigma_t and Q_t are kept.
+    Y_t = P_t diag(sigma_t) Q_t^T gives its eigenvalues ±i sigma_t.  P_t^T,
+    sigma_t and Q_t^T are kept, each C-contiguous: a right matmul operand
+    that is a transposed view takes a slower BLAS path.
     """
     m = cutoff + 1
     n = np.arange(m)
@@ -911,6 +918,7 @@ def _window_tables(cutoff: int) -> _WindowTables:
     np.einsum("tii->ti", y[:, :odd])[...] = -coupling[:, ::2]  # G_t[2j, 2j + 1]
     np.einsum("tii->ti", y[:, 1:, : m - odd - 1])[...] = coupling[:, 1::2]  # G_t[2j + 2, 2j + 1]
     modes, sigma, q_t = np.linalg.svd(y, full_matrices=False)
+    raising = np.sqrt(n[1:])
     tables = _WindowTables(
         gap=gap,
         inv_gap_fact=inv_gap_fact,
@@ -920,21 +928,26 @@ def _window_tables(cutoff: int) -> _WindowTables:
         column=sqrt_fact[:m] * alternate,
         mirror_sign=mirror_sign,
         unwrapped=np.greater_equal.outer(n, n)[:, :, None],
-        modes=modes,
+        modes=np.ascontiguousarray(modes.transpose(0, 2, 1)),
         sigma=sigma,
-        coupled=q_t.transpose(0, 2, 1),
+        coupled=q_t,
+        raising=raising,
+        raising2=raising[:-1] * raising[1:],
     )
     for array in vars(tables).values():
         array.flags.writeable = False
     return tables
 
 
+@functools.lru_cache(maxsize=64)
 def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float, ...]:
     """Mode-0 statistics of the protocol's state in a ``cutoff``-photon window.
 
     The displacement ``b`` is real, so every amplitude is real.  Returns
     ``(|psi|², <a>, <a a>, |a psi|², |a† psi|²)`` with ``a`` the window's
-    mode-0 lowering operator.
+    mode-0 lowering operator.  A pure function of its four numbers, so the
+    last 64 windows are kept: a fixed-cutoff check on a rung its point's
+    adaptive ladder already simulated costs no second window.
 
     Each gate conserves Q = n0 - n1 + n2, and only the first displacement
     fills the Q-sectors.  The squeezers meet the vacuum or single Fock
@@ -965,7 +978,7 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
     # at (v, u) for k >= m - 1; below, the mirror of sector m - 1 - k, shifted
     # by it along both axes.
     signed = np.empty((2 * m - 1, m, m))
-    np.matmul(left, series.T, out=signed[m - 1 :])
+    np.matmul(left, series.T.copy(), out=signed[m - 1 :])  # a transposed view is a slower BLAS operand
     del left
     signed[: m - 1] = _view(signed, (m - 1) * m * m, (m, m, m), (m * m - m - 1, m, 1))[:0:-1]
     # Times coherent[n0 - n1 + n2] pair[n2] rho[u] (-1)^u, u = n2 - max(n1 - n0, 0),
@@ -981,38 +994,33 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
     # Block t, row n0, column n1 holds psi[n0, n1, (t - n0) mod m]: views of
     # signed at n2 = t - n0 and at t - n0 + m, each right on one side of t = n0.
     block_strides = (1, m * m - 1, m - m * m)
-    state = np.where(
-        tables.unwrapped,
-        _view(signed, (m - 1) * m * m, (m, m, m), block_strides),
-        _view(signed, (m - 1) * m * m + m, (m, m, m), block_strides),
-    )
+    state = _view(signed, (m - 1) * m * m + m, (m, m, m), block_strides).copy()
+    np.copyto(state, _view(signed, (m - 1) * m * m, (m, m, m), block_strides), where=tables.unwrapped)
     del signed
 
     # exp(theta G_t) on (even, odd) rows, from Y = P diag(sigma) Q^T:
     # [[1 + P c P^T, P s Q^T], [-Q s P^T, 1 + Q c Q^T]] where
     # c = cos(theta sigma) - 1 = -2 sin²(theta sigma / 2) and s = sin(theta sigma).
     theta = -math.acos(1.0 / math.cosh(r))  # transmissivity sech² r
-    p, q = tables.modes, tables.coupled
+    pt, qt = tables.modes, tables.coupled
+    p, q = pt.transpose(0, 2, 1), qt.transpose(0, 2, 1)
     angle = theta * tables.sigma
     c = -2.0 * np.sin(0.5 * angle) ** 2
     rotation = np.empty((m, m, m))
-    rotation[:, ::2, ::2] = (p * c[:, None, :]) @ p.transpose(0, 2, 1)
-    rotation[:, 1::2, 1::2] = (q * c[:, None, :]) @ q.transpose(0, 2, 1)
-    rotation[:, ::2, 1::2] = (p * np.sin(angle)[:, None, :]) @ q.transpose(0, 2, 1)
-    rotation[:, 1::2, ::2] = -rotation[:, ::2, 1::2].transpose(0, 2, 1)
-    np.einsum("tii->ti", rotation)[...] += 1.0
-    state = rotation @ state
+    np.matmul(p * c[:, None, :], pt, out=rotation[:, ::2, ::2])
+    np.matmul(q * c[:, None, :], qt, out=rotation[:, 1::2, 1::2])
+    np.matmul(p * np.sin(angle)[:, None, :], qt, out=rotation[:, ::2, 1::2])
+    np.negative(rotation[:, ::2, 1::2].transpose(0, 2, 1), out=rotation[:, 1::2, ::2])
+    rotation.reshape(m, m * m)[:, :: m + 1] += 1.0
 
-    def overlap(k: int) -> np.ndarray:
-        # sum over (n1, n2) of psi[n0] psi[n0 + k]; n0 + k sits in block t + k (mod m)
-        return np.einsum("tpq,tpq->p", state[:-k, :-k], state[k:, k:]) + np.einsum(
-            "tpq,tpq->p", state[-k:, :-k], state[:k, k:]
-        )
-
-    sqrt_n = np.sqrt(n)
+    # psi[n0 + k] for k = 1, 2 sits in block t + k (mod m): blocks 0 and 1
+    # repeat after block m - 1, so each overlap is one product of shifted views.
+    wrapped = np.empty((m + 2, m, m))
+    state = np.matmul(rotation, state, out=wrapped[:m])
+    wrapped[m:] = state[:2]
     pop = np.einsum("tpq,tpq->p", state, state)
-    a1 = overlap(1) @ sqrt_n[1:]
-    a2 = overlap(2) @ (sqrt_n[1:-1] * sqrt_n[2:])
+    a1 = np.einsum("tpq,tpq->p", state[:, :-1], wrapped[1:-1, 1:]) @ tables.raising
+    a2 = np.einsum("tpq,tpq->p", state[:, :-2], wrapped[2:, 2:]) @ tables.raising2
     norm2 = float(pop.sum())
     lowered = float(n @ pop)
     return norm2, float(a1), float(a2), lowered, lowered + norm2 - m * float(pop[-1])
@@ -1130,7 +1138,7 @@ def fock_check_inertial(
     meas_mean, meas_var, meas_var_orth = measured
 
     out_expr = inertial_teleport_output(r, r_omega)
-    gain = out_expr.coefficient(ModeLabel(Sector.AUX, Chirality.LEFT, 0))
+    gain = out_expr.coefficient(_FOCK_INPUT_MODE)
     pred_mean = 2.0 * (beta * gain * cmath.exp(-1j * phi)).real
     pred_var = quadrature_variance(out_expr, phi)
     pred_var_orth = quadrature_variance(out_expr, phi + 0.5 * math.pi)

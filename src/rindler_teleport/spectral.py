@@ -106,10 +106,15 @@ def _unwrap(x):
 
 def _unruh_x(omega, a, scale: float = math.pi) -> np.ndarray:
     """x = pi*omega/a (``scale`` for pi) of checked inputs; inf past the float
-    range (a below about 1.7e-308 omega), which every formula here reads as r = 0."""
-    scaled = scale * _frequencies(omega)
+    range (a below about 1.7e-308 omega), which every formula here reads as r = 0.
+
+    Formed as (pi*omega)/a, except where pi*omega alone leaves the float range
+    (omega above about 5.7e307): there as pi*(omega/a).
+    """
+    omega, a = _frequencies(omega), _accelerations(a)
     with np.errstate(over="ignore"):
-        return scaled / _accelerations(a)
+        scaled = scale * omega
+        return np.where(np.isinf(scaled), scale * (omega / a), scaled / a)
 
 
 def _unruh_squares(x):

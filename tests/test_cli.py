@@ -152,6 +152,20 @@ class TestSweep:
         assert "bins" not in meta and "channel_gain" not in meta
         assert asked.read_bytes() == plain.read_bytes()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_inertial_row_at_the_largest_floats_reads_as_at_one(self, tmp_path):
+        # pi omega0 passes the float range at omega0 = 1e308; omega0/a does not.
+        rows = []
+        for value in ("1e308", "1"):
+            out = tmp_path / f"in_{value}.csv"
+            argv = ["sweep", "--scenario", "inertial", "--omega0", value, "--a-min", value,
+                    "--a-max", value, "--a-steps", "1", "--out", str(out)]
+            assert main(argv) == 0
+            rows.append(read_report_csv(out)[2][0])
+        big, one = rows
+        assert big[2:] == one[2:] and big[-1] == "ok"
+        assert float(big[5]) == pytest.approx(0.0432408482836, rel=1e-12)
+
 
 class TestOverflowRows:
     """A converged row holding a value past the float range is not ``ok``."""

@@ -41,7 +41,7 @@ from rindler_teleport import (
 )
 from rindler_teleport.cli import VERIFY_ORACLE_TOL
 from rindler_teleport.mode_algebra import annihilator, pair_contraction, quadrature_variance
-from rindler_teleport.oracle import DEFAULT_CHANNEL_GAIN
+from rindler_teleport.oracle import DEFAULT_CHANNEL_GAIN, _fock_window
 
 
 class TestRouteIndependence:
@@ -816,6 +816,7 @@ class TestFockProtocolCheck:
 
     def test_deterministic(self):
         r1 = fock_check_inertial(0.3, 0.7, strict=False)
+        _fock_window.cache_clear()  # the second check recomputes every window
         r2 = fock_check_inertial(0.3, 0.7, strict=False)
         assert r1.max_deviation == r2.max_deviation
         assert r1.measured_var == r2.measured_var
@@ -938,6 +939,42 @@ class TestFockProtocolCheck:
         after = inertial_teleport_output.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 4)
 
+    def test_ladder_windows_are_simulated_once(self):
+        # (0.8, 0.6) settles at 20 with 25 as its witness: the ladder ran
+        # 12, 16, 20 and 25, and a fixed check at any of them simulates nothing.
+        _fock_window.cache_clear()
+        rep = fock_check_inertial(0.8, 0.6, beta=0.1 + 0.2j, phi=0.7, strict=False)
+        assert rep.cutoff == 20
+        before = _fock_window.cache_info()
+        assert before.misses == 4
+        for cutoff in (12, 16, 20, 25):
+            fock_check_inertial(0.8, 0.6, cutoff, beta=0.2 - 0.1j, phi=1.9, strict=False)
+        after = _fock_window.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (0, 4)
+
+    @pytest.mark.parametrize("cutoff", [None, 6, 12, 31])
+    def test_reports_do_not_depend_on_the_kept_windows(self, cutoff):
+        def bits(rep):
+            return [value.hex() if isinstance(value, float) else value for value in dataclasses.astuple(rep)]
+
+        points = [(0.9, 0.7, 0.3 - 0.2j, 1.1), (0.25, 1.2, -0.4j, 0.3), (1.5, 1.5, 0.2, 0.0)]
+        cold = []
+        for r, r_omega, beta, phi in points:
+            _fock_window.cache_clear()
+            cold.append(bits(fock_check_inertial(r, r_omega, cutoff, beta=beta, phi=phi, strict=False)))
+        warm = [bits(fock_check_inertial(r, r_omega, cutoff, beta=beta, phi=phi, strict=False))
+                for r, r_omega, beta, phi in points]
+        assert _fock_window.cache_info().hits > 0
+        assert warm == cold
+
+    def test_kept_windows_are_bounded(self):
+        maxsize = _fock_window.cache_info().maxsize
+        assert isinstance(maxsize, int) and 0 < maxsize <= 1024
+        for k in range(maxsize + 5):
+            fock_check_inertial(0.25, 1.0 + k / 997.0, 4, strict=False)
+            assert _fock_window.cache_info().currsize <= maxsize
+        assert _fock_window.cache_info().currsize == maxsize
+
     def test_lost_mass_shrinks_as_window_grows(self):
         reports = [
             fock_check_inertial(0.9, 0.7, cutoff=c, beta=0.3 - 0.2j, phi=1.1, strict=False)
@@ -948,7 +985,7 @@ class TestFockProtocolCheck:
 
     # m = cutoff + 1 is even at 5 and 7, as on the adaptive ladder's 25, 31
     # and 47, where the even and odd photon numbers split the window in halves.
-    @pytest.mark.parametrize("cutoff", [5, 6, 7, 8, 12])
+    @pytest.mark.parametrize("cutoff", [5, 6, 7, 8, 12, 16, 20])
     @pytest.mark.parametrize(
         "r, r_omega, beta, phi",
         [

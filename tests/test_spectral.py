@@ -369,6 +369,36 @@ class TestFrequencyInput:
             _FREQUENCY_FUNCTIONS[name](omega)
 
 
+class TestLargeFrequency:
+    """Above about 5.7e307 pi*omega alone passes the float range, although
+    pi*omega/a need not: x is then formed as pi*(omega/a)."""
+
+    @staticmethod
+    def mp_values(omega, a):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            x = mpmath.pi * mpmath.mpf(omega) / mpmath.mpf(a)
+            r = mpmath.atanh(mpmath.exp(-x))
+            return {
+                "squeeze_param": float(r),
+                "unruh_cosh_sinh": (float(mpmath.cosh(r)), float(mpmath.sinh(r))),
+                "unruh_ch_minus_sh": float(mpmath.sqrt(mpmath.tanh(x / 2))),
+            }
+
+    # pi/2 * omega, as unruh_ch_minus_sh forms it, passes the range from 1.14e308.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("omega", [1e308, 1.7e308])
+    @pytest.mark.parametrize("name", sorted(_FREQUENCY_FUNCTIONS))
+    def test_matches_high_precision_at_the_largest_floats(self, name, omega):
+        func = getattr(spectral, name)
+        expected = self.mp_values(omega, omega)[name]
+        assert func(omega, omega) == pytest.approx(expected, rel=4e-16, abs=0.0)
+        assert func(omega, omega) == func(1.0, 1.0)
+        rows = np.asarray(func(np.array([omega, 2.0]), np.array([omega, 3.0]))).T
+        assert np.array_equal(rows[0], func(omega, omega))
+        assert np.array_equal(rows[1], func(2.0, 3.0))  # a row inside the range keeps its bits
+
+
 def _reference_integrals(wp, a: float, rel_tol: float = 1e-10):
     """One acceleration at a time, the loop the array path replaces.
 
