@@ -579,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The parser ``main`` builds on its first call and reuses after it."""
     return build_parser()

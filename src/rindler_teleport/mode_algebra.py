@@ -193,30 +193,25 @@ class ModeRegister:
     by sector, chirality, bin), derived from the register's key array on
     each read.  Keys sort family-major, so each (sector, chirality) family
     is one contiguous run of slots in bin order: ``slots`` gives its
-    positions from two binary searches of the keys.  ``grid`` returns one
-    shared register per (families, bin count), and a register keeps the
-    plan of each region rewrite made on it (see :func:`rindler_to_unruh`)
-    and its chirality parts (see :meth:`_chirality_parts`), so builds on the
-    same grid share that work.  Bins must lie in [-2**39, 2**39).
+    positions from two binary searches of the keys.  A register holds its
+    keys alone; ``grid`` returns one shared register per (families, bin
+    count), so builds on one grid share the tables that bounded caches keep
+    by register (region rewrite plans, chirality parts).  Bins must lie in
+    [-2**39, 2**39).
     """
 
-    __slots__ = ("keys", "_plans", "_parts")
+    __slots__ = ("keys",)
 
-    def __init__(self, labels: Iterable[ModeLabel] = ()):
-        self._set(_sorted_unique(np.fromiter((_label_key(lb) for lb in labels), dtype=np.int64)))
+    def __new__(cls, labels: Iterable[ModeLabel] = ()):
+        return cls._from_keys(_sorted_unique(np.fromiter((_label_key(lb) for lb in labels), dtype=np.int64)))
 
     @classmethod
     def _from_keys(cls, keys: np.ndarray) -> "ModeRegister":
         """Register over sorted, unique int64 keys (not checked)."""
         reg = object.__new__(cls)
-        reg._set(keys)
-        return reg
-
-    def _set(self, keys: np.ndarray) -> None:
         keys.flags.writeable = False
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "_plans", {})  # rewrite plans by grid length
-        object.__setattr__(self, "_parts", None)  # made by _chirality_parts
+        object.__setattr__(reg, "keys", keys)
+        return reg
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("ModeRegister is immutable")
@@ -261,17 +256,6 @@ class ModeRegister:
         """Boolean mask of the register's modes with ``chirality``."""
         return ((self.keys >> _BIN_BITS) & 1) == _CHIRALITY_INDEX[chirality]
 
-    def _chirality_parts(self) -> np.ndarray:
-        """Read-only (modes, 3) float columns that pick the right-movers, the
-        left-movers and every mode; made on first use and kept."""
-        if self._parts is None:
-            left = self.chirality_mask(Chirality.LEFT)
-            parts = np.empty((len(left), 3))
-            parts[:, 0], parts[:, 1], parts[:, 2] = ~left, left, 1.0
-            parts.flags.writeable = False
-            object.__setattr__(self, "_parts", parts)
-        return self._parts
-
     def __repr__(self) -> str:
         return f"ModeRegister({len(self)} modes)"
 
@@ -279,6 +263,16 @@ class ModeRegister:
 @functools.lru_cache(maxsize=32)
 def _grid_register(families: tuple[int, ...], n_bins: int) -> ModeRegister:
     return ModeRegister._from_keys(_grid_keys(families, np.arange(n_bins)))
+
+
+@functools.lru_cache(maxsize=32)
+def _chirality_parts(reg: ModeRegister) -> np.ndarray:
+    """Read-only (modes, 3) float columns that pick the right-movers, the
+    left-movers and every mode of ``reg``."""
+    left = reg.chirality_mask(Chirality.LEFT)
+    parts = np.empty((len(left), 3))
+    parts[:, 0], parts[:, 1], parts[:, 2] = ~left, left, 1.0
+    return _read_only(parts)
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -708,8 +702,9 @@ class OperatorRows:
     :func:`rindler_to_unruh` forms one per expression: ``rows`` is a
     read-only ``(A, 2, n)`` array of finite X and P coefficient rows on
     ``register``, one per acceleration, each row with ``displacement``.
-    Indexing gives a row as an :class:`OperatorExpr` over a view of
-    ``rows``, bounded by that row's largest magnitude.
+    Indexing by an integer (not a bool) gives a row as an
+    :class:`OperatorExpr` over a view of ``rows``, bounded by that row's
+    largest magnitude; any other index is a :class:`TypeError`.
     """
 
     register: ModeRegister
@@ -720,6 +715,8 @@ class OperatorRows:
         return len(self.rows)
 
     def __getitem__(self, k: int) -> OperatorExpr:
+        if isinstance(k, (bool, np.bool_)) or not isinstance(k, (int, np.integer)):
+            raise TypeError(f"operator row index must be an integer, got {k!r}")
         return OperatorExpr._new(self.register, self.displacement, self.rows[k], math.inf)
 
 
@@ -743,14 +740,14 @@ def rindler_to_unruh(expr: OperatorExpr | Sequence[OperatorExpr], a, grid: np.nd
     its expression alone at its acceleration gives.  An acceleration that is
     not finite and positive is a :class:`ValueError` that names ``a``.
 
-    What depends only on the register and the grid length is a plan made
-    once and kept on the register: its block closure (each of its families
-    at each of its bins), the chirality and bin-range tables, the result
-    register and each result block's terms.  A call evaluates (ch, sh) once
-    on the (acceleration, grid) array, reads each expression's family blocks
-    as views, and writes each result block once: its first term (ch or sh
-    times a region block, or a passing block as it is), then any other added
-    in place, so each result is one array, tested once for finiteness.
+    What depends only on the register and the grid length is a plan, one of
+    the last 32 kept: its block closure (each of its families at each of its
+    bins), the chirality and bin-range tables, the result register and each
+    result block's terms.  A call evaluates (ch, sh) once on the
+    (acceleration, grid) array, reads each expression's family blocks as
+    views, and writes each result block as a sum of products (ch or sh times
+    a region block, 1 times a passing one): the first writes it, the others
+    add in place, so each result is one array, tested once for finiteness.
     Chirality and bin range are checked on every call, for every region
     label carrying a non-zero coefficient in any of the expressions.
     """
@@ -776,9 +773,9 @@ class _RewritePlan:
     family at a bin off the grid, and ``checked`` whether either flags any.
     ``on_grid`` picks the bins on the grid, and ``grid_bins`` their grid
     indices.  The result lives on ``register``; output block o is the sum of
-    ``terms[o]``, each (input family, weight) with weight -1 for a family
-    that passes as it is, 0 for a direct image (times ch) and 1 for a
-    partner image (times sh).
+    ``terms[o]``, each (input family, factor) with factor 0 for a family
+    that passes as it is (times 1), 1 for a direct image (times ch) and 2
+    for a partner image (times sh).
     """
 
     closure: np.ndarray
@@ -793,6 +790,7 @@ class _RewritePlan:
     terms: tuple[tuple[tuple[int, int], ...], ...]
 
 
+@functools.lru_cache(maxsize=32)
 def _rewrite_plan(reg: ModeRegister, n_grid: int) -> _RewritePlan:
     """The plan of a rewrite on ``reg`` over a grid of ``n_grid`` bins."""
     keys = reg.keys
@@ -812,9 +810,9 @@ def _rewrite_plan(reg: ModeRegister, n_grid: int) -> _RewritePlan:
     # Every output block takes one to three terms: at most one passing, one
     # direct and one partner, summed in that order.
     terms = [[] for _ in out_families]
-    for weight, (sources, image) in enumerate(zip((passing, mapped, mapped), images), start=-1):
+    for factor, (sources, image) in enumerate(zip((passing, mapped, mapped), images)):
         for i, o in zip(sources.tolist(), np.searchsorted(out_families, image).tolist()):
-            terms[o].append((i, weight))
+            terms[o].append((i, factor))
     return _RewritePlan(
         closure=closure,
         slots=None if len(closure) == len(keys) else np.searchsorted(closure, keys),
@@ -848,9 +846,7 @@ def _rewrite_regions(
                 f"rindler_to_unruh rewrites expressions on one register; expression {k} "
                 f"is on {e.register!r}, expression 0 on {reg!r}"
             )
-    plan = reg._plans.get(len(freqs))
-    if plan is None:
-        plan = reg._plans[len(freqs)] = _rewrite_plan(reg, len(freqs))
+    plan = _rewrite_plan(reg, len(freqs))
     n_families, n_bins = plan.shape
     # Each expression's (X or P, family, bin) blocks, as a view of its rows.
     blocks = [_spread(e._w, n_families * n_bins, plan.slots).reshape(2, n_families, n_bins) for e in exprs]
@@ -876,6 +872,7 @@ def _rewrite_regions(
     ch, sh = (x[:, None, plan.grid_bins] for x in unruh_cosh_sinh(freqs, accel[:, None]))
     weights[0][..., plan.on_grid] = ch
     weights[1][..., plan.on_grid] = sh * np.array([[1.0], [-1.0]])
+    factors = (1.0, weights[0], weights[1])  # by a term's factor index
     product = np.empty((len(accel), 2, n_bins), dtype=complex)
     results = []
     # Overflowing products are left to the finiteness test, which names the mode.
@@ -883,18 +880,11 @@ def _rewrite_regions(
         for e, x in zip(exprs, blocks):
             out = np.empty((len(accel), 2, len(plan.terms), n_bins), dtype=complex)
             for o, terms in enumerate(plan.terms):
-                # Each block is written once: its first term, then the others added in place.
-                block = out[:, :, o]
-                for k, (i, weight) in enumerate(terms):
-                    if weight < 0:  # a family that passes as it is
-                        if k:
-                            block += x[:, i]
-                        else:
-                            block[...] = x[:, i]
-                    elif k:
-                        block += np.multiply(x[:, i], weights[weight], out=product)
-                    else:
-                        np.multiply(x[:, i], weights[weight], out=block)
+                # The first term writes the block, the others are added in place.
+                (i, factor), *rest = terms
+                block = np.multiply(x[:, i], factors[factor], out=out[:, :, o])
+                for i, factor in rest:
+                    block += np.multiply(x[:, i], factors[factor], out=product)
             out = _read_only(out.reshape(len(accel), 2, len(plan.register)))
             if not np.isfinite(out).all():
                 _max_magnitude(plan.register, out)

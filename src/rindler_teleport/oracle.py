@@ -36,7 +36,7 @@ change and the three wire outputs into the vacuum families in one
 vectorized pass per block of rows (blocks of a fixed number of row x bin
 elements keep the temporaries in cache at any N) and audits that block;
 the circuit keeps only W's rows, concatenated once.  Builds at one N share
-one register and the rewrite plan kept on it.  The gate intermediates die
+one register and the rewrite plan cached for it.  The gate intermediates die
 with the composition, the gate outputs after the last block's rewrite, and
 the rewritten wire outputs once the audit has their pairwise commutators,
 so the per-bin audit runs beside W's rows and its rank-one form alone.  The
@@ -74,6 +74,7 @@ from .mode_algebra import (
     rindler_to_unruh,
     single_mode_squeeze,
     two_mode_squeeze,
+    _chirality_parts,
 )
 from .spectral import WavepacketSpec, unruh_cosh_sinh
 from .teleportation import VarianceReport, inertial_teleport_output
@@ -314,6 +315,25 @@ _CREATOR = np.array([False, True, False, True])
 _ADJOINT = np.array([0, 1, 1, 0])
 
 
+def _term_layout(x: np.ndarray, y: np.ndarray, commutator: bool) -> tuple:
+    """Where :meth:`_RankOneOutputs.terms` reads the terms of <X_i Y_j> or,
+    with ``commutator``, of [X_i, Y_j] = <X_i Y_j> - <Y_j X_i>, per kind
+    pair (x[m], y[m]): p reads the V of y at an annihilator x's slot, and
+    the reverse order's minus the U of y at a creator x's; q the U of x at a
+    creator y's slot, and the reverse order's minus the V of x at an
+    annihilator y's.  Each read is a (``uv_at`` index, sign) pair."""
+    cx, cy = _CREATOR[x], _CREATOR[y]
+    reverse = -1.0 if commutator else 0.0  # the sign of the reverse order's reads
+    p = (4 * ~cx + 2 * _ADJOINT[y] + _FAMILY[x], np.where(cx, reverse, 1.0)[:, None])
+    q = (4 * ~cy + 2 * _ADJOINT[x] + _FAMILY[y], np.where(cy, 1.0, reverse)[:, None])
+    e = (_FAMILY[x] == _FAMILY[y]) * np.where(cx, reverse * ~cy, 1.0 * cy)
+    return x, y, p, q, 2 * _ADJOINT[x] + _ADJOINT[y], e, commutator
+
+
+#: The contraction table's terms: every kind pair, x-major.
+_TABLE_TERMS = _term_layout(*np.divmod(np.arange(len(_KINDS) ** 2), len(_KINDS)), commutator=False)
+
+
 class _RankOneOutputs:
     """Every bin's centered output operators, in rank-one form, per row.
 
@@ -326,11 +346,12 @@ class _RankOneOutputs:
         kx[i] ky[j] z + ky[j] p[i] + kx[i] q[j] + e δ_ij,
 
     with z = U[x] . V[y], p and q reads of V[y] and U[x] at the c/d slots,
-    and e from the unit vectors.  :meth:`pairing` forms z and returns these
-    terms per kind pair, and :func:`_bilinear_at` evaluates them; the
-    commutator audit reads its own from ``uv_at`` and ``z_commutator`` (the
-    commutator's z, formed from W's X and P coefficients (alpha, beta)), and
-    never forms the pairing's z.
+    and e from the unit vectors.  :meth:`terms` gathers these terms per kind
+    pair, as :func:`_term_layout` places them, for the pairing <X_i Y_j>
+    (read by the contraction table) or the commutator [X_i, Y_j] (read by
+    the audit), and :func:`_bilinear_at` evaluates them.  The commutator's
+    z is ``z_commutator``, formed from W's X and P coefficients (alpha,
+    beta); the pairing's z is formed only when a pairing's terms are read.
 
     It is built from W's (alpha, beta) ``rows`` on ``register`` and the
     (row, bin) arrays g ch and g sh, and keeps ``rows`` and ``at`` (W on the
@@ -353,34 +374,31 @@ class _RankOneOutputs:
         self.at = at = np.stack([rows[..., c], rows[..., d]], axis=2)
         # Flat layouts, read by ``take``: the commutator's z at
         # [row, 2 adjoint(x) + adjoint(y)], U and V at the slots at
-        # [row, 2 (W or W†) + family, bin].
+        # [row, 4 (U or V) + 2 (W or W†) + family, bin].
         j_beta = 1j * at[:, 1]
-        self.uv_at = np.empty((len(rows), 8, at.shape[-1]), dtype=complex)  # U then V
-        self.u_at, self.v_at = self.uv_at[:, :4], self.uv_at[:, 4:]
-        np.subtract(at[:, 0], j_beta, out=self.u_at[:, :2])
-        np.add(at[:, 0], j_beta, out=self.v_at[:, :2])
-        np.conjugate(self.v_at[:, :2], out=self.u_at[:, 2:])
-        np.conjugate(self.u_at[:, :2], out=self.v_at[:, 2:])
+        self.uv_at = np.empty((len(rows), 8, at.shape[-1]), dtype=complex)
+        uv = self.uv_at.reshape(len(rows), 2, 2, 2, -1)  # (row, U or V, W or W†, family, bin)
+        np.subtract(at[:, 0], j_beta, out=uv[:, 0, 0])
+        np.add(at[:, 0], j_beta, out=uv[:, 1, 0])
+        np.conjugate(uv[:, ::-1, 0], out=uv[:, :, 1])  # W†'s (U, V) is conj of W's (V, U)
         # [W, W†] = -[W†, W] = -4 Im c, not |U|^2 - |V|^2; [W, W] = [W†, W†] = 0.
         self.z_commutator = np.zeros((len(rows), 4))
         self.z_commutator[:, 1], self.z_commutator[:, 2] = -4.0 * self.c_imag, 4.0 * self.c_imag
 
-    def pairing(self, x: np.ndarray, y: np.ndarray) -> tuple:
-        """Terms (kx, ky, z, p, q, e) of <X_i Y_j> = u . v per kind pair (x[m], y[m])."""
-        # U.V = alpha.alpha + beta.beta and |U|^2, |V|^2 = |alpha|^2 + |beta|^2
-        # -+ 2 Im c, laid out as z at [row, 2 adjoint(x) + adjoint(y)].
-        alpha, beta = self.rows[:, 0], self.rows[:, 1]
-        norms = np.vecdot(alpha, alpha).real + np.vecdot(beta, beta).real
-        uv = _dotu(alpha, alpha) + _dotu(beta, beta)
-        pair_z = np.empty((len(uv), 4), dtype=complex)
-        pair_z[:, 0], pair_z[:, 1] = uv, norms - 2.0 * self.c_imag
-        pair_z[:, 2], pair_z[:, 3] = norms + 2.0 * self.c_imag, uv.conj()
-        annihilator, creator = ~_CREATOR[x], _CREATOR[y]
-        p = annihilator[:, None] * self.v_at.take(2 * _ADJOINT[y] + _FAMILY[x], axis=1)
-        q = creator[:, None] * self.u_at.take(2 * _ADJOINT[x] + _FAMILY[y], axis=1)
-        e = 1.0 * (annihilator & creator & (_FAMILY[x] == _FAMILY[y]))
-        z = pair_z.take(2 * _ADJOINT[x] + _ADJOINT[y], axis=1)
-        return self.k.take(x, axis=1), self.k.take(y, axis=1), z, p, q, e
+    def terms(self, layout: tuple) -> tuple:
+        """Terms (kx, ky, z, p, q, e) of the kind pairs of a :func:`_term_layout`."""
+        x, y, (p_at, p_sign), (q_at, q_sign), z_at, e, commutator = layout
+        z = self.z_commutator
+        if not commutator:  # the pairing's: U.V = alpha.alpha + beta.beta and
+            # |U|^2, |V|^2 = |alpha|^2 + |beta|^2 -+ 2 Im c, at the same places
+            alpha, beta = self.rows[:, 0], self.rows[:, 1]
+            norms = np.vecdot(alpha, alpha).real + np.vecdot(beta, beta).real
+            uv = _dotu(alpha, alpha) + _dotu(beta, beta)
+            z = np.empty((len(uv), 4), dtype=complex)
+            z[:, 0], z[:, 1] = uv, norms - 2.0 * self.c_imag
+            z[:, 2], z[:, 3] = norms + 2.0 * self.c_imag, uv.conj()
+        p, q = self.uv_at.take(p_at, axis=1) * p_sign, self.uv_at.take(q_at, axis=1) * q_sign
+        return self.k.take(x, axis=1), self.k.take(y, axis=1), z.take(z_at, axis=1), p, q, e
 
 
 def _w_rows(circ: DiscretizedCircuit) -> tuple[ModeRegister, np.ndarray]:
@@ -444,18 +462,10 @@ def _audit_commutators(outputs: _RankOneOutputs, wire_outputs: list) -> np.ndarr
 
 # The kind pairs the per-bin audit checks: c-c†, d-d†, c-d and c-d†, and the
 # last two with the bins swapped, as [X_j, Y_i] = -[Y_i, X_j] (for c-c† and
-# d-d† that is the complex conjugate).  [X_i, Y_j] = <X_i Y_j> - <Y_j X_i>
-# has the rank-one terms of :class:`_RankOneOutputs` with p the V (an
-# annihilator x) or minus the U (a creator x) of W or W† at x's slot, and q
-# the U (a creator y) or minus the V (an annihilator y) at y's slot: rows of
-# its ``uv_at``, read with a sign.  The commutator's z is read at
-# [row, 2 adjoint(x) + adjoint(y)] of ``z_commutator``.
+# d-d† that is the complex conjugate).  Their terms are the commutator's:
+# those of the pairing <X_i Y_j> less those of the reverse order.
 _AUDIT_X, _AUDIT_Y = np.array([0, 2, 0, 0, 2, 3]), np.array([1, 3, 2, 3, 0, 0])
-_AUDIT_P = 4 * ~_CREATOR[_AUDIT_X] + 2 * _ADJOINT[_AUDIT_Y] + _FAMILY[_AUDIT_X]
-_AUDIT_P_SIGN = np.where(_CREATOR[_AUDIT_X], -1.0, 1.0)[:, None]
-_AUDIT_Q = 4 * ~_CREATOR[_AUDIT_Y] + 2 * _ADJOINT[_AUDIT_X] + _FAMILY[_AUDIT_Y]
-_AUDIT_Q_SIGN = np.where(_CREATOR[_AUDIT_Y], 1.0, -1.0)[:, None]
-_AUDIT_Z = 2 * _ADJOINT[_AUDIT_X] + _ADJOINT[_AUDIT_Y]
+_AUDIT_TERMS = _term_layout(_AUDIT_X, _AUDIT_Y, commutator=True)
 
 
 def _bin_commutator_deviation(outputs: _RankOneOutputs) -> np.ndarray:
@@ -463,9 +473,9 @@ def _bin_commutator_deviation(outputs: _RankOneOutputs) -> np.ndarray:
 
     Each bin meets itself and the anchor bins {0, N/2, N-1}, both ways
     round, for c-c†, d-d†, c-d and c-d†: O(N) vector operations on the
-    rank-one form of the outputs, whose p and q terms are gathered once per
-    kind pair (``_AUDIT_P``, ``_AUDIT_Q`` and their signs), each judged
-    relative to its bound ``size[x, i] size[y, j]``.  That product bounds
+    rank-one form of the outputs, whose commutator terms are gathered once
+    per kind pair, each judged relative to its bound
+    ``size[x, i] size[y, j]``.  That product bounds
     the rounding bound of [X_i, Y_j] less its exact unit part, |kx| |ky| Z +
     |ky| m_x[i] + |kx| m_y[j] with Z = 4 |alpha| . |beta| over W's
     (alpha, beta) ``outputs.rows`` and m = |alpha| + |beta| at the
@@ -479,15 +489,12 @@ def _bin_commutator_deviation(outputs: _RankOneOutputs) -> np.ndarray:
     size = np.maximum(np.abs(outputs.k) * root_z + own / root_z, _TINY)
     # The unit-vector part of a commutator is its canonical value exactly
     # ([c_i, c_j†] = δ_ij, ...), so the deviation is the rest.
-    kx, ky = outputs.k.take(_AUDIT_X, axis=1), outputs.k.take(_AUDIT_Y, axis=1)
-    p = outputs.uv_at.take(_AUDIT_P, axis=1) * _AUDIT_P_SIGN
-    q = outputs.uv_at.take(_AUDIT_Q, axis=1) * _AUDIT_Q_SIGN
-    z = outputs.z_commutator.take(_AUDIT_Z, axis=1)[..., None]
+    kx, ky, z, p, q, _ = outputs.terms(_AUDIT_TERMS)
     size_x, size_y = size.take(_AUDIT_X, axis=1), size.take(_AUDIT_Y, axis=1)
     n = kx.shape[2]
     deviations = []
     for j in (slice(None), [0], [n // 2], [n - 1]):  # every bin itself, then each anchor
-        value = kx * (ky[..., j] * z + q[..., j]) + ky[..., j] * p
+        value = kx * (ky[..., j] * z[..., None] + q[..., j]) + ky[..., j] * p
         # One factor at a time: their product underflows to 0 where sinh r does.
         deviations.append((np.abs(value) / size_x / size_y[..., j]).max(axis=(1, 2)))
     return np.max(deviations, axis=0)
@@ -589,7 +596,7 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, np.ndarray]:
     # <X^2> = x.x, <Y^2> = y.y and <XY + YX>/2 = x.y over both rows.
     x, y = field.real, field.imag
     per_slot = np.stack([(x * x).sum(axis=1), (y * y).sum(axis=1), (x * y).sum(axis=1)], axis=1)
-    moments = 4.0 * (per_slot @ register._chirality_parts()).transpose(0, 2, 1)  # right, left, whole
+    moments = 4.0 * (per_slot @ _chirality_parts(register)).transpose(0, 2, 1)  # right, left, whole
     moments[~(np.atleast_1d(circ.commutator_audit_max) <= _COMMUTATOR_TOL)] = math.nan
     return moments, n0
 
@@ -715,10 +722,9 @@ def contraction_table(
         raise ValueError(f"bin {outside[0]} outside grid of {n} bins")
     w, y = w[:, None], y[None, :]
 
-    first, second = np.divmod(np.arange(len(_KINDS) ** 2), len(_KINDS))
     outputs = _RankOneOutputs(*_w_rows(circ), (circ.g * circ.ch)[None], (circ.g * circ.sh)[None])
-    (table,) = _bilinear_at(outputs.pairing(first, second), w, y)
-    pair = {f"{_KINDS[a]} {_KINDS[b]}": row for a, b, row in zip(first, second, table)}
+    (table,) = _bilinear_at(outputs.terms(_TABLE_TERMS), w, y)
+    pair = {f"{_KINDS[a]} {_KINDS[b]}": row for a, b, row in zip(*_TABLE_TERMS[:2], table)}
 
     # Quartic assembly: with x = x~ + D (D the LO shift at |alpha| = 1), the
     # |alpha|^2 part of the connected <x_w† x_w z_y† z_y> is the covariance

@@ -116,7 +116,7 @@ def delta_decoherence(r_s: float, i_c: float | np.ndarray, phi: float) -> float 
     Reduces to the pure squeezed-vacuum variance e^(2 r_s cos-profile) at
     i_c = 1 (inertial limit) and to 1 at r_s = 0; the i_c-growing part is
     the decoherence the acceleration inflicts on the payload itself.
-    ``i_c`` may be an array; NaN entries pass through as NaN.
+    ``i_c`` may be an array, a list or a tuple; NaN entries pass through as NaN.
 
     Evaluated without cancellation as Delta = M + (P - M) cos^2 phi, with
     h = 16 i_c (i_c - 1) sinh^2(r_s/2), the minimum M = e^(-2 r_s) + h e^(-r_s)
@@ -141,8 +141,9 @@ def _delta_terms(r_s: float, i_c: float | np.ndarray, phi: float) -> tuple:
             f"payload squeezing r_s must lie in [0, {_MAX_PAYLOAD_SQUEEZING:.6g}] "
             f"(e^(2 r_s) must be finite), got {r_s}"
         )
+    given, i_c = i_c, np.asarray(i_c, dtype=float)
     if np.any(i_c < 1.0):
-        raise ValueError(f"i_c must be >= 1 (it is 1 + i_s), got {i_c}")
+        raise ValueError(f"i_c must be >= 1 (it is 1 + i_s), got {given}")
     half = math.sinh(0.5 * r_s)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed row carries status ``overflow``
         if r_s == 0.0:

@@ -535,6 +535,13 @@ class TestRegionMapSequence:
         for k in range(2):
             assert same_ladder(rows[k], plain) and rows[k].displacement == plain.displacement
 
+    @pytest.mark.parametrize("index", [slice(0, 2), True, np.array([0, 1])], ids=repr)
+    def test_rows_are_indexed_by_an_integer_only(self, index):
+        rows = rindler_to_unruh(self.mixed_exprs(self.register())[0], np.array([0.2, 0.7, 5.0]), self.CENTERS)
+        assert same_ladder(rows[np.int64(1)], rows[1])
+        with pytest.raises(TypeError, match=r"^operator row index must be an integer, got "):
+            rows[index]
+
     def test_acceleration_is_a_scalar_or_one_dimensional(self):
         with pytest.raises(ValueError, match="scalar or a 1-D array"):
             rindler_to_unruh(annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0)), np.ones((2, 2)), self.CENTERS)
@@ -728,7 +735,7 @@ class TestPruning:
 
 class TestRegisterPlans:
     """Register work done once: ``slots`` by binary search, one shared grid
-    register per shape, and a rewrite plan kept on the register."""
+    register per shape, and a bounded cache of rewrite plans."""
 
     WIRES = (
         (Sector.RINDLER_IV, Chirality.LEFT),
@@ -779,27 +786,44 @@ class TestRegisterPlans:
             assert x.register is y.register
             assert x.rows.tobytes() == y.rows.tobytes()
 
-    def test_the_plan_is_made_once_per_register_and_grid_length(self, monkeypatch):
+    def test_the_plan_is_made_once_per_register_and_grid_length(self):
         from rindler_teleport import mode_algebra
 
-        honest = mode_algebra._rewrite_plan
-        made = []
+        def plans_made():  # a plan is made on each miss of the plan cache
+            return mode_algebra._rewrite_plan.cache_info().misses - misses
 
-        def counted(reg, n_grid):
-            made.append(n_grid)
-            return honest(reg, n_grid)
-
-        monkeypatch.setattr(mode_algebra, "_rewrite_plan", counted)
+        misses = mode_algebra._rewrite_plan.cache_info().misses
         reg = ModeRegister([ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, b) for b in range(3)])
         b4 = OperatorExpr(reg, [1.0, 0.5, 0.25])
         for a in (0.5, 1.0, np.array([0.5, 1.0])):
             rindler_to_unruh(b4, a, np.array([0.8, 1.0, 1.2]))
+        assert plans_made() == 1
         rindler_to_unruh(b4, 1.0, np.array([0.8, 1.0, 1.2, 1.4]))
-        assert made == [3, 4]
+        assert plans_made() == 2
         # The chirality and bin-range checks still read each call's support.
         with pytest.raises(ValueError, match="has no grid coefficient"):
             rindler_to_unruh(b4, 1.0, np.array([0.8, 1.0]))
         rindler_to_unruh(OperatorExpr(reg, [1.0, 0.5, 0.0]), 1.0, np.array([0.8, 1.0]))
+
+    def test_kept_plans_are_bounded(self):
+        # One grid register rewritten at 300 grid lengths keeps at most the
+        # cache's plans, not one plan per length.
+        import tracemalloc
+
+        from rindler_teleport import mode_algebra
+
+        reg = ModeRegister.grid(self.WIRES, 256)
+        expr = OperatorExpr(reg, np.linspace(0.5, 1.5, len(reg)))
+        tracemalloc.start()
+        try:
+            for n_grid in range(256, 556):
+                rindler_to_unruh(expr, 1.0, np.linspace(0.5, 2.0, n_grid))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 2 << 20
+        info = mode_algebra._rewrite_plan.cache_info()
+        assert info.currsize <= info.maxsize
 
 
 class TestWickRegionCheck:

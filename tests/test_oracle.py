@@ -507,25 +507,24 @@ class TestBuildCost:
 
         fresh = functools.lru_cache(maxsize=32)(mode_algebra._grid_register.__wrapped__)
         monkeypatch.setattr(mode_algebra, "_grid_register", fresh)
-        honest_plan, honest_map = mode_algebra._rewrite_plan, oracle.rindler_to_unruh
-        plans, rewrites = [], []
+        honest_map = oracle.rindler_to_unruh
+        rewrites = []
 
-        def counted_plan(reg, n_grid):
-            plans.append(n_grid)
-            return honest_plan(reg, n_grid)
+        def plans_made():  # a plan is made on each miss of the plan cache
+            return mode_algebra._rewrite_plan.cache_info().misses - misses
 
         def counted_map(exprs, a, grid):
             rewrites.append(len(a))
             return honest_map(exprs, a, grid)
 
-        monkeypatch.setattr(mode_algebra, "_rewrite_plan", counted_plan)
         monkeypatch.setattr(oracle, "rindler_to_unruh", counted_map)
+        misses = mode_algebra._rewrite_plan.cache_info().misses
         accelerations = np.geomspace(0.05, 50.0, 40)
         circ = build_squeezed_circuit(accelerations, wp_standard, 1024, r_s=0.4)
         assert np.all(circ.commutator_audit_max <= 1e-10)
-        assert rewrites == [4] * 10 and plans == [1024]
+        assert rewrites == [4] * 10 and plans_made() == 1
         build_squeezed_circuit(1.0, wp_standard, 1024, r_s=0.4)
-        assert plans == [1024]
+        assert plans_made() == 1
 
     def test_peak_memory_of_a_build(self, wp_standard):
         # A warm, scalar, squeezed build at N = 1024 plus its LO variance:
@@ -700,6 +699,29 @@ class TestContractionTable:
             rows = appendix_expectations(circ_squeezed, i, j, phi=0.3)
             worst = max(r.rel_deviation for r in rows.values())
             assert worst <= 1e-9
+
+    @pytest.mark.parametrize("name", ["circ_displaced", "circ_squeezed"])
+    def test_audit_terms_agree_with_the_table(self, request, name):
+        # The commutator terms the per-bin audit reads are the table's
+        # <X_i Y_j> - <Y_j X_i> less its unit part, for each audited kind pair.
+        from rindler_teleport import oracle
+
+        circ = request.getfixturevalue(name)
+        n = circ.n_bins
+        bins = np.array([0, 1, 57, n // 2, n - 2, n - 1])
+        outputs = oracle._RankOneOutputs(
+            *oracle._w_rows(circ), (circ.g * circ.ch)[None], (circ.g * circ.sh)[None]
+        )
+        *read, e = outputs.terms(oracle._AUDIT_TERMS)
+        (audit,) = oracle._bilinear_at((*read, np.zeros_like(e)), bins[:, None], bins[None, :])
+        table = contraction_table(circ, bins, bins)
+        pairs = [(oracle._KINDS[x], oracle._KINDS[y]) for x, y in zip(oracle._AUDIT_X, oracle._AUDIT_Y)]
+        assert pairs == [("c", "c†"), ("d", "d†"), ("c", "d"), ("c", "d†"), ("d", "c"), ("d†", "c")]
+        assert e.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+        for value, (x, y) in zip(audit, pairs):
+            unit = np.eye(len(bins)) if (x, y) in (("c", "c†"), ("d", "d†")) else 0.0
+            commutator = table[f"{x} {y}"].numeric - table[f"{y} {x}"].numeric.T
+            np.testing.assert_allclose(value, commutator - unit, rtol=0.0, atol=1e-14)
 
     def test_zero_squeezing_reduces_to_displaced(self, wp_standard, circ_displaced):
         via_squeezed = build_squeezed_circuit(1.0, wp_standard, 256, r_s=0.0)

@@ -87,6 +87,14 @@ class TestDeltaDecoherence:
         with pytest.raises(ValueError):
             delta_decoherence(0.5, 0.5, 0.0)
 
+    @pytest.mark.parametrize("sequence", [list, tuple])
+    def test_sequence_i_c_reads_as_an_array(self, sequence):
+        i_c = np.array([1.0, 2.0, 7.5])
+        got = delta_decoherence(0.5, sequence(i_c.tolist()), 0.3)
+        assert got.tobytes() == delta_decoherence(0.5, i_c, 0.3).tobytes()
+        for x, y in zip(delta_extremes(0.5, sequence(i_c.tolist())), delta_extremes(0.5, i_c)):
+            assert x.tobytes() == y.tobytes()
+
     @given(st.floats(0.0, 2.0), st.floats(1.0, 10.0))
     @settings(max_examples=100, deadline=None)
     def test_phase_extrema(self, r_s, i_c):
