@@ -84,6 +84,8 @@ __all__ = [
     "commutator",
     "displace",
     "pair_contraction",
+    "phase_variance",
+    "quadrature_covariance",
     "quadrature_variance",
     "rindler_to_unruh",
     "single_mode_squeeze",
@@ -215,6 +217,9 @@ class ModeRegister:
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("ModeRegister is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild from the keys, past the guard
+        return ModeRegister._from_keys, (self.keys,)
 
     @classmethod
     def grid(cls, families: Sequence[tuple[Sector, Chirality]], n_bins: int) -> "ModeRegister":
@@ -376,6 +381,9 @@ class OperatorExpr:
 
     def __setattr__(self, name, value):  # immutability guard
         raise AttributeError("OperatorExpr is immutable")
+
+    def __reduce__(self):  # pickle and copy rebuild from the stored state, past the guard
+        return OperatorExpr._new, (self.register, self.displacement, self._w, self._peak)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -587,24 +595,36 @@ def wick_expectation(product: Sequence[OperatorExpr]) -> complex:
     )
 
 
-def quadrature_variance(expr: OperatorExpr, phi: float = 0.0) -> float:
-    """Variance of X(phi) = e^(-i phi) E + e^(i phi) E^dagger in the vacuum;
-    a NaN or infinite ``phi`` is a :class:`ValueError`, and so is a
-    Rindler-sector label in X(phi), as in :func:`wick_expectation`.
+def quadrature_covariance(expr: OperatorExpr) -> tuple[float, float, float]:
+    """Vacuum covariance (<X^2>, <Y^2>, <XY + YX>/2) of X = X(0) and Y = X(pi/2):
+    with real X and P coefficients x = 2 Re and y = 2 Im of E's rows, it is
+    (x.x, y.y, x.y), read in one pass.  A Rindler-sector label in X or Y is a
+    :class:`ValueError`, as in :func:`wick_expectation`."""
+    w = expr._w
+    if 2.0 * expr._peak <= _SAFE_PEAK:
+        x, y = 2.0 * w.real, 2.0 * w.imag
+    else:  # computed quietly and tested, as arithmetic past the bound is
+        x, y = xy = _quiet(np.multiply, (w.real, w.imag), 2.0)
+        _max_magnitude(expr.register, xy)
+    _reject_regions(expr.register, w)
+    return float(np.vdot(x, x)), float(np.vdot(y, y)), float(np.vdot(x, y))
 
-    X(phi) has the real X and P coefficients x = 2 Re(e^(-i phi) (alpha, beta)),
-    so its variance is the pairing x.x, read in one pass over E's rows.
-    """
+
+def phase_variance(cov, c, s):
+    """c^2 <X^2> + s^2 <Y^2> + 2 c s <XY + YX>/2: the variance at the phase with
+    (cos, sin) = (c, s), two floats, of a covariance ``cov`` held as three floats
+    or three same-shaped arrays.  Every route reads its phases here.  A term
+    whose weight is exactly 0 adds nothing, even against an infinite moment."""
+    terms = [m * w for m, w in zip(cov, (c * c, s * s, 2.0 * c * s)) if w]
+    return sum(terms[1:], terms[0])
+
+
+def quadrature_variance(expr: OperatorExpr, phi: float = 0.0) -> float:
+    """Variance of X(phi) = e^(-i phi) E + e^(i phi) E^dagger in the vacuum, the
+    covariance read at (cos phi, sin phi); a NaN or infinite ``phi`` is a ValueError."""
     if not math.isfinite(phi):
         raise ValueError(f"LO phase phi must be finite, got {phi}")
-    turn = cmath.exp(-1j * phi)
-    if 2.0 * expr._peak <= _SAFE_PEAK:
-        x = 2.0 * (expr._w * turn).real
-    else:  # computed quietly and tested, as arithmetic past the bound is
-        x = _quiet(np.multiply, _quiet(np.multiply, expr._w, turn).real, 2.0)
-        _max_magnitude(expr.register, x)
-    _reject_regions(expr.register, x)
-    return float(np.vdot(x, x))
+    return phase_variance(quadrature_covariance(expr), math.cos(phi), math.sin(phi))
 
 
 # -- Gaussian circuit elements -------------------------------------------

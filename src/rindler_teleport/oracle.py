@@ -41,9 +41,10 @@ with the composition, the gate outputs after the last block's rewrite, and
 the rewritten wire outputs once the audit has their pairwise commutators,
 so the per-bin audit runs beside W's rows and its rank-one form alone.  The
 LO variance forms the field's quadrature covariance from W's rows once and
-reads every phase it reports from it in one pass.  The audit gives one maximum per row: a
-scalar build that fails it raises, while in an array build that row's LO
-variance is NaN and the other rows report.  Every bin's output is a unit
+reads every phase it reports from it with the mode algebra's phase reader.
+The audit gives one maximum per row: a scalar build that fails it raises,
+while in an array build that row's LO variance is NaN and the other rows
+report.  Every bin's output is a unit
 mode plus a multiple of one shared fluctuation W; in that rank-one form,
 built per row block by the audit and per call by the contraction table,
 the commutator audit checks every bin in O(N) and the contraction table
@@ -70,7 +71,8 @@ from .mode_algebra import (
     Sector,
     beam_splitter,
     displace,
-    quadrature_variance,
+    phase_variance,
+    quadrature_covariance,
     rindler_to_unruh,
     single_mode_squeeze,
     two_mode_squeeze,
@@ -560,11 +562,9 @@ def _lo_parts(circ: DiscretizedCircuit) -> tuple[np.ndarray, np.ndarray]:
                = e^(-i phi) P + e^(i phi) P^dagger = cos(phi) X + sin(phi) Y,
 
     P independent of phi, X = F(0) and Y = F(pi/2).  The homodyne variance
-    is <F^2>_connected / n0 with n0 = sum_i |l_i|^2, and
-
-        <F(phi)^2> = cos^2(phi) <X^2> + sin^2(phi) <Y^2> + sin(2 phi) <XY + YX>/2,
-
-    the Gaussian second-moment form; it equals A + 2 Re(B e^(-2i phi)) with
+    is <F^2>_connected / n0 with n0 = sum_i |l_i|^2, and <F(phi)^2> is the
+    covariance read at (cos phi, sin phi) by :func:`phase_variance`, the
+    Gaussian second-moment form; it equals A + 2 Re(B e^(-2i phi)) with
     A = (<X^2> + <Y^2>)/2 and B = (<X^2> - <Y^2>)/4 + i <XY + YX>/4.  The
     covariance is evaluated instead of A and B: a strongly squeezed
     quadrature is A - 2|B|, a cancellation that multiplies the rounding
@@ -614,8 +614,9 @@ def _variance_at(parts: tuple, c: np.ndarray, s: np.ndarray) -> tuple[np.ndarray
     part fails it too) reads NaN in both parts.
     """
     moments, n0 = parts
-    values = moments[..., :1] * (c * c) + moments[..., 1:2] * (s * s) + moments[..., 2:] * (2.0 * c * s)
-    thermal, payload, total = (values / n0[:, None, None]).transpose(1, 0, 2)
+    cov = moments.transpose(2, 0, 1)  # (<X^2>, <Y^2>, <XY + YX>/2), each (row, part)
+    values = np.array([phase_variance(cov, *phase) for phase in np.broadcast(c, s)])  # (phase, row, part)
+    thermal, payload, total = (values / n0[:, None]).T
     additive = np.abs(total - (payload + thermal)) <= 1e-9 * np.maximum(1.0, np.abs(total))
     return np.where(additive, thermal, math.nan), np.where(additive, payload, math.nan)
 
@@ -1046,16 +1047,13 @@ def _window_moments(
     norm2, a1, a2, lowered, raised = _fock_window(r, r_omega, abs(beta), cutoff)
     if not (norm2 > 0.0 and math.isfinite(a1 + a2 + lowered + raised)):
         return (math.nan,) * 3, 1.0
-
-    def moments(phase: float) -> tuple[float, float]:
-        mean = 2.0 * math.cos(phase) * a1 / norm2
-        second = (lowered + raised + 2.0 * math.cos(2.0 * phase) * a2) / norm2
-        return mean, second - mean**2
-
+    # The real state's covariance: <a> = a1 and <a a> = a2 are real, so no cross term.
+    cov = ((lowered + raised + 2.0 * a2) / norm2 - (2.0 * a1 / norm2) ** 2,
+           (lowered + raised - 2.0 * a2) / norm2, 0.0)
     phase = phi - cmath.phase(beta)
-    mean, var = moments(phase)
-    _, var_orth = moments(phase + 0.5 * math.pi)
-    return (mean, var, var_orth), 1.0 - norm2
+    c, s = math.cos(phase), math.sin(phase)
+    mean = 2.0 * c * a1 / norm2
+    return (mean, phase_variance(cov, c, s), phase_variance(cov, -s, c)), 1.0 - norm2
 
 
 def _settled_window(
@@ -1146,8 +1144,8 @@ def fock_check_inertial(
     out_expr = inertial_teleport_output(r, r_omega)
     gain = out_expr.coefficient(_FOCK_INPUT_MODE)
     pred_mean = 2.0 * (beta * gain * cmath.exp(-1j * phi)).real
-    pred_var = quadrature_variance(out_expr, phi)
-    pred_var_orth = quadrature_variance(out_expr, phi + 0.5 * math.pi)
+    cov, c, s = quadrature_covariance(out_expr), math.cos(phi), math.sin(phi)
+    pred_var, pred_var_orth = phase_variance(cov, c, s), phase_variance(cov, -s, c)
 
     max_dev = max(
         abs(meas_mean - pred_mean),

@@ -108,13 +108,13 @@ def _unruh_x(omega, a, scale: float = math.pi) -> np.ndarray:
     """x = pi*omega/a (``scale`` for pi) of checked inputs; inf past the float
     range (a below about 1.7e-308 omega), which every formula here reads as r = 0.
 
-    Formed as (pi*omega)/a, except where pi*omega alone leaves the float range
-    (omega above about 5.7e307): there as pi*(omega/a).
-    """
+    Formed as (pi*omega)/a times 1, except where pi*omega alone leaves the float
+    range (omega above about 5.7e307): there as (omega/a) times pi."""
     omega, a = _frequencies(omega), _accelerations(a)
     with np.errstate(over="ignore"):
         scaled = scale * omega
-        return np.where(np.isinf(scaled), scale * (omega / a), scaled / a)
+        edge = np.isinf(scaled)  # one division and one product over the broadcast shape
+        return np.where(edge, scale, 1.0) * (np.where(edge, omega, scaled) / a)
 
 
 def _unruh_squares(x):

@@ -5,9 +5,11 @@ affine operators applied to the two-mode vacuum populate at most four
 quanta, so a cutoff-6 matrix representation is exact, not truncated.
 """
 
+import copy
 import dataclasses
 import inspect
 import math
+import pickle
 import re
 from functools import partial
 
@@ -26,6 +28,8 @@ from rindler_teleport import (
     beam_splitter,
     commutator,
     displace,
+    phase_variance,
+    quadrature_covariance,
     quadrature_variance,
     rindler_to_unruh,
     single_mode_squeeze,
@@ -323,6 +327,48 @@ class TestWickEngine:
         s = single_mode_squeeze(aux(0), 0.5)
         assert quadrature_variance(s, 0.0) == pytest.approx(math.exp(1.0), rel=1e-12)
         assert quadrature_variance(s, math.pi / 2) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+
+class TestQuadratureCovariance:
+    """One covariance (<X^2>, <Y^2>, <XY + YX>/2) per expression, read at any phase."""
+
+    @staticmethod
+    def seeded_exprs(count):
+        rng = np.random.default_rng(20261020)
+        for _ in range(count):
+            e = random_expr(rng) + complex(*rng.standard_normal(2)) * aux(2).dagger()
+            e = single_mode_squeeze(e, rng.uniform(-2.0, 2.0))
+            yield beam_splitter(e, aux(3), rng.uniform(0.1, 0.9))[0]
+
+    def test_equals_the_connected_wick_pairings(self):
+        for e in self.seeded_exprs(200):
+            x, y = e + e.dagger(), -1j * e + 1j * e.dagger()
+            xx, yy, xy = quadrature_covariance(e)
+            assert xx == pytest.approx(pair_contraction(x, x).real, rel=1e-12)
+            assert yy == pytest.approx(pair_contraction(y, y).real, rel=1e-12)
+            assert abs(xy - pair_contraction(x, y).real) <= 1e-12 * math.sqrt(xx * yy)
+
+    def test_variance_at_zero_is_the_x_pairing(self):
+        for e in self.seeded_exprs(50):
+            x = 2.0 * e._w.real
+            assert quadrature_variance(e, 0.0) == float(np.vdot(x, x))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_zero_weight_ignores_an_infinite_moment(self):
+        # Squeezed past the float range in one quadrature, the other one's
+        # variance stays readable at the phase that does not see the first.
+        assert quadrature_variance(single_mode_squeeze(aux(0), 400.0), 0.0) == math.inf
+        assert quadrature_variance(single_mode_squeeze(aux(0), -400.0), 0.0) == 0.0
+        assert phase_variance((math.inf, 2.0, math.inf), 0.0, 1.0) == 2.0
+        assert phase_variance((3.0, math.inf, -math.inf), -1.0, 0.0) == 3.0
+
+    def test_one_region_check_over_both_quadratures(self):
+        # X(0) of 1j (b4 + b4^dagger) has no region coefficient and Y does: the
+        # covariance holds both, so every phase rejects it.
+        b4 = annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0))
+        for e in (b4, 1j * (b4 + b4.dagger())):
+            with pytest.raises(ValueError, match="non-vacuum sectors"):
+                quadrature_variance(aux(0) + e, 0.0)
 
 
 class TestRegionMap:
@@ -659,6 +705,26 @@ class TestRegisters:
         for total in (e1 + 0.0 * annihilator(A_LBL), annihilator(B_LBL) * 0.0 + e1):
             assert np.array_equal(total.register.keys, e1.register.keys)
             assert np.array_equal(total._w, e1._w) and total.displacement == e1.displacement
+
+
+class TestPickling:
+    """Registers and expressions copy and pickle by their stored state."""
+
+    ROUND_TRIPS = [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+
+    @pytest.mark.parametrize("trip", ROUND_TRIPS, ids=["copy", "deepcopy", "pickle"])
+    def test_round_trips_keep_keys_and_bits(self, trip):
+        e = single_mode_squeeze(random_expr(np.random.default_rng(3)), 0.7) + aux(2).dagger()
+        for expr in (annihilator(A_LBL), e):
+            back = trip(expr)
+            assert np.array_equal(back.register.keys, expr.register.keys)
+            assert back._w.tobytes() == expr._w.tobytes() and back._peak == expr._peak
+            assert back.displacement == expr.displacement
+            with pytest.raises(AttributeError, match="OperatorExpr is immutable"):
+                back.displacement = 0.0
+            with pytest.raises(AttributeError, match="ModeRegister is immutable"):
+                back.register.keys = None
+            assert not back.register.keys.flags.writeable
 
 
 class TestFiniteness:

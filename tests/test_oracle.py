@@ -5,6 +5,7 @@ import cmath
 import dataclasses
 import inspect
 import math
+import pickle
 import re
 import warnings
 
@@ -40,7 +41,13 @@ from rindler_teleport import (
     wick_expectation,
 )
 from rindler_teleport.cli import VERIFY_ORACLE_TOL
-from rindler_teleport.mode_algebra import annihilator, pair_contraction, quadrature_variance
+from rindler_teleport.mode_algebra import (
+    annihilator,
+    pair_contraction,
+    phase_variance,
+    quadrature_covariance,
+    quadrature_variance,
+)
 from rindler_teleport.oracle import DEFAULT_CHANNEL_GAIN, _fock_window
 
 
@@ -68,7 +75,7 @@ class TestRouteIndependence:
         assert imported["spectral"] == {"WavepacketSpec", "unruh_cosh_sinh"}
         assert set(imported) == {"mode_algebra", "spectral", "teleportation"}
 
-    @pytest.mark.parametrize("name", ["inertial_teleport_output", "quadrature_variance"])
+    @pytest.mark.parametrize("name", ["inertial_teleport_output", "quadrature_covariance"])
     def test_only_the_fock_check_reads_the_prediction(self, name):
         users = [
             getattr(stmt, "name", ast.unparse(stmt)[:40])
@@ -409,10 +416,13 @@ class TestBatchedBuild:
 
     def test_payload_squeezing_bound_is_the_tightest_row(self):
         # At a = 1000 the bound is 346.247 (a << omega0 allows 354.89); an
-        # array build holding that row is refused by that row's bound.
+        # array build holding that row is refused by that row's bound, as the
+        # scalar build is.  The bound lies past the r_s at which a sweep row's
+        # closed-form purity product overflows, so no sweep reaches it.
         wp = make_wavepacket(1.0, 0.01)
-        with pytest.raises(ValueError, match="payload squeezing r_s must be at most 346.247"):
-            build_squeezed_circuit(np.array([1.0, 1000.0]), wp, 32, r_s=348.0)
+        for a in (np.array([1.0, 1000.0]), 1000.0):
+            with pytest.raises(ValueError, match=re.escape("payload squeezing r_s must be at most 346.247")):
+                build_squeezed_circuit(a, wp, 32, r_s=348.0)
 
     @pytest.mark.parametrize("r_s", [0.0, 0.4])
     def test_acceleration_past_every_payload_bound_is_named(self, r_s):
@@ -578,6 +588,14 @@ class TestVarianceAgainstClosedForms:
         for (c, s), closed in (((0.0, 1.0), thermal + d90), ((1.0, 0.0), thermal + d0)):
             oracle_value = sum(oracle._variance_at(parts, c, s))
             assert oracle_value == pytest.approx(closed, rel=1e-11 if s else 1e-14)
+
+    def test_a_pickled_array_circuit_reads_the_same_bits(self, wp_standard):
+        circ = build_displaced_circuit(np.array([0.5, 1.0, 2.0]), wp_standard, 16)
+        back = pickle.loads(pickle.dumps(circ))
+        for phi in (0.0, 0.3):
+            rep, rep_back = photon_number_variance_lo(circ, phi), photon_number_variance_lo(back, phi)
+            for field in dataclasses.fields(rep):
+                assert getattr(rep, field.name).tobytes() == getattr(rep_back, field.name).tobytes()
 
     def test_components_additive(self, circ_squeezed):
         rep = photon_number_variance_lo(circ_squeezed, 0.3)
@@ -835,6 +853,25 @@ class TestFockProtocolCheck:
         )
         assert rep.predicted_mean == pytest.approx(2 * 0.2, rel=1e-12)
         assert rep.cutoff == 12
+
+    def test_orthogonal_read_is_exact(self):
+        # At a real beta and phi = 0 the orthogonal phase reads (cos, sin) =
+        # (-0.0, 1.0): the window's <Y^2> with no leak of cos(pi/2).
+        rep = fock_check_inertial(0.6, 0.4, 12, beta=0.3, phi=0.0)
+        norm2, _, a2, lowered, raised = _fock_window(0.6, 0.4, 0.3, 12)
+        assert rep.measured_var_orth == (lowered + raised - 2.0 * a2) / norm2
+
+    def test_the_prediction_is_one_covariance(self, monkeypatch):
+        from rindler_teleport import oracle
+
+        calls = []
+        monkeypatch.setattr(oracle, "quadrature_covariance", lambda e: calls.append(e) or quadrature_covariance(e))
+        rep = fock_check_inertial(0.5, 0.5, 12, beta=0.2 - 0.1j, phi=0.7)
+        assert len(calls) == 1
+        cov = quadrature_covariance(inertial_teleport_output(0.5, 0.5))
+        c, s = math.cos(0.7), math.sin(0.7)
+        assert (rep.predicted_var, rep.predicted_var_orth) == (phase_variance(cov, c, s), phase_variance(cov, -s, c))
+        assert rep.predicted_var == quadrature_variance(inertial_teleport_output(0.5, 0.5), 0.7)
 
     def test_deterministic(self):
         r1 = fock_check_inertial(0.3, 0.7, strict=False)
