@@ -865,12 +865,6 @@ class FockCheckReport:
     passed: bool
 
 
-def _view(base: np.ndarray, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
-    """A view of ``base`` (C-contiguous) with element offset and strides; bounds-checked."""
-    size = base.itemsize
-    return np.ndarray(shape, base.dtype, base, offset * size, tuple(s * size for s in strides))
-
-
 @dataclass(frozen=True)
 class _WindowTables:
     """Photon-number tables of one window size, and its beam splitter's modes.
@@ -886,7 +880,10 @@ class _WindowTables:
     signed_inv_root2: np.ndarray  # [d, w]: (-1)^w / ((d + w)! w!)
     column: np.ndarray  # [u]: sqrt(u!) (-1)^u
     mirror_sign: np.ndarray  # [d + m - 1]: (-1)^max(-d, 0), for d in -(m - 1)..m - 1
-    unwrapped: np.ndarray  # [t, n0, 1]: t >= n0
+    shift: np.ndarray  # [i, j]: i + j, for i < 2m - 1
+    amplitude_base: np.ndarray  # [n0, n1]: flat index of sector [|d|, n1 - s, -s], s = max(-d, 0)
+    factor_base: np.ndarray  # [n0, n1]: flat index of factor [d + m - 1, 0]
+    block_n2: np.ndarray  # [t, n0, 1]: (t - n0) mod m, the n2 that block t adds to both
     modes: np.ndarray  # [t, j, even n0]: P_t^T, P_t the left singular vectors of Y_t
     sigma: np.ndarray  # [t, j]: singular values of Y_t
     coupled: np.ndarray  # [t, j, odd n0]: Q_t^T, Q_t the right singular vectors of Y_t
@@ -913,12 +910,15 @@ def _window_tables(cutoff: int) -> _WindowTables:
     sqrt_fact = np.sqrt(np.arange(2 * m - 1.0))
     sqrt_fact[0] = 1.0
     np.cumprod(sqrt_fact, out=sqrt_fact)  # sqrt(k!), k < 2m - 1
-    gap = np.subtract.outer(n, n).clip(0)
+    d = np.subtract.outer(n, n)  # [n0, n1]: n0 - n1, or [t, n0]: t - n0
+    gap = d.clip(0)
     inv_gap_fact = np.tril(1.0 / sqrt_fact[gap] ** 2)
     alternate = np.where(n % 2, -1.0, 1.0)
-    root = _view(sqrt_fact, 0, (m, m), (1, 1)) * sqrt_fact[:m]
+    shift = np.add.outer(np.arange(2 * m - 1), n)
+    root = sqrt_fact[shift[:m]] * sqrt_fact[:m]
     mirror_sign = np.ones(2 * m - 1)
     mirror_sign[m - 2 :: -2] = -1.0
+    s = (-d).clip(0)
     coupling = np.sqrt(n[1:] * (np.subtract.outer(n, n[:-1]) % m))  # [t, p]: G_t[p + 1, p]
     odd = m // 2
     y = np.zeros((m, m - odd, odd))
@@ -934,7 +934,10 @@ def _window_tables(cutoff: int) -> _WindowTables:
         signed_inv_root2=alternate / root**2,
         column=sqrt_fact[:m] * alternate,
         mirror_sign=mirror_sign,
-        unwrapped=np.greater_equal.outer(n, n)[:, :, None],
+        shift=shift,
+        amplitude_base=abs(d) * m * m + (n - s) * m - s,
+        factor_base=(d + m - 1) * m,
+        block_n2=(d % m)[:, :, None],
         modes=np.ascontiguousarray(modes.transpose(0, 2, 1)),
         sigma=sigma,
         coupled=q_t,
@@ -975,35 +978,31 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
     # to |d+v, v> (and from |u, d+u> to |v, d+v>) is
     # rho[v] rho[u] (-1)^u sum_w E[v, w] x[w] E[u, w], x[w] = (-1)^w sech^(d+2w+1) / rho[w]².
     # Sector d is padded to m rows and columns; entries with v or u >= m - d
-    # lie outside the window, stay finite and are never read.
+    # lie outside the window and stay finite: rows v >= m - d are never read,
+    # and columns u >= m - d only times coherent[j >= m] = 0.
     series = math.tanh(r) ** tables.gap * tables.inv_gap_fact  # E[v, w]
     x = (1.0 / math.cosh(r)) ** tables.exponent * tables.signed_inv_root2  # [d, w]
-    left = series * x[:, None, :]
+    # One buffer for the large arrays, each part reused once spent: the left
+    # factor, then the state; the sectors, then the rotation; the rotated state.
+    work = np.empty((3 * m + 2, m, m))
+    left, sectors, wrapped = work[:m], work[m : 2 * m], work[2 * m :]
+    np.multiply(series, x[:, None, :], out=left)
     left *= tables.root[:, :, None]  # [d, v, w]
 
-    # The state by signed sector k = n0 - n1 + m - 1, over (n1, n2): sector d
-    # at (v, u) for k >= m - 1; below, the mirror of sector m - 1 - k, shifted
-    # by it along both axes.
-    signed = np.empty((2 * m - 1, m, m))
-    np.matmul(left, series.T.copy(), out=signed[m - 1 :])  # a transposed view is a slower BLAS operand
-    del left
-    signed[: m - 1] = _view(signed, (m - 1) * m * m, (m, m, m), (m * m - m - 1, m, 1))[:0:-1]
-    # Times coherent[n0 - n1 + n2] pair[n2] rho[u] (-1)^u, u = n2 - max(n1 - n0, 0),
-    # where coherent[j] sqrt(j!) = e^(-b²/2) b^j inside the window.
+    # Block t, row n0, column n1 holds psi[n0, n1, (t - n0) mod m]: sector |d|,
+    # shifted by max(-d, 0) along both axes for d < 0, times coherent[n0 - n1 + n2]
+    # pair[n2] rho[u] (-1)^u, u = n2 - max(n1 - n0, 0), where coherent[j] sqrt(j!)
+    # = e^(-b²/2) b^j inside the window (u < 0 reads a finite entry times 0).
+    np.matmul(left, series.T.copy(), out=sectors)  # a transposed view is a slower BLAS operand
     powers = np.zeros(3 * m - 2)
     with np.errstate(over="ignore", invalid="ignore"):  # b**n past the float range reads NaN
         powers[m - 1 : 2 * m - 1] = math.exp(-0.5 * b * b) * b**n
     pair = np.tanh(r_omega) ** n / math.cosh(r_omega)  # resource squeezer: sech(r_w) tanh(r_w)^k |k, k>
-    factor = _view(powers, 0, (2 * m - 1, m), (1, 1)) * (pair * tables.column)
+    factor = powers[tables.shift] * (pair * tables.column)  # [d + m - 1, n2]
     factor *= tables.mirror_sign[:, None]
-    signed *= factor[:, None, :]
-
-    # Block t, row n0, column n1 holds psi[n0, n1, (t - n0) mod m]: views of
-    # signed at n2 = t - n0 and at t - n0 + m, each right on one side of t = n0.
-    block_strides = (1, m * m - 1, m - m * m)
-    state = _view(signed, (m - 1) * m * m + m, (m, m, m), block_strides).copy()
-    np.copyto(state, _view(signed, (m - 1) * m * m, (m, m, m), block_strides), where=tables.unwrapped)
-    del signed
+    # Every index is in range: "clip" lets take fill its output unbuffered.
+    state = np.take(sectors, tables.amplitude_base + tables.block_n2, out=left, mode="clip")
+    state *= np.take(factor, tables.factor_base + tables.block_n2, out=sectors, mode="clip")
 
     # exp(theta G_t) on (even, odd) rows, from Y = P diag(sigma) Q^T:
     # [[1 + P c P^T, P s Q^T], [-Q s P^T, 1 + Q c Q^T]] where
@@ -1013,7 +1012,7 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
     p, q = pt.transpose(0, 2, 1), qt.transpose(0, 2, 1)
     angle = theta * tables.sigma
     c = -2.0 * np.sin(0.5 * angle) ** 2
-    rotation = np.empty((m, m, m))
+    rotation = sectors  # every entry is written below
     np.matmul(p * c[:, None, :], pt, out=rotation[:, ::2, ::2])
     np.matmul(q * c[:, None, :], qt, out=rotation[:, 1::2, 1::2])
     np.matmul(p * np.sin(angle)[:, None, :], qt, out=rotation[:, ::2, 1::2])
@@ -1022,7 +1021,6 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
 
     # psi[n0 + k] for k = 1, 2 sits in block t + k (mod m): blocks 0 and 1
     # repeat after block m - 1, so each overlap is one product of shifted views.
-    wrapped = np.empty((m + 2, m, m))
     state = np.matmul(rotation, state, out=wrapped[:m])
     wrapped[m:] = state[:2]
     pop = np.einsum("tpq,tpq->p", state, state)

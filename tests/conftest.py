@@ -1,10 +1,13 @@
 """Shared fixtures: the standard wavepacket and prebuilt oracle circuits."""
 
 import csv
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rindler_teleport
 from rindler_teleport import (
     build_displaced_circuit,
     build_squeezed_circuit,
@@ -24,6 +27,12 @@ def read_report_csv(path):
             body.append(line)
     parsed = list(csv.reader(body))
     return meta, parsed[0], parsed[1:]
+
+
+def fresh_process_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(rindler_teleport.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def faulty_sh_rewrite(monkeypatch, faulty_a):

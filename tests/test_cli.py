@@ -5,14 +5,12 @@ import csv
 import io
 import logging
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import faulty_sh_rewrite, read_report_csv
+from conftest import faulty_sh_rewrite, fresh_process_env, read_report_csv
 
 import rindler_teleport
 from rindler_teleport import build_displaced_circuit, cli, spectral, squeeze_param
@@ -164,7 +162,7 @@ class TestSweep:
             rows.append(read_report_csv(out)[2][0])
         big, one = rows
         assert big[2:] == one[2:] and big[-1] == "ok"
-        assert float(big[5]) == pytest.approx(0.0432408482836, rel=1e-12)
+        assert big[5] == "0.0432408482836"  # r_omega
 
 
 class TestOverflowRows:
@@ -284,6 +282,7 @@ class TestClosedRouteAtTheFloatEdges:
         assert main(["sweep", *span, "--out", str(outs[1])]) == 0
         (tiny,), (coherent,) = (read_report_csv(out)[2] for out in outs)
         assert tiny[-1] == "ok" and tiny[8] == "1"  # qnl_or_decoherence: 1 + h, h ~ 4e-81
+        assert tiny[6] == "2.00010003002"  # variance_total
         assert tiny[6:10] == coherent[6:10]
 
 
@@ -433,13 +432,12 @@ class TestParameterValidation:
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("flag, value", [("--omega0", "1e308"), ("--sigma", "1e-320")])
-    def test_packet_floats_cannot_hold_exits_2(self, flag, value, tmp_path):
-        src = str(Path(rindler_teleport.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        argv = [sys.executable, "-m", "rindler_teleport.cli", "fig5", flag, value, "--out", str(tmp_path / "f.csv")]
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr and "floats cannot hold the wavepacket" in proc.stderr
+    def test_packet_floats_cannot_hold_exits_2(self, flag, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig5", flag, value, "--out", str(tmp_path / "f.csv")])
+        assert excinfo.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr and "floats cannot hold the wavepacket" in stderr
 
 
 class TestVerify:
@@ -575,12 +573,6 @@ class TestParser:
 
 
 
-def _fresh_process_env() -> dict:
-    """The environment of a fresh interpreter that imports this package."""
-    src = str(Path(rindler_teleport.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 @pytest.fixture
 def fresh_parser_cache():
     """Drop the parser ``main`` keeps, before and after the test."""
@@ -618,7 +610,7 @@ class TestParserReuse:
         fresh = tmp_path / "fresh.csv"
         subprocess.run(
             [sys.executable, "-m", "rindler_teleport.cli", "fig5", "--out", str(fresh)],
-            env=_fresh_process_env(), capture_output=True, check=True,
+            env=fresh_process_env(), capture_output=True, check=True,
         )
         assert (tmp_path / "later.csv").read_bytes() == fresh.read_bytes()
         assert (tmp_path / "earlier.csv").read_bytes() != fresh.read_bytes()
@@ -711,6 +703,6 @@ def test_import_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=_fresh_process_env(), capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=fresh_process_env(), capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"

@@ -1044,7 +1044,7 @@ class TestFockProtocolCheck:
 
     # m = cutoff + 1 is even at 5 and 7, as on the adaptive ladder's 25, 31
     # and 47, where the even and odd photon numbers split the window in halves.
-    @pytest.mark.parametrize("cutoff", [5, 6, 7, 8, 12, 16, 20])
+    @pytest.mark.parametrize("cutoff", [5, 6, 7, 8, 12, 16, 20, 25, 31])
     @pytest.mark.parametrize(
         "r, r_omega, beta, phi",
         [
