@@ -328,7 +328,8 @@ def cmd_fig4(cfg: SweepConfig) -> int:
 def cmd_fig5(cfg: SweepConfig) -> int:
     a_grid = cfg.a_grid()
     ints = spectral_integrals(make_wavepacket(cfg.omega0, cfg.sigma), a_grid)
-    thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
+    with np.errstate(over="ignore"):  # i_c + i_s may pass the float range: an overflow row
+        thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
     d0, d90 = delta_extremes(cfg.r_s, ints.i_c)
     cells = _grid_cells(thermal, d0, d90, thermal + d0, thermal + d90)
     rows = [[a, *row] for a, row in zip(a_grid.tolist(), cells)]

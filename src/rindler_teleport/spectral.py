@@ -10,9 +10,10 @@ parameter is
 which diverges logarithmically as omega -> 0 and dies off exponentially for
 omega >> a.  Everything downstream (mode transformations, teleportation
 variances, the discretized circuit oracle) consumes r(omega) only through
-cosh r, sinh r and cosh r - sinh r, so this module provides numerically
-stable forms of all of them, plus Gaussian wavepacket envelopes and the three
-spectral integrals that the closed-form variance expressions are built from:
+cosh r and sinh r, or through (cosh r - sinh r)^2 = tanh(pi omega/(2a)) inside
+i_cs, so this module provides numerically stable forms of the pair, plus
+Gaussian wavepacket envelopes and the three spectral integrals that the
+closed-form variance expressions are built from:
 
     i_c  = integral |g|^2 cosh^2 r          (>= 1)
     i_s  = integral |g|^2 sinh^2 r          (= i_c - 1 exactly)
@@ -53,7 +54,6 @@ __all__ = [
     "spectral_integrals",
     "squeeze_param",
     "unruh_cosh_sinh",
-    "unruh_ch_minus_sh",
 ]
 
 #: Relative frequency below which wavepackets are truncated (infrared cutoff).
@@ -104,17 +104,19 @@ def _unwrap(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def _unruh_x(omega, a, scale: float = math.pi) -> np.ndarray:
-    """x = pi*omega/a (``scale`` for pi) of checked inputs; inf past the float
-    range (a below about 1.7e-308 omega), which every formula here reads as r = 0.
+def _unruh_x(omega, a) -> np.ndarray:
+    """x = pi*omega/a of checked inputs; inf past the float range (a below about
+    1.75e-308 omega), which every formula here reads as r = 0.  Just inside it
+    (a/omega up to about 3.5e-308) 2x passes the range; at the other end (a above
+    about 1.1e309 omega) 1/(1 - e^(-2x)), and with it cosh^2 r, does.
 
     Formed as (pi*omega)/a times 1, except where pi*omega alone leaves the float
     range (omega above about 5.7e307): there as (omega/a) times pi."""
     omega, a = _frequencies(omega), _accelerations(a)
     with np.errstate(over="ignore"):
-        scaled = scale * omega
+        scaled = math.pi * omega
         edge = np.isinf(scaled)  # one division and one product over the broadcast shape
-        return np.where(edge, scale, 1.0) * (np.where(edge, omega, scaled) / a)
+        return np.where(edge, math.pi, 1.0) * (np.where(edge, omega, scaled) / a)
 
 
 def _unruh_squares(x):
@@ -148,20 +150,13 @@ def unruh_cosh_sinh(omega, a):
 
     Uses cosh^2 r = 1 / (1 - e^(-2x)) and sinh^2 r = e^(-2x) cosh^2 r with
     x = pi*omega/a, avoiding the catastrophic cancellation of evaluating
-    cosh(arctanh(...)) near either limit.
+    cosh(arctanh(...)) near either limit.  At the float ends of a (see
+    :func:`_unruh_x`) it reads (1, 0) and (inf, inf), without a warning.
     """
-    ch2, sh2 = _unruh_squares(_unruh_x(omega, a))
+    x = _unruh_x(omega, a)
+    with np.errstate(over="ignore", divide="ignore"):
+        ch2, sh2 = _unruh_squares(x)
     return _unwrap(np.sqrt(ch2)), _unwrap(np.sqrt(sh2))
-
-
-def unruh_ch_minus_sh(omega, a):
-    """cosh r - sinh r = sqrt(tanh(pi*omega/(2a))), the per-mode noise gain.
-
-    This is the factor by which the teleported quadrature noise contribution
-    of each frequency is suppressed; it tends to 1 for omega >> a (inertial
-    limit) and to 0 as omega/a -> 0 (noise-dominated limit).
-    """
-    return _unwrap(np.sqrt(np.tanh(_unruh_x(omega, a, 0.5 * math.pi))))
 
 
 @dataclass(frozen=True)

