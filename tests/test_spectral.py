@@ -18,6 +18,7 @@ from rindler_teleport import (
     spectral,
     spectral_integrals,
     squeeze_param,
+    squeezed_variance,
     unruh_cosh_sinh,
 )
 
@@ -295,11 +296,14 @@ class TestPastTheFloatRangeOfPiOmegaOverA:
         assert np.all(ints.last_change[~past] <= spectral._SETTLE_REL_TOL)
 
 
-# Each function of the acceleration, reduced to one call with a valid omega.
+# Each function of the acceleration, reduced to one call with a valid omega; the
+# two payload reports check a through spectral_integrals and must name it too.
 _ACCELERATION_FUNCTIONS = {
     "squeeze_param": partial(squeeze_param, 1.0),
     "unruh_cosh_sinh": partial(unruh_cosh_sinh, 1.0),
     "spectral_integrals": partial(spectral_integrals, make_wavepacket(1.0, 0.05)),
+    "displaced_variance": partial(displaced_variance, wp=make_wavepacket(1.0, 0.05)),
+    "squeezed_variance": partial(squeezed_variance, wp=make_wavepacket(1.0, 0.05), r_s=0.5, phi=0.3),
 }
 
 
