@@ -74,6 +74,7 @@ from .teleportation import (
     displaced_variance,
     inertial_teleport_output,
     squeezed_variance,
+    variance_from_integrals,
 )
 
 log = logging.getLogger("rindler_teleport.cli")
@@ -328,10 +329,9 @@ def cmd_fig4(cfg: SweepConfig) -> int:
 def cmd_fig5(cfg: SweepConfig) -> int:
     a_grid = cfg.a_grid()
     ints = spectral_integrals(make_wavepacket(cfg.omega0, cfg.sigma), a_grid)
-    with np.errstate(over="ignore"):  # i_c + i_s may pass the float range: an overflow row
-        thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
-    d0, d90 = delta_extremes(cfg.r_s, ints.i_c)
-    cells = _grid_cells(thermal, d0, d90, thermal + d0, thermal + d90)
+    rep = variance_from_integrals(ints.i_c, ints.i_s, ints.i_cs, cfg.r_s, 0.0)
+    _, d90 = delta_extremes(cfg.r_s, ints.i_c)  # the exact minimum, not Delta at a float pi/2
+    cells = _grid_cells(rep.thermal_noise, rep.qnl_or_decoherence, d90, rep.total, rep.thermal_noise + d90)
     rows = [[a, *row] for a, row in zip(a_grid.tolist(), cells)]
 
     meta = {"omega0": cfg.omega0, "sigma": cfg.sigma, "r_s": cfg.r_s}
@@ -350,13 +350,13 @@ def _sweep_rows(cfg: SweepConfig) -> list[list]:
     r_omega = squeeze_param(cfg.omega0, a_grid)
     wp = None
     if cfg.scenario == "inertial":
-        excess = 2.0 * np.exp(-2.0 * r_omega)
-        total = 1.0 + excess
-        cells = _grid_cells(total, excess, np.ones_like(total), total * total)
+        # no amplification (i_c, i_s) = (1, 0); the resource's i_cs = e^(-2 r_omega)
+        i_cs = np.exp(-2.0 * r_omega)
+        rep = variance_from_integrals(np.ones_like(i_cs), 0.0, i_cs, 0.0, 0.0)
     else:
         wp = make_wavepacket(cfg.omega0, cfg.sigma)
         rep = squeezed_variance(a_grid, wp, cfg.r_s or 0.0, cfg.phi or 0.0)
-        cells = _grid_cells(rep.total, rep.thermal_noise, rep.qnl_or_decoherence, rep.purity_product)
+    cells = _grid_cells(rep.total, rep.thermal_noise, rep.qnl_or_decoherence, rep.purity_product)
 
     statuses = [values.pop() for values in cells]
     deviations = [None] * len(cells)

@@ -327,8 +327,7 @@ def _integrals_on_edges(edges: np.ndarray, wp: WavepacketSpec, accel: np.ndarray
     grid = _panel_nodes(edges)
     w = grid[:, 0]
     q = grid[:, 1]
-    envelope = np.exp(-((w - wp.omega0) ** 2) / (4.0 * wp.sigma**2))
-    intensity = envelope**2
+    intensity = wp.envelope(w) ** 2
     norm = q @ intensity
     pw = math.pi * w
     out = np.empty((accel.size, 3))

@@ -11,15 +11,16 @@ With the teleported quadrature measured against a bright local-oscillator
 copy of the wavepacket (self-referencing homodyne), its variance splits
 exactly into
 
-    total = thermal_noise + qnl_or_decoherence
+    total = thermal_noise + qnl_or_decoherence = 2 i_cs (i_c + i_s) + Delta(phi),
 
-where the thermal term 2 * i_cs * (i_c + i_s) collects the contributions of
-the modes on the far side of the horizon, and the second term is the
-phase-dependent decoherence function Delta(phi) of a squeezed payload.  A
-coherent-state payload is the r_s = 0 member of that family, where
-Delta(phi) = 1 is the quantum-noise limit.  Input states are pure, so any
-variance product above 1 diagnoses decoherence inherited from the
-acceleration.
+all in :func:`variance_from_integrals`.  In the thermal term, i_cs is the
+noise reduction bought by the vacuum-entangled resource and i_c + i_s the
+Unruh amplification that limits it; the inertial teleporter is the member
+(i_c, i_s, i_cs) = (1, 0, e^(-2 r_w)) and the narrowband packet the member
+(cosh^2 r0, sinh^2 r0, e^(-2 r0)).  Delta(phi) is the decoherence function
+of a squeezed payload; a coherent payload is its r_s = 0 member, Delta = 1,
+the quantum-noise limit.  Input states are pure, so any variance product
+above 1 diagnoses decoherence inherited from the acceleration.
 
 All formulas here are strong-amplification limits; the discretized circuit
 oracle cross-checks them at large finite gain.  Quadrature convention:
@@ -61,6 +62,7 @@ __all__ = [
     "inertial_teleport_output",
     "narrowband_variance",
     "squeezed_variance",
+    "variance_from_integrals",
 ]
 
 
@@ -91,7 +93,8 @@ def displaced_variance(a: float | np.ndarray, wp: WavepacketSpec) -> VarianceRep
     2 i_cs (i_c + i_s) + 1 at every phase.  ``a`` is a scalar or a 1-D array
     (see :func:`spectral_integrals`).
     """
-    return _payload_report(a, wp, 0.0, 0.0)
+    ints = spectral_integrals(wp, a)
+    return variance_from_integrals(ints.i_c, ints.i_s, ints.i_cs, 0.0, 0.0)
 
 
 def narrowband_variance(omega0: float, a: float) -> float:
@@ -176,15 +179,23 @@ def squeezed_variance(
     the extremal phases 0 and pi/2 (:func:`delta_extremes`).  ``a`` is a
     scalar or a 1-D array (see :func:`spectral_integrals`).
     """
-    return _payload_report(a, wp, r_s, phi)
-
-
-def _payload_report(a: float | np.ndarray, wp: WavepacketSpec, r_s: float, phi: float) -> VarianceReport:
-    """Body of both reports; neither public name calls the other, as the benchmark traces both."""
     ints = spectral_integrals(wp, a)
-    dec, d0, d90 = _delta_terms(r_s, ints.i_c, phi)
+    return variance_from_integrals(ints.i_c, ints.i_s, ints.i_cs, r_s, phi)
+
+
+def variance_from_integrals(
+    i_c: float | np.ndarray, i_s: float | np.ndarray, i_cs: float | np.ndarray, r_s: float, phi: float
+) -> VarianceReport:
+    """Delta(phi) + 2 i_cs (i_c + i_s), the report at phase phi from the spectral integrals.
+
+    i_cs is the resource's noise reduction, i_c + i_s (i_c >= 1) the Unruh amplification
+    that limits it.  The inertial teleporter is the member (1, 0, e^(-2 r_w)), the narrowband
+    packet (cosh^2 r0, sinh^2 r0, e^(-2 r0)).  A value past the float range is inf.  Both
+    payload reports read this; neither calls the other, as the benchmark traces both.
+    """
+    dec, d0, d90 = _delta_terms(r_s, i_c, phi)
     with np.errstate(over="ignore"):  # as in _delta_terms; i_c + i_s may pass the float range
-        thermal = 2.0 * ints.i_cs * (ints.i_c + ints.i_s)
+        thermal = 2.0 * i_cs * (i_c + i_s)
         purity_product = (thermal + d0) * (thermal + d90)
     return VarianceReport(
         total=thermal + dec,

@@ -30,9 +30,14 @@ def read_report_csv(path):
 
 
 def fresh_process_env() -> dict:
-    """The environment of a fresh interpreter that imports this package."""
+    """The environment of a fresh interpreter that imports this package, in
+    which a RuntimeWarning is an error, as it is in this test run."""
     src = str(Path(rindler_teleport.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "PYTHONWARNINGS": "error::RuntimeWarning",
+    }
 
 
 def faulty_sh_rewrite(monkeypatch, faulty_a):

@@ -1,7 +1,9 @@
 """End-to-end drive of the command-line interface via ``main(argv)``."""
 
 import argparse
+import ast
 import csv
+import inspect
 import io
 import logging
 import math
@@ -13,7 +15,15 @@ import pytest
 from conftest import faulty_sh_rewrite, fresh_process_env, read_report_csv
 
 import rindler_teleport
-from rindler_teleport import build_displaced_circuit, cli, spectral, squeeze_param
+from rindler_teleport import (
+    build_displaced_circuit,
+    cli,
+    delta_extremes,
+    make_wavepacket,
+    spectral,
+    squeeze_param,
+    variance_from_integrals,
+)
 from rindler_teleport.cli import ENV_OUTDIR, main
 
 
@@ -189,14 +199,27 @@ class TestOverflowRows:
             assert row[9] == "inf"  # purity_product
             assert row[10] == ""  # no oracle run on an overflowed row
 
-    def test_fig5_minimum_is_exact(self, tmp_path):
+    def test_fig5_minimum_is_exact(self, tmp_path, monkeypatch):
         # Delta(pi/2) is the minimum M ~ e^(-2 r_s), with no cos(pi/2) leak
-        # of the e^(2 r_s) spread.
+        # of the e^(2 r_s) spread.  Every column is the closed route's kernel
+        # at phi = 0 plus that minimum, bit for bit, also on overflow rows.
+        honest, written = cli._write_csv, []
+        monkeypatch.setattr(cli, "_write_csv", lambda *args: written.append(args[-1]) or honest(*args))
         out = tmp_path / "rs40.csv"
         assert main(["fig5", "--rs", "40", "--a-steps", "5", "--out", str(out)]) == 0
         _, _, rows = read_report_csv(out)
         assert float(rows[0][0]) == 0.05
         assert float(rows[0][3]) < 1e-30
+        assert main(["fig5", "--rs", "354", "--a-steps", "5", "--out", str(out)]) == 0
+        a = cli.SweepConfig(a_steps=5).a_grid()
+        ints = spectral.spectral_integrals(make_wavepacket(1.0, 0.01), a)
+        for r_s, rows in zip((40.0, 354.0), written):
+            rep = variance_from_integrals(ints.i_c, ints.i_s, ints.i_cs, r_s, 0.0)
+            d0, d90 = delta_extremes(r_s, ints.i_c)
+            assert rep.qnl_or_decoherence.tobytes() == d0.tobytes()
+            columns = (a, rep.thermal_noise, d0, d90, rep.total, rep.thermal_noise + d90)
+            assert [row[:-1] for row in rows] == np.transpose(columns).tolist(), r_s
+        assert written[1][-1][-1] == "overflow"
 
     def test_oracle_runs_on_every_finite_row_near_the_float_range(self, tmp_path):
         # The oracle's own r_s bound, (ln f_max - 3 ln(i_c + i_s))/2, lies
@@ -605,10 +628,11 @@ class TestParserReuse:
         assert main(["fig5", "--rs", "0.9", "--omega0", "2", "--out", str(tmp_path / "earlier.csv")]) == 0
         assert main(["fig5", "--out", str(tmp_path / "later.csv")]) == 0
         fresh = tmp_path / "fresh.csv"
-        subprocess.run(
+        proc = subprocess.run(
             [sys.executable, "-m", "rindler_teleport.cli", "fig5", "--out", str(fresh)],
             env=fresh_process_env(), capture_output=True, check=True,
         )
+        assert proc.stderr == b""
         assert (tmp_path / "later.csv").read_bytes() == fresh.read_bytes()
         assert (tmp_path / "earlier.csv").read_bytes() != fresh.read_bytes()
 
@@ -703,3 +727,20 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=fresh_process_env(), capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+    assert proc.stderr == ""
+
+
+def test_cli_does_no_arithmetic_on_the_spectral_integrals():
+    # The thermal term and the inertial law are written once, in
+    # teleportation.variance_from_integrals.  The one function of cli.py that
+    # computes with i_c, i_s or i_cs is the verify suite checking their own
+    # identity i_c - i_s = 1.
+    fields = {"i_c", "i_s", "i_cs"}
+    users = set()
+    for stmt in ast.parse(inspect.getsource(cli)).body:
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.BinOp, ast.UnaryOp, ast.AugAssign)):
+                operands = [getattr(node, part, None) for part in ("left", "right", "operand", "target", "value")]
+                if {getattr(o, "attr", getattr(o, "id", None)) for o in operands} & fields:
+                    users.add(getattr(stmt, "name", ast.unparse(stmt)[:40]))
+    assert users == {"_suite_spectral"}

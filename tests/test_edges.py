@@ -84,6 +84,17 @@ def test_runtime_paths_without_scipy(tmp_path):
     env = {**fresh_process_env(), ENV_OUTDIR: str(tmp_path)}
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_a_fresh_interpreter_fails_on_a_runtime_warning():
+    # A child's NumPy warning stops it with a non-zero exit, as a warning
+    # fails a test in this run, so a check that reads only a child's exit
+    # status also sees a warning.
+    code = "import numpy; numpy.float64(1e308) * 10.0"
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_process_env(), capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "RuntimeWarning: overflow" in proc.stderr, proc.stderr
 
 
 class TestOracleSweeps:
@@ -159,6 +170,7 @@ def test_outputs_do_not_depend_on_the_process(tmp_path):
         for proc in (first, second):
             _, stderr = proc.communicate()
             assert proc.returncode == 0, stderr
+            assert stderr == ""
     for name in names:
         written = (tmp_path / "1" / name).read_bytes()
         assert written == (tmp_path / "2" / name).read_bytes(), name

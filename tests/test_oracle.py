@@ -38,6 +38,7 @@ from rindler_teleport import (
     photon_number_variance_lo,
     spectral_integrals,
     squeezed_variance,
+    variance_from_integrals,
     wick_expectation,
 )
 from rindler_teleport.cli import VERIFY_ORACLE_TOL
@@ -1119,6 +1120,7 @@ _PHASE_CALLS = {
     "appendix_expectations": lambda circ, wp, phi: appendix_expectations(circ, 10, 12, phi=phi),
     "squeezed_variance": lambda circ, wp, phi: squeezed_variance(1.0, wp, 0.4, phi),
     "delta_decoherence": lambda circ, wp, phi: delta_decoherence(0.4, 1.2, phi),
+    "variance_from_integrals": lambda circ, wp, phi: variance_from_integrals(1.2, 0.2, 0.5, 0.4, phi),
     "quadrature_variance": lambda circ, wp, phi: quadrature_variance(
         annihilator(ModeLabel(Sector.AUX, Chirality.LEFT, 0)), phi),
     "fock_check_inertial": lambda circ, wp, phi: fock_check_inertial(0.5, 0.5, phi=phi, strict=False),

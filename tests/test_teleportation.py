@@ -23,6 +23,8 @@ from rindler_teleport import (
     spectral,
     squeeze_param,
     squeezed_variance,
+    unruh_cosh_sinh,
+    variance_from_integrals,
 )
 
 A_IN = ModeLabel(Sector.AUX, Chirality.LEFT, 0)
@@ -46,6 +48,15 @@ class TestNarrowband:
             assert narrowband_variance(1.0, a) == pytest.approx(
                 2.0 + math.exp(-4.0 * r0), rel=1e-14
             )
+
+    def test_is_the_kernel_at_the_carrier(self):
+        # The sigma -> 0 member of the closed route: (i_c, i_s, i_cs) =
+        # (cosh^2 r0, sinh^2 r0, e^(-2 r0)) at the carrier.
+        a = np.logspace(-3, 6, 400)
+        ch, sh = unruh_cosh_sinh(1.0, a)
+        rep = variance_from_integrals(ch * ch, sh * sh, np.exp(-2.0 * squeeze_param(1.0, a)), 0.0, 0.0)
+        expected = [narrowband_variance(1.0, x) for x in a.tolist()]
+        np.testing.assert_allclose(rep.total, expected, rtol=2e-15, atol=0.0)
 
 
 class TestDisplacedVariance:
@@ -343,6 +354,18 @@ class TestInertialProtocol:
         for phi in (0.0, 0.9, math.pi / 2):
             assert quadrature_variance(out, phi) == pytest.approx(expected, rel=1e-12)
         assert quadrature_variance(out, 0.0) == pytest.approx(1.0049575043533325, rel=1e-14)
+
+    def test_kernel_reads_the_inertial_law_bit_for_bit(self):
+        # (i_c, i_s, i_cs) = (1, 0, e^(-2 r_omega)): the resource without the
+        # Unruh amplification, from both float ends of a.
+        r = squeeze_param(1.0, np.array([5e-324, 1e-300, 0.3, 1.0, 7.0, 1e6, 1e300, 1.79e308]))
+        assert r[0] == 0.0 and r[-1] > 354.0
+        i_cs = np.exp(-2.0 * r)
+        rep = variance_from_integrals(np.ones_like(i_cs), 0.0, i_cs, 0.0, 0.0)
+        law = 1.0 + 2.0 * np.exp(-2.0 * r)
+        expected = (law, 2.0 * np.exp(-2.0 * r), np.ones_like(r), law * law)
+        for field, value in zip(TestAccelerationGrid.FIELDS, expected):
+            assert np.asarray(getattr(rep, field)).tobytes() == value.tobytes(), field
 
     def test_perfect_resource_restores_qnl(self):
         out = inertial_teleport_output(math.inf, 30.0)
