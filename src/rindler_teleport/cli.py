@@ -315,8 +315,8 @@ def cmd_fig4(cfg: SweepConfig) -> int:
     rows = [row for rows in _parallel(curve, curves) for row in rows]
 
     meta = {
-        "omega0_curves": ",".join("%.12g" % w for w in curves),
-        "sigma_rule": "%.12g" % cfg.sigma if cfg.sigma is not None else "0.01*omega0",
+        "omega0_curves": ",".join(map(_fmt, curves)),
+        "sigma_rule": _fmt(cfg.sigma) if cfg.sigma is not None else "0.01*omega0",
     }
     header = ["omega0", "a", "variance_total", "thermal", "qnl", "status"]
     return _write_csv(cfg, "fig4", FIG4_FILENAME, meta, header, rows)
@@ -363,9 +363,12 @@ def _sweep_rows(cfg: SweepConfig) -> list[list]:
     if wp is not None and cfg.oracle:
         ok = [k for k, status in enumerate(statuses) if status == "ok"]
         if ok:
-            checked = _oracle_deviations(cfg, wp, a_grid[ok], np.array([cells[k][0] for k in ok]))
-            for k, (deviation, status) in zip(ok, checked):
-                deviations[k], statuses[k] = deviation, status
+            circ = build_squeezed_circuit(a_grid[ok], wp, cfg.bins, r_s=cfg.r_s or 0.0)
+            # The oracle's uniform bins cannot resolve a clipped packet's 1/omega
+            # tail, which the closed form integrates: its deviations are kept, unresolved.
+            resolved = "oracle-unresolved" if wp.clipped else "ok"
+            for k, d in zip(ok, _oracle_deviation(circ, rep.total[ok], cfg.phi or 0.0).tolist()):
+                deviations[k], statuses[k] = d, "oracle-no-convergence" if math.isnan(d) else resolved
     return [
         [a, cfg.omega0, cfg.sigma, cfg.r_s, cfg.phi, r, *values, deviation, status]
         for a, r, values, deviation, status in zip(
@@ -374,20 +377,11 @@ def _sweep_rows(cfg: SweepConfig) -> list[list]:
     ]
 
 
-def _oracle_deviations(cfg: SweepConfig, wp, a: np.ndarray, closed_total: np.ndarray) -> list[tuple]:
-    """(relative |oracle - closed|, status) per sweep row, from one circuit
-    built over the rows' accelerations.
-
-    A row whose circuit failed a consistency check is NaN with the status
-    ``oracle-no-convergence``.  A clipped wavepacket's deviation is kept but
-    marked ``oracle-unresolved``: its uniform bins cannot resolve the
-    1/omega tail the closed form integrates.
-    """
-    circ = build_squeezed_circuit(a, wp, cfg.bins, r_s=cfg.r_s or 0.0)
-    total = photon_number_variance_lo(circ, cfg.phi or 0.0).total
-    deviation = np.abs(total - closed_total) / np.abs(closed_total)
-    resolved = "oracle-unresolved" if wp.clipped else "ok"
-    return [(d, "oracle-no-convergence" if math.isnan(d) else resolved) for d in deviation.tolist()]
+def _oracle_deviation(circ, closed_total: np.ndarray, phi: float) -> np.ndarray:
+    """|oracle - closed| / |closed| per circuit row at LO phase ``phi``, NaN
+    on a row that failed the audit or the additivity check: the one
+    comparison of the two routes, for ``sweep --oracle`` and ``verify``."""
+    return np.abs(photon_number_variance_lo(circ, phi).total - closed_total) / np.abs(closed_total)
 
 
 def cmd_sweep(cfg: SweepConfig) -> int:
@@ -443,14 +437,12 @@ def _suite_spectral() -> SuiteResult:
 
 
 def _suite_inertial_coefficients() -> SuiteResult:
-    label_in = ModeLabel(Sector.AUX, Chirality.LEFT, 0)
-    label_v1 = ModeLabel(Sector.AUX, Chirality.LEFT, 1)
-    label_v2 = ModeLabel(Sector.AUX, Chirality.LEFT, 2)
+    label_in, label_v1, label_v2 = (ModeLabel(Sector.AUX, Chirality.LEFT, i) for i in range(3))
     deviations = []
     points = [(2.0, 0.7), (0.9, 0.0), (math.inf, 0.3)]
     for r, r_w in points:
         out = inertial_teleport_output(r, r_w)
-        t = 1.0 if math.isinf(r) else math.tanh(r)
+        t = math.tanh(r)  # exactly 1.0 at r = inf
         residual = math.exp(-r_w)
         deviations += [
             abs(out.coefficient(label_in) - 1.0),
@@ -490,13 +482,13 @@ def _suite_appendix(cfg: SweepConfig, circuit) -> SuiteResult:
 
 def _suite_oracle_agreement(cfg: SweepConfig, wp, circuit) -> SuiteResult:
     accelerations = np.array(VERIFY_ACCELERATIONS)
+    ints = spectral_integrals(wp, accelerations)
     deviations = []
     for r_s, phases in VERIFY_PAYLOADS:
         circ = circuit(r_s)
         for phi in phases:
-            closed = squeezed_variance(accelerations, wp, r_s, phi).total
-            rep = photon_number_variance_lo(circ, phi)
-            deviations.append(np.abs(rep.total - closed) / closed)  # NaN on a failed row
+            closed = variance_from_integrals(ints.i_c, ints.i_s, ints.i_cs, r_s, phi).total
+            deviations.append(_oracle_deviation(circ, closed, phi))
     return SuiteResult(
         "oracle-vs-closed-form", float(np.max(deviations)), VERIFY_ORACLE_TOL,
         f"{len(accelerations) * len(VERIFY_PAYLOADS)} lattice points at N={cfg.bins} "

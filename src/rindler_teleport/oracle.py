@@ -983,7 +983,8 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
     series = math.tanh(r) ** tables.gap * tables.inv_gap_fact  # E[v, w]
     x = (1.0 / math.cosh(r)) ** tables.exponent * tables.signed_inv_root2  # [d, w]
     # One buffer for the large arrays, each part reused once spent: the left
-    # factor, then the state; the sectors, then the rotation; the rotated state.
+    # factor, then the state; the sectors, then the rotation; the gather
+    # indices, then the rotated state.
     work = np.empty((3 * m + 2, m, m))
     left, sectors, wrapped = work[:m], work[m : 2 * m], work[2 * m :]
     np.multiply(series, x[:, None, :], out=left)
@@ -1001,8 +1002,10 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
     factor = powers[tables.shift] * (pair * tables.column)  # [d + m - 1, n2]
     factor *= tables.mirror_sign[:, None]
     # Every index is in range: "clip" lets take fill its output unbuffered.
-    state = np.take(sectors, tables.amplitude_base + tables.block_n2, out=left, mode="clip")
-    state *= np.take(factor, tables.factor_base + tables.block_n2, out=sectors, mode="clip")
+    # Each index is summed into the rotated state's slab, unwritten until then.
+    index = wrapped[:m].view(np.intp)  # m³ 8-byte cells: np.add refuses any other shape
+    state = np.take(sectors, np.add(tables.amplitude_base, tables.block_n2, out=index), out=left, mode="clip")
+    state *= np.take(factor, np.add(tables.factor_base, tables.block_n2, out=index), out=sectors, mode="clip")
 
     # exp(theta G_t) on (even, odd) rows, from Y = P diag(sigma) Q^T:
     # [[1 + P c P^T, P s Q^T], [-Q s P^T, 1 + Q c Q^T]] where

@@ -22,6 +22,7 @@ from rindler_teleport import (
     make_wavepacket,
     spectral,
     squeeze_param,
+    teleportation,
     variance_from_integrals,
 )
 from rindler_teleport.cli import ENV_OUTDIR, main
@@ -498,6 +499,27 @@ class TestVerify:
         assert main(["verify", "--bins", "32", "--out", str(tmp_path / "r.txt")]) == 0
         assert calls == [([0.3, 1.0, 3.0], 0.0), ([0.3, 1.0, 3.0], 0.4)]
 
+    def test_agreement_suite_integrates_its_packet_once(self, monkeypatch):
+        # Every (r_s, phi) of the oracle suite reads one set of spectral
+        # integrals over its lattice, through either module's binding.
+        honest = spectral.spectral_integrals
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return honest(*args, **kwargs)
+
+        wp = make_wavepacket(1.0, 0.05)
+        circuits = {
+            r_s: cli.build_squeezed_circuit(np.array(cli.VERIFY_ACCELERATIONS), wp, 32, r_s=r_s)
+            for r_s, _ in cli.VERIFY_PAYLOADS
+        }
+        for module in (cli, teleportation):
+            monkeypatch.setattr(module, "spectral_integrals", counted)
+        suite = cli._suite_oracle_agreement(cli.SweepConfig(bins=32), wp, circuits.__getitem__)
+        assert suite.passed
+        assert len(calls) == 1
+
     @pytest.mark.usefixtures("spectra_never_settle")
     def test_unsettled_rows_fail_their_suites(self, tmp_path):
         # Spectral integrals that never settle are NaN rows; the suites that
@@ -744,3 +766,18 @@ def test_cli_does_no_arithmetic_on_the_spectral_integrals():
                 if {getattr(o, "attr", getattr(o, "id", None)) for o in operands} & fields:
                     users.add(getattr(stmt, "name", ast.unparse(stmt)[:40]))
     assert users == {"_suite_spectral"}
+
+
+def test_cli_compares_the_routes_in_one_place():
+    # sweep --oracle and verify judge the oracle against the closed route
+    # through _oracle_deviation alone, and only the sweep reads a packet's
+    # closed variance through squeezed_variance (verify integrates its packet
+    # once and reads each payload from those integrals).
+    callers = {"photon_number_variance_lo": set(), "squeezed_variance": set()}
+    for stmt in ast.parse(inspect.getsource(cli)).body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in callers:
+                    callers[name].add(stmt.name)
+    assert callers == {"photon_number_variance_lo": {"_oracle_deviation"}, "squeezed_variance": {"_sweep_rows"}}

@@ -1034,6 +1034,21 @@ class TestFockProtocolCheck:
             assert _fock_window.cache_info().currsize <= maxsize
         assert _fock_window.cache_info().currsize == maxsize
 
+    def test_peak_memory_of_a_window(self):
+        # One uncached window at cutoff 63 with its tables warm: one buffer
+        # of 3m + 2 (m, m) slabs, the gather indices summed into an unwritten one.
+        import tracemalloc
+
+        _fock_window(0.5, 0.4, 0.3, 63)
+        _fock_window.cache_clear()
+        tracemalloc.start()
+        try:
+            _fock_window(0.5, 0.4, 0.3, 63)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * 2**20
+
     def test_lost_mass_shrinks_as_window_grows(self):
         reports = [
             fock_check_inertial(0.9, 0.7, cutoff=c, beta=0.3 - 0.2j, phi=1.1, strict=False)
