@@ -725,7 +725,6 @@ def contraction_table(
 
     outputs = _RankOneOutputs(*_w_rows(circ), (circ.g * circ.ch)[None], (circ.g * circ.sh)[None])
     (table,) = _bilinear_at(outputs.terms(_TABLE_TERMS), w, y)
-    pair = {f"{_KINDS[a]} {_KINDS[b]}": row for a, b, row in zip(*_TABLE_TERMS[:2], table)}
 
     # Quartic assembly: with x = x~ + D (D the LO shift at |alpha| = 1), the
     # |alpha|^2 part of the connected <x_w† x_w z_y† z_y> is the covariance
@@ -740,10 +739,10 @@ def contraction_table(
     def quartic(a: str, b: str) -> np.ndarray:
         dw, dy = shift[a][w], shift[b][y]
         return (
-            dw.conjugate() * dy.conjugate() * pair[f"{a} {b}"]
-            + dw.conjugate() * dy * pair[f"{a} {b}†"]
-            + dw * dy.conjugate() * pair[f"{a}† {b}"]
-            + dw * dy * pair[f"{a}† {b}†"]
+            dw.conjugate() * dy.conjugate() * rows[f"{a} {b}"].numeric
+            + dw.conjugate() * dy * rows[f"{a} {b}†"].numeric
+            + dw * dy.conjugate() * rows[f"{a}† {b}"].numeric
+            + dw * dy * rows[f"{a}† {b}†"].numeric
         )
 
     delta_wg = (w == y).astype(float)
@@ -761,38 +760,35 @@ def contraction_table(
     psi_cc = ss * ((cs - 1.0) * (i_c + i_s) + 1.0)
     psi_dd = ss * ((cs - 1.0) * (i_c + i_s) - 1.0)
     gamma_cd = (cs - 1.0) * ss * (i_c + i_s)
+    # K's cross-family entries, sign included
+    gamma_x = -gamma_cd  # c d†, c† d, d c†, d† c
+    phib_xc = -(phib_cc - (cs - 1.0))  # c d, d† c†
+    phib_xd = -(phib_dd + (cs - 1.0))  # d c, c† d†
 
-    A_cc = g[w] * g[y] * ch[w] * ch[y]
-    A_dd = g[w] * g[y] * sh[w] * sh[y]
-    A_cd = g[w] * g[y] * ch[w] * sh[y]
-    A_dc = g[w] * g[y] * sh[w] * ch[y]
+    # Pair (x, y) is block[family x][family y] K[x][y], plus δ_wg for c c†
+    # and d d†: the family blocks are g_w g_y u_w v_y with u, v = ch for the
+    # c kinds and sh for the d kinds, and K (``coefficient``) runs over
+    # _KINDS both ways.
+    block = [[g[w] * g[y] * u[w] * v[y] for v in (ch, sh)] for u in (ch, sh)]
+    coefficient = (
+        (psi_cc, phib_cc, phib_xc, gamma_x),
+        (phi_cc, psi_cc, gamma_x, phib_xd),
+        (phib_xd, gamma_x, psi_dd, phib_dd),
+        (gamma_x, phib_xc, phi_dd, psi_dd),
+    )
+    rows = {}
+    for kx, ky, numeric in zip(*_TABLE_TERMS[:2], table):
+        name = f"{_KINDS[kx]} {_KINDS[ky]}"
+        closed = block[_FAMILY[kx]][_FAMILY[ky]] * coefficient[kx][ky]
+        rows[name] = _row(name, numeric, closed + delta_wg if name in ("c c†", "d d†") else closed)
 
     cos2 = math.cos(2.0 * phi)
     cross = phib_cc + phib_dd + 2.0 * cos2 * gamma_cd
-    closed = {
-        "c c": A_cc * psi_cc,
-        "c† c†": A_cc * psi_cc,
-        "c c†": delta_wg + A_cc * phib_cc,
-        "c† c": A_cc * phi_cc,
-        "d d": A_dd * psi_dd,
-        "d† d†": A_dd * psi_dd,
-        "d d†": delta_wg + A_dd * phib_dd,
-        "d† d": A_dd * phi_dd,
-        "c d": -A_cd * (phib_cc - (cs - 1.0)),
-        "c† d†": -A_cd * (phib_dd + (cs - 1.0)),
-        "d c": -A_dc * (phib_dd + (cs - 1.0)),
-        "d† c†": -A_dc * (phib_cc - (cs - 1.0)),
-        "c d†": -A_cd * gamma_cd,
-        "c† d": -A_cd * gamma_cd,
-        "d c†": -A_dc * gamma_cd,
-        "d† c": -A_dc * gamma_cd,
-    }
-    rows = {name: _row(name, pair[name], value) for name, value in closed.items()}
     for a, b, value in (
-        ("c", "c", delta_wg * A_cc + A_cc**2 * (phi_cc + phib_cc + 2.0 * cos2 * psi_cc)),
-        ("d", "d", delta_wg * A_dd + A_dd**2 * (phi_dd + phib_dd + 2.0 * cos2 * psi_dd)),
-        ("c", "d", A_cd**2 * cross),
-        ("d", "c", A_dc**2 * cross),
+        ("c", "c", delta_wg * block[0][0] + block[0][0] ** 2 * (phi_cc + phib_cc + 2.0 * cos2 * psi_cc)),
+        ("d", "d", delta_wg * block[1][1] + block[1][1] ** 2 * (phi_dd + phib_dd + 2.0 * cos2 * psi_dd)),
+        ("c", "d", block[0][1] ** 2 * cross),
+        ("d", "c", block[1][0] ** 2 * cross),
     ):
         name = f"n_{a} n_{b} |α|²"
         rows[name] = _row(name, quartic(a, b), value)

@@ -86,7 +86,7 @@ def _frequencies(omega) -> np.ndarray:
     if not np.all(np.isfinite(w)):
         raise ValueError(f"frequency omega must be finite, got {omega}")
     if np.any(w <= 0):
-        raise ValueError("frequencies must be strictly positive")
+        raise ValueError(f"frequency omega must be positive, got {omega}")
     return w
 
 

@@ -261,6 +261,11 @@ class TestWickEngine:
         with pytest.raises(ValueError):
             wick_expectation([b4, b4.dagger()])
 
+    @pytest.mark.parametrize("length", [0, 3, 5])
+    def test_other_product_lengths_are_refused(self, length):
+        with pytest.raises(ValueError, match=f"supports products of length 1, 2 or 4, got {length}$"):
+            wick_expectation([aux(0)] * length)
+
     def test_every_vacuum_statistic_rejects_region_sectors(self):
         # A region mode is found alone and between vacuum sectors in register
         # order (unruh_c before the regions, aux after them); a rewritten one
@@ -608,6 +613,11 @@ class TestRegionMapSequence:
         with pytest.raises(ValueError, match=f"^acceleration a must be {message}$"):
             rindler_to_unruh(annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0)), a, self.CENTERS)
 
+    @pytest.mark.parametrize("grid", [np.array([]), [], np.ones((2, 2))], ids=["empty", "empty list", "2-D"])
+    def test_grid_must_be_a_non_empty_line(self, grid):
+        with pytest.raises(ValueError, match="^grid must be a non-empty 1-D array of bin frequencies$"):
+            rindler_to_unruh(annihilator(ModeLabel(Sector.RINDLER_IV, Chirality.LEFT, 0)), 1.0, grid)
+
     def test_empty_accelerations_give_empty_rows(self):
         exprs = self.mixed_exprs(self.register())
         batches = rindler_to_unruh(exprs, np.array([]), self.CENTERS)
@@ -654,6 +664,12 @@ class TestRegisters:
                 assert np.array_equal(reg.slots(sector, chirality), expected)
                 assert [reg.labels[k].bin for k in reg.slots(sector, chirality)] == family
                 assert ModeRegister().slots(sector, chirality).shape == (0,)
+
+    @pytest.mark.parametrize("bin_", [10**12, 2**39, -(2**39) - 1])
+    def test_a_bin_outside_the_key_range_is_named(self, bin_):
+        label = ModeLabel(Sector.AUX, Chirality.LEFT, bin_)
+        with pytest.raises(ValueError, match=re.escape(f"mode bin of {label!r} outside [-{2**39}, {2**39})")):
+            annihilator(label)
 
     def test_mixed_sum(self):
         e1, e2 = self.mixed_pair()

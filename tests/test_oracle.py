@@ -41,7 +41,7 @@ from rindler_teleport import (
     variance_from_integrals,
     wick_expectation,
 )
-from rindler_teleport.cli import VERIFY_ORACLE_TOL
+from rindler_teleport.cli import MASS_BEARING_FRACTION, VERIFY_ORACLE_TOL
 from rindler_teleport.mode_algebra import (
     annihilator,
     pair_contraction,
@@ -106,6 +106,11 @@ class TestCircuitBuild:
     def test_too_few_bins_rejected(self, wp_standard):
         with pytest.raises(ValueError):
             build_displaced_circuit(1.0, wp_standard, 2)
+
+    @pytest.mark.parametrize("r_s", [-0.1, -math.inf, math.nan, math.inf], ids=repr)
+    def test_bad_payload_squeezing_rejected(self, wp_standard, r_s):
+        with pytest.raises(ValueError, match=f"^payload squeezing must be finite and non-negative, got {r_s}$"):
+            build_squeezed_circuit(1.0, wp_standard, 16, r_s=r_s)
 
     @pytest.mark.parametrize("grid", [64.7, "16", True, np.linspace(0.7, 1.3, 16)], ids=repr)
     def test_grid_must_be_a_bin_count(self, wp_standard, grid):
@@ -706,6 +711,31 @@ class TestContractionTable:
         quartic = [name for name in rows if "|α|²" in name]
         assert len(quartic) == 4
 
+    def test_row_order(self, circ_displaced):
+        # The pairs in kind order (c, c†, d, d†), x-major, then the quartic
+        # rows.  Pairs with one closed form keep their relative order (c c
+        # before c† c†, c d before d† c†, c† d† before d c, ...), so a reader
+        # that names the first row with the largest deviation names the same row.
+        kinds = ("c", "c†", "d", "d†")
+        pairs = [f"{x} {y}" for x in kinds for y in kinds]
+        quartic = [f"n_{a} n_{b} |α|²" for a, b in (("c", "c"), ("d", "d"), ("c", "d"), ("d", "c"))]
+        assert list(appendix_expectations(circ_displaced, 100, 140)) == pairs + quartic
+
+    @pytest.mark.parametrize("r_s", [0.0, 0.4, 1.3, 3.0])
+    @pytest.mark.parametrize("bins", [16, 32, 64, 256])
+    def test_closed_pairs_match_their_entries_bit_for_bit(self, wp_standard, bins, r_s):
+        # The coefficient table over the family blocks is the sixteen
+        # entries written out one by one, to the last bit and in dtype.
+        circ = build_squeezed_circuit(1.0, wp_standard, bins, r_s=r_s)
+        mass = np.flatnonzero(circ.g >= MASS_BEARING_FRACTION * circ.g.max())
+        for w, y in ((mass, mass), ([0, 3, bins - 1], [bins // 2, 1])):
+            reference = _closed_pairs(circ, np.asarray(w)[:, None], np.asarray(y)[None, :])
+            for phi in (0.0, 0.3, 2.0):
+                table = contraction_table(circ, w, y, phi=phi)
+                for name, value in reference.items():
+                    assert table[name].closed.dtype == value.dtype, name
+                    assert np.array_equal(table[name].closed, value), name
+
     def test_displaced_rows_tight(self, circ_displaced):
         for i, j in ((100, 140), (128, 128), (90, 90)):
             for phi in (0.0, 0.3):
@@ -818,6 +848,47 @@ class TestContractionTable:
                 for name, row in one_pair.items():
                     assert row.numeric == table[name].numeric[k, m]
                     assert row.rel_deviation == table[name].rel_deviation[k, m]
+
+
+def _closed_pairs(circ, w, y):
+    """The sixteen closed pair forms at bin arrays ``w`` (a column) and ``y``
+    (a row), each entry written out on its own."""
+    delta_wg = (w == y).astype(float)
+    g, ch, sh = circ.g, circ.ch, circ.sh
+    i_c = float(np.sum(g**2 * ch**2))
+    i_s = float(np.sum(g**2 * sh**2))
+    i_cs = float(np.sum(g**2 * (ch - sh) ** 2))
+    cs = math.cosh(circ.r_s)
+    ss = math.sinh(circ.r_s)
+    phi_cc = (cs - 1.0) ** 2 * i_s + ss**2 * i_c + i_cs
+    phib_cc = 2.0 * (cs - 1.0) + (cs - 1.0) ** 2 * i_c + ss**2 * i_s + i_cs
+    phi_dd = (cs - 1.0) ** 2 * i_c + ss**2 * i_s + i_cs
+    phib_dd = -2.0 * (cs - 1.0) + (cs - 1.0) ** 2 * i_s + ss**2 * i_c + i_cs
+    psi_cc = ss * ((cs - 1.0) * (i_c + i_s) + 1.0)
+    psi_dd = ss * ((cs - 1.0) * (i_c + i_s) - 1.0)
+    gamma_cd = (cs - 1.0) * ss * (i_c + i_s)
+    A_cc = g[w] * g[y] * ch[w] * ch[y]
+    A_dd = g[w] * g[y] * sh[w] * sh[y]
+    A_cd = g[w] * g[y] * ch[w] * sh[y]
+    A_dc = g[w] * g[y] * sh[w] * ch[y]
+    return {
+        "c c": A_cc * psi_cc,
+        "c† c†": A_cc * psi_cc,
+        "c c†": delta_wg + A_cc * phib_cc,
+        "c† c": A_cc * phi_cc,
+        "d d": A_dd * psi_dd,
+        "d† d†": A_dd * psi_dd,
+        "d d†": delta_wg + A_dd * phib_dd,
+        "d† d": A_dd * phi_dd,
+        "c d": -A_cd * (phib_cc - (cs - 1.0)),
+        "c† d†": -A_cd * (phib_dd + (cs - 1.0)),
+        "d c": -A_dc * (phib_dd + (cs - 1.0)),
+        "d† c†": -A_dc * (phib_cc - (cs - 1.0)),
+        "c d†": -A_cd * gamma_cd,
+        "c† d": -A_cd * gamma_cd,
+        "d c†": -A_dc * gamma_cd,
+        "d† c": -A_dc * gamma_cd,
+    }
 
 
 def _centered_outputs(circ, i, alpha):

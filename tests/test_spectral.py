@@ -364,6 +364,12 @@ class TestFrequencyInput:
         with pytest.raises(ValueError, match="frequency omega must be finite"):
             _FREQUENCY_FUNCTIONS[name](omega)
 
+    @pytest.mark.parametrize("name", sorted(_FREQUENCY_FUNCTIONS))
+    @pytest.mark.parametrize("omega", [0.0, -1.0, np.array([1.0, 0.0])])
+    def test_non_positive_rejected_by_name(self, name, omega):
+        with pytest.raises(ValueError, match=f"^frequency omega must be positive, got {re.escape(str(omega))}$"):
+            _FREQUENCY_FUNCTIONS[name](omega)
+
 
 class TestLargeFrequency:
     """Above about 5.7e307 pi*omega alone passes the float range, although
