@@ -572,10 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` builds on its first call and reuses after it."""
-    return build_parser()
+#: The parser ``main`` builds on its first call and reuses after it.
+_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def main(argv=None) -> int:

@@ -167,10 +167,8 @@ def _family(sector: Sector, chirality: Chirality) -> int:
 
 
 def _grid_keys(families, bins) -> np.ndarray:
-    """Keys of each family code at each bin, family by family (sorted when both inputs are)."""
+    """Keys of each family code at each in-range bin, family by family (sorted when both inputs are)."""
     bins = np.asarray(bins, dtype=np.int64)
-    if bins.size and (bins.min() < -_BIN_OFFSET or bins.max() >= _BIN_OFFSET):
-        raise ValueError(f"mode bins must lie in [{-_BIN_OFFSET}, {_BIN_OFFSET})")
     return ((np.asarray(families, dtype=np.int64)[:, None] << _BIN_BITS) | (bins + _BIN_OFFSET)).ravel()
 
 
@@ -223,8 +221,10 @@ class ModeRegister:
 
     @classmethod
     def grid(cls, families: Sequence[tuple[Sector, Chirality]], n_bins: int) -> "ModeRegister":
-        """Every (sector, chirality) family of ``families`` at bins 0..n_bins-1;
-        equal calls return one shared register."""
+        """Every (sector, chirality) family of ``families`` at bins 0..n_bins-1; equal calls
+        return one shared register.  A count past 2**39 is refused by name before any array."""
+        if int(n_bins) > _BIN_OFFSET:
+            raise ValueError(f"bin count must be at most 2**39 = {_BIN_OFFSET}, got {n_bins}")
         return _grid_register(tuple(sorted({_family(s, c) for s, c in families})), int(n_bins))
 
     def __len__(self) -> int:
@@ -468,10 +468,10 @@ def _set_slots(expr: OperatorExpr, d, register, w, peak) -> None:
 
 
 def _quiet(ufunc, *args, **kwargs) -> np.ndarray:
-    """``ufunc(*args, **kwargs)`` with overflow warnings off.  Arithmetic runs
-    through it when its result's bound passes ``_SAFE_PEAK``, the only case in
-    which it can overflow: :meth:`OperatorExpr._new` then tests the result
-    and names a non-finite coefficient's mode."""
+    """``ufunc(*args, **kwargs)`` with overflow warnings off.  A single-mode
+    squeeze, and arithmetic whose bound passes ``_SAFE_PEAK`` (the only case in
+    which it can overflow), run through it: :meth:`OperatorExpr._new` then
+    tests the result and names a non-finite coefficient's mode."""
     with np.errstate(over="ignore", invalid="ignore"):
         return ufunc(*args, **kwargs)
 
@@ -667,10 +667,9 @@ def single_mode_squeeze(a: OperatorExpr, r_s: float) -> OperatorExpr:
         raise ValueError(f"squeezing strength must have |r_s| <= {_MAX_SINGLE_MODE_STRENGTH:.6g}, got {r_s}")
     stretch, squeeze = math.exp(r_s), math.exp(-r_s)
     bound = a._peak * max(stretch, squeeze)
-    multiply = np.multiply if bound <= _SAFE_PEAK else functools.partial(_quiet, np.multiply)
     w = np.empty_like(a._w)
-    multiply(a._w.real, stretch, out=w.real)
-    multiply(a._w.imag, squeeze, out=w.imag)
+    _quiet(np.multiply, a._w.real, stretch, out=w.real)
+    _quiet(np.multiply, a._w.imag, squeeze, out=w.imag)
     d = complex(a.displacement.real * stretch, a.displacement.imag * squeeze)
     return OperatorExpr._new(a.register, d, w, bound)
 

@@ -232,13 +232,17 @@ def _compose_protocol(register: ModeRegister, g: np.ndarray, r_s: float) -> tupl
     return [delta_expr.centered(), wire, idler_out, port_out], delta_expr.displacement
 
 
-def _bin_centers(wp: WavepacketSpec, grid) -> tuple[np.ndarray, float]:
-    """Centers and width of ``grid`` uniform bins across the wavepacket window."""
+def _wire_grid(wp: WavepacketSpec, grid) -> tuple[ModeRegister, np.ndarray, float]:
+    """The wires' register, then the centers and width of ``grid`` uniform bins across the wavepacket window."""
     if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 4:
         raise GridMismatchError(f"grid must be a bin count of at least 4, got {grid!r}")
+    try:
+        register = ModeRegister.grid(_WIRE_FAMILIES, grid)
+    except ValueError as exc:  # past the register's bin range
+        raise GridMismatchError(str(exc)) from None
     lo, hi = wp.window
     delta = (hi - lo) / grid
-    return lo + (np.arange(grid) + 0.5) * delta, delta
+    return register, lo + (np.arange(grid) + 0.5) * delta, delta
 
 
 def _build_circuit(a, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircuit:
@@ -251,7 +255,7 @@ def _build_circuit(a, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircui
     if np.any(accel <= 0):
         raise ValueError(f"acceleration must be positive, got {a}")
     rows = np.atleast_1d(accel)
-    centers, delta = _bin_centers(wp, grid)
+    register, centers, delta = _wire_grid(wp, grid)
     g = wp.amplitude(centers) * math.sqrt(delta)
     norm = float(np.linalg.norm(g))
     if norm <= 0:
@@ -274,7 +278,6 @@ def _build_circuit(a, wp: WavepacketSpec, grid, r_s: float) -> DiscretizedCircui
     # Every region wire lives on one register, so each gate is a handful of
     # vector operations.  No gate depends on the acceleration: the protocol
     # is composed once for every row.
-    register = ModeRegister.grid(_WIRE_FAMILIES, len(centers))
     exprs, disp_gain = _compose_protocol(register, g, r_s)
 
     # One rewrite of the wire's change and the three wire outputs the audit
@@ -817,10 +820,10 @@ def appendix_expectations(
 
 _MAX_FOCK_PARAM = 1.5
 _MIN_FOCK_CUTOFF = 4
-#: Largest Fock state the check builds, in amplitudes of the three modes,
-#: ``(cutoff + 1)**3``; it bounds an explicit cutoff and the adaptive window.
-_MAX_FOCK_DIM = 64**3
-_MAX_FOCK_CUTOFF = round(_MAX_FOCK_DIM ** (1 / 3)) - 1
+#: Largest photon window the check builds, of ``(cutoff + 1)**3`` amplitudes of
+#: the three modes; it bounds an explicit cutoff and the adaptive window.
+_MAX_FOCK_CUTOFF = 63
+_MAX_FOCK_DIM = (_MAX_FOCK_CUTOFF + 1) ** 3
 #: First window of the adaptive ladder.
 _FIRST_FOCK_CUTOFF = 12
 #: Largest deviation from the prediction a passing report may show
@@ -876,7 +879,6 @@ class _WindowTables:
     signed_inv_root2: np.ndarray  # [d, w]: (-1)^w / ((d + w)! w!)
     column: np.ndarray  # [u]: sqrt(u!) (-1)^u
     mirror_sign: np.ndarray  # [d + m - 1]: (-1)^max(-d, 0), for d in -(m - 1)..m - 1
-    shift: np.ndarray  # [i, j]: i + j, for i < 2m - 1
     amplitude_base: np.ndarray  # [n0, n1]: flat index of sector [|d|, n1 - s, -s], s = max(-d, 0)
     factor_base: np.ndarray  # [n0, n1]: flat index of factor [d + m - 1, 0]
     block_n2: np.ndarray  # [t, n0, 1]: (t - n0) mod m, the n2 that block t adds to both
@@ -910,8 +912,7 @@ def _window_tables(cutoff: int) -> _WindowTables:
     gap = d.clip(0)
     inv_gap_fact = np.tril(1.0 / sqrt_fact[gap] ** 2)
     alternate = np.where(n % 2, -1.0, 1.0)
-    shift = np.add.outer(np.arange(2 * m - 1), n)
-    root = sqrt_fact[shift[:m]] * sqrt_fact[:m]
+    root = np.lib.stride_tricks.sliding_window_view(sqrt_fact, m) * sqrt_fact[:m]
     mirror_sign = np.ones(2 * m - 1)
     mirror_sign[m - 2 :: -2] = -1.0
     s = (-d).clip(0)
@@ -930,7 +931,6 @@ def _window_tables(cutoff: int) -> _WindowTables:
         signed_inv_root2=alternate / root**2,
         column=sqrt_fact[:m] * alternate,
         mirror_sign=mirror_sign,
-        shift=shift,
         amplitude_base=abs(d) * m * m + (n - s) * m - s,
         factor_base=(d + m - 1) * m,
         block_n2=(d % m)[:, :, None],
@@ -995,7 +995,8 @@ def _fock_window(r: float, r_omega: float, b: float, cutoff: int) -> tuple[float
     with np.errstate(over="ignore", invalid="ignore"):  # b**n past the float range reads NaN
         powers[m - 1 : 2 * m - 1] = math.exp(-0.5 * b * b) * b**n
     pair = np.tanh(r_omega) ** n / math.cosh(r_omega)  # resource squeezer: sech(r_w) tanh(r_w)^k |k, k>
-    factor = powers[tables.shift] * (pair * tables.column)  # [d + m - 1, n2]
+    window = np.ndarray((2 * m - 1, m), buffer=powers, strides=powers.strides * 2)  # [i, j]: powers[i + j]
+    factor = window * (pair * tables.column)  # [d + m - 1, n2]
     factor *= tables.mirror_sign[:, None]
     # Every index is in range: "clip" lets take fill its output unbuffered.
     # Each index is summed into the rotated state's slab, unwritten until then.

@@ -423,6 +423,11 @@ class TestOutputLocation:
         assert main(["fig5", "--a-steps", "3"]) == 0
         assert (outdir / "fig5_decoherence_vs_acceleration.csv").exists()
 
+    def test_out_under_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert main(["fig5", "--a-steps", "2", "--out", str(tmp_path / "file" / "f.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_explicit_out_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_OUTDIR, str(tmp_path / "ignored"))
         out = tmp_path / "here.csv"
@@ -451,6 +456,25 @@ class TestParameterValidation:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fig4", "--a-steps", "x"], "argument --a-steps: expected int, got 'x'"),
+            (
+                ["sweep", "--oracle", "--a-steps", "2", "--bins", str(2**40)],
+                f"bin count must be at most 2**39 = {2**39}, got {2**40}",
+            ),
+        ],
+        ids=["not an int", "bins past the register range"],
+    )
+    def test_rejected_input_is_named(self, argv, message, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--out", str(tmp_path / "f.csv")])
+        assert excinfo.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr and f"error: {message}\n" in stderr
+        assert not (tmp_path / "f.csv").exists()
 
     @pytest.mark.parametrize("flag, value", [("--omega0", "1e308"), ("--sigma", "1e-320")])
     def test_packet_floats_cannot_hold_exits_2(self, flag, value, tmp_path, capsys):
@@ -542,6 +566,14 @@ class TestVerify:
         assert main(["verify", "--bins", "32", "--out", str(out)]) == 1
         report = out.read_text()
         assert report.count("FAIL suite-error: worst deviation inf (tolerance 0) - ValueError: no circuit here") == 2
+        assert "result: FAIL (3/5 suites)" in report
+
+    def test_bins_past_the_register_range_are_named_suite_errors(self, tmp_path):
+        out = tmp_path / "huge.txt"
+        assert main(["verify", "--bins", str(2**40), "--out", str(out)]) == 1
+        report = out.read_text()
+        named = f"GridMismatchError: bin count must be at most 2**39 = {2**39}, got {2**40}\n"
+        assert report.count("FAIL suite-error: worst deviation inf (tolerance 0) - " + named) == 2
         assert "result: FAIL (3/5 suites)" in report
 
     def test_coarse_grid_fails_with_named_breach(self, tmp_path):

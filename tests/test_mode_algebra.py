@@ -11,6 +11,7 @@ import inspect
 import math
 import pickle
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -28,6 +29,7 @@ from rindler_teleport import (
     beam_splitter,
     commutator,
     displace,
+    mode_algebra,
     phase_variance,
     quadrature_covariance,
     quadrature_variance,
@@ -141,6 +143,21 @@ class TestExpressionAlgebra:
         with pytest.raises(ValueError, match=named):
             OperatorExpr(reg, **{name: given})
 
+    @pytest.mark.parametrize(
+        "build, text",
+        [
+            (lambda: aux(0) + 0.5, "OperatorExpr(0.5+0j + (1+0j)·aux_L[0])"),
+            (
+                lambda: 0.5j * aux(0).dagger() + annihilator(ModeLabel(Sector.UNRUH_C, Chirality.RIGHT, 3)) - 2,
+                "OperatorExpr(-2+0j + (1+0j)·c_R[3] + (0+0.5j)·aux_L[0]†)",
+            ),
+            (lambda: aux(0) * 0, "OperatorExpr(0)"),
+        ],
+        ids=["displaced", "register order", "zero"],
+    )
+    def test_repr_lists_the_displacement_then_each_ladder_term(self, build, text):
+        assert repr(build()) == text
+
     def test_subtraction_is_the_negated_sum_bit_for_bit(self):
         # x - y is x + (-y) in IEEE arithmetic, signed zeros included, on a
         # shared register, across two merged ones and for a scalar.  Merged,
@@ -158,8 +175,9 @@ class TestExpressionAlgebra:
         for x in (e1, e2, e3, e1 + 0.3 * e3):
             for y in (e1, e2, e3, (1.0 - 0.5j) * e3):
                 assert bits(x - y) == bits(x + (-y))
-            for s in (0.0, -0.0, 1.0 - 2j, complex(-0.0, 0.0)):
+            for s in (0.0, -0.0, 1.0, 1.0 - 2j, complex(-0.0, 0.0)):
                 assert bits(x - s) == bits(x + (-complex(s)))
+                assert bits(s - x) == bits((-x) + complex(s))
         assert np.signbit(e3._w.real[1, 1]) and not np.signbit((e3 - e1)._w.real[1, 2])  # beta at C
         huge = (aux(0) + aux(0).dagger()) * 1e308
         with pytest.raises(ValueError, match="non-finite coefficient"):
@@ -365,6 +383,15 @@ class TestQuadratureCovariance:
         assert quadrature_variance(single_mode_squeeze(aux(0), -400.0), 0.0) == 0.0
         assert phase_variance((math.inf, 2.0, math.inf), 0.0, 1.0) == 2.0
         assert phase_variance((3.0, math.inf, -math.inf), -1.0, 0.0) == 3.0
+
+    def test_past_the_magnitude_bound(self):
+        # A moment past the float range reads inf without a warning; a
+        # quadrature coefficient past it is named with its mode.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert quadrature_covariance(aux(0) * 1e300) == (math.inf, math.inf, 0.0)
+        with pytest.raises(ValueError, match=re.escape("non-finite coefficient (inf+0j) for aux_L[0]")):
+            quadrature_covariance(aux(0) * 1.7e308 + aux(0) * 1.7e308)
 
     def test_one_region_check_over_both_quadratures(self):
         # X(0) of 1j (b4 + b4^dagger) has no region coefficient and Y does: the
@@ -670,6 +697,18 @@ class TestRegisters:
         label = ModeLabel(Sector.AUX, Chirality.LEFT, bin_)
         with pytest.raises(ValueError, match=re.escape(f"mode bin of {label!r} outside [-{2**39}, {2**39})")):
             annihilator(label)
+
+    def test_a_bin_count_past_the_key_range_is_named(self):
+        named = re.escape(f"bin count must be at most 2**39 = {2**39}, got {2**40}")
+        with pytest.raises(ValueError, match=named):
+            ModeRegister.grid(((Sector.RINDLER_IV, Chirality.LEFT),), 2**40)
+
+    def test_the_largest_bin_count_passes_the_check(self, monkeypatch):
+        # The register itself would take 4 TiB, so only the call it reaches is checked.
+        calls = []
+        monkeypatch.setattr(mode_algebra, "_grid_register", lambda *args: calls.append(args))
+        ModeRegister.grid(((Sector.RINDLER_IV, Chirality.LEFT),), 2**39)
+        assert calls == [((mode_algebra._family(Sector.RINDLER_IV, Chirality.LEFT),), 2**39)]
 
     def test_mixed_sum(self):
         e1, e2 = self.mixed_pair()

@@ -117,6 +117,12 @@ class TestCircuitBuild:
         with pytest.raises(GridMismatchError, match="bin count"):
             build_displaced_circuit(1.0, wp_standard, grid)
 
+    def test_a_bin_count_past_the_register_range_is_named(self, wp_standard):
+        # Refused before the 8 TiB of bin centers are asked for.
+        named = re.escape(f"bin count must be at most 2**39 = {2**39}, got {2**40}")
+        with pytest.raises(GridMismatchError, match=named):
+            build_displaced_circuit(1.0, wp_standard, 2**40)
+
     def test_numpy_integer_bin_count(self, wp_standard):
         circ = build_displaced_circuit(1.0, wp_standard, np.int64(8))
         assert circ.n_bins == 8
