@@ -104,6 +104,10 @@ VERIFY_PAYLOADS = ((0.0, (0.0,)), (0.4, (0.0, math.pi / 2)))
 # N-term Wick sums carry an absolute float-noise floor ~1e-15, leaving no
 # headroom for a relative certificate there.
 MASS_BEARING_FRACTION = 0.05
+# bin pairs per contraction-table call in the appendix suite, about 880 bytes
+# each: up to 256 bins (110 mass-bearing) a circuit's table is one call, and
+# a finer grid is read in blocks of omega bins.
+_APPENDIX_BLOCK_PAIRS = 16384
 
 
 @dataclass(frozen=True)
@@ -469,8 +473,17 @@ def _suite_appendix(cfg: SweepConfig, circuit) -> SuiteResult:
         circ = circuit(r_s)[row]
         bins = _mass_bearing_bins(circ)
         n_pairs += len(bins) ** 2
-        for name, table_row in contraction_table(circ, bins, bins, phi=0.3).items():
-            deviation = float(np.max(table_row.rel_deviation))
+        # Every table entry depends on its (omega, gamma) pair alone, so blocks
+        # of omega bins give each row's maximum (NaN propagating, as np.max
+        # does) in bounded memory.
+        step = max(1, _APPENDIX_BLOCK_PAIRS // len(bins))
+        maxima = {}
+        for start in range(0, len(bins), step):
+            for name, table_row in contraction_table(circ, bins[start : start + step], bins, phi=0.3).items():
+                deviation = float(np.max(table_row.rel_deviation))
+                if name not in maxima or deviation > maxima[name] or math.isnan(deviation):
+                    maxima[name] = deviation
+        for name, deviation in maxima.items():
             if deviation > worst or math.isnan(deviation):  # a NaN row fails the suite
                 worst, worst_name = deviation, name
     return SuiteResult(
@@ -586,7 +599,7 @@ def main(argv=None) -> int:
     dispatch = {"fig4": cmd_fig4, "fig5": cmd_fig5, "sweep": cmd_sweep, "verify": cmd_verify}
     try:
         return dispatch[args.command](cfg)
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:  # e.g. an unwritable --out, or --bins past memory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # an input the physics rejects, e.g. r_s too large

@@ -428,6 +428,15 @@ class TestOutputLocation:
         assert main(["fig5", "--a-steps", "2", "--out", str(tmp_path / "file" / "f.csv")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_memory_error_exits_2(self, monkeypatch, tmp_path, capsys):
+        # A --bins count the machine cannot hold is a named error, not a traceback.
+        def unallocatable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr(cli, "build_squeezed_circuit", unallocatable)
+        assert main(["sweep", "--oracle", "--a-steps", "2", "--out", str(tmp_path / "s.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+
     def test_explicit_out_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_OUTDIR, str(tmp_path / "ignored"))
         out = tmp_path / "here.csv"
@@ -575,6 +584,56 @@ class TestVerify:
         named = f"GridMismatchError: bin count must be at most 2**39 = {2**39}, got {2**40}\n"
         assert report.count("FAIL suite-error: worst deviation inf (tolerance 0) - " + named) == 2
         assert "result: FAIL (3/5 suites)" in report
+
+    def test_appendix_suite_reads_its_table_in_blocks(self, monkeypatch):
+        # Blocks of omega bins give the one-call suite's line, worst row included.
+        wp = cli.make_wavepacket(1.0, 0.05)
+        circuits = {
+            r_s: cli.build_squeezed_circuit(np.array(cli.VERIFY_ACCELERATIONS), wp, 32, r_s=r_s)
+            for r_s, _ in cli.VERIFY_PAYLOADS
+        }
+        cfg = cli.SweepConfig(bins=32)
+        whole = cli._suite_appendix(cfg, circuits.__getitem__)
+        honest = cli.contraction_table
+        blocks = []
+
+        def counted(circ, omega_bins, gamma_bins, **kwargs):
+            blocks.append(len(omega_bins))
+            return honest(circ, omega_bins, gamma_bins, **kwargs)
+
+        assert [len(cli._mass_bearing_bins(circ[1])) for circ in circuits.values()] == [14, 14]
+        monkeypatch.setattr(cli, "contraction_table", counted)
+        monkeypatch.setattr(cli, "_APPENDIX_BLOCK_PAIRS", 3 * 14)  # three omega bins a block
+        assert cli._suite_appendix(cfg, circuits.__getitem__) == whole
+        assert blocks == [3, 3, 3, 3, 2] * 2
+
+        def with_a_nan_in_block_2(circ, omega_bins, gamma_bins, **kwargs):
+            rows = counted(circ, omega_bins, gamma_bins, **kwargs)
+            if len(blocks) % 5 == 2:
+                rows["c d†"].rel_deviation[0, 0] = math.nan
+            return rows
+
+        monkeypatch.setattr(cli, "contraction_table", with_a_nan_in_block_2)
+        suite = cli._suite_appendix(cfg, circuits.__getitem__)
+        assert math.isnan(suite.worst) and suite.detail.endswith("worst row 'c d†'")
+
+    def test_appendix_suite_memory_is_bounded(self):
+        # 1024 bins hold 440-odd mass-bearing bins: about 170 MiB as one table.
+        import tracemalloc
+
+        wp = cli.make_wavepacket(1.0, 0.05)
+        circuits = {
+            r_s: cli.build_squeezed_circuit(np.array(cli.VERIFY_ACCELERATIONS), wp, 1024, r_s=r_s)
+            for r_s, _ in cli.VERIFY_PAYLOADS
+        }
+        tracemalloc.start()
+        try:
+            suite = cli._suite_appendix(cli.SweepConfig(bins=1024), circuits.__getitem__)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert suite.passed
+        assert peak < 64 * 2**20, peak / 2**20
 
     def test_coarse_grid_fails_with_named_breach(self, tmp_path):
         out = tmp_path / "coarse.txt"

@@ -1,13 +1,12 @@
 """Edges of the documented domain, driven through ``cli.main`` in process.
 
 Where a check depends on the process (a blocked import, the hash seed) it
-runs in a fresh interpreter; the two scripts run through ``runpy``.
+runs in a fresh interpreter.
 """
 
 import json
 import math
 import re
-import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -45,22 +44,6 @@ def test_squeezed_quadrature_keeps_its_precision(tmp_path):
     argv = ["sweep", "--scenario", "squeezed", "--oracle", "--rs", "30", "--phi", "1.5707963267948966"]
     assert main(argv + ["--a-min", "1", "--a-max", "1", "--a-steps", "1", "--out", str(out)]) == 0
     _assert_oracle_rows(out, 1)
-
-
-@pytest.mark.parametrize(
-    "script, argv, written",
-    [
-        ("make_figure_data.py", ["--a-steps", "5"], ["fig4_variance_vs_acceleration.csv", "fig5_decoherence_vs_acceleration.csv"]),
-        ("run_verification.py", ["--bins", "32"], ["verification_report.txt"]),
-    ],
-)
-def test_script_wrappers(script, argv, written, tmp_path, monkeypatch):
-    monkeypatch.setenv(ENV_OUTDIR, str(tmp_path))
-    monkeypatch.setattr(sys, "argv", [script, *argv])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(ROOT / "scripts" / script), run_name="__main__")
-    assert exc.value.code == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == written
 
 
 # SciPy is a test dependency only; with the module blocked, any SciPy import

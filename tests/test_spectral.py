@@ -189,6 +189,25 @@ class TestSpectralIntegrals:
         with pytest.raises(ValueError):
             spectral_integrals(wp, -1.0)
 
+    def test_broken_identity_is_named_or_nan(self, monkeypatch):
+        # Rows that settle yet break i_c - i_s = 1 past rounding: a scalar
+        # call names the identity, and an array call reads NaN on those rows.
+        honest = spectral._integrals_on_edges
+
+        def shifted(*args):
+            values = honest(*args)
+            values[:, 0] += 1e-6
+            return values
+
+        monkeypatch.setattr(spectral, "_integrals_on_edges", shifted)
+        wp = make_wavepacket(1.0, 0.05)
+        with pytest.raises(SpectralConvergenceError, match="normalization identity violated"):
+            spectral_integrals(wp, 1.0)
+        ints = spectral_integrals(wp, np.array([0.5, 1.0]))
+        for field in ("i_c", "i_s", "i_cs"):
+            assert np.all(np.isnan(getattr(ints, field)))
+        assert np.all(ints.last_change <= spectral._SETTLE_REL_TOL)
+
 
 def _quad_thermal_parts(omega0: float, sigma: float, a: float) -> tuple[float, float, float]:
     """(i_c, i_s, i_cs) by adaptive quadrature over the wavepacket's window.
